@@ -16,16 +16,13 @@
 //! (0.25 s × 8 SSDs, seed 42 — 30 runs spanning both device profiles
 //! and all three completion models, so the polled reap path stays in
 //! the trajectory), and the event-fusion probe (fig06 at 10 s ×
-//! 8 SSDs, seed 42, single-shard plan — one job per worker LP so the
-//! macro-event fast path engages; records events/sec, events per
-//! latency sample, and fused/defused chain counts), each with its
-//! wall-clock and events/sec, plus a threads-scaling sweep of the
-//! pinned fig06 run at 1/2/4/8 engine workers (recorded alongside the
-//! host's core count, since scaling numbers are meaningless without
-//! it). Because the scales are pinned, entries are comparable across
-//! commits: the file is the perf trajectory of the event queue,
-//! histogram, serving layer and parallel engine over the repo's
-//! history.
+//! 8 SSDs, seed 42 — one job per worker LP so the macro-event fast
+//! path engages; records events/sec, events per latency sample, and
+//! fused/defused chain counts), each with its wall-clock and
+//! events/sec, recorded alongside the host's core count. Because the
+//! scales are pinned, entries are comparable across commits: the file
+//! is the perf trajectory of the event queue, histogram, serving layer
+//! and I/O-path engine over the repo's history.
 //!
 //! Usage:
 //!
@@ -43,11 +40,7 @@
 //! (80% floors), plus the event-fusion probe (events/sample budget of
 //! 4.0, 80% events/sec floor, and ≥ 1.15× the fleet-failover grid's
 //! same-host events/sec), each skipping gracefully when the committed
-//! trajectory predates its keys. On hosts with enough cores it also
-//! gates the threads-scaling table: threads must *pay* — a 2- or
-//! 4-thread run slower than 95% of the sequential run fails the gate
-//! (on smaller hosts the partition planner fuses everything into the
-//! sequential fast path, so the gate is vacuous and says so).
+//! trajectory predates its keys.
 
 use std::time::Instant;
 
@@ -232,19 +225,17 @@ struct FusionMeasurement {
     defused_chains: u64,
 }
 
-/// Runs the pinned event-fusion probe best-of-3, pinned to the
-/// single-shard plan (fusion only engages when one shard owns every
-/// LP, and the measurement must not depend on the host's core count).
-/// Three passes for the same reason as [`run_fleet_ladder`]: the
-/// probe's ~1.5 s wall is short enough that one descheduling swings
-/// its events/sec by ±10% on a shared host, and this figure feeds a
-/// relative gate (≥ 1.15× the failover grid). The event, sample and
-/// fusion-counter totals are deterministic across passes.
+/// Runs the pinned event-fusion probe best-of-3. Three passes for the
+/// same reason as [`run_fleet_ladder`]: the probe's ~1.5 s wall is
+/// short enough that one descheduling swings its events/sec by ±10% on
+/// a shared host, and this figure feeds a relative gate (≥ 1.15× the
+/// failover grid). The event, sample and fusion-counter totals are
+/// deterministic across passes.
 fn run_event_fusion() -> FusionMeasurement {
     let def = experiment::find("fig06").expect("fig06 registered");
     let scale = event_fusion_scale();
     println!(
-        "event-fusion fig06 at {:.1}s x {} SSDs, seed {} (single-shard plan, best of 3) ...",
+        "event-fusion fig06 at {:.1}s x {} SSDs, seed {} (best of 3) ...",
         scale.runtime.as_secs_f64(),
         scale.ssds,
         scale.seed
@@ -254,13 +245,11 @@ fn run_event_fusion() -> FusionMeasurement {
     let mut samples = 0u64;
     let mut fusion = afa_sim::metrics::FusionCounters::default();
     for _ in 0..3 {
-        let plan = afa_core::PlanOverride::set(afa_core::PlanSpec::Single);
         let events_before = afa_sim::metrics::events_processed_total();
         let fusion_before = afa_sim::metrics::fusion_totals();
         let t0 = Instant::now();
         let result = def.run(scale);
         let wall = t0.elapsed().as_secs_f64();
-        drop(plan);
         best_wall = best_wall.min(wall);
         events = afa_sim::metrics::events_processed_total() - events_before;
         fusion = afa_sim::metrics::fusion_totals().since(&fusion_before);
@@ -323,7 +312,6 @@ fn main() {
              ({:+.1}%)",
             100.0 * (measured / baseline - 1.0)
         );
-        check_threads_scaling(measured);
         let existing = std::fs::read_to_string(path).unwrap_or_default();
         check_fleet(&existing);
         let failover_eps = check_fleet_failover(&existing);
@@ -337,40 +325,9 @@ fn main() {
     micro::register_histogram_record(&mut harness);
     micro::register_frontend_fanout(&mut harness);
 
-    let def = experiment::find("fig06").expect("fig06 registered");
-    let scale = trajectory_scale();
     println!();
     let fig06 = run_trajectory_fig06();
-
-    // Threads-scaling sweep over the same pinned fig06 scale: the
-    // conservative engine's wall-clock at 1/2/4/8 workers. Recorded
-    // with the host's core count — on a single-core container the
-    // honest result is flat-to-slower (synchronization overhead, no
-    // parallel speedup), which is still trajectory-worthy data.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("\nfig06 threads-scaling sweep ({cores} host cores) ...");
-    let mut scaling = Vec::new();
-    for &threads in &[1usize, 2, 4, 8] {
-        let plan = afa_core::partition::plan_label(scale.ssds, threads);
-        let pin = afa_core::ThreadsOverride::set(threads);
-        let ev0 = afa_sim::metrics::events_processed_total();
-        let t0 = Instant::now();
-        let r = def.run(scale);
-        let w = t0.elapsed().as_secs_f64();
-        drop(pin);
-        let ev = afa_sim::metrics::events_processed_total() - ev0;
-        let eps = ev as f64 / w.max(1e-9);
-        println!(
-            "  {threads} threads (plan {plan}): {w:.2}s wall, {} samples, {eps:.0} events/sec",
-            r.samples()
-        );
-        scaling.push(Json::obj([
-            ("threads", Json::u64(threads as u64)),
-            ("plan", Json::str(&plan)),
-            ("wall_s", Json::f64(w)),
-            ("events_per_sec", Json::f64(eps)),
-        ]));
-    }
 
     let fe_def = experiment::find("tailscale-fanout").expect("tailscale-fanout registered");
     let fe_scale = frontend_scale();
@@ -429,7 +386,6 @@ fn main() {
         ("fig06_events", Json::u64(fig06.events)),
         ("fig06_events_per_sec", Json::f64(fig06.events_per_sec)),
         ("host_cores", Json::u64(cores as u64)),
-        ("fig06_threads_scaling", Json::arr(scaling)),
         ("frontend_wall_s", Json::f64(fe_wall)),
         ("frontend_samples", Json::u64(fe_result.samples())),
         ("frontend_events", Json::u64(fe_events)),
@@ -464,52 +420,6 @@ fn main() {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         }
-    }
-}
-
-/// The threads-must-pay gate: on hosts with at least N cores, an
-/// N-thread run of the pinned fig06 scale must reach 95% of the
-/// sequential throughput `base` — the partition planner exists
-/// precisely so extra threads never make the run slower. Vacuous on
-/// hosts too small for any multi-shard plan to be chosen.
-fn check_threads_scaling(base: f64) {
-    let def = experiment::find("fig06").expect("fig06 registered");
-    let scale = trajectory_scale();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut checked = false;
-    for &threads in &[2usize, 4] {
-        if cores < threads {
-            continue;
-        }
-        checked = true;
-        let plan = afa_core::partition::plan_label(scale.ssds, threads);
-        let pin = afa_core::ThreadsOverride::set(threads);
-        let ev0 = afa_sim::metrics::events_processed_total();
-        let t0 = Instant::now();
-        def.run(scale);
-        let w = t0.elapsed().as_secs_f64();
-        drop(pin);
-        let ev = afa_sim::metrics::events_processed_total() - ev0;
-        let eps = ev as f64 / w.max(1e-9);
-        let floor = 0.95 * base;
-        if eps < floor {
-            eprintln!(
-                "threads-scaling regression: {threads} threads (plan {plan}) ran at \
-                 {eps:.0} events/sec, below 95% of the {base:.0} sequential baseline \
-                 (floor {floor:.0}) — threads must pay"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "threads-scaling OK: {threads} threads (plan {plan}) at {eps:.0} events/sec \
-             ({:+.1}% vs sequential)",
-            100.0 * (eps / base - 1.0)
-        );
-    }
-    if !checked {
-        println!(
-            "threads-scaling gate: skipped ({cores} host core(s) — no multi-thread run to gate)"
-        );
     }
 }
 

@@ -153,11 +153,11 @@ impl TraceRecorder {
         &self.traces
     }
 
-    /// Stitches per-shard recorders into the window a sequential run
-    /// would have produced: every shard traced its own first
-    /// `capacity` I/Os, so the union is a superset of the global
-    /// window — sort by queue instant (device, then LBA, as
-    /// deterministic tie-breaks) and keep the first `capacity`.
+    /// Stitches per-LP recorders into one run-wide window: every
+    /// worker LP traced its own first `capacity` I/Os, so the union is
+    /// a superset of the global window — sort by queue instant
+    /// (device, then LBA, as deterministic tie-breaks) and keep the
+    /// first `capacity`.
     pub(crate) fn merged(capacity: usize, parts: Vec<TraceRecorder>) -> Self {
         let mut traces: Vec<IoTrace> = parts.into_iter().flat_map(|p| p.traces).collect();
         traces.sort_by_key(|t| (t.stamps[0], t.device, t.lba));

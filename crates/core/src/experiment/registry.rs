@@ -78,14 +78,6 @@ pub struct ExperimentDef {
     pub description: &'static str,
     /// The single tuning stage the experiment runs at, if any.
     pub stage: Option<TuningStage>,
-    /// Whether the experiment's simulations run on the sharded
-    /// conservative engine and may honor `AFA_THREADS`. Experiments
-    /// that drive their own single-world event loops (the serving
-    /// layer, multi-host fabric) set this to `false`; `run_experiment`
-    /// then holds a [`SequentialGuard`](crate::system) for the run.
-    /// Either way the artifact bytes are identical — the flag only
-    /// controls whether extra cores can be used.
-    pub parallel: bool,
     runner: fn(ExperimentScale) -> Box<dyn ExperimentResult>,
 }
 
@@ -112,63 +104,54 @@ static REGISTRY: [ExperimentDef; 33] = [
         name: "fig06",
         description: "Fig. 6: per-SSD latency distributions, default configuration",
         stage: Some(TuningStage::Default),
-        parallel: true,
         runner: |s| Box::new(experiment::fig6(s)),
     },
     ExperimentDef {
         name: "fig07",
         description: "Fig. 7: + fio under chrt -f 99",
         stage: Some(TuningStage::Chrt),
-        parallel: true,
         runner: |s| Box::new(experiment::fig7(s)),
     },
     ExperimentDef {
         name: "fig08",
         description: "Fig. 8: + isolcpus/nohz_full/rcu_nocbs/idle=poll",
         stage: Some(TuningStage::Isolcpus),
-        parallel: true,
         runner: |s| Box::new(experiment::fig8(s)),
     },
     ExperimentDef {
         name: "fig09",
         description: "Fig. 9: + all NVMe vectors pinned to designated CPUs",
         stage: Some(TuningStage::IrqAffinity),
-        parallel: true,
         runner: |s| Box::new(experiment::fig9(s)),
     },
     ExperimentDef {
         name: "fig10",
         description: "Fig. 10: per-sample latency scatter, SMART spikes visible",
         stage: Some(TuningStage::IrqAffinity),
-        parallel: true,
         runner: |s| Box::new(experiment::fig10(s)),
     },
     ExperimentDef {
         name: "fig11",
         description: "Fig. 11: + experimental firmware (SMART disabled)",
         stage: Some(TuningStage::ExperimentalFirmware),
-        parallel: true,
         runner: |s| Box::new(experiment::fig11(s)),
     },
     ExperimentDef {
         name: "fig12",
         description: "Fig. 12: the four kernel configurations side by side",
         stage: None,
-        parallel: true,
         runner: |s| Box::new(experiment::fig12(s)),
     },
     ExperimentDef {
         name: "fig13",
         description: "Fig. 13: latency vs. SSDs per physical core (Table II sweep)",
         stage: Some(TuningStage::IrqAffinity),
-        parallel: true,
         runner: |s| Box::new(experiment::fig13(s)),
     },
     ExperimentDef {
         name: "fig14",
         description: "Fig. 14: mean/std aggregation of the Fig. 13 sweep",
         stage: Some(TuningStage::IrqAffinity),
-        parallel: true,
         runner: |s| {
             Box::new(experiment::Fig14Result {
                 summaries: experiment::fig14(s),
@@ -179,105 +162,90 @@ static REGISTRY: [ExperimentDef; 33] = [
         name: "table1",
         description: "Table I: device model, rated vs. measured",
         stage: None,
-        parallel: true,
         runner: |s| Box::new(experiment::table1(s.seed)),
     },
     ExperimentDef {
         name: "table2",
         description: "Table II: the Fig. 13 run matrix, derived from the geometry",
         stage: None,
-        parallel: true,
         runner: |_| Box::new(experiment::table2_matrix()),
     },
     ExperimentDef {
         name: "ablate-tick",
         description: "Ablation: timer-tick rate vs. CFS wake-up tail",
         stage: Some(TuningStage::Default),
-        parallel: true,
         runner: |s| Box::new(experiment::ablate_tick(s)),
     },
     ExperimentDef {
         name: "ablate-cstate",
         description: "Ablation: idle C-state policy vs. latency",
         stage: Some(TuningStage::Chrt),
-        parallel: true,
         runner: |s| Box::new(experiment::ablate_cstate(s)),
     },
     ExperimentDef {
         name: "ablate-smart-period",
         description: "Ablation: SMART housekeeping protocol sweep",
         stage: Some(TuningStage::IrqAffinity),
-        parallel: true,
         runner: |s| Box::new(experiment::ablate_smart_period(s)),
     },
     ExperimentDef {
         name: "ablate-poll",
         description: "Ablation: interrupt vs. polling completions",
         stage: Some(TuningStage::IrqAffinity),
-        parallel: true,
         runner: |s| Box::new(experiment::ablate_poll(s)),
     },
     ExperimentDef {
         name: "ablate-coalescing",
         description: "Ablation: NVMe interrupt coalescing at QD4",
         stage: Some(TuningStage::ExperimentalFirmware),
-        parallel: true,
         runner: |s| Box::new(experiment::ablate_coalescing(s)),
     },
     ExperimentDef {
         name: "ablate-rcu",
         description: "Ablation: rcu_nocbs callback offloading",
         stage: Some(TuningStage::IrqAffinity),
-        parallel: true,
         runner: |s| Box::new(experiment::ablate_rcu(s)),
     },
     ExperimentDef {
         name: "ablate-numa",
         description: "Ablation: NUMA placement of fio threads",
         stage: Some(TuningStage::IrqAffinity),
-        parallel: true,
         runner: |s| Box::new(experiment::ablate_numa(s)),
     },
     ExperimentDef {
         name: "ablate-gc",
         description: "Ablation: FOB vs. aged device (GC interference)",
         stage: None,
-        parallel: true,
         runner: |s| Box::new(experiment::ablate_gc(s.seed)),
     },
     ExperimentDef {
         name: "rootcause",
         description: "Per-cause latency budget across the whole tuning ladder",
         stage: None,
-        parallel: true,
         runner: |s| Box::new(experiment::root_cause_ladder(s)),
     },
     ExperimentDef {
         name: "tailscale",
         description: "Tail at scale: client latency over a striped volume",
         stage: None,
-        parallel: false,
         runner: |s| Box::new(experiment::tail_at_scale(s)),
     },
     ExperimentDef {
         name: "tailscale-fanout",
         description: "Tail at scale, request level: open-loop serving, fan-out sweep per stage",
         stage: None,
-        parallel: false,
         runner: |s| Box::new(experiment::tailscale_fanout(s)),
     },
     ExperimentDef {
         name: "tailscale-hedge",
         description: "Tail at scale, request level: hedged reads on/off, mixed load, tuned kernel",
         stage: Some(TuningStage::IrqAffinity),
-        parallel: false,
         runner: |s| Box::new(experiment::tailscale_hedge(s)),
     },
     ExperimentDef {
         name: "fleet-arrival",
         description: "Serving fleet: tenant ladder at fixed rate, sketched tails, slab book",
         stage: Some(TuningStage::IrqAffinity),
-        parallel: false,
         runner: |s| Box::new(experiment::fleet_arrival(s)),
     },
     ExperimentDef {
@@ -285,63 +253,54 @@ static REGISTRY: [ExperimentDef; 33] = [
         description:
             "Replicated fleet: kill one array at t=50%, failover + re-replication, per stage",
         stage: None,
-        parallel: false,
         runner: |s| Box::new(experiment::fleet_failover(s)),
     },
     ExperimentDef {
         name: "fleet-replication",
         description: "Replicated fleet: R x read-policy grid, write tax vs hedged-read tail win",
         stage: Some(TuningStage::IrqAffinity),
-        parallel: false,
         runner: |s| Box::new(experiment::fleet_replication(s)),
     },
     ExperimentDef {
         name: "saturation",
         description: "Uplink saturation: sequential vs. QD1 random throughput",
         stage: Some(TuningStage::IrqAffinity),
-        parallel: true,
         runner: |s| Box::new(experiment::uplink_saturation(s)),
     },
     ExperimentDef {
         name: "pts",
         description: "SNIA PTS-E style steady-state random-write rounds",
         stage: None,
-        parallel: true,
         runner: |s| Box::new(experiment::pts_random_write(s.seed, 30)),
     },
     ExperimentDef {
         name: "qdsweep",
         description: "Queue-depth sweep: the device's latency/IOPS knee",
         stage: None,
-        parallel: true,
         runner: |s| Box::new(experiment::qd_sweep(s.seed)),
     },
     ExperimentDef {
         name: "multihost",
         description: "Multi-host enclosure isolation across the shared fabric",
         stage: None,
-        parallel: false,
         runner: |s| Box::new(experiment::multi_host_isolation(s)),
     },
     ExperimentDef {
         name: "futurework",
         description: "Future-work prototypes vs. the paper's manual tuning",
         stage: None,
-        parallel: true,
         runner: |s| Box::new(experiment::future_schedulers(s)),
     },
     ExperimentDef {
         name: "ull-crossover",
         description: "Completion model x tuning ladder on Table-I vs. ultra-low-latency devices",
         stage: None,
-        parallel: true,
         runner: |s| Box::new(experiment::ull_crossover(s)),
     },
     ExperimentDef {
         name: "blktrace",
         description: "blktrace-style per-I/O stage timestamps, slowest sample",
         stage: Some(TuningStage::IrqAffinity),
-        parallel: true,
         runner: |s| Box::new(experiment::io_trace(s)),
     },
 ];
@@ -651,12 +610,7 @@ pub fn run_experiment(def: &ExperimentDef, scale: ExperimentScale) -> Experiment
     let fleet_before = afa_sim::metrics::fleet_totals();
     let fusion_before = afa_sim::metrics::fusion_totals();
     let t0 = Instant::now();
-    // Experiments that drive their own single-world event loops must
-    // not observe AFA_THREADS; the guard pins every AfaSystem::run in
-    // scope (e.g. calibration sub-runs) to the sequential driver.
-    let sequential = (!def.parallel).then(crate::system::SequentialGuard::acquire);
     let result = def.run(scale);
-    drop(sequential);
     let wall = t0.elapsed();
     // Process-wide counter: the delta includes any simulations that ran
     // concurrently (e.g. the pool runs experiments in parallel), so it
@@ -864,8 +818,8 @@ mod tests {
 
     #[test]
     fn fusion_counters_are_table_only() {
-        // fig06 at quick scale runs the single-shard plan with one job
-        // per LP, so the fusion fast path must engage — and its
+        // fig06 at quick scale runs one job per LP, so the fusion fast
+        // path must engage — and its
         // counters must stay out of the byte-stable JSON, because the
         // fusion contract is that artifacts are identical with fusion
         // on or off (a `fusion` key would differ between the two).
@@ -873,7 +827,7 @@ mod tests {
         let run = run_experiment(def, ExperimentScale::quick());
         assert!(
             run.manifest.fusion.fused_chains > 0,
-            "fusion never engaged on a QD1 single-plan run"
+            "fusion never engaged on a QD1 run"
         );
         assert!(
             run.manifest.fusion.elided_events > 0,

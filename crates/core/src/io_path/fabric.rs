@@ -3,12 +3,12 @@
 //! Downstream (stage 2): the NVMe command crosses the fabric to the
 //! device after the doorbell ring. Upstream (stage 4): the 4 KiB data,
 //! CQE and MSI cross back once the device posts the completion — split
-//! at the shard boundary into the device-owned up-leg (reserved by the
+//! at the LP boundary into the device-owned up-leg (reserved by the
 //! owning worker) and the shared leaf/uplink legs (reserved by the
 //! hub, which owns them). All legs accrue to [`Cause::Fabric`] on the
 //! ledger — open legs that settle into the single fabric attribution
 //! the I/O ends up with; the hub returns its leg as a scalar for the
-//! owner to accrue, since the ledger never leaves the owning shard.
+//! owner to accrue, since the ledger belongs to the owning worker LP.
 
 use afa_pcie::PcieFabric;
 use afa_sim::trace::Cause;

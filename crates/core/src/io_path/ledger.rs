@@ -240,11 +240,11 @@ impl LedgerLog {
         &self.entries
     }
 
-    /// Stitches per-shard logs into the log a sequential run would
-    /// have produced: every shard captured its own first `capacity`
-    /// completions, so the union is a superset of the global window —
-    /// sort by completion instant (device as a deterministic
-    /// tie-break) and keep the first `capacity`.
+    /// Stitches per-LP logs into one run-wide window: every worker LP
+    /// captured its own first `capacity` completions, so the union is
+    /// a superset of the global window — sort by completion instant
+    /// (device as a deterministic tie-break) and keep the first
+    /// `capacity`.
     pub(crate) fn merged(capacity: usize, parts: Vec<LedgerLog>) -> Self {
         let mut entries: Vec<CompletedIo> = parts.into_iter().flat_map(|p| p.entries).collect();
         entries.sort_by_key(|e| (e.reaped_at, e.device));

@@ -1,18 +1,18 @@
-//! The staged I/O path, partitioned into conservative-parallel shards:
-//! one module per slice of an I/O's life, glued by the sharded event
-//! conductor, instrumented through one [`IoLedger`].
+//! The staged I/O path, partitioned into logical processes (LPs): one
+//! module per slice of an I/O's life, glued by the LP event engine
+//! ([`afa_sim::shard`]), instrumented through one [`IoLedger`].
 //!
 //! ```text
-//!  worker shard A (owns device d, CPU c, job j)          hub shard
-//!  ───────────────────────────────────────────          ──────────
+//!  worker LP A (owns device d, CPU c, job j)             hub LP
+//!  ─────────────────────────────────────────             ──────
 //!  submit ─▶ fabric(down,local) ─▶ device ─╮
 //!    ╰────────── inline ──────────╯        │ DeviceDone (local)
 //!                 fabric(device up-leg) ◀──╯
 //!                        │ FabricUp ──────────▶ fabric(shared legs)
 //!                                               irq route / coalesce
-//!  worker shard V (owns the vector CPU)  ◀───── IrqDeliver
+//!  worker LP V (owns the vector CPU)     ◀───── IrqDeliver
 //!  irq handler ──╮
-//!                │ WakeReap ──▶ worker shard A: wake ─▶ reap ─▶ next issue
+//!                │ WakeReap ──▶ worker LP A: wake ─▶ reap ─▶ next issue
 //! ```
 //!
 //! Matching §III of the paper: the fio thread pays the submit syscall
@@ -22,26 +22,24 @@
 //! the scheduler wakes the thread ([`wake`]) and the thread reaps
 //! ([`complete`]).
 //!
-//! # Shard topology
+//! # LP topology
 //!
-//! The world is replicated across [`LP_COUNT`] logical processes:
-//! [`WORKER_LPS`] *worker* shards plus one *hub* shard. Each worker
-//! owns whole physical cores (a core and its hyper-sibling always
-//! land together, so `sibling_busy` reads stay shard-local), and with
+//! One world serves [`LP_COUNT`] logical processes: [`WORKER_LPS`]
+//! *worker* LPs plus one *hub* LP. Each worker owns whole physical
+//! cores (a core and its hyper-sibling always land together), and with
 //! them every device, fio job, per-device PCIe link and per-CPU
 //! scheduler state mapped to those cores by [`lp_of_cpu`]. The hub
 //! owns everything shared: the upstream leaf/uplink links, the MSI-X
 //! vector table and IRQ balancer, interrupt coalescing, and
-//! background-daemon placement. Every replica carries a full copy of
-//! the model, but a shard only ever mutates the slice it owns — the
-//! harvest step in `AfaSystem::run` stitches the owned slices back
-//! into one result.
+//! background-daemon placement. The split is part of the model, not an
+//! execution detail: the hub reserves the shared down-legs in the
+//! order its `SubmitDown` arrivals merge (the FIFO behind Fig. 12's
+//! convoys), and background placement sees CPU business through the
+//! one-lookahead-stale `CpuBusy` view.
 //!
-//! Cross-shard hops ride [`Cross`] events under per-shard lookahead
-//! bounds (a fabric hop for workers, hop + MSI latency for the hub),
-//! so the conservative engine in [`afa_sim::shard`] can execute
-//! shards in parallel and still merge byte-identically with the
-//! sequential driver.
+//! Inter-LP hops ride [`Cross`] events under per-LP lookahead bounds
+//! (the smaller of a fabric hop and interrupt entry + handler for
+//! workers, hop + MSI latency for the hub), asserted on every send.
 //!
 //! Every stage writes its timing contribution into the I/O's
 //! [`IoLedger`], parked in the *owning worker's* slab for the I/O's
@@ -77,16 +75,15 @@ use crate::blktrace::IoStage;
 use crate::config::IrqCoalescing;
 use crate::geometry::CpuSsdGeometry;
 
-/// Worker shards: each owns a fixed set of whole physical cores.
+/// Worker LPs: each owns a fixed set of whole physical cores.
 pub(crate) const WORKER_LPS: usize = 8;
 
-/// The hub shard id: owns the shared uplink, the IRQ balancer and
+/// The hub LP id: owns the shared uplink, the IRQ balancer and
 /// background placement.
 pub(crate) const HUB_LP: usize = WORKER_LPS;
 
-/// Total logical processes (workers + hub). Fixed regardless of
-/// `AFA_THREADS` — the partition is part of the deterministic merge
-/// contract, so results never depend on the thread count.
+/// Total logical processes (workers + hub). Fixed: LP ids are part of
+/// the deterministic merge contract.
 pub(crate) const LP_COUNT: usize = WORKER_LPS + 1;
 
 /// Physical cores per socket of the paper's dual Xeon E5-2690 v2:
@@ -96,7 +93,7 @@ const CORES_PER_SOCKET_PAIR: usize = 20;
 
 /// Hub-to-worker latency of a background-placement decision. Must be
 /// at least the hub lookahead; 1 µs keeps bursts effectively at their
-/// arrival instant while leaving the conservative horizon sound.
+/// arrival instant.
 const BG_PLACE_LATENCY: SimDuration = SimDuration::micros(1);
 
 /// Safety margin the fusion fast path keeps between a predicted
@@ -108,9 +105,9 @@ const BG_PLACE_LATENCY: SimDuration = SimDuration::micros(1);
 /// (which a frozen preview could not have seen).
 const REBALANCE_GUARD: SimDuration = SimDuration::millis(1);
 
-/// The worker shard owning logical CPU `cpu` (never [`HUB_LP`]).
-/// Hyper-siblings map to the same shard, so whole physical cores —
-/// and every device/job pinned to them — stay shard-local.
+/// The worker LP owning logical CPU `cpu` (never [`HUB_LP`]).
+/// Hyper-siblings map to the same LP, so whole physical cores — and
+/// every device/job pinned to them — stay with one LP.
 pub(crate) fn lp_of_cpu(cpu: CpuId) -> usize {
     (cpu.0 as usize % CORES_PER_SOCKET_PAIR) % WORKER_LPS
 }
@@ -119,7 +116,7 @@ pub(crate) fn lp_of_cpu(cpu: CpuId) -> usize {
 /// [`IoPathWorld::ledger_slab`]).
 pub(crate) type LedgerId = u32;
 
-/// Shard-local events. Kept small (32 bytes): the timing wheel copies
+/// LP-local events. Kept small (32 bytes): the timing wheel copies
 /// events through its buckets on every push/cascade/pop, so the cold
 /// per-I/O ledger lives in an indexed slab on the world and events
 /// carry only a [`LedgerId`].
@@ -180,7 +177,7 @@ impl CqBatch {
     }
 }
 
-/// Cross-shard events. Each hop's timestamp respects the sender's
+/// Inter-LP events. Each hop's timestamp respects the sender's
 /// lookahead bound (asserted by [`ShardCtx::send`]); payloads are the
 /// scalar outcomes of remotely-executed stages, never the ledger
 /// itself.
@@ -252,7 +249,7 @@ pub(crate) enum Cross {
     },
     /// Hub → CPU-owner worker: install a background burst.
     BgPlace { placement: BgPlacement },
-    /// Worker → hub: the owning shard charged I/O work on `cpu`
+    /// Worker → hub: the owning LP charged I/O work on `cpu`
     /// through `until`; keeps the hub's background-placement view of
     /// CPU business fresh (one lookahead stale, see
     /// [`HostModel::note_io_busy`]).
@@ -262,7 +259,7 @@ pub(crate) enum Cross {
 /// The frozen interrupt leg of a fused chain: the routing and handler
 /// outcome previewed at fuse time, re-validated (debug builds) when
 /// the settlement replays them for real.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct FusedIrq {
     delivery: IrqDelivery,
     designated: CpuId,
@@ -284,7 +281,7 @@ struct FusedIrq {
 /// interrupt preview are frozen here until the single `Local::Settle`
 /// event replays the completion side — or contention de-fuses the
 /// chain back into per-stage events at the point of divergence.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct FusedChain {
     /// When the completion settles (predicted `wake_ready`, or the
     /// poll event instant). Re-previews move it; the stale `Settle`
@@ -311,7 +308,7 @@ struct FusedChain {
     irq: Option<FusedIrq>,
 }
 
-/// Per-replica fusion counters, harvested into
+/// Per-run fusion counters, harvested into
 /// [`afa_sim::metrics::FusionCounters`] by the run driver.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct FusionTally {
@@ -324,13 +321,9 @@ pub(crate) struct FusionTally {
     pub(crate) elided: u64,
 }
 
-/// One shard's replica of the whole-array world: jobs × host × fabric
-/// × devices, driven by [`Local`]/[`Cross`] events through the staged
-/// I/O path. Only the slices owned by the LPs in `owned` are ever
-/// mutated — under a fused partition plan one replica serves several
-/// LPs, and because each LP still touches a disjoint slice, fusing
-/// changes no bytes.
-#[derive(Clone)]
+/// The whole-array world: jobs × host × fabric × devices, driven by
+/// [`Local`]/[`Cross`] events through the staged I/O path. One value
+/// serves every LP; each event mutates only its LP's slice.
 pub(crate) struct IoPathWorld {
     pub(crate) host: HostModel,
     pub(crate) fabric: PcieFabric,
@@ -338,25 +331,18 @@ pub(crate) struct IoPathWorld {
     pub(crate) jobs: Vec<JobState>,
     pub(crate) causes: Option<afa_sim::trace::CauseAccumulator>,
     /// Per-worker-LP blktrace windows. Capture caps apply *per LP*,
-    /// so the set of recorded I/Os is a property of each LP's
-    /// (plan-invariant) event stream — fusing replicas cannot change
-    /// which I/Os make the window.
+    /// so the set of recorded I/Os is a property of each LP's event
+    /// stream.
     pub(crate) tracers: Option<Vec<crate::blktrace::TraceRecorder>>,
     /// Per-worker-LP ledger-log windows (same invariance argument).
     pub(crate) ledger_logs: Option<Vec<LedgerLog>>,
     /// Per-worker-LP completion-model tallies (interrupt reaps, poll
-    /// reaps, hybrid oversleeps). Indexed by the job's owning LP so
-    /// fused replicas keep disjoint slices and the harvest can stitch
-    /// each LP's tally from its owning shard exactly once.
+    /// reaps, hybrid oversleeps), indexed by the job's owning LP.
     pub(crate) completions: Vec<CompletionCounters>,
     geometry: CpuSsdGeometry,
     horizon: SimTime,
     afa_socket: u16,
-    /// Bitmask of the logical processes this replica owns (workers
-    /// `0..WORKER_LPS`, hub [`HUB_LP`]); used only to assert events
-    /// arrive on their owning replica.
-    owned: u16,
-    /// Owning worker shard of each job (by its device's pinned CPU).
+    /// Owning worker LP of each job (by its device's pinned CPU).
     job_lp: Vec<usize>,
     /// Inverse of `jobs[j].spec().device()` (hub-side batch routing).
     job_of_device: Vec<usize>,
@@ -403,9 +389,7 @@ type Ctx<'a> = ShardCtx<'a, Local, Cross>;
 
 impl IoPathWorld {
     /// Assembles a world from its parts (see `AfaSystem::run` for the
-    /// construction of each). The caller clones the assembled world
-    /// into one replica per shard and brands each with
-    /// [`IoPathWorld::set_lps`].
+    /// construction of each).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         host: HostModel,
@@ -452,7 +436,6 @@ impl IoPathWorld {
             tracers: tracer.map(|t| vec![t; WORKER_LPS]),
             ledger_logs: ledger_log.map(|l| vec![l; WORKER_LPS]),
             completions: vec![CompletionCounters::default(); WORKER_LPS],
-            owned: 0,
             job_lp,
             job_of_device,
             next_allowed: vec![SimTime::ZERO; jobs_len],
@@ -471,26 +454,15 @@ impl IoPathWorld {
         }
     }
 
-    /// Enables the fusion fast path for this replica (the run driver
-    /// resolves the knob once per run).
+    /// Enables the fusion fast path (the run driver resolves the knob
+    /// once per run).
     pub(crate) fn set_fusion(&mut self, enabled: bool) {
         self.fusion_enabled = enabled;
     }
 
-    /// This replica's fusion tally, for the run harvest.
+    /// The run's fusion tally, for the harvest.
     pub(crate) fn fusion_tally(&self) -> FusionTally {
         self.fused_tally
-    }
-
-    /// Brands this replica with the set of logical processes it owns
-    /// under the run's partition plan.
-    pub(crate) fn set_lps(&mut self, owned: u16) {
-        self.owned = owned;
-    }
-
-    /// True when this replica owns `lp`'s slice.
-    fn owns(&self, lp: usize) -> bool {
-        self.owned >> lp & 1 == 1
     }
 
     /// Worker lookahead: the minimum delay any worker send adds — a
@@ -536,7 +508,6 @@ impl IoPathWorld {
     /// stages 1–3 inline and schedules the [`Local::DeviceDone`] that
     /// resumes the path. Runs only on the job's owning worker.
     fn issue_burst(&mut self, job: usize, mut now: SimTime, ctx: &mut Ctx<'_>) {
-        debug_assert!(self.owns(self.job_lp[job]), "issue on a foreign shard");
         let cpu = self.geometry.cpu_of_ssd(self.jobs[job].spec().device());
         let issue_gap = self.jobs[job].spec().min_issue_gap();
         let mut busy_until = None;
@@ -752,7 +723,7 @@ impl IoPathWorld {
     }
 
     /// Vector-CPU worker: execute the handler on the effective vector
-    /// CPU (this shard owns its state) and hand the outcome to the
+    /// CPU (this LP owns its state) and hand the outcome to the
     /// origin worker at the wake-ready instant (≥ interrupt entry +
     /// handler floor of lookahead).
     fn on_irq_deliver(
@@ -866,10 +837,6 @@ impl IoPathWorld {
     /// Failing any of these takes the plain per-stage path.
     fn fusion_candidate(&self, job: usize, device: usize) -> bool {
         self.fusion_enabled
-            // A fused replica owning every LP (the single plan): the
-            // eager legs and the settlement mutate worker- and
-            // hub-owned state from one handler.
-            && self.owned == (1 << LP_COUNT) - 1
             // Coalescing batches completions across I/Os on the hub.
             && self.coalescing.is_none()
             // Capture windows admit by per-LP arrival order, which a
@@ -1433,7 +1400,6 @@ impl ShardWorld for IoPathWorld {
                 issued_at,
                 at_entry,
             } => {
-                debug_assert!(self.owns(self.job_lp[job]), "device leg on a foreign shard");
                 let device = self.jobs[job].spec().device();
                 let bytes = self.jobs[job].spec().block_size();
                 let led = &mut self.ledger_slab[ledger as usize];
@@ -1528,9 +1494,9 @@ mod tests {
 
     #[test]
     fn cross_events_stay_bounded() {
-        // Cross events ride BTreeMap nodes and mailboxes, not the
-        // wheel, so the budget is looser — but a regression to a
-        // by-value ledger (~250 bytes) must still fail loudly.
+        // Cross payloads park in the engine's slab, not the wheel, so
+        // the budget is looser — but a regression to a by-value
+        // ledger (~250 bytes) must still fail loudly.
         assert!(
             std::mem::size_of::<Cross>() <= 112,
             "Cross grew to {} bytes",
@@ -1539,10 +1505,9 @@ mod tests {
     }
 
     #[test]
-    fn cpu_to_shard_map_keeps_cores_whole() {
-        // Hyper-siblings (c, c+20) must land on the same worker so
-        // sibling_busy reads stay shard-local, and no CPU may map to
-        // the hub.
+    fn cpu_to_lp_map_keeps_cores_whole() {
+        // Hyper-siblings (c, c+20) must land on the same worker LP,
+        // and no CPU may map to the hub.
         for c in 0..40u16 {
             let lp = lp_of_cpu(CpuId(c));
             assert!(lp < WORKER_LPS, "cpu {c} mapped to the hub");

@@ -42,13 +42,11 @@ mod config;
 pub mod experiment;
 mod geometry;
 pub mod io_path;
-pub mod partition;
 pub mod profiler;
 mod system;
 mod tuning;
 
 pub use config::{AfaConfig, IrqCoalescing};
 pub use geometry::{CpuSsdGeometry, Table2Row};
-pub use partition::{FusionOverride, PlanOverride, PlanSpec};
-pub use system::{AfaSystem, RunResult, ThreadsOverride};
+pub use system::{check_jobs, AfaSystem, FusionOverride, RunResult};
 pub use tuning::{Tuning, TuningStage};

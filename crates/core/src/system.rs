@@ -1,19 +1,17 @@
 //! System assembly: builds the host, fabric, devices and jobs from an
 //! [`AfaConfig`] and drives the staged I/O path
-//! ([`crate::io_path`]) to completion on the sharded conservative
-//! engine ([`afa_sim::shard`]).
+//! ([`crate::io_path`]) to completion on the LP event engine
+//! ([`afa_sim::shard`]).
 //!
 //! The lifecycle of one I/O — submit syscall, fabric legs, device
 //! service, interrupt, scheduler wake-up, reap — lives in the
 //! [`crate::io_path`] stage modules; this module only resolves the
-//! geometry, replicates the world across the shard topology, runs the
-//! simulation (threaded when `AFA_THREADS` > 1, sequential otherwise
-//! — byte-identical either way) and stitches the owned slices back
-//! into one result.
+//! geometry, runs the simulation and harvests the world into one
+//! result.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use afa_host::{CpuId, CpuTopology, HostModel};
+use afa_host::{CpuTopology, HostModel};
 use afa_pcie::{FabricStats, PcieFabric};
 use afa_sim::metrics::CompletionCounters;
 use afa_sim::{ShardedSim, SimDuration, SimRng, SimTime};
@@ -22,80 +20,88 @@ use afa_workload::{JobReport, JobSpec, JobState};
 
 use crate::config::AfaConfig;
 use crate::geometry::CpuSsdGeometry;
-use crate::io_path::{lp_of_cpu, IoPathWorld, LedgerLog, Local, HUB_LP, WORKER_LPS};
+use crate::io_path::{lp_of_cpu, IoPathWorld, LedgerLog, Local, HUB_LP, LP_COUNT};
 
-/// Live [`SequentialGuard`] count: while non-zero, every run in the
-/// process stays on the sequential driver regardless of
-/// `AFA_THREADS`. A plain counter (not a thread-local) because the
-/// experiment registry runs experiments on a pool of worker threads;
-/// the worst a race can do is run a shardable experiment sequentially,
-/// which changes nothing but wall-clock time.
-static FORCE_SEQUENTIAL: AtomicUsize = AtomicUsize::new(0);
+/// Encoded fusion override: 0 = none (`AFA_NO_FUSION` decides),
+/// 1 = force on, 2 = force off.
+static FUSION_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// RAII scope forcing sequential execution — held around experiments
-/// that drive their own single-world simulations and must not observe
-/// `AFA_THREADS`.
-pub(crate) struct SequentialGuard;
-
-impl SequentialGuard {
-    pub(crate) fn acquire() -> Self {
-        FORCE_SEQUENTIAL.fetch_add(1, Ordering::Relaxed);
-        SequentialGuard
-    }
-}
-
-impl Drop for SequentialGuard {
-    fn drop(&mut self) {
-        FORCE_SEQUENTIAL.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Programmatic thread-count override (0 = none). Lets tests compare
-/// the two drivers without mutating the process environment; see
-/// [`ThreadsOverride`].
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// RAII scope pinning the engine's worker-thread count, taking
-/// precedence over `AFA_THREADS` (but not over a [`SequentialGuard`],
-/// which exists for correctness, not policy). Because results are
-/// byte-identical at every thread count, overlapping overrides from
-/// concurrent tests cannot change any outcome — only which driver
-/// does the work.
-pub struct ThreadsOverride {
+/// RAII scope pinning the macro-event fusion fast path on or off,
+/// taking precedence over `AFA_NO_FUSION`. Because results are
+/// byte-identical with fusion on or off, overlapping overrides from
+/// concurrent tests cannot change any outcome — only how many events
+/// the engine pops.
+pub struct FusionOverride {
     prev: usize,
 }
 
-impl ThreadsOverride {
-    /// Pins the thread count to `threads` (≥ 1) until the guard drops.
-    pub fn set(threads: usize) -> Self {
-        let prev = THREAD_OVERRIDE.swap(threads.max(1), Ordering::Relaxed);
-        ThreadsOverride { prev }
+impl FusionOverride {
+    /// Pins fusion on (`true`) or off (`false`) until the guard drops.
+    pub fn set(enabled: bool) -> Self {
+        let prev = FUSION_OVERRIDE.swap(if enabled { 1 } else { 2 }, Ordering::Relaxed);
+        FusionOverride { prev }
     }
 }
 
-impl Drop for ThreadsOverride {
+impl Drop for FusionOverride {
     fn drop(&mut self) {
-        THREAD_OVERRIDE.store(self.prev, Ordering::Relaxed);
+        FUSION_OVERRIDE.store(self.prev, Ordering::Relaxed);
     }
 }
 
-/// Worker threads for the conservative engine: `AFA_THREADS` when set
-/// to a sane value, else 1 (the sequential driver). Results are
-/// byte-identical at every thread count — the knob only trades wall
-/// clock for cores.
-fn configured_threads() -> usize {
-    if FORCE_SEQUENTIAL.load(Ordering::Relaxed) > 0 {
-        return 1;
+/// Resolves whether a run fuses stage chains: a [`FusionOverride`]
+/// wins, then `AFA_NO_FUSION` (any non-empty value other than `0`
+/// disables), then the default (on).
+fn fusion_enabled() -> bool {
+    match FUSION_OVERRIDE.load(Ordering::Relaxed) {
+        1 => true,
+        2 => false,
+        _ => !std::env::var("AFA_NO_FUSION")
+            .map(|v| {
+                let v = v.trim();
+                !v.is_empty() && v != "0"
+            })
+            .unwrap_or(false),
     }
-    let pinned = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if pinned > 0 {
-        return pinned;
+}
+
+/// SSDs the paper's host enumerates.
+const MAX_SSDS: usize = 64;
+
+/// Checks an explicit job list (e.g. a parsed fio jobfile) against the
+/// simulated host: at least one job, every device among the host's 64
+/// SSDs, every pinned CPU on the host, and at most one job per device.
+/// The error names the offending job as `job<index>`, the label
+/// [`JobReport::to_fio_style`] output uses. [`AfaSystem::run`] panics
+/// on any of these, so callers holding untrusted input check first.
+pub fn check_jobs(specs: &[JobSpec]) -> Result<(), String> {
+    if specs.is_empty() {
+        return Err("no jobs to run".to_owned());
     }
-    std::env::var("AFA_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
+    let cpus = CpuTopology::xeon_e5_2690_v2_dual().logical_cpus();
+    let mut owner: Vec<Option<usize>> = vec![None; MAX_SSDS];
+    for (j, spec) in specs.iter().enumerate() {
+        let device = spec.device();
+        if device >= MAX_SSDS {
+            return Err(format!(
+                "job{j}: /dev/nvme{device} is beyond the host's {MAX_SSDS} SSDs"
+            ));
+        }
+        if let Some(cpu) = spec.pinned_cpu() {
+            if cpu.0 >= cpus {
+                return Err(format!(
+                    "job{j}: cpus_allowed={} is beyond the host's {cpus} CPUs",
+                    cpu.0
+                ));
+            }
+        }
+        if let Some(first) = owner[device].replace(j) {
+            return Err(format!(
+                "job{j}: /dev/nvme{device} is already driven by job{first}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The outcome of one run.
@@ -114,7 +120,9 @@ pub struct RunResult {
     pub ledgers: Option<LedgerLog>,
     /// Simulated time at which the last completion landed.
     pub elapsed: SimTime,
-    /// Simulation events processed by the run (≈ 2–3 per I/O).
+    /// Simulation events processed by the run: about 7 per I/O on the
+    /// paper's 64-SSD setup, and about 3 when macro-event fusion
+    /// engages (8 busy-polled ULL SSDs).
     pub events_processed: u64,
     /// Events that were scheduled into the past and clamped (0 for a
     /// healthy model; see [`afa_sim::Simulation::clamped_past_schedules`]).
@@ -170,7 +178,7 @@ impl AfaSystem {
             Some(specs) => {
                 assert!(!specs.is_empty(), "job list must not be empty");
                 let n = 1 + specs.iter().map(|s| s.device()).max().expect("non-empty");
-                assert!(n <= 64, "jobfile addresses a device beyond 64");
+                assert!(n <= MAX_SSDS, "jobfile addresses a device beyond 64");
                 let mut seen = vec![false; n];
                 for spec in specs {
                     assert!(
@@ -263,15 +271,11 @@ impl AfaSystem {
             .map(JobState::deadline)
             .fold(SimTime::ZERO, SimTime::max)
             + SimDuration::millis(50);
-        let jobs_len = jobs.len();
-        // Ownership maps, captured before the geometry moves into the
-        // world: which worker shard drives each job and device.
-        let device_lps: Vec<usize> = (0..n).map(|d| lp_of_cpu(geometry.cpu_of_ssd(d))).collect();
         let job_lps: Vec<usize> = jobs
             .iter()
             .map(|j| lp_of_cpu(geometry.cpu_of_ssd(j.spec().device())))
             .collect();
-        let mut proto = IoPathWorld::new(
+        let mut world = IoPathWorld::new(
             host,
             fabric,
             devices,
@@ -290,47 +294,15 @@ impl AfaSystem {
         );
         // Macro-event fusion: on unless `AFA_NO_FUSION` / a
         // `FusionOverride` says otherwise. The fast path additionally
-        // gates itself per submit (single plan, QD1, uncontended
-        // resources — see `IoPathWorld::fusion_candidate`), and is
-        // byte-exact, so the knob only exists for A/B verification.
-        proto.set_fusion(crate::partition::fusion_enabled());
+        // gates itself per submit (QD1, uncontended resources — see
+        // `IoPathWorld::fusion_candidate`), and is byte-exact, so the
+        // knob only exists for A/B verification.
+        world.set_fusion(fusion_enabled());
 
-        // Resolve the partition plan and replicate the world across
-        // it: one replica per shard, branded with the LPs it owns,
-        // with the shard lookahead the minimum over its members. The
-        // engine's merge contract orders events by LP — never by
-        // shard — so every plan × thread count produces the same
-        // bytes; the plan only decides how much parallel machinery a
-        // run pays for.
-        let threads = configured_threads();
-        let job_lp_mask = job_lps.iter().fold(0u16, |m, &lp| m | 1 << lp);
-        let resolved =
-            crate::partition::resolve(job_lp_mask, threads, crate::partition::host_cores());
-        let plan = resolved.plan;
-        let worker_la = proto.worker_lookahead();
-        let hub_la = proto.hub_lookahead();
-        let mut proto = Some(proto);
-        let shard_count = plan.shard_count();
-        let mut shards = Vec::with_capacity(shard_count);
-        for shard in 0..shard_count {
-            let members = plan.members(shard);
-            let mask = members.iter().fold(0u16, |m, &lp| m | 1 << lp);
-            let lookahead = if members.contains(&HUB_LP) && members.len() == 1 {
-                hub_la
-            } else if members.contains(&HUB_LP) {
-                hub_la.min(worker_la)
-            } else {
-                worker_la
-            };
-            let mut world = if shard + 1 == shard_count {
-                proto.take().expect("proto consumed once")
-            } else {
-                proto.as_ref().expect("proto alive").clone()
-            };
-            world.set_lps(mask);
-            shards.push((world, lookahead));
-        }
-        let mut sim = ShardedSim::with_plan(plan.clone(), shards);
+        // Each LP's sends are held to its own latency floor.
+        let mut lookaheads = vec![world.worker_lookahead(); LP_COUNT];
+        lookaheads[HUB_LP] = world.hub_lookahead();
+        let mut sim = ShardedSim::new(world, lookaheads);
 
         // fio staggers thread start-up by a few µs per thread; the
         // stagger also prevents an artificial phase-lock between
@@ -343,131 +315,48 @@ impl AfaSystem {
             );
         }
         sim.schedule(HUB_LP, SimTime::ZERO, Local::BgArrival);
-        sim.run_threaded(threads);
+        sim.run();
 
         let elapsed = sim.now();
         let events_processed = sim.events_processed();
         let clamped_past_schedules = sim.clamped_past_schedules();
-        let worlds = sim.into_worlds();
-        let hub_shard = plan.shard_of(HUB_LP);
+        let world = sim.into_world();
 
-        // Stitch the owned slices back together, one pass per *world*
-        // (a fused world already holds its member LPs' slices in
-        // place). The hub's world is the authority on shared state
-        // (vector table, balancer, bg placement, shared fabric legs);
-        // every merge below is an associative absorb of disjoint
-        // activity, so the stitched result is plan-invariant.
-        let device_stats: Vec<(DeviceStats, FtlStats)> = (0..n)
-            .map(|d| {
-                let owner = &worlds[plan.shard_of(device_lps[d])].devices[d];
-                (owner.stats(), owner.ftl_stats())
-            })
+        let device_stats: Vec<(DeviceStats, FtlStats)> = world
+            .devices
+            .iter()
+            .map(|d| (d.stats(), d.ftl_stats()))
             .collect();
-        let mut fabric_stats = worlds[hub_shard].fabric.stats();
-        for (shard, world) in worlds.iter().enumerate() {
-            if shard != hub_shard {
-                fabric_stats.absorb(world.fabric.stats());
-            }
-        }
-        // Completion-model tallies are per worker LP; take each LP's
-        // tally from its owning shard exactly once (a fused replica
-        // holds several LPs' disjoint slices in place).
         let mut completions = CompletionCounters::default();
-        for lp in 0..WORKER_LPS {
-            completions.absorb(&worlds[plan.shard_of(lp)].completions[lp]);
+        for tally in &world.completions {
+            completions.absorb(tally);
         }
         afa_sim::metrics::add_completion(completions);
-        let mut worlds: Vec<Option<IoPathWorld>> = worlds.into_iter().map(Some).collect();
-        let hub = worlds[hub_shard].take().expect("hub world");
-        // Fusion happens only on a replica owning every LP (the
-        // single plan), which is necessarily the hub's world; flush
-        // its tally to the process-wide counters. The elided events
-        // keep the *logical* event total comparable across fusion
-        // settings: popped events + elided = the un-fused count.
-        let fusion = hub.fusion_tally();
+        // The elided events keep the *logical* event total comparable
+        // across fusion settings: popped events + elided = the
+        // un-fused count.
+        let fusion = world.fusion_tally();
         afa_sim::metrics::add_fusion(afa_sim::metrics::FusionCounters {
             fused_chains: fusion.fused,
             defused_chains: fusion.defused,
             elided_events: fusion.elided,
         });
-        let mut host = hub.host;
-        let all_cpus: Vec<CpuId> = host.topology().all_cpus().iter().collect();
-        for (shard, world) in worlds.iter().enumerate() {
-            let Some(world) = world else { continue };
-            let owned: Vec<CpuId> = all_cpus
-                .iter()
-                .copied()
-                .filter(|&c| plan.shard_of(lp_of_cpu(c)) == shard)
-                .collect();
-            host.adopt_cpu_states(&world.host, &owned);
-            host.absorb_stats(&world.host);
-        }
-        let mut causes = hub.causes;
-        let mut trace_parts = Vec::new();
-        let mut ledger_parts = Vec::new();
-        let mut reports: Vec<Option<JobReport>> = (0..jobs_len).map(|_| None).collect();
-        // Capture windows are per worker LP (see `IoPathWorld`), so
-        // each shard contributes exactly its owned LPs' windows and the
-        // union is plan-invariant.
-        if let Some(tracers) = hub.tracers {
-            for (lp, rec) in tracers.into_iter().enumerate() {
-                if plan.shard_of(lp) == hub_shard {
-                    trace_parts.push(rec);
-                }
-            }
-        }
-        if let Some(logs) = hub.ledger_logs {
-            for (lp, log) in logs.into_iter().enumerate() {
-                if plan.shard_of(lp) == hub_shard {
-                    ledger_parts.push(log);
-                }
-            }
-        }
-        for (j, job) in hub.jobs.into_iter().enumerate() {
-            if plan.shard_of(job_lps[j]) == hub_shard {
-                reports[j] = Some(job.into_report());
-            }
-        }
-        for (shard, world) in worlds.into_iter().enumerate() {
-            let Some(world) = world else { continue };
-            if let (Some(acc), Some(part)) = (&mut causes, &world.causes) {
-                acc.merge(part);
-            }
-            if let Some(tracers) = world.tracers {
-                for (lp, rec) in tracers.into_iter().enumerate() {
-                    if plan.shard_of(lp) == shard {
-                        trace_parts.push(rec);
-                    }
-                }
-            }
-            if let Some(logs) = world.ledger_logs {
-                for (lp, log) in logs.into_iter().enumerate() {
-                    if plan.shard_of(lp) == shard {
-                        ledger_parts.push(log);
-                    }
-                }
-            }
-            for (j, job) in world.jobs.into_iter().enumerate() {
-                if plan.shard_of(job_lps[j]) == shard {
-                    reports[j] = Some(job.into_report());
-                }
-            }
-        }
+        // Capture windows are per worker LP (see `IoPathWorld`); merge
+        // them into one run-wide window.
         RunResult {
-            reports: reports
-                .into_iter()
-                .map(|r| r.expect("every job has an owning shard"))
-                .collect(),
-            causes,
-            traces: (config.trace_ios > 0)
-                .then(|| crate::blktrace::TraceRecorder::merged(config.trace_ios, trace_parts)),
-            ledgers: (config.ledger_log > 0)
-                .then(|| LedgerLog::merged(config.ledger_log, ledger_parts)),
+            reports: world.jobs.into_iter().map(JobState::into_report).collect(),
+            causes: world.causes,
+            traces: world
+                .tracers
+                .map(|parts| crate::blktrace::TraceRecorder::merged(config.trace_ios, parts)),
+            ledgers: world
+                .ledger_logs
+                .map(|parts| LedgerLog::merged(config.ledger_log, parts)),
             elapsed,
             events_processed,
             clamped_past_schedules,
-            host,
-            fabric_stats,
+            host: world.host,
+            fabric_stats: world.fabric.stats(),
             device_stats,
             completions,
         }

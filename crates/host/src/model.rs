@@ -145,29 +145,6 @@ pub struct HostStats {
     pub rcu_softirq_hits: u64,
 }
 
-impl HostStats {
-    /// Accumulates another counter snapshot into this one. Sharded
-    /// runs split the counters across per-shard host replicas (wake
-    /// and CPU-charge counters accrue at the CPU-owning shard, IRQ
-    /// routing and background placement at the hub); summing the
-    /// replicas reproduces the single-world totals.
-    pub fn absorb(&mut self, other: &HostStats) {
-        self.bg_bursts += other.bg_bursts;
-        for (a, b) in self.bg_per_cpu.iter_mut().zip(&other.bg_per_cpu) {
-            *a += b;
-        }
-        for (a, b) in self.bg_per_class.iter_mut().zip(&other.bg_per_class) {
-            *a += b;
-        }
-        self.wakes_preempting_bg += other.wakes_preempting_bg;
-        self.wakes += other.wakes;
-        self.remote_irqs += other.remote_irqs;
-        self.irqs += other.irqs;
-        self.io_cpu_busy_ns += other.io_cpu_busy_ns;
-        self.rcu_softirq_hits += other.rcu_softirq_hits;
-    }
-}
-
 /// Per-CPU lazy state.
 #[derive(Clone, Debug)]
 struct CpuState {
@@ -179,9 +156,9 @@ struct CpuState {
     /// EMA of recent idle durations (µs) for the idle governor.
     ema_idle_us: f64,
     /// Per-CPU scheduler-noise stream (splitmix64 state). Keeping the
-    /// draws CPU-local — instead of one shared stream — is what lets a
-    /// sharded run reproduce the sequential draw sequence: each CPU's
-    /// draws depend only on how often *that CPU* was touched.
+    /// draws CPU-local — instead of one shared stream — makes each
+    /// CPU's draws depend only on how often *that CPU* was touched,
+    /// not on how other CPUs' events interleave with it.
     draw_state: u64,
 }
 
@@ -203,11 +180,10 @@ impl CpuState {
 /// The hub's placement view of one CPU: the slice of per-CPU state
 /// the background-placement logic is allowed to read. Deliberately
 /// *not* the live [`CpuState`] — the hub learns about I/O business
-/// only through [`HostModel::note_io_busy`] reports (one cross-shard
+/// only through [`HostModel::note_io_busy`] reports (one worker
 /// lookahead stale) and about bursts through its own
 /// [`HostModel::mirror_background`] installs, so placement decisions
-/// are identical under every partition plan, including plans that
-/// fuse the hub with the CPUs' owners.
+/// never read state owned by the CPUs' logical processes.
 #[derive(Clone, Debug, Default)]
 struct BgView {
     bg: Option<BgBurst>,
@@ -215,7 +191,7 @@ struct BgView {
 }
 
 /// A hub-side background-placement decision, handed to the CPU-owning
-/// shard for installation (see [`HostModel::decide_background`]).
+/// logical process for installation (see [`HostModel::decide_background`]).
 #[derive(Clone, Debug)]
 pub struct BgPlacement {
     /// The CPU the burst lands on.
@@ -335,8 +311,8 @@ impl HostModel {
     /// Spawns one background burst at `now`: decides placement and
     /// installs the burst in one step. Equivalent to
     /// [`decide_background`](Self::decide_background) followed by
-    /// [`install_background`](Self::install_background) — sharded runs
-    /// split the two across the hub and the CPU-owning shard.
+    /// [`install_background`](Self::install_background) — the I/O
+    /// path splits the two across the hub and the CPU-owning LP.
     pub fn spawn_background(&mut self, now: SimTime) {
         if let Some(placement) = self.decide_background(now) {
             self.install_background(placement, now);
@@ -352,22 +328,21 @@ impl HostModel {
     /// limits — automatic isolation without the boot option (falling
     /// back to all allowed CPUs if that empties the set).
     ///
-    /// Reads the *live* per-CPU state, so it is only sound where one
-    /// replica owns every CPU (single-world drivers; see
+    /// Reads the *live* per-CPU state, so it is only for drivers
+    /// without a hub/worker split (see
     /// [`decide_background_remote`](Self::decide_background_remote)
-    /// for the sharded hub). Returns `None` when no CPU is allowed.
+    /// for the I/O path's hub). Returns `None` when no CPU is allowed.
     pub fn decide_background(&mut self, start: SimTime) -> Option<BgPlacement> {
         self.decide_background_with(start, false)
     }
 
-    /// The sharded-hub variant of
+    /// The hub variant of
     /// [`decide_background`](Self::decide_background): the idle test
     /// reads only the hub-owned placement view — installs mirrored via
     /// [`mirror_background`](Self::mirror_background), I/O charges
     /// reported via [`note_io_busy`](Self::note_io_busy) — so the
-    /// decision never touches state owned by other logical processes
-    /// and is byte-identical under every partition plan. The view lags
-    /// true CPU state by at most the cross-shard lookahead.
+    /// decision never touches state owned by other logical processes.
+    /// The view lags true CPU state by at most the worker lookahead.
     pub fn decide_background_remote(&mut self, start: SimTime) -> Option<BgPlacement> {
         self.decide_background_with(start, true)
     }
@@ -440,7 +415,7 @@ impl HostModel {
     /// Installs a hub-side placement decision on the chosen CPU: if a
     /// burst is already active there, the new arrival stacks onto the
     /// runqueue backlog; otherwise the pre-generated burst takes the
-    /// CPU. Runs on the shard that owns `placement.cpu`.
+    /// CPU. Runs on the LP that owns `placement.cpu`.
     pub fn install_background(&mut self, placement: BgPlacement, now: SimTime) {
         self.sync(placement.cpu, now);
         let state = &mut self.cpus[placement.cpu.0 as usize];
@@ -464,13 +439,12 @@ impl HostModel {
     }
 
     /// Records in the hub-owned placement view that `cpu` ran I/O work
-    /// through `until`. Worker shards report their charges to the hub
-    /// so its placement view keeps seeing I/O CPUs as busy while they
-    /// run; the report arrives one cross-shard lookahead after the
-    /// charge, so the hub's view is never more than that much stale.
-    /// Touches only the view — never the live [`CpuState`] — so the
-    /// report cannot perturb the owner's scheduler even when a fused
-    /// plan co-locates the hub with the CPU's owner.
+    /// through `until`. Worker LPs report their charges to the hub so
+    /// its placement view keeps seeing I/O CPUs as busy while they
+    /// run; the report arrives one worker lookahead after the charge,
+    /// so the hub's view is never more than that much stale. Touches
+    /// only the view — never the live [`CpuState`] — so the report
+    /// cannot perturb the owner's scheduler.
     pub fn note_io_busy(&mut self, cpu: CpuId, until: SimTime) {
         let view = &mut self.bg_view[cpu.0 as usize];
         view.io_busy_until = view.io_busy_until.max(until);
@@ -524,9 +498,9 @@ impl HostModel {
     /// `now`.
     ///
     /// Equivalent to [`route_irq`](Self::route_irq) followed by
-    /// [`deliver_irq_routed`](Self::deliver_irq_routed) — sharded runs
-    /// split the two across the hub (which owns the vector table) and
-    /// the shard owning the vector CPU.
+    /// [`deliver_irq_routed`](Self::deliver_irq_routed) — the I/O path
+    /// splits the two across the hub (which owns the vector table) and
+    /// the LP owning the vector CPU.
     ///
     /// # Panics
     ///
@@ -914,28 +888,6 @@ impl HostModel {
             }
         }
         end
-    }
-
-    /// Adopts the per-CPU state of `cpus` from another replica of the
-    /// same host. Used when merging shard replicas after a sharded
-    /// run: the merged host starts from the hub's clone (which owns
-    /// the vector table and background RNG) and adopts each worker's
-    /// owned CPUs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replicas have different CPU counts.
-    pub fn adopt_cpu_states(&mut self, other: &HostModel, cpus: &[CpuId]) {
-        assert_eq!(self.cpus.len(), other.cpus.len(), "replica shape mismatch");
-        for &c in cpus {
-            self.cpus[c.0 as usize] = other.cpus[c.0 as usize].clone();
-        }
-    }
-
-    /// Accumulates another replica's counters (see
-    /// [`HostStats::absorb`]).
-    pub fn absorb_stats(&mut self, other: &HostModel) {
-        self.stats.absorb(&other.stats);
     }
 
     /// Whether a background burst currently occupies `cpu` (test and

@@ -47,19 +47,6 @@ pub struct FabricStats {
     pub commands: u64,
 }
 
-impl FabricStats {
-    /// Accumulates another accounting snapshot into this one. Sharded
-    /// runs split the counters across per-shard fabric replicas
-    /// (device legs accrue at the owning shard, uplink legs at the
-    /// hub); summing the replicas reproduces the single-world totals.
-    pub fn absorb(&mut self, other: FabricStats) {
-        self.uplink_bytes += other.uplink_bytes;
-        self.device_bytes += other.device_bytes;
-        self.interrupts += other.interrupts;
-        self.commands += other.commands;
-    }
-}
-
 /// A validated-but-unbooked claim on the shared upstream legs,
 /// produced by
 /// [`PcieFabric::preview_completion_shared_legs`] and booked by
@@ -220,7 +207,7 @@ impl PcieFabric {
     /// The shared first legs of a submission: reserves the host→spine
     /// and spine→leaf links from the doorbell instant and returns
     /// when the command reaches the leaf egress (device-link
-    /// ingress). Sharded runs call this on the hub shard — the shared
+    /// ingress). The I/O path calls this on its hub LP — the shared
     /// FIFOs must be reserved in global submit order; the 64 B
     /// commands barely load the links, but the FIFO ordering itself
     /// phase-couples the submitting threads, and that coupling is
@@ -257,9 +244,9 @@ impl PcieFabric {
 
     /// The device-private first leg of a completion: reserves the
     /// device's x4 upstream link and returns when the payload reaches
-    /// the leaf switch ingress. Sharded runs call this on the shard
-    /// that owns `device`, then hand the timestamp to the hub shard
-    /// for [`deliver_completion_shared_legs`](Self::deliver_completion_shared_legs).
+    /// the leaf switch ingress. The I/O path calls this on the LP
+    /// that owns `device`, then hands the timestamp to the hub LP for
+    /// [`deliver_completion_shared_legs`](Self::deliver_completion_shared_legs).
     pub fn deliver_completion_device_leg(
         &mut self,
         device: usize,
@@ -422,7 +409,7 @@ impl PcieFabric {
     }
 
     /// Per-switch store-and-forward latency — the minimum gap any
-    /// upstream leg adds, used to derive shard lookahead bounds.
+    /// upstream leg adds, used to derive LP lookahead bounds.
     pub fn hop_latency(&self) -> SimDuration {
         self.hop_latency
     }

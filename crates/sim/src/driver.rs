@@ -54,7 +54,7 @@ impl<'a, E> Scheduler<'a, E> {
 
 /// Bumps a past-schedule counter and reports the offence through the
 /// structured [`crate::trace::set_past_schedule_hook`] hook (silent
-/// when no hook is installed — never stderr, so parallel shards cannot
+/// when no hook is installed — never stderr, so concurrent runs cannot
 /// interleave output).
 #[inline]
 pub(crate) fn note_past_schedule(counter: &mut u64, now: SimTime, requested: SimTime) {

@@ -47,5 +47,5 @@ pub mod trace;
 pub use driver::{Scheduler, Simulation, StepOutcome, World};
 pub use queue::{EventQueue, KeyedEvent, MergeKey};
 pub use rng::SimRng;
-pub use shard::{PartitionPlan, ShardCtx, ShardWorld, ShardedSim};
+pub use shard::{ShardCtx, ShardWorld, ShardedSim};
 pub use time::{SimDuration, SimTime};

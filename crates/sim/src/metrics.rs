@@ -285,10 +285,8 @@ pub fn fleet_totals() -> FleetCounters {
 /// Process-wide macro-event fusion counters: how many I/O stage
 /// chains the fusion fast path collapsed into a single settlement
 /// event, and how many had to be de-fused back into per-stage events
-/// after a shared resource was claimed under them. Wall-clock
-/// dependent only in the sense that they depend on the host's plan
-/// resolution (a multi-shard plan never fuses); for a pinned plan they
-/// are simulation-deterministic. Flushed once per run like
+/// after a shared resource was claimed under them. Simulation-
+/// deterministic for a given fusion setting. Flushed once per run like
 /// [`FrontendCounters`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FusionCounters {

@@ -37,12 +37,10 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
-/// Merge key of a cross-partition event: `(source LP, destination LP,
+/// Merge key of a cross-LP event: `(source LP, destination LP,
 /// per-channel send sequence)`. Together with the timestamp this is a
 /// total order over cross events that depends only on the logical
-/// processes involved — never on how LPs are grouped into shards or on
-/// thread interleaving — which is what lets the sharded engine promise
-/// byte-identical results for every partition plan.
+/// processes involved (see [`crate::shard`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MergeKey {
     /// Source logical process.
@@ -246,7 +244,7 @@ impl<E> EventQueue<E> {
     /// nothing for this.
     ///
     /// The caller must not push a keyed event at or before an instant
-    /// it has already drained past (the sharded engine's lookahead
+    /// it has already drained past (the LP engine's lookahead
     /// discipline guarantees arrivals are strictly in each receiver's
     /// future); a keyed event landing in the past-overflow heap is
     /// still ordered correctly against everything pending.

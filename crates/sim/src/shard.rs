@@ -1,177 +1,53 @@
-//! Conservative (lookahead/null-message style) parallel DES over an
-//! explicit **partition plan**.
+//! A logical-process (LP) event engine: one [`EventQueue`] timing wheel
+//! multiplexing a fixed set of LPs.
 //!
-//! The model is a fixed set of *logical processes* (LPs), each owning
-//! a disjoint slice of world state. A [`PartitionPlan`] groups the LPs
-//! into *shards*: the unit of concurrency. Each shard runs one
-//! [`EventQueue`] timing wheel holding the events of all its member
-//! LPs and exchanges timestamped *cross* events with other shards. Two
-//! drivers execute any plan:
-//!
-//! * [`ShardedSim::run_sequential`] multiplexes every shard on the
-//!   calling thread, always processing the globally earliest event.
-//!   Under the degenerate single-shard plan this collapses to a tight
-//!   pop/handle loop on one wheel — no channels, no watermarks, no
-//!   cross-shard bookkeeping — recovering single-wheel driver speed.
-//! * [`ShardedSim::run_threaded`] runs shards on worker threads under
-//!   the conservative watermark protocol: each shard *i* publishes a
-//!   promise `W_i` ("I will never again send a cross event with
-//!   timestamp `< W_i`"), derived from its next event and the other
-//!   shards' promises plus its *lookahead* (the minimum latency any of
-//!   its sends adds — a fabric hop, an interrupt entry). A shard may
-//!   safely process any event strictly earlier than `min_{j≠i} W_j`.
-//!   Cross events are exchanged in per-round batches: one mutex
-//!   acquisition per non-empty channel per sync round, not per event,
-//!   and the safe horizon is computed once per round instead of once
-//!   per event (sound because watermarks only ever grow).
+//! The model is a fixed set of *logical processes*, each owning a
+//! disjoint slice of world state. One [`ShardWorld`] value holds every
+//! LP's slice; [`ShardCtx::lp`] names the LP the current event belongs
+//! to. An LP schedules *local* events for itself and exchanges
+//! timestamped *cross* events with other LPs (self-sends included).
 //!
 //! # The deterministic merge contract
 //!
-//! Every plan and every thread count processes each **LP's**
-//! subsequence of events in exactly the same order:
+//! The wheel processes events in exactly this order:
 //!
 //! 1. earliest timestamp first;
 //! 2. at equal timestamps, cross events before local events;
 //! 3. cross events tie-break by [`MergeKey`] — `(source LP,
-//!    destination LP, per-channel send seq)` — which mentions only
-//!    LPs, never shards, so the order is partition-invariant;
-//! 4. local events at equal times keep timing-wheel FIFO order, and an
-//!    LP's locals are only ever scheduled by its own handlers, so the
-//!    per-LP restriction of the wheel's FIFO is plan-invariant too.
+//!    destination LP, per-channel send seq)`;
+//! 4. local events at equal times keep timing-wheel FIFO order.
 //!
-//! The merge itself is realized *structurally* by
-//! [`EventQueue::push_keyed`]: cross events are placed key-sorted
-//! among same-instant entries at insertion time, so the hot pop path
-//! is the plain wheel pop — there is no side ordering structure to
-//! consult per event.
+//! The merge is realized *structurally* by [`EventQueue::push_keyed`]:
+//! cross events are placed key-sorted among same-instant entries at
+//! insertion time, so the hot pop path is the plain wheel pop — there
+//! is no side ordering structure to consult per event.
 //!
-//! Because every cross send must satisfy `ts ≥ now + lookahead` with
-//! `lookahead > 0`, same-timestamp events on *different* LPs are
-//! causally independent, and each LP mutates only its own slice; any
-//! interleaving that preserves per-LP order therefore yields identical
-//! world slices. That is what lets `afa-core` promise byte-identical
-//! experiment artifacts for any partition plan × any `AFA_THREADS`.
+//! # Lookahead
 //!
-//! # Threaded round protocol
-//!
-//! Each pump round per shard runs in a fixed order whose soundness the
-//! watermark argument depends on:
-//!
-//! 1. read the safe horizon (the other shards' watermarks, Acquire);
-//! 2. drain inbound channels — a sender enqueues and flags a channel
-//!    *before* publishing the watermark that covers the message
-//!    (Release), so step 1's loads make every message below the
-//!    horizon visible to this drain;
-//! 3. process events strictly below the horizon;
-//! 4. flush outbound sends, batched per destination channel;
-//! 5. publish the new watermark promise (Release), after the sends it
-//!    covers are visible.
-//!
-//! Reading the horizon *before* draining is load-bearing: a message
-//! below a watermark read at step 1 is guaranteed drained at step 2,
-//! whereas a horizon read after the drain could admit a message that
-//! arrived between the two and would be processed out of order.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+//! Each LP declares a *lookahead*: the minimum latency any of its cross
+//! sends adds (a fabric hop, an interrupt entry). [`ShardCtx::send`]
+//! asserts `ts ≥ now + lookahead(sending LP)`. Because every lookahead
+//! is positive, same-timestamp events on *different* LPs are causally
+//! independent, which is what makes the merge order above a property of
+//! the model rather than of scheduling accidents. The per-LP bound also
+//! keeps each LP's declared latency floor honest: an LP with a large
+//! bound cannot hide a fast send behind another LP's smaller one.
 
 use crate::queue::{EventQueue, KeyedEvent, MergeKey};
 use crate::time::{SimDuration, SimTime};
 
-/// A grouping of logical processes into shards — the unit the drivers
-/// schedule. Plans are pure data: equal plans behave identically, and
-/// *every* plan produces byte-identical simulation results (the merge
-/// contract orders events by LP, not by shard).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PartitionPlan {
-    /// `assignment[lp]` = owning shard.
-    assignment: Vec<u16>,
-    shards: usize,
-}
-
-impl PartitionPlan {
-    /// One shard per LP — the finest plan (PR 5's fixed topology).
-    pub fn identity(lps: usize) -> Self {
-        Self::from_assignment((0..lps).collect())
-    }
-
-    /// All LPs fused into one shard — the degenerate plan that turns
-    /// both drivers into a single-wheel loop.
-    pub fn single(lps: usize) -> Self {
-        Self::from_assignment(vec![0; lps])
-    }
-
-    /// Builds a plan from an explicit `lp → shard` map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map is empty or the shard ids do not cover
-    /// `0..=max` contiguously (every shard must own at least one LP).
-    pub fn from_assignment(assignment: Vec<usize>) -> Self {
-        assert!(!assignment.is_empty(), "plan needs at least one LP");
-        let shards = assignment.iter().max().map_or(0, |&s| s + 1);
-        assert!(shards <= u16::MAX as usize, "too many shards");
-        let mut seen = vec![false; shards];
-        for &s in &assignment {
-            seen[s] = true;
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "shard ids must be contiguous from 0 (every shard non-empty)"
-        );
-        PartitionPlan {
-            assignment: assignment.into_iter().map(|s| s as u16).collect(),
-            shards,
-        }
-    }
-
-    /// Number of logical processes.
-    pub fn lp_count(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard owning `lp`.
-    pub fn shard_of(&self, lp: usize) -> usize {
-        self.assignment[lp] as usize
-    }
-
-    /// The LPs owned by `shard`, in ascending order.
-    pub fn members(&self, shard: usize) -> Vec<usize> {
-        (0..self.assignment.len())
-            .filter(|&lp| self.assignment[lp] as usize == shard)
-            .collect()
-    }
-
-    /// True when every LP is its own shard.
-    pub fn is_identity(&self) -> bool {
-        self.shards == self.assignment.len()
-    }
-
-    /// The raw LP → shard assignment (one entry per LP).
-    pub fn assignment(&self) -> &[u16] {
-        &self.assignment
-    }
-}
-
-/// One partition of a sharded world.
+/// A world partitioned into logical processes.
 ///
-/// Implementations own the slices of model state belonging to their
-/// shard's member LPs and react to their own (local) events and to
-/// cross events arriving from other LPs. Under a fused plan one world
-/// instance serves several LPs; [`ShardCtx::lp`] names the LP the
-/// current event belongs to.
-pub trait ShardWorld: Send {
+/// Implementations own the state slices of every LP and react to local
+/// events and to cross events arriving from other LPs;
+/// [`ShardCtx::lp`] names the LP the current event belongs to.
+pub trait ShardWorld {
     /// Events an LP schedules for itself.
-    type Local: Send;
+    type Local;
     /// Events exchanged between LPs.
-    type Cross: Send;
+    type Cross;
 
-    /// Handles one local event popped from this shard's wheel.
+    /// Handles one local event.
     fn handle_local(
         &mut self,
         event: Self::Local,
@@ -187,9 +63,9 @@ pub trait ShardWorld: Send {
     );
 }
 
-/// A wheel entry of a sharded run: a local event tagged with its LP,
-/// or a cross arrival whose payload is parked in the shard's slab
-/// (keeping the wheel entry small and `Copy`-cheap to cascade).
+/// A wheel entry: a local event tagged with its LP, or a cross arrival
+/// whose payload is parked in the slab (keeping the wheel entry small
+/// and cheap to cascade).
 enum Item<L> {
     Local {
         lp: u16,
@@ -212,29 +88,65 @@ impl<L> KeyedEvent for Item<L> {
     }
 }
 
-/// A cross event in flight between two shards.
-struct CrossMsg<C> {
-    dst_shard: u32,
-    time_ns: u64,
-    src: u16,
-    dst: u16,
-    seq: u64,
-    payload: C,
+/// The engine state handlers schedule into: the wheel, the parked
+/// cross payloads and the per-channel send counters.
+struct Wheel<L, C> {
+    queue: EventQueue<Item<L>>,
+    /// Parked cross payloads referenced by wheel-resident
+    /// `Item::Cross` entries.
+    slab: Vec<Option<C>>,
+    slab_free: Vec<u32>,
+    /// Per-`(src LP, dst LP)` send counters, `lp_count²` flattened.
+    send_seq: Vec<u64>,
+    /// Per-LP lookahead bound on cross sends.
+    lookahead: Vec<SimDuration>,
+    clamped: u64,
 }
 
-/// Scheduling context handed to a shard while it processes one event.
+impl<L, C> Wheel<L, C> {
+    fn push_local(&mut self, lp: usize, time: SimTime, event: L) {
+        self.queue.push(
+            time,
+            Item::Local {
+                lp: lp as u16,
+                event,
+            },
+        );
+    }
+
+    /// Parks `event` and places it in merge-key position, drawing the
+    /// `(src, dst)` channel's next sequence number.
+    fn push_cross(&mut self, src: usize, dst: usize, time: SimTime, event: C) {
+        let channel = &mut self.send_seq[src * self.lookahead.len() + dst];
+        let seq = *channel;
+        *channel += 1;
+        let slot = match self.slab_free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.queue.push_keyed(
+            time,
+            Item::Cross {
+                src: src as u16,
+                dst: dst as u16,
+                seq,
+                slot,
+            },
+        );
+    }
+}
+
+/// Scheduling context handed to the world while it processes one event.
 pub struct ShardCtx<'a, L, C> {
     lp: usize,
-    shard: usize,
     now: SimTime,
-    lookahead: SimDuration,
-    plan: &'a PartitionPlan,
-    queue: &'a mut EventQueue<Item<L>>,
-    slab: &'a mut Vec<Option<C>>,
-    slab_free: &'a mut Vec<u32>,
-    send_seq: &'a mut [u64],
-    outbox: &'a mut Vec<CrossMsg<C>>,
-    clamped: &'a mut u64,
+    wheel: &'a mut Wheel<L, C>,
 }
 
 impl<L, C> ShardCtx<'_, L, C> {
@@ -252,122 +164,49 @@ impl<L, C> ShardCtx<'_, L, C> {
     /// Past instants clamp to the clock and count, exactly like
     /// [`Scheduler::at`](crate::Scheduler::at).
     pub fn at(&mut self, time: SimTime, event: L) {
-        if time < self.now {
-            crate::driver::note_past_schedule(self.clamped, self.now, time);
-        }
-        self.queue.push(
-            time.max(self.now),
-            Item::Local {
-                lp: self.lp as u16,
-                event,
-            },
-        );
+        self.at_lp(self.lp, time, event);
     }
 
     /// Schedules a local event for an **explicit** LP at an absolute
-    /// time. Only sound for LPs owned by the *current shard* — the
-    /// event lands in this shard's wheel, so scheduling for a foreign
-    /// LP would break the merge contract. Used by the fusion fast path,
-    /// where the hub schedules the settlement event directly on the
-    /// job's worker LP.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lp` is not owned by the current shard.
+    /// time. Used by the fusion fast path, where the hub schedules the
+    /// settlement event directly on the job's worker LP.
     pub fn at_lp(&mut self, lp: usize, time: SimTime, event: L) {
-        assert_eq!(
-            self.plan.shard_of(lp),
-            self.shard,
-            "at_lp target must live on the current shard"
-        );
         if time < self.now {
-            crate::driver::note_past_schedule(self.clamped, self.now, time);
+            crate::driver::note_past_schedule(&mut self.wheel.clamped, self.now, time);
         }
-        self.queue.push(
-            time.max(self.now),
-            Item::Local {
-                lp: lp as u16,
-                event,
-            },
-        );
+        self.wheel.push_local(lp, time.max(self.now), event);
     }
 
     /// Re-brands the context as acting for `lp` — subsequent
-    /// [`at`](Self::at)/[`send`](Self::send) calls schedule and draw
-    /// per-channel sequence numbers as that LP — and returns the
-    /// previous LP so the caller can restore it. Used by the fusion
-    /// fast path when it settles a macro-event synchronously from
-    /// inside another LP's handler: the settlement must emit exactly
-    /// the events (and sequence draws) the real completion handler on
-    /// the owning LP would have.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lp` is not owned by the current shard.
+    /// [`at`](Self::at)/[`send`](Self::send) calls schedule, draw
+    /// per-channel sequence numbers and check lookahead as that LP —
+    /// and returns the previous LP so the caller can restore it. Used
+    /// by the fusion fast path when it settles a macro-event
+    /// synchronously from inside another LP's handler: the settlement
+    /// must emit exactly the events (and sequence draws) the real
+    /// completion handler on the owning LP would have.
     pub fn set_acting_lp(&mut self, lp: usize) -> usize {
-        assert_eq!(
-            self.plan.shard_of(lp),
-            self.shard,
-            "acting LP must live on the current shard"
-        );
         std::mem::replace(&mut self.lp, lp)
     }
 
-    /// Schedules a local event `delay` after the current instant.
-    pub fn after(&mut self, delay: SimDuration, event: L) {
-        self.queue.push(
-            self.now + delay,
-            Item::Local {
-                lp: self.lp as u16,
-                event,
-            },
-        );
-    }
-
     /// Sends a cross event to LP `dst` (self-sends are allowed and
-    /// ordered like any other cross event). When `dst` lives on the
-    /// same shard the event goes straight into the local wheel in
-    /// merge-key position — fused plans never touch a channel.
+    /// ordered like any other cross event), placed in merge-key
+    /// position.
     ///
     /// # Panics
     ///
-    /// Panics if `time < now + lookahead`: the conservative protocol
-    /// is sound only when every send respects the shard's declared
-    /// lookahead bound.
+    /// Panics if `time < now + lookahead` of the sending LP.
     pub fn send(&mut self, dst: usize, time: SimTime, event: C) {
+        let lookahead = self.wheel.lookahead[self.lp];
         assert!(
-            time >= self.now + self.lookahead,
-            "cross-shard send at {time} violates lookahead \
+            time >= self.now + lookahead,
+            "cross send by LP {} at {time} violates its lookahead \
              (now {}, lookahead {} ns)",
+            self.lp,
             self.now,
-            self.lookahead.as_nanos(),
+            lookahead.as_nanos(),
         );
-        let n = self.plan.lp_count();
-        let channel = &mut self.send_seq[self.lp * n + dst];
-        let seq = *channel;
-        *channel += 1;
-        let dst_shard = self.plan.shard_of(dst);
-        if dst_shard == self.shard {
-            let slot = park(self.slab, self.slab_free, event);
-            self.queue.push_keyed(
-                time,
-                Item::Cross {
-                    src: self.lp as u16,
-                    dst: dst as u16,
-                    seq,
-                    slot,
-                },
-            );
-        } else {
-            self.outbox.push(CrossMsg {
-                dst_shard: dst_shard as u32,
-                time_ns: time.as_nanos(),
-                src: self.lp as u16,
-                dst: dst as u16,
-                seq,
-                payload: event,
-            });
-        }
+        self.wheel.push_cross(self.lp, dst, time, event);
     }
 
     /// Re-emits a cross event **as if** LP `src` had sent it — the
@@ -377,755 +216,135 @@ impl<L, C> ShardCtx<'_, L, C> {
     /// have occupied. Unlike [`ShardCtx::send`] there is no lookahead
     /// floor: the replayed event may be scheduled at the current
     /// instant (it pops after the running handler, in key order among
-    /// same-time entries), which is only sound intra-shard — hence the
-    /// same-shard restriction.
+    /// same-time entries).
     ///
     /// # Panics
     ///
-    /// Panics if `src` or `dst` is not owned by the current shard, or
-    /// if `time` is in the past.
+    /// Panics if `time` is in the past.
     pub fn send_from(&mut self, src: usize, dst: usize, time: SimTime, event: C) {
-        assert_eq!(
-            self.plan.shard_of(src),
-            self.shard,
-            "send_from source must live on the current shard"
-        );
-        assert_eq!(
-            self.plan.shard_of(dst),
-            self.shard,
-            "send_from destination must live on the current shard"
-        );
         assert!(time >= self.now, "send_from must not target the past");
-        let n = self.plan.lp_count();
-        let channel = &mut self.send_seq[src * n + dst];
-        let seq = *channel;
-        *channel += 1;
-        let slot = park(self.slab, self.slab_free, event);
-        self.queue.push_keyed(
-            time,
-            Item::Cross {
-                src: src as u16,
-                dst: dst as u16,
-                seq,
-                slot,
-            },
-        );
+        self.wheel.push_cross(src, dst, time, event);
     }
 }
 
-/// Parks a cross payload in the shard's slab, recycling a freed slot.
-fn park<C>(slab: &mut Vec<Option<C>>, free: &mut Vec<u32>, payload: C) -> u32 {
-    match free.pop() {
-        Some(slot) => {
-            slab[slot as usize] = Some(payload);
-            slot
-        }
-        None => {
-            slab.push(Some(payload));
-            (slab.len() - 1) as u32
-        }
-    }
-}
-
-struct ShardState<W: ShardWorld> {
+/// A simulation of one [`ShardWorld`] over a fixed set of LPs.
+pub struct ShardedSim<W: ShardWorld> {
     world: W,
-    queue: EventQueue<Item<W::Local>>,
-    /// Parked cross payloads referenced by wheel-resident
-    /// `Item::Cross` entries.
-    slab: Vec<Option<W::Cross>>,
-    slab_free: Vec<u32>,
-    /// This shard's stable id under the run's plan.
-    id: usize,
-    /// Per-`(src LP, dst LP)` send counters, `lp_count²` flattened;
-    /// only the rows of this shard's member LPs are ever touched, so
-    /// counters are a property of the LP channel, not of the plan.
-    send_seq: Vec<u64>,
-    lookahead: SimDuration,
+    wheel: Wheel<W::Local, W::Cross>,
     now: SimTime,
     processed: u64,
-    clamped: u64,
-}
-
-impl<W: ShardWorld> ShardState<W> {
-    /// Timestamp of the earliest unprocessed event (local or cross).
-    fn next_time_ns(&mut self) -> Option<u64> {
-        self.queue.next_time().map(SimTime::as_nanos)
-    }
-
-    /// Accepts a cross event from another shard, placing it in
-    /// merge-key position.
-    fn receive(&mut self, msg: CrossMsg<W::Cross>) {
-        debug_assert!(
-            msg.time_ns > self.now.as_nanos(),
-            "cross arrival must be in the receiver's strict future"
-        );
-        let slot = park(&mut self.slab, &mut self.slab_free, msg.payload);
-        self.queue.push_keyed(
-            SimTime::from_nanos(msg.time_ns),
-            Item::Cross {
-                src: msg.src,
-                dst: msg.dst,
-                seq: msg.seq,
-                slot,
-            },
-        );
-    }
-
-    /// Processes the earliest event. Returns false when nothing is
-    /// queued. Ties are fully resolved by the wheel (clause 2–4 of the
-    /// merge contract are structural), so this is a plain pop.
-    fn step(&mut self, plan: &PartitionPlan, outbox: &mut Vec<CrossMsg<W::Cross>>) -> bool {
-        let Some((time, item)) = self.queue.pop() else {
-            return false;
-        };
-        self.now = time;
-        self.processed += 1;
-        match item {
-            Item::Local { lp, event } => {
-                let mut ctx = ShardCtx {
-                    lp: lp as usize,
-                    shard: self.id,
-                    now: time,
-                    lookahead: self.lookahead,
-                    plan,
-                    queue: &mut self.queue,
-                    slab: &mut self.slab,
-                    slab_free: &mut self.slab_free,
-                    send_seq: &mut self.send_seq,
-                    outbox,
-                    clamped: &mut self.clamped,
-                };
-                self.world.handle_local(event, &mut ctx);
-            }
-            Item::Cross { src, dst, slot, .. } => {
-                let payload = self.slab[slot as usize].take().expect("parked cross");
-                self.slab_free.push(slot);
-                let mut ctx = ShardCtx {
-                    lp: dst as usize,
-                    shard: self.id,
-                    now: time,
-                    lookahead: self.lookahead,
-                    plan,
-                    queue: &mut self.queue,
-                    slab: &mut self.slab,
-                    slab_free: &mut self.slab_free,
-                    send_seq: &mut self.send_seq,
-                    outbox,
-                    clamped: &mut self.clamped,
-                };
-                self.world.handle_cross(src as usize, payload, &mut ctx);
-            }
-        }
-        true
-    }
-}
-
-/// One inter-shard channel: a batch vector plus a dirty flag so idle
-/// shards skip the lock entirely when nothing arrived.
-struct Channel<C> {
-    data: Mutex<Vec<CrossMsg<C>>>,
-    flagged: AtomicBool,
-}
-
-/// Soft bound on undrained messages per channel; producers spin until
-/// the consumer drains (the consumer drains unconditionally on every
-/// pump round, so this cannot deadlock). A batch append may overshoot
-/// the bound — it is back-pressure, not a capacity guarantee.
-const MAILBOX_CAP: usize = 8192;
-
-/// A sharded simulation: a [`PartitionPlan`], one [`ShardWorld`] per
-/// shard, and the two drivers that execute them.
-pub struct ShardedSim<W: ShardWorld> {
-    plan: PartitionPlan,
-    shards: Vec<ShardState<W>>,
-    outbox: Vec<CrossMsg<W::Cross>>,
-    flushed_events: u64,
-    flushed_clamped: u64,
 }
 
 impl<W: ShardWorld> ShardedSim<W> {
-    /// Builds a simulation on the identity plan from `(world,
-    /// lookahead)` pairs, one per LP. LP ids are the vector indices
-    /// and must stay stable across runs — they are part of the merge
-    /// contract.
-    pub fn new(shards: Vec<(W, SimDuration)>) -> Self {
-        let plan = PartitionPlan::identity(shards.len());
-        Self::with_plan(plan, shards)
-    }
-
-    /// Builds a simulation on an explicit plan from `(world,
-    /// lookahead)` pairs, one per **shard** (in shard-id order). Each
-    /// world must own the state slices of all its shard's member LPs,
-    /// and each lookahead must be the minimum over those LPs — fusing
-    /// can only tighten lookahead, never loosen it.
-    pub fn with_plan(plan: PartitionPlan, shards: Vec<(W, SimDuration)>) -> Self {
-        assert_eq!(
-            shards.len(),
-            plan.shard_count(),
-            "one world per shard of the plan"
+    /// Builds a simulation of `world` serving one LP per entry of
+    /// `lookaheads`; `lookaheads[lp]` bounds LP `lp`'s cross sends. LP
+    /// ids are the vector indices and must stay stable across runs —
+    /// they are part of the merge contract.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no LPs or any lookahead is zero.
+    pub fn new(world: W, lookaheads: Vec<SimDuration>) -> Self {
+        let lps = lookaheads.len();
+        assert!(lps > 0, "need at least one LP");
+        assert!(lps <= u16::MAX as usize, "too many LPs");
+        assert!(
+            lookaheads.iter().all(|l| !l.is_zero()),
+            "every LP needs a positive lookahead"
         );
-        let lps = plan.lp_count();
-        let shards = shards
-            .into_iter()
-            .enumerate()
-            .map(|(id, (world, lookahead))| {
-                assert!(
-                    !lookahead.is_zero(),
-                    "conservative sync requires positive lookahead"
-                );
-                ShardState {
-                    world,
-                    queue: EventQueue::new(),
-                    slab: Vec::new(),
-                    slab_free: Vec::new(),
-                    id,
-                    send_seq: vec![0; lps * lps],
-                    lookahead,
-                    now: SimTime::ZERO,
-                    processed: 0,
-                    clamped: 0,
-                }
-            })
-            .collect();
         ShardedSim {
-            plan,
-            shards,
-            outbox: Vec::new(),
-            flushed_events: 0,
-            flushed_clamped: 0,
+            world,
+            wheel: Wheel {
+                queue: EventQueue::new(),
+                slab: Vec::new(),
+                slab_free: Vec::new(),
+                send_seq: vec![0; lps * lps],
+                lookahead: lookaheads,
+                clamped: 0,
+            },
+            now: SimTime::ZERO,
+            processed: 0,
         }
-    }
-
-    /// The plan this simulation runs under.
-    pub fn plan(&self) -> &PartitionPlan {
-        &self.plan
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Seeds an initial local event on `lp`.
     pub fn schedule(&mut self, lp: usize, time: SimTime, event: W::Local) {
-        let shard = self.plan.shard_of(lp);
-        self.shards[shard].queue.push(
-            time,
-            Item::Local {
-                lp: lp as u16,
-                event,
-            },
-        );
+        self.wheel.push_local(lp, time, event);
     }
 
-    /// The latest instant any shard has reached (equals the timestamp
-    /// of the last event processed anywhere once a run completes).
+    /// The instant of the last event processed.
     pub fn now(&self) -> SimTime {
-        self.shards
-            .iter()
-            .map(|s| s.now)
-            .fold(SimTime::ZERO, SimTime::max)
+        self.now
     }
 
-    /// Total events processed across all shards.
+    /// Total events processed.
     pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.processed).sum()
+        self.processed
     }
 
-    /// Total past-time schedules clamped across all shards.
+    /// Total past-time schedules clamped.
     pub fn clamped_past_schedules(&self) -> u64 {
-        self.shards.iter().map(|s| s.clamped).sum()
+        self.wheel.clamped
     }
 
-    /// Consumes the simulation, returning the shard worlds in shard-id
-    /// order (one per shard of the plan).
-    pub fn into_worlds(self) -> Vec<W> {
-        self.shards.into_iter().map(|s| s.world).collect()
+    /// Consumes the simulation, returning the world.
+    pub fn into_world(self) -> W {
+        self.world
     }
 
-    /// Flushes processed/clamped deltas to the process-wide
-    /// [`metrics`](crate::metrics) counters (batched, like
-    /// [`Simulation`](crate::Simulation)).
-    fn flush_metrics(&mut self) {
-        let events = self.events_processed();
-        let clamped = self.clamped_past_schedules();
-        crate::metrics::add_events(events - self.flushed_events);
-        crate::metrics::add_clamped_past(clamped - self.flushed_clamped);
-        self.flushed_events = events;
-        self.flushed_clamped = clamped;
+    /// Runs until no event remains, then adds the processed and clamped
+    /// counts to the process-wide [`metrics`](crate::metrics) totals.
+    pub fn run(&mut self) {
+        let (processed, clamped) = (self.processed, self.wheel.clamped);
+        while let Some((time, item)) = self.wheel.queue.pop() {
+            self.now = time;
+            self.processed += 1;
+            match item {
+                Item::Local { lp, event } => {
+                    let mut ctx = ShardCtx {
+                        lp: lp as usize,
+                        now: time,
+                        wheel: &mut self.wheel,
+                    };
+                    self.world.handle_local(event, &mut ctx);
+                }
+                Item::Cross { src, dst, slot, .. } => {
+                    let payload = self.wheel.slab[slot as usize].take().expect("parked cross");
+                    self.wheel.slab_free.push(slot);
+                    let mut ctx = ShardCtx {
+                        lp: dst as usize,
+                        now: time,
+                        wheel: &mut self.wheel,
+                    };
+                    self.world.handle_cross(src as usize, payload, &mut ctx);
+                }
+            }
+        }
+        crate::metrics::add_events(self.processed - processed);
+        crate::metrics::add_clamped_past(self.wheel.clamped - clamped);
     }
-
-    /// Runs every shard to completion on the calling thread, always
-    /// advancing the shard holding the globally earliest event (ties
-    /// to the lowest shard id — which cannot matter, because
-    /// equal-time events on different LPs are causally independent
-    /// under the lookahead discipline).
-    ///
-    /// The scan caches the *runner-up* time: after picking the
-    /// earliest shard it keeps stepping that same shard until its next
-    /// event would pass the runner-up (or a delivery lands below it),
-    /// so the common pattern — one shard briefly hot — costs one pop
-    /// per event, not one full scan per event. A single-shard plan
-    /// never leaves the inner loop.
-    pub fn run_sequential(&mut self) {
-        let Self {
-            plan,
-            shards,
-            outbox,
-            ..
-        } = self;
-        let n = shards.len();
-        if n == 1 {
-            let shard = &mut shards[0];
-            while shard.step(plan, outbox) {
-                debug_assert!(outbox.is_empty(), "single-shard sends are all intra-shard");
-            }
-            self.flush_metrics();
-            return;
-        }
-        loop {
-            let mut best: Option<(u64, usize)> = None;
-            let mut runner = u64::MAX;
-            for (i, shard) in shards.iter_mut().enumerate() {
-                if let Some(t) = shard.next_time_ns() {
-                    match best {
-                        None => best = Some((t, i)),
-                        Some((bt, _)) if t < bt => {
-                            runner = bt;
-                            best = Some((t, i));
-                        }
-                        Some(_) => runner = runner.min(t),
-                    }
-                }
-            }
-            let Some((_, i)) = best else { break };
-            loop {
-                let stepped = shards[i].step(plan, outbox);
-                debug_assert!(stepped, "scan found an event");
-                // Deliver sends; one landing below the runner-up may
-                // create an earlier event on another shard, so the
-                // cached horizon is stale and we rescan.
-                let mut stale = false;
-                for msg in outbox.drain(..) {
-                    stale |= msg.time_ns < runner;
-                    shards[msg.dst_shard as usize].receive(msg);
-                }
-                if stale {
-                    break;
-                }
-                match shards[i].next_time_ns() {
-                    Some(t) if t < runner => {}
-                    _ => break,
-                }
-            }
-        }
-        self.flush_metrics();
-    }
-
-    /// Runs the shards on `threads` worker threads under the
-    /// conservative watermark protocol. `threads` is clamped to
-    /// `1..=shard_count`; one thread falls back to the sequential
-    /// driver and produces identical results, as does any other thread
-    /// count.
-    pub fn run_threaded(&mut self, threads: usize) {
-        let n = self.shards.len();
-        let threads = threads.clamp(1, n);
-        if threads == 1 {
-            self.run_sequential();
-            return;
-        }
-
-        let watermarks: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let idle: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let sent = AtomicU64::new(0);
-        let received = AtomicU64::new(0);
-        let done = AtomicBool::new(false);
-        let channels: Vec<Vec<Channel<W::Cross>>> = (0..n)
-            .map(|_| {
-                (0..n)
-                    .map(|_| Channel {
-                        data: Mutex::new(Vec::new()),
-                        flagged: AtomicBool::new(false),
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Partition shards round-robin across threads, preserving ids.
-        let mut groups: Vec<Vec<ShardState<W>>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, shard) in self.shards.drain(..).enumerate() {
-            groups[i % threads].push(shard);
-        }
-
-        let plan = &self.plan;
-        let watermarks = &watermarks;
-        let idle = &idle;
-        let sent = &sent;
-        let received = &received;
-        let done = &done;
-        let channels = &channels;
-
-        let finished: Vec<Vec<ShardState<W>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .enumerate()
-                .map(|(tid, group)| {
-                    scope.spawn(move || {
-                        pump_group(
-                            tid, group, plan, watermarks, idle, sent, received, done, channels,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        });
-
-        let mut shards: Vec<Option<ShardState<W>>> = (0..n).map(|_| None).collect();
-        for group in finished {
-            for shard in group {
-                let id = shard.id;
-                shards[id] = Some(shard);
-            }
-        }
-        self.shards = shards
-            .into_iter()
-            .map(|s| s.expect("every shard returned"))
-            .collect();
-        self.flush_metrics();
-    }
-}
-
-/// The per-thread pump loop of the parallel driver. See the module
-/// docs for the round protocol and why its step order is load-bearing.
-#[allow(clippy::too_many_arguments)]
-fn pump_group<W: ShardWorld>(
-    tid: usize,
-    mut group: Vec<ShardState<W>>,
-    plan: &PartitionPlan,
-    watermarks: &[AtomicU64],
-    idle: &[AtomicBool],
-    sent: &AtomicU64,
-    received: &AtomicU64,
-    done: &AtomicBool,
-    channels: &[Vec<Channel<W::Cross>>],
-) -> Vec<ShardState<W>> {
-    let n = watermarks.len();
-    let mut outbox: Vec<CrossMsg<W::Cross>> = Vec::new();
-    let mut drained: Vec<CrossMsg<W::Cross>> = Vec::new();
-    // Per-destination flush batches, reused across rounds.
-    let mut batches: Vec<Vec<CrossMsg<W::Cross>>> = (0..n).map(|_| Vec::new()).collect();
-    while !done.load(Ordering::Acquire) {
-        let mut progress = false;
-        for shard in &mut group {
-            let id = shard.id;
-            // 1. Safe horizon, read *before* the drain.
-            let safe = min_other_watermark(watermarks, id);
-
-            // 2. Drain inbound channels; the dirty flag lets quiescent
-            // rounds skip every lock.
-            let mut got = 0u64;
-            for channel in &channels[id][..n] {
-                if !channel.flagged.swap(false, Ordering::Acquire) {
-                    continue;
-                }
-                let mut data = channel.data.lock().expect("channel");
-                drained.append(&mut data);
-                drop(data);
-            }
-            for msg in drained.drain(..) {
-                shard.receive(msg);
-                got += 1;
-            }
-            if got > 0 {
-                received.fetch_add(got, Ordering::AcqRel);
-            }
-
-            // 3. Process every event strictly below the horizon. The
-            // snapshot is conservative — watermarks only grow — so no
-            // per-event recomputation is needed.
-            while let Some(next) = shard.next_time_ns() {
-                if next >= safe {
-                    break;
-                }
-                shard.step(plan, &mut outbox);
-                progress = true;
-                for msg in outbox.drain(..) {
-                    batches[msg.dst_shard as usize].push(msg);
-                }
-            }
-
-            // 4. Flush sends: one lock per non-empty destination
-            // channel per round.
-            for batch in batches.iter_mut() {
-                if batch.is_empty() {
-                    continue;
-                }
-                let dst = batch[0].dst_shard as usize;
-                let count = batch.len() as u64;
-                loop {
-                    let mut data = channels[dst][id].data.lock().expect("channel");
-                    if data.len() < MAILBOX_CAP {
-                        data.append(batch);
-                        break;
-                    }
-                    drop(data);
-                    std::hint::spin_loop();
-                }
-                channels[dst][id].flagged.store(true, Ordering::Release);
-                sent.fetch_add(count, Ordering::AcqRel);
-            }
-
-            // 5. Publish the new promise: nothing this shard ever
-            // sends again can be earlier than its next event (or the
-            // earliest event another shard could still send it), plus
-            // its lookahead. A fresh horizon read here is sound — a
-            // not-yet-drained arrival has a timestamp at or above it.
-            let safe = min_other_watermark(watermarks, id);
-            let head = shard.next_time_ns().unwrap_or(u64::MAX);
-            let promise = head.min(safe).saturating_add(shard.lookahead.as_nanos());
-            let current = watermarks[id].load(Ordering::Relaxed);
-            if promise > current {
-                watermarks[id].store(promise, Ordering::Release);
-            }
-            idle[id].store(shard.next_time_ns().is_none(), Ordering::Release);
-        }
-
-        if !progress {
-            // Termination: all shards idle with no message in flight,
-            // stable across a double read (thread 0 decides).
-            if tid == 0 && all_quiet(idle, sent, received) && all_quiet(idle, sent, received) {
-                done.store(true, Ordering::Release);
-                break;
-            }
-            std::thread::yield_now();
-        }
-    }
-    group
-}
-
-fn min_other_watermark(watermarks: &[AtomicU64], id: usize) -> u64 {
-    let mut safe = u64::MAX;
-    for (j, w) in watermarks.iter().enumerate() {
-        if j != id {
-            safe = safe.min(w.load(Ordering::Acquire));
-        }
-    }
-    safe
-}
-
-fn all_quiet(idle: &[AtomicBool], sent: &AtomicU64, received: &AtomicU64) -> bool {
-    let s = sent.load(Ordering::Acquire);
-    let r = received.load(Ordering::Acquire);
-    s == r && idle.iter().all(|f| f.load(Ordering::Acquire))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A test world: shards pass a token around the ring, each hop
-    /// recording what it saw. Local "tick" events also fire to
-    /// exercise cross-vs-local tie ordering.
-    struct Ring {
-        id: usize,
-        shards: usize,
-        log: Vec<(u64, usize, u64)>, // (time, src, value)
-        hops_left: u64,
-    }
-
     #[derive(Debug)]
     enum Local {
         Tick(u64),
     }
 
-    impl ShardWorld for Ring {
-        type Local = Local;
-        type Cross = u64;
+    type RingLog = Vec<(u64, usize, u64)>; // (time, src, value)
 
-        fn handle_local(&mut self, event: Local, ctx: &mut ShardCtx<'_, Local, u64>) {
-            let Local::Tick(v) = event;
-            self.log.push((ctx.now().as_nanos(), usize::MAX, v));
-            if self.hops_left > 0 {
-                self.hops_left -= 1;
-                let dst = (self.id + 1) % self.shards;
-                ctx.send(dst, ctx.now() + SimDuration::nanos(700), v + 1);
-            }
-        }
-
-        fn handle_cross(&mut self, src: usize, event: u64, ctx: &mut ShardCtx<'_, Local, u64>) {
-            self.log.push((ctx.now().as_nanos(), src, event));
-            if event < 200 {
-                let dst = (self.id + 1) % self.shards;
-                ctx.send(dst, ctx.now() + SimDuration::nanos(700), event + 1);
-                // A same-time local event: must process *after* any
-                // cross event that shares its timestamp.
-                ctx.at(ctx.now() + SimDuration::nanos(700), Local::Tick(event));
-            }
-        }
-    }
-
-    fn build(shards: usize) -> ShardedSim<Ring> {
-        let mut sim = ShardedSim::new(
-            (0..shards)
-                .map(|id| {
-                    (
-                        Ring {
-                            id,
-                            shards,
-                            log: Vec::new(),
-                            hops_left: 3,
-                        },
-                        SimDuration::nanos(500),
-                    )
-                })
-                .collect(),
-        );
-        for id in 0..shards {
-            sim.schedule(
-                id,
-                SimTime::ZERO + SimDuration::nanos(13 * id as u64),
-                Local::Tick(id as u64 * 1000),
-            );
-        }
-        sim
-    }
-
-    type RingLog = Vec<(u64, usize, u64)>;
-
-    fn run(threads: usize) -> (Vec<RingLog>, u64, SimTime) {
-        let mut sim = build(4);
-        if threads == 1 {
-            sim.run_sequential();
-        } else {
-            sim.run_threaded(threads);
-        }
-        let events = sim.events_processed();
-        let now = sim.now();
-        (
-            sim.into_worlds().into_iter().map(|w| w.log).collect(),
-            events,
-            now,
-        )
-    }
-
-    #[test]
-    fn sequential_and_threaded_agree_exactly() {
-        let (seq_logs, seq_events, seq_now) = run(1);
-        for threads in [2, 3, 4] {
-            let (par_logs, par_events, par_now) = run(threads);
-            assert_eq!(seq_logs, par_logs, "logs diverged at {threads} threads");
-            assert_eq!(seq_events, par_events);
-            assert_eq!(seq_now, par_now);
-        }
-        assert!(seq_events > 0);
-    }
-
-    #[test]
-    fn cross_events_merge_by_time_src_seq() {
-        // Two sources fire same-timestamp cross events at shard 0; the
-        // receiver must see them ordered by (time, src, seq).
-        struct Sink {
-            seen: Vec<(usize, u64)>,
-        }
-        struct Source {
-            id: usize,
-        }
-        enum W2 {
-            Sink(Sink),
-            Source(Source),
-        }
-        impl ShardWorld for W2 {
-            type Local = ();
-            type Cross = u64;
-            fn handle_local(&mut self, _e: (), ctx: &mut ShardCtx<'_, (), u64>) {
-                if let W2::Source(s) = self {
-                    // Two sends to the same destination at the same
-                    // timestamp: seq breaks the tie.
-                    let t = ctx.now() + SimDuration::micros(10);
-                    ctx.send(0, t, s.id as u64 * 10);
-                    ctx.send(0, t, s.id as u64 * 10 + 1);
-                }
-            }
-            fn handle_cross(&mut self, src: usize, event: u64, _ctx: &mut ShardCtx<'_, (), u64>) {
-                if let W2::Sink(s) = self {
-                    s.seen.push((src, event));
-                }
-            }
-        }
-        let mut sim = ShardedSim::new(vec![
-            (W2::Sink(Sink { seen: Vec::new() }), SimDuration::nanos(1)),
-            (W2::Source(Source { id: 1 }), SimDuration::nanos(1)),
-            (W2::Source(Source { id: 2 }), SimDuration::nanos(1)),
-        ]);
-        // Source 2 fires *first* in wall order but must still merge
-        // after source 1's events (same timestamp, higher shard id).
-        sim.schedule(2, SimTime::ZERO, ());
-        sim.schedule(1, SimTime::ZERO, ());
-        sim.run_sequential();
-        let worlds = sim.into_worlds();
-        let W2::Sink(sink) = &worlds[0] else {
-            panic!("shard 0 is the sink")
-        };
-        assert_eq!(sink.seen, vec![(1, 10), (1, 11), (2, 20), (2, 21)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "lookahead")]
-    fn sends_below_lookahead_panic() {
-        struct Bad;
-        impl ShardWorld for Bad {
-            type Local = ();
-            type Cross = ();
-            fn handle_local(&mut self, _e: (), ctx: &mut ShardCtx<'_, (), ()>) {
-                ctx.send(0, ctx.now(), ());
-            }
-            fn handle_cross(&mut self, _s: usize, _e: (), _c: &mut ShardCtx<'_, (), ()>) {}
-        }
-        let mut sim = ShardedSim::new(vec![
-            (Bad, SimDuration::micros(1)),
-            (Bad, SimDuration::micros(1)),
-        ]);
-        sim.schedule(0, SimTime::ZERO, ());
-        sim.run_sequential();
-    }
-
-    #[test]
-    fn threaded_matches_on_single_thread_clamp() {
-        let mut a = build(4);
-        a.run_threaded(1); // falls back to sequential
-        let mut b = build(4);
-        b.run_sequential();
-        assert_eq!(a.events_processed(), b.events_processed());
-        let la: Vec<_> = a.into_worlds().into_iter().map(|w| w.log).collect();
-        let lb: Vec<_> = b.into_worlds().into_iter().map(|w| w.log).collect();
-        assert_eq!(la, lb);
-    }
-
-    /// A *fusible* ring world: state is held per LP, so one instance
-    /// can serve any subset of the LPs — the shape `afa-core`'s world
-    /// replicas take. Used to pin the plan-invariance contract at the
-    /// engine level.
-    #[derive(Clone)]
-    struct MultiRing {
-        lps: usize,
-        logs: Vec<Vec<(u64, usize, u64)>>, // per-LP (time, src, value)
+    /// A ring of LPs in one world: each LP passes a token to the next,
+    /// recording what it saw. Local "tick" events fire at the same
+    /// instants as cross arrivals to exercise cross-vs-local ties.
+    struct Ring {
+        logs: Vec<RingLog>,
         hops_left: Vec<u64>,
     }
 
-    impl MultiRing {
-        fn fresh(lps: usize) -> Self {
-            MultiRing {
-                lps,
-                logs: vec![Vec::new(); lps],
-                hops_left: vec![4; lps],
-            }
-        }
-    }
-
-    impl ShardWorld for MultiRing {
+    impl ShardWorld for Ring {
         type Local = Local;
         type Cross = u64;
 
@@ -1135,93 +354,154 @@ mod tests {
             self.logs[lp].push((ctx.now().as_nanos(), usize::MAX, v));
             if self.hops_left[lp] > 0 {
                 self.hops_left[lp] -= 1;
-                ctx.send(
-                    (lp + 1) % self.lps,
-                    ctx.now() + SimDuration::nanos(700),
-                    v + 1,
-                );
+                let dst = (lp + 1) % self.logs.len();
+                ctx.send(dst, ctx.now() + SimDuration::nanos(700), v + 1);
             }
         }
 
         fn handle_cross(&mut self, src: usize, event: u64, ctx: &mut ShardCtx<'_, Local, u64>) {
             let lp = ctx.lp();
             self.logs[lp].push((ctx.now().as_nanos(), src, event));
-            if event < 300 {
-                ctx.send(
-                    (lp + 1) % self.lps,
-                    ctx.now() + SimDuration::nanos(700),
-                    event + 1,
-                );
+            if event < 200 {
+                let dst = (lp + 1) % self.logs.len();
+                ctx.send(dst, ctx.now() + SimDuration::nanos(700), event + 1);
+                // A same-time local event: must process *after* any
+                // cross event that shares its timestamp.
                 ctx.at(ctx.now() + SimDuration::nanos(700), Local::Tick(event));
             }
         }
     }
 
-    /// Runs the MultiRing under `plan` × `threads` and returns the
-    /// per-LP logs stitched from each LP's owning shard.
-    fn run_multi(plan: PartitionPlan, threads: usize) -> (Vec<RingLog>, u64, SimTime) {
-        const LPS: usize = 6;
-        assert_eq!(plan.lp_count(), LPS);
-        let shards = (0..plan.shard_count())
-            .map(|_| (MultiRing::fresh(LPS), SimDuration::nanos(500)))
-            .collect();
-        let mut sim = ShardedSim::with_plan(plan.clone(), shards);
-        for lp in 0..LPS {
+    fn run_ring(lps: usize) -> (Vec<RingLog>, u64, SimTime) {
+        let world = Ring {
+            logs: vec![Vec::new(); lps],
+            hops_left: vec![3; lps],
+        };
+        let mut sim = ShardedSim::new(world, vec![SimDuration::nanos(500); lps]);
+        for lp in 0..lps {
             sim.schedule(
                 lp,
                 SimTime::ZERO + SimDuration::nanos(13 * lp as u64),
                 Local::Tick(lp as u64 * 1000),
             );
         }
-        sim.run_threaded(threads);
+        sim.run();
         let events = sim.events_processed();
         let now = sim.now();
-        let worlds = sim.into_worlds();
-        let logs = (0..LPS)
-            .map(|lp| worlds[plan.shard_of(lp)].logs[lp].clone())
-            .collect();
-        (logs, events, now)
+        (sim.into_world().logs, events, now)
     }
 
     #[test]
-    fn every_plan_and_thread_count_agrees_per_lp() {
-        let (base_logs, base_events, base_now) = run_multi(PartitionPlan::single(6), 1);
-        assert!(base_events > 0);
-        let plans = [
-            PartitionPlan::identity(6),
-            PartitionPlan::single(6),
-            PartitionPlan::from_assignment(vec![0, 1, 0, 1, 0, 1]),
-            PartitionPlan::from_assignment(vec![0, 0, 0, 1, 1, 2]),
-        ];
-        for plan in plans {
-            for threads in [1, 2, 4] {
-                let (logs, events, now) = run_multi(plan.clone(), threads);
-                assert_eq!(
-                    logs, base_logs,
-                    "per-LP streams diverged under {plan:?} × {threads} threads"
-                );
-                assert_eq!(events, base_events);
-                assert_eq!(now, base_now);
+    fn ring_logs_interleave_cross_before_local() {
+        let (logs, events, now) = run_ring(4);
+        assert!(events > 0);
+        assert_eq!(
+            events,
+            logs.iter().map(|l| l.len() as u64).sum::<u64>(),
+            "every event lands in exactly one LP's log"
+        );
+        assert_eq!(
+            Some(now.as_nanos()),
+            logs.iter().flatten().map(|&(t, _, _)| t).max()
+        );
+        for (lp, log) in logs.iter().enumerate() {
+            assert!(
+                log.windows(2).all(|w| w[0].0 <= w[1].0),
+                "LP {lp} went back in time"
+            );
+            // At every shared instant a cross arrival (src < MAX)
+            // precedes the local tick (src == MAX).
+            for w in log.windows(2) {
+                if w[0].0 == w[1].0 {
+                    assert!(
+                        w[0].1 <= w[1].1,
+                        "LP {lp}: local before cross at {}",
+                        w[0].0
+                    );
+                }
+            }
+            // Every cross arrival came from the ring predecessor.
+            let pred = (lp + logs.len() - 1) % logs.len();
+            assert!(log
+                .iter()
+                .all(|&(_, src, _)| src == usize::MAX || src == pred));
+        }
+        // Same inputs, same run.
+        assert_eq!(run_ring(4), (logs, events, now));
+    }
+
+    /// Two sources fire same-timestamp cross events at LP 0; the
+    /// receiver must see them ordered by (time, src, seq), whatever
+    /// order the sources ran in.
+    #[test]
+    fn cross_events_merge_by_time_src_seq() {
+        struct Fan {
+            seen: Vec<(usize, u64)>,
+        }
+        impl ShardWorld for Fan {
+            type Local = ();
+            type Cross = u64;
+            fn handle_local(&mut self, _e: (), ctx: &mut ShardCtx<'_, (), u64>) {
+                // Two sends to the same destination at the same
+                // timestamp: seq breaks the tie.
+                let t = ctx.now() + SimDuration::micros(10);
+                let id = ctx.lp() as u64;
+                ctx.send(0, t, id * 10);
+                ctx.send(0, t, id * 10 + 1);
+            }
+            fn handle_cross(&mut self, src: usize, event: u64, ctx: &mut ShardCtx<'_, (), u64>) {
+                assert_eq!(ctx.lp(), 0, "only LP 0 receives");
+                self.seen.push((src, event));
             }
         }
+        let mut sim = ShardedSim::new(Fan { seen: Vec::new() }, vec![SimDuration::nanos(1); 3]);
+        // LP 2 fires *first* but must still merge after LP 1's events
+        // (same timestamp, higher source LP).
+        sim.schedule(2, SimTime::ZERO, ());
+        sim.schedule(1, SimTime::ZERO, ());
+        sim.run();
+        assert_eq!(
+            sim.into_world().seen,
+            vec![(1, 10), (1, 11), (2, 20), (2, 21)]
+        );
+    }
+
+    /// Sends `at_ns` after the clock from whichever LP the event runs on.
+    struct Sender {
+        at_ns: u64,
+    }
+
+    impl ShardWorld for Sender {
+        type Local = ();
+        type Cross = ();
+        fn handle_local(&mut self, _e: (), ctx: &mut ShardCtx<'_, (), ()>) {
+            let dst = 1 - ctx.lp();
+            ctx.send(dst, ctx.now() + SimDuration::nanos(self.at_ns), ());
+        }
+        fn handle_cross(&mut self, _s: usize, _e: (), _c: &mut ShardCtx<'_, (), ()>) {}
+    }
+
+    fn run_sender(lp: usize, at_ns: u64) {
+        let lookaheads = vec![SimDuration::nanos(100), SimDuration::nanos(1_000)];
+        let mut sim = ShardedSim::new(Sender { at_ns }, lookaheads);
+        sim.schedule(lp, SimTime::ZERO, ());
+        sim.run();
     }
 
     #[test]
-    fn plan_accessors_are_consistent() {
-        let plan = PartitionPlan::from_assignment(vec![0, 1, 0, 2, 1]);
-        assert_eq!(plan.lp_count(), 5);
-        assert_eq!(plan.shard_count(), 3);
-        assert_eq!(plan.members(0), vec![0, 2]);
-        assert_eq!(plan.members(1), vec![1, 4]);
-        assert_eq!(plan.members(2), vec![3]);
-        assert!(!plan.is_identity());
-        assert!(PartitionPlan::identity(4).is_identity());
-        assert_eq!(PartitionPlan::single(4).shard_count(), 1);
+    #[should_panic(expected = "lookahead")]
+    fn sends_below_lookahead_panic() {
+        run_sender(0, 0);
     }
 
+    /// Each LP is held to its own bound: LP 1 (1 µs) may not send at
+    /// 500 ns even though LP 0's 100 ns bound would allow it, while
+    /// LP 0 may.
     #[test]
-    #[should_panic(expected = "contiguous")]
-    fn gappy_shard_ids_are_rejected() {
-        let _ = PartitionPlan::from_assignment(vec![0, 2]);
+    #[should_panic(expected = "cross send by LP 1")]
+    fn each_lp_is_held_to_its_own_lookahead() {
+        run_sender(0, 500);
+        run_sender(1, 1_000);
+        run_sender(1, 500);
     }
 }

@@ -351,7 +351,7 @@ static PAST_SCHEDULE_HOOK: std::sync::Mutex<Option<PastScheduleHook>> = std::syn
 /// Installs (or, with `None`, removes) the process-wide hook invoked on
 /// every clamped past-time schedule. With no hook installed the event
 /// is counted silently — drivers never write to stderr themselves, so
-/// parallel shards cannot interleave garbage. Returns the previous
+/// concurrent runs cannot interleave garbage. Returns the previous
 /// hook.
 pub fn set_past_schedule_hook(hook: Option<PastScheduleHook>) -> Option<PastScheduleHook> {
     let mut slot = PAST_SCHEDULE_HOOK.lock().expect("hook lock");

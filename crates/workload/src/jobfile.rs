@@ -108,11 +108,13 @@ impl Section {
                 self.bs = Some(bytes as u32);
             }
             "iodepth" => {
-                self.iodepth = Some(
-                    value
-                        .parse()
-                        .map_err(|e| err(line, format!("bad iodepth: {e}")))?,
-                );
+                let depth: u32 = value
+                    .parse()
+                    .map_err(|e| err(line, format!("bad iodepth: {e}")))?;
+                if depth == 0 {
+                    return Err(err(line, "iodepth must be positive"));
+                }
+                self.iodepth = Some(depth);
             }
             "ioengine" => {
                 self.engine = Some(match value {
@@ -413,6 +415,13 @@ write_lat_log=x
     fn bad_bs_rejected() {
         let e = parse_jobfile("[j]\nfilename=/dev/nvme0\nbs=1000\n").unwrap_err();
         assert!(e.message.contains("bs"));
+    }
+
+    #[test]
+    fn zero_iodepth_rejected() {
+        let e = parse_jobfile("[j]\nfilename=/dev/nvme0\niodepth=0\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("iodepth"));
     }
 
     #[test]

@@ -52,29 +52,6 @@ for fig in fig06 fig07 fig08 fig09 fig10 fig11 fig12 fig13 tailscale-fanout tail
     echo "golden OK: $fig"
 done
 
-echo "==> partition-plan byte-compare (fig06 + fleet-arrival + fleet-failover + ull-crossover under single/fused-4/full-9 x 1/4 threads)"
-# The partition plan and the thread count must both be invisible in
-# the artifacts: the 9-LP decomposition is part of the deterministic
-# merge contract, so every fusion level — from the fully-fused
-# single-wheel fast path to one shard per LP — has to produce
-# byte-identical JSON, sequential or threaded. fleet-arrival drives
-# its own single-world loop (the SequentialGuard pins it), so for it
-# the matrix asserts the env knobs stay invisible end to end.
-for exp in fig06 fleet-arrival fleet-failover ull-crossover; do
-    for plan in single fused-4 full-9; do
-        for threads in 1 4; do
-            AFA_SHARD_PLAN=$plan AFA_THREADS=$threads \
-                ./target/release/afactl exp "$exp" --seconds 0.25 --ssds 8 --seed 42 \
-                --json > "$golden_tmp/$exp-$plan-$threads.json"
-            if ! cmp -s "tests/golden/$exp.json" "$golden_tmp/$exp-$plan-$threads.json"; then
-                echo "plan mismatch: $exp under AFA_SHARD_PLAN=$plan AFA_THREADS=$threads differs from the golden" >&2
-                exit 1
-            fi
-        done
-        echo "plan OK: $exp ($plan at 1 and 4 threads == golden)"
-    done
-done
-
 echo "==> fusion on/off byte-compare (fig06 + ull-crossover)"
 # The macro-event fusion fast path must be invisible in the artifacts:
 # AFA_NO_FUSION=1 forces every chain down the per-stage path, and the
@@ -90,8 +67,18 @@ for exp in fig06 ull-crossover; do
     echo "fusion OK: $exp (AFA_NO_FUSION=1 == golden)"
 done
 
+echo "==> afabench tests"
+cargo test -q --manifest-path afabench/Cargo.toml
+
+echo "==> whole-system property suite (one test thread)"
+# The properties share process-wide state: the FusionOverride guard and
+# the afa_sim::metrics totals the run manifest reports as deltas. Run
+# concurrently, one property's simulations leak into another's
+# artifact, so the suite runs serially.
+cargo test --release --features proptest --test proptests -- --test-threads 1
+
 echo "==> desperf regression check (pinned-scale fig06 events/sec + event-count budget)"
-# Fails if DES throughput fell more than 10% below the most recent
+# Fails if DES throughput fell more than 20% below the most recent
 # committed BENCH_desperf.json entry, and (via the event-fusion gate)
 # if the pinned fusion probe schedules more than 4 events per latency
 # sample — the event-count budget that keeps the macro-event fast

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! afactl list
-//! afactl exp <name> [--ssds N] [--seconds F] [--seed N] [--json] [--plan] [--out DIR]
+//! afactl exp <name> [--ssds N] [--seconds F] [--seed N] [--json] [--out DIR]
 //! afactl run     [--ssds N] [--stage S] [--seconds F] [--seed N] [--engine E]
 //! afactl ladder  [--ssds N] [--seconds F] [--seed N]
 //! afactl profile [--ssds N] [--seconds F] [--seed N] [--sigmas F]
@@ -36,8 +36,6 @@ struct Options {
     engine: IoEngine,
     sigmas: f64,
     json: bool,
-    /// Echo the resolved shard-partition plan to stderr (exp only).
-    plan: bool,
     out: Option<String>,
 }
 
@@ -51,7 +49,6 @@ impl Default for Options {
             engine: IoEngine::Libaio,
             sigmas: 3.0,
             json: false,
-            plan: false,
             out: None,
         }
     }
@@ -103,7 +100,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 opts.sigmas = value()?.parse().map_err(|e| format!("--sigmas: {e}"))?;
             }
             "--json" => opts.json = true,
-            "--plan" => opts.plan = true,
             "--out" => opts.out = Some(value()?.clone()),
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -116,7 +112,7 @@ fn usage() {
         "usage: afactl <list|exp <name>|run|ladder|profile|causes|jobfile <path>> [options]\n\
          options: --ssds N --stage <default|chrt|isolcpus|irq|exp-firmware>\n\
          \x20        --seconds F --seed N --engine <libaio|sync|polling> --sigmas F\n\
-         \x20        --json --plan --out DIR  (exp only)"
+         \x20        --json --out DIR  (exp only)"
     );
 }
 
@@ -211,15 +207,6 @@ fn cmd_exp(name: &str, opts: &Options) -> ExitCode {
         opts.ssds,
         opts.seed,
     );
-    if opts.plan {
-        // Which shard topology the run resolves to (stderr, like the
-        // wall clock, so `--json` stdout stays a pure artifact).
-        let threads = std::env::var("AFA_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1usize);
-        eprintln!("{}", afa::core::partition::plan_summary(opts.ssds, threads));
-    }
     let run = experiment::run_experiment(def, scale);
     if opts.json {
         println!("{}", run.to_json());
@@ -268,6 +255,10 @@ fn cmd_jobfile(path: &str, opts: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Err(e) = afa::core::check_jobs(&jobs) {
+        eprintln!("afactl: {path}: {e}");
+        return ExitCode::FAILURE;
+    }
     println!("parsed {} job(s) from {path}", jobs.len());
     let config = AfaConfig::paper(opts.stage)
         .with_seed(opts.seed)

@@ -5,16 +5,18 @@
 //! the suite is gated behind the `proptest` cargo feature:
 //!
 //! ```text
-//! cargo test --features proptest --test proptests
+//! cargo test --release --features proptest --test proptests -- --test-threads 1
 //! ```
+//!
+//! Run it on one test thread: the properties read process-wide state
+//! (the [`FusionOverride`] guard and the `afa_sim::metrics` totals
+//! behind the run manifest), so concurrent properties leak into each
+//! other's artifacts.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use afa::core::partition::plan_for;
-use afa::core::{
-    AfaConfig, AfaSystem, FusionOverride, PlanOverride, PlanSpec, ThreadsOverride, TuningStage,
-};
+use afa::core::{AfaConfig, AfaSystem, FusionOverride, TuningStage};
 use afa::sim::check::run_cases;
 use afa::sim::{EventQueue, ShardCtx, ShardWorld, ShardedSim, SimDuration, SimTime};
 use afa::stats::NinesPoint;
@@ -314,150 +316,19 @@ fn ledger_tiles_latency_for_every_completion_model() {
     });
 }
 
-/// The conservative parallel engine is invisible in the artifacts: for
-/// any experiment, seed, scale and worker-thread count, the threaded
-/// driver serializes to exactly the bytes the sequential driver does.
-/// This is the differential form of the per-figure golden fixtures —
-/// the fixtures pin ten (experiment, scale) points, this samples the
-/// whole space.
-#[test]
-fn parallel_driver_matches_sequential_bytes() {
-    // Single-stage experiments keep each case to two cheap runs; fig12
-    // exercises the multi-stage path (four runs per driver).
-    let names = ["fig06", "fig07", "fig08", "fig09", "fig11", "fig12"];
-    run_cases("parallel_driver_matches_sequential_bytes", 6, |g| {
-        let def = afa::core::experiment::find(names[g.usize_in(0, names.len() - 1)])
-            .expect("experiment registered");
-        let scale = afa::core::experiment::ExperimentScale::new(
-            SimDuration::millis(g.u64_in(10, 40)),
-            g.usize_in(1, 6),
-            g.u64_in(0, 10_000),
-        );
-        let sequential = {
-            let _pin = ThreadsOverride::set(1);
-            afa::core::experiment::run_experiment(def, scale)
-                .to_json()
-                .to_string()
-        };
-        let threads = g.usize_in(2, 9);
-        let parallel = {
-            let _pin = ThreadsOverride::set(threads);
-            afa::core::experiment::run_experiment(def, scale)
-                .to_json()
-                .to_string()
-        };
-        assert_eq!(
-            sequential, parallel,
-            "{} artifact diverged at {threads} threads",
-            def.name,
-        );
-    });
-}
-
-/// The partition planner is a deterministic pure function of its
-/// three inputs, and every plan it emits is a valid partition of the
-/// nine I/O-path LPs: contiguous shard ids, every LP in exactly one
-/// shard, never more shards than effective threads, and a reserved
-/// hub lane on every multi-shard plan.
-#[test]
-fn planner_is_a_pure_function() {
-    run_cases("planner_is_a_pure_function", 64, |g| {
-        let mask = g.u64_in(0, 0xFF) as u16;
-        let threads = g.usize_in(0, 16);
-        let cores = g.usize_in(0, 32);
-        let plan = plan_for(mask, threads, cores);
-        // Purity: same inputs, same plan — no environment, no globals.
-        assert_eq!(
-            plan.assignment(),
-            plan_for(mask, threads, cores).assignment(),
-            "planner output varied across calls"
-        );
-        assert_eq!(plan.lp_count(), 9);
-        let shards = plan.shard_count();
-        assert!(shards >= 1);
-        assert!(shards <= threads.min(cores.max(1)).max(1));
-        // Partition validity: the per-shard member lists are disjoint
-        // and cover every LP exactly once.
-        let mut owner_count = vec![0usize; plan.lp_count()];
-        for shard in 0..shards {
-            for lp in plan.members(shard) {
-                assert_eq!(plan.shard_of(lp), shard);
-                owner_count[lp] += 1;
-            }
-        }
-        assert!(owner_count.iter().all(|&n| n == 1), "LP owned != once");
-        if shards > 1 {
-            // The hub (LP 8) never shares a shard with a job-bearing
-            // worker: its lane only ever absorbs idle workers.
-            let hub_shard = plan.shard_of(8);
-            for lp in plan.members(hub_shard) {
-                assert!(
-                    lp == 8 || mask >> lp & 1 == 0,
-                    "job-bearing LP {lp} fused into the hub lane"
-                );
-            }
-        }
-    });
-}
-
-/// Every fusion level is invisible in the artifacts: for any
-/// experiment, scale, forced plan and thread count, the run
-/// serializes to exactly the bytes of the fully-fused single-wheel
-/// plan. This is the differential form of the ci.sh plan matrix —
-/// the matrix pins one (experiment, scale) point, this samples the
-/// space.
-#[test]
-fn every_fusion_level_matches_single_plan_bytes() {
-    let names = ["fig06", "fig07", "fig09", "fig12"];
-    run_cases("every_fusion_level_matches_single_plan_bytes", 6, |g| {
-        let def = afa::core::experiment::find(names[g.usize_in(0, names.len() - 1)])
-            .expect("experiment registered");
-        let scale = afa::core::experiment::ExperimentScale::new(
-            SimDuration::millis(g.u64_in(10, 30)),
-            g.usize_in(1, 6),
-            g.u64_in(0, 10_000),
-        );
-        let baseline = {
-            let _plan = PlanOverride::set(PlanSpec::Single);
-            let _pin = ThreadsOverride::set(1);
-            afa::core::experiment::run_experiment(def, scale)
-                .to_json()
-                .to_string()
-        };
-        let spec = match g.usize_in(0, 8) {
-            8 => PlanSpec::Full,
-            n => PlanSpec::Fused(n.max(2)),
-        };
-        let threads = g.usize_in(1, 4);
-        let fused = {
-            let _plan = PlanOverride::set(spec);
-            let _pin = ThreadsOverride::set(threads);
-            afa::core::experiment::run_experiment(def, scale)
-                .to_json()
-                .to_string()
-        };
-        assert_eq!(
-            baseline, fused,
-            "{} artifact diverged under {spec:?} at {threads} thread(s)",
-            def.name,
-        );
-    });
-}
-
 /// Macro-event fusion is invisible in the artifacts: for any
-/// experiment, scale, seed and partition plan, a run with the fusion
-/// fast path forced on serializes to exactly the bytes of a run with
-/// every chain forced down the per-stage path — including the
-/// manifest's per-cause latency budget. On the single-shard plan the
-/// fast path must actually engage (a gate that silently declines
-/// everything would pass the byte-compare vacuously), and with fusion
-/// forced off it must fuse nothing.
+/// experiment, scale and seed, a run with the fusion fast path forced
+/// on serializes to exactly the bytes of a run with every chain forced
+/// down the per-stage path — including the manifest's per-cause
+/// latency budget. The fast path must actually engage (a gate that
+/// silently declines everything would pass the byte-compare
+/// vacuously), and with fusion forced off it must fuse nothing.
 #[test]
 fn fusion_on_and_off_produce_identical_artifacts() {
     // All QD1 interrupt- or poll-chain experiments at ≤ 6 SSDs: one
-    // job per worker LP, so the single-plan runs satisfy the fusion
-    // gates. (ablate-coalescing would decline by design — QD4 with
-    // coalescing on — and is covered by the golden matrix instead.)
+    // job per worker LP, so the runs satisfy the fusion gates.
+    // (ablate-coalescing would decline by design — QD4 with coalescing
+    // on — and is covered by the golden matrix instead.)
     let names = ["fig06", "fig07", "fig08", "fig09", "fig11", "ablate-poll"];
     run_cases("fusion_on_and_off_produce_identical_artifacts", 6, |g| {
         let def = afa::core::experiment::find(names[g.usize_in(0, names.len() - 1)])
@@ -467,19 +338,8 @@ fn fusion_on_and_off_produce_identical_artifacts() {
             g.usize_in(1, 6),
             g.u64_in(0, 10_000),
         );
-        // Bias toward the single plan — the only one whose runs can
-        // fuse — but keep the multi-shard plans in the sample space:
-        // there the property degenerates to "forcing fusion on a plan
-        // that can't fuse changes nothing".
-        let spec = match g.usize_in(0, 5) {
-            0 => PlanSpec::Full,
-            1 => PlanSpec::Fused(g.usize_in(2, 8)),
-            _ => PlanSpec::Single,
-        };
         let run = |fuse: bool| {
             let _fusion = FusionOverride::set(fuse);
-            let _plan = PlanOverride::set(spec);
-            let _pin = ThreadsOverride::set(1);
             let before = afa::sim::metrics::fusion_totals();
             let json = afa::core::experiment::run_experiment(def, scale)
                 .to_json()
@@ -490,16 +350,14 @@ fn fusion_on_and_off_produce_identical_artifacts() {
         let (unfused_json, unfused_tally) = run(false);
         assert_eq!(
             fused_json, unfused_json,
-            "{} artifact diverged between fusion on and off under {spec:?}",
+            "{} artifact diverged between fusion on and off",
             def.name,
         );
-        if spec == PlanSpec::Single {
-            assert!(
-                fused_tally.fused_chains > 0,
-                "{}: single-plan run fused no chains — the fast path is dead",
-                def.name,
-            );
-        }
+        assert!(
+            fused_tally.fused_chains > 0,
+            "{}: run fused no chains — the fast path is dead",
+            def.name,
+        );
         assert_eq!(
             unfused_tally.fused_chains, 0,
             "{}: FusionOverride(false) still fused chains",
@@ -559,16 +417,16 @@ fn fusion_preserves_per_cause_ledger_sums() {
     });
 }
 
-/// A world for probing the cross-shard merge contract: `sources`
-/// shards fire bursts of cross events at one sink, with timestamps
-/// drawn from a coarse grid so same-instant collisions across sources
-/// are common. Each payload is the sender's running send counter —
-/// the per-channel `seq` of the merge key.
+/// A world for probing the cross-LP merge contract: LPs `1..` fire
+/// bursts of cross events at sink LP 0, with timestamps drawn from a
+/// coarse grid so same-instant collisions across sources are common.
+/// Each payload is the sender's running send counter — the
+/// per-channel `seq` of the merge key.
 struct Chatter {
-    id: usize,
-    /// Bursts this source still has to fire: (fire time, fan-out).
-    bursts: Vec<(SimTime, usize)>,
-    sent: u64,
+    /// Per-LP bursts still to fire: (fire time, fan-out), popped from
+    /// the back.
+    bursts: Vec<Vec<(SimTime, usize)>>,
+    sent: Vec<u64>,
     seen: Vec<(u64, usize, u64)>, // (time ns, src, payload) at the sink
 }
 
@@ -577,7 +435,8 @@ impl ShardWorld for Chatter {
     type Cross = u64;
 
     fn handle_local(&mut self, _event: (), ctx: &mut ShardCtx<'_, (), u64>) {
-        let Some((_, fanout)) = self.bursts.pop() else {
+        let lp = ctx.lp();
+        let Some((_, fanout)) = self.bursts[lp].pop() else {
             return;
         };
         for i in 0..fanout {
@@ -585,33 +444,32 @@ impl ShardWorld for Chatter {
             // shared across sources, so distinct (src, seq) pairs
             // collide on the timestamp — the tie the contract breaks.
             let at = ctx.now() + SimDuration::nanos(500) + SimDuration::nanos(100 * (i as u64 % 3));
-            ctx.send(0, at, self.sent);
-            self.sent += 1;
+            ctx.send(0, at, self.sent[lp]);
+            self.sent[lp] += 1;
         }
-        if let Some(&(t, _)) = self.bursts.last() {
+        if let Some(&(t, _)) = self.bursts[lp].last() {
             ctx.at(t, ());
         }
     }
 
     fn handle_cross(&mut self, src: usize, event: u64, ctx: &mut ShardCtx<'_, (), u64>) {
-        debug_assert_eq!(self.id, 0, "only the sink receives");
+        assert_eq!(ctx.lp(), 0, "only the sink receives");
         self.seen.push((ctx.now().as_nanos(), src, event));
     }
 }
 
 /// The merge ordering contract, clause 3: a receiver consumes cross
-/// events in exactly `(time, source shard id, per-channel seq)` order,
-/// for any burst pattern and any thread count — and the threaded
-/// driver observes the identical sequence the sequential one does.
+/// events in exactly `(time, source LP, per-channel seq)` order, for
+/// any burst pattern.
 #[test]
 fn cross_merge_respects_time_src_seq_order() {
     run_cases("cross_merge_respects_time_src_seq_order", 24, |g| {
         let sources = g.usize_in(2, 6);
         // Fire times on a coarse grid (sorted descending — Chatter
         // pops from the back) so sources frequently tie.
-        let mut plans: Vec<Vec<(SimTime, usize)>> = Vec::new();
+        let mut bursts: Vec<Vec<(SimTime, usize)>> = vec![Vec::new()];
         for _ in 0..sources {
-            let mut bursts: Vec<(SimTime, usize)> = (0..g.usize_in(1, 8))
+            let mut plan: Vec<(SimTime, usize)> = (0..g.usize_in(1, 8))
                 .map(|_| {
                     (
                         SimTime::ZERO + SimDuration::nanos(200 * g.u64_in(0, 12)),
@@ -619,59 +477,39 @@ fn cross_merge_respects_time_src_seq_order() {
                     )
                 })
                 .collect();
-            bursts.sort();
-            bursts.reverse();
-            plans.push(bursts);
+            plan.sort();
+            plan.reverse();
+            bursts.push(plan);
         }
-        let build = || {
-            let mut shards = vec![(
-                Chatter {
-                    id: 0,
-                    bursts: Vec::new(),
-                    sent: 0,
-                    seen: Vec::new(),
-                },
-                SimDuration::nanos(500),
-            )];
-            for (i, plan) in plans.iter().enumerate() {
-                shards.push((
-                    Chatter {
-                        id: i + 1,
-                        bursts: plan.clone(),
-                        sent: 0,
-                        seen: Vec::new(),
-                    },
-                    SimDuration::nanos(500),
-                ));
-            }
-            let mut sim = ShardedSim::new(shards);
-            for (i, plan) in plans.iter().enumerate() {
-                if let Some(&(t, _)) = plan.last() {
-                    sim.schedule(i + 1, t, ());
-                }
-            }
-            sim
-        };
-
-        let mut seq = build();
-        seq.run_sequential();
-        let seq_seen = std::mem::take(&mut seq.into_worlds()[0].seen);
-
-        // Clause 3: the consumed order IS the sorted merge-key order.
-        let mut sorted = seq_seen.clone();
-        sorted.sort();
-        assert_eq!(seq_seen, sorted, "sink consumed out of merge-key order");
-        let expected: u64 = plans
+        let expected: u64 = bursts
             .iter()
             .flatten()
             .map(|&(_, fanout)| fanout as u64)
             .sum();
-        assert_eq!(seq_seen.len() as u64, expected, "messages lost");
+        let firsts: Vec<Option<SimTime>> = bursts
+            .iter()
+            .map(|plan| plan.last().map(|&(t, _)| t))
+            .collect();
+        let lps = bursts.len();
+        let world = Chatter {
+            bursts,
+            sent: vec![0; lps],
+            seen: Vec::new(),
+        };
+        let mut sim = ShardedSim::new(world, vec![SimDuration::nanos(500); lps]);
+        for (lp, first) in firsts.into_iter().enumerate() {
+            if let Some(t) = first {
+                sim.schedule(lp, t, ());
+            }
+        }
+        sim.run();
+        let seen = sim.into_world().seen;
 
-        let mut par = build();
-        par.run_threaded(g.usize_in(2, 7));
-        let par_seen = std::mem::take(&mut par.into_worlds()[0].seen);
-        assert_eq!(seq_seen, par_seen, "threaded driver diverged");
+        // Clause 3: the consumed order IS the sorted merge-key order.
+        let mut sorted = seen.clone();
+        sorted.sort();
+        assert_eq!(seen, sorted, "sink consumed out of merge-key order");
+        assert_eq!(seen.len() as u64, expected, "messages lost");
     });
 }
 
