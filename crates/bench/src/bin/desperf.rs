@@ -4,7 +4,7 @@
 //! Each entry captures the substrate hot-path micro-benches
 //! (`queue_push_pop_1k`, `queue_push_pop_64k`, `histogram_record`,
 //! `frontend_fanout_64` — the exact same bodies
-//! `cargo bench --bench micro` runs) plus three pinned end-to-end
+//! `cargo bench --bench micro` runs) plus five pinned end-to-end
 //! runs: fig06 (10 s × 64 SSDs, seed 42), the request-serving
 //! tailscale-fanout sweep (0.5 s × 16 SSDs, seed 42), the
 //! fleet-arrival tenant ladder (1 s × 8 SSDs, seed 42 — the
@@ -15,14 +15,11 @@
 //! ull-crossover completion-model grid
 //! (0.25 s × 8 SSDs, seed 42 — 30 runs spanning both device profiles
 //! and all three completion models, so the polled reap path stays in
-//! the trajectory), and the event-fusion probe (fig06 at 10 s ×
-//! 8 SSDs, seed 42 — one job per worker LP so the macro-event fast
-//! path engages; records events/sec, events per latency sample, and
-//! fused/defused chain counts), each with its wall-clock and
-//! events/sec, recorded alongside the host's core count. Because the
-//! scales are pinned, entries are comparable across commits: the file
-//! is the perf trajectory of the event queue, histogram, serving layer
-//! and I/O-path engine over the repo's history.
+//! the trajectory), each with its wall-clock and events/sec, recorded
+//! alongside the host's core count. Because the scales are pinned,
+//! entries are comparable across commits: the file is the perf
+//! trajectory of the event queue, histogram, serving layer and I/O-path
+//! engine over the repo's history.
 //!
 //! Usage:
 //!
@@ -37,10 +34,10 @@
 //! and gates its events/sec (80% floor), its peak slab bytes
 //! (110% ceiling) and its 1M/10k rate ratio ([0.8, 1.2] band), plus
 //! the fleet-failover grid's and the ull-crossover grid's events/sec
-//! (80% floors), plus the event-fusion probe (events/sample budget of
-//! 4.0, 80% events/sec floor, and ≥ 1.15× the fleet-failover grid's
-//! same-host events/sec), each skipping gracefully when the committed
-//! trajectory predates its keys.
+//! (80% floors), each skipping gracefully when the committed
+//! trajectory predates its keys. Older entries also carry
+//! `event_fusion_*` keys from a retired fig06 fusion probe; new
+//! entries omit them.
 
 use std::time::Instant;
 
@@ -203,79 +200,6 @@ fn run_ull_crossover() -> f64 {
     events_per_sec
 }
 
-/// The pinned event-fusion scale: fig06 at 10 s × 8 SSDs, seed 42 —
-/// eight jobs over eight worker LPs is one job per LP, so the QD1
-/// interrupt chains satisfy the fusion gates (the 64-SSD trajectory
-/// scale packs 8 jobs per LP and never fuses). Same comparability
-/// rule as [`trajectory_scale`].
-fn event_fusion_scale() -> ExperimentScale {
-    ExperimentScale::new(SimDuration::from_secs_f64(10.0), 8, 42)
-}
-
-/// One event-fusion measurement.
-struct FusionMeasurement {
-    events_per_sec: f64,
-    /// Scheduled (popped) events per latency sample — the fig06
-    /// events/io figure the fusion fast path exists to shrink: ~7
-    /// per-stage events unfused, ≤ 4 with chains fused into one
-    /// settlement macro-event (samples also ride on a background of
-    /// non-I/O events, so the quotient never reaches the ideal).
-    events_per_sample: f64,
-    fused_chains: u64,
-    defused_chains: u64,
-}
-
-/// Runs the pinned event-fusion probe best-of-3. Three passes for the
-/// same reason as [`run_fleet_ladder`]: the probe's ~1.5 s wall is
-/// short enough that one descheduling swings its events/sec by ±10% on
-/// a shared host, and this figure feeds a relative gate (≥ 1.15× the
-/// failover grid). The event, sample and fusion-counter totals are
-/// deterministic across passes.
-fn run_event_fusion() -> FusionMeasurement {
-    let def = experiment::find("fig06").expect("fig06 registered");
-    let scale = event_fusion_scale();
-    println!(
-        "event-fusion fig06 at {:.1}s x {} SSDs, seed {} (best of 3) ...",
-        scale.runtime.as_secs_f64(),
-        scale.ssds,
-        scale.seed
-    );
-    let mut best_wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut samples = 0u64;
-    let mut fusion = afa_sim::metrics::FusionCounters::default();
-    for _ in 0..3 {
-        let events_before = afa_sim::metrics::events_processed_total();
-        let fusion_before = afa_sim::metrics::fusion_totals();
-        let t0 = Instant::now();
-        let result = def.run(scale);
-        let wall = t0.elapsed().as_secs_f64();
-        best_wall = best_wall.min(wall);
-        events = afa_sim::metrics::events_processed_total() - events_before;
-        fusion = afa_sim::metrics::fusion_totals().since(&fusion_before);
-        samples = result.samples();
-    }
-    let m = FusionMeasurement {
-        events_per_sec: events as f64 / best_wall.max(1e-9),
-        events_per_sample: events as f64 / samples.max(1) as f64,
-        fused_chains: fusion.fused_chains,
-        defused_chains: fusion.defused_chains,
-    };
-    println!(
-        "event-fusion: {:.2}s wall (best of 3), {} samples, {} events ({:.2} events/sample), \
-         {:.0} events/sec, {} chains fused, {} defused, {} events elided",
-        best_wall,
-        samples,
-        events,
-        m.events_per_sample,
-        m.events_per_sec,
-        m.fused_chains,
-        m.defused_chains,
-        fusion.elided_events
-    );
-    m
-}
-
 fn median_ns(harness: &Harness, name: &str) -> f64 {
     harness
         .results()
@@ -314,9 +238,8 @@ fn main() {
         );
         let existing = std::fs::read_to_string(path).unwrap_or_default();
         check_fleet(&existing);
-        let failover_eps = check_fleet_failover(&existing);
+        check_fleet_failover(&existing);
         check_ull(&existing);
-        check_event_fusion(&existing, failover_eps);
         return;
     }
 
@@ -360,9 +283,6 @@ fn main() {
     println!();
     let ull_eps = run_ull_crossover();
 
-    println!();
-    let fusion = run_event_fusion();
-
     let entry = Json::obj([
         ("label", Json::str(&label)),
         (
@@ -398,19 +318,6 @@ fn main() {
             Json::f64(fleet_failover_eps),
         ),
         ("ull_crossover_events_per_sec", Json::f64(ull_eps)),
-        (
-            "event_fusion_events_per_sec",
-            Json::f64(fusion.events_per_sec),
-        ),
-        (
-            "event_fusion_events_per_sample",
-            Json::f64(fusion.events_per_sample),
-        ),
-        ("event_fusion_fused_chains", Json::u64(fusion.fused_chains)),
-        (
-            "event_fusion_defused_chains",
-            Json::u64(fusion.defused_chains),
-        ),
     ]);
 
     let rendered = append_entry(&std::fs::read_to_string(path).unwrap_or_default(), &entry);
@@ -531,14 +438,13 @@ fn check_fleet(existing: &str) {
 /// must hold 80% of the last committed measurement — it is the only
 /// throughput coverage for the network-hop, failover and
 /// re-replication paths. Skipped with a note when the trajectory
-/// predates the key. Returns the measured events/sec so the
-/// event-fusion gate can compare against a same-host figure.
-fn check_fleet_failover(existing: &str) -> Option<f64> {
+/// predates the key.
+fn check_fleet_failover(existing: &str) {
     let Some(base_eps) = last_f64_key(existing, "\"fleet_failover_events_per_sec\":") else {
         println!(
             "fleet-failover gate: skipped (no fleet-failover key in the committed trajectory yet)"
         );
-        return None;
+        return;
     };
     let eps = run_fleet_failover();
     let floor = 0.8 * base_eps;
@@ -552,73 +458,6 @@ fn check_fleet_failover(existing: &str) -> Option<f64> {
     println!(
         "fleet-failover OK: {eps:.0} events/sec ({:+.1}% vs baseline)",
         100.0 * (eps / base_eps - 1.0)
-    );
-    Some(eps)
-}
-
-/// The event-fusion gate, in three parts. (1) The event-count budget:
-/// the pinned fig06 fusion probe must schedule at most 4 events per
-/// latency sample — the unfused chain pays ~7, so a broken fusion
-/// gate (one that silently declines everything) fails here even
-/// though the artifacts stay byte-identical. (2) Throughput must hold
-/// 90% of the last committed measurement, like the other entries.
-/// (3) When the fleet-failover gate just measured this host, the
-/// fused run must also beat that grid's events/sec by ≥ 1.15× — a
-/// same-host, same-process relative floor that survives slow CI
-/// machines where absolute numbers mean nothing. Skipped with a note
-/// when the trajectory predates the keys.
-fn check_event_fusion(existing: &str, failover_eps: Option<f64>) {
-    let Some(base_eps) = last_f64_key(existing, "\"event_fusion_events_per_sec\":") else {
-        println!(
-            "event-fusion gate: skipped (no event-fusion key in the committed trajectory yet)"
-        );
-        return;
-    };
-    let m = run_event_fusion();
-    if m.events_per_sample > 4.0 {
-        eprintln!(
-            "event-fusion budget regression: {:.2} events/sample exceeds the budget of 4.0 \
-             — the macro-event fast path is no longer eliding the per-stage chain",
-            m.events_per_sample
-        );
-        std::process::exit(1);
-    }
-    if m.fused_chains == 0 {
-        eprintln!(
-            "event-fusion regression: the pinned fig06 probe fused no chains — every \
-             submit declined the fast path"
-        );
-        std::process::exit(1);
-    }
-    let floor = 0.8 * base_eps;
-    if m.events_per_sec < floor {
-        eprintln!(
-            "event-fusion regression: {:.0} events/sec is more than 20% below the \
-             committed baseline {base_eps:.0} (floor {floor:.0})",
-            m.events_per_sec
-        );
-        std::process::exit(1);
-    }
-    if let Some(failover) = failover_eps {
-        let rel_floor = 1.15 * failover;
-        if m.events_per_sec < rel_floor {
-            eprintln!(
-                "event-fusion regression: {:.0} events/sec does not clear 1.15x the \
-                 fleet-failover grid's {failover:.0} measured on this host (floor \
-                 {rel_floor:.0}) — fused settlement should beat the unfused multi-hop grid",
-                m.events_per_sec
-            );
-            std::process::exit(1);
-        }
-    }
-    println!(
-        "event-fusion OK: {:.0} events/sec ({:+.1}% vs baseline), {:.2} events/sample \
-         (budget 4.0), {} chains fused, {} defused",
-        m.events_per_sec,
-        100.0 * (m.events_per_sec / base_eps - 1.0),
-        m.events_per_sample,
-        m.fused_chains,
-        m.defused_chains
     );
 }
 

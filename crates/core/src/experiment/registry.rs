@@ -646,8 +646,9 @@ pub fn run_experiment(def: &ExperimentDef, scale: ExperimentScale) -> Experiment
     let clamped_past_schedules = afa_sim::metrics::clamped_past_total() - clamped_before;
     let frontend = afa_sim::metrics::frontend_totals().since(&frontend_before);
     let fleet = afa_sim::metrics::fleet_totals().since(&fleet_before);
-    // Measured after the probe on purpose: the probe fuses too, and
-    // the table row should reflect everything this run scheduled.
+    // Measured after the probe, like the other table rows: the row
+    // reflects everything this run scheduled. The probe itself is
+    // libaio, and interrupt chains never fuse.
     let fusion = afa_sim::metrics::fusion_totals().since(&fusion_before);
 
     let samples = result.samples();
@@ -818,16 +819,16 @@ mod tests {
 
     #[test]
     fn fusion_counters_are_table_only() {
-        // fig06 at quick scale runs one job per LP, so the fusion fast
-        // path must engage — and its
+        // ablate-poll's busy-polled half at quick scale runs one job
+        // per LP, so the fusion fast path must engage — and its
         // counters must stay out of the byte-stable JSON, because the
         // fusion contract is that artifacts are identical with fusion
         // on or off (a `fusion` key would differ between the two).
-        let def = find("fig06").expect("fig06 registered");
+        let def = find("ablate-poll").expect("ablate-poll registered");
         let run = run_experiment(def, ExperimentScale::quick());
         assert!(
             run.manifest.fusion.fused_chains > 0,
-            "fusion never engaged on a QD1 run"
+            "fusion never engaged on a polled QD1 run"
         );
         assert!(
             run.manifest.fusion.elided_events > 0,

@@ -96,15 +96,6 @@ const CORES_PER_SOCKET_PAIR: usize = 20;
 /// arrival instant.
 const BG_PLACE_LATENCY: SimDuration = SimDuration::micros(1);
 
-/// Safety margin the fusion fast path keeps between a predicted
-/// settlement and the balancer's next reshuffle: any interrupt routed
-/// before the settlement carries a timestamp at most a shared-leg
-/// transit past its event time, so requiring
-/// `wake_ready + REBALANCE_GUARD < next_rebalance` guarantees no route
-/// processed while the chain is pending can fire the balancer's RNG
-/// (which a frozen preview could not have seen).
-const REBALANCE_GUARD: SimDuration = SimDuration::millis(1);
-
 /// The worker LP owning logical CPU `cpu` (never [`HUB_LP`]).
 /// Hyper-siblings map to the same LP, so whole physical cores — and
 /// every device/job pinned to them — stay with one LP.
@@ -138,8 +129,8 @@ pub(crate) enum Local {
     /// Background workload arrival (hub).
     BgArrival,
     /// Settle a fused macro-event: replay the job's precomputed
-    /// completion — commit, deliver, wake, reap, next issue — in one
-    /// shot (worker; see [`IoPathWorld::fuse_submit`]).
+    /// polled completion — commit, reap, next issue — in one shot
+    /// (worker; see [`IoPathWorld::fuse_submit`]).
     Settle { job: usize },
 }
 
@@ -256,45 +247,27 @@ pub(crate) enum Cross {
     CpuBusy { cpu: CpuId, until: SimTime },
 }
 
-/// The frozen interrupt leg of a fused chain: the routing and handler
-/// outcome previewed at fuse time, re-validated (debug builds) when
-/// the settlement replays them for real.
-#[derive(Debug)]
-struct FusedIrq {
-    delivery: IrqDelivery,
-    designated: CpuId,
-    /// Predicted handler outcome; `outcome.wake_ready` is the chain's
-    /// settlement instant.
-    outcome: IrqOutcome,
-    /// The handler's state mutations already ran: hook A executes the
-    /// deferred delivery just before installing a background burst on
-    /// the vector core, preserving the real deliver-then-install
-    /// order. The settlement then uses `outcome` verbatim.
-    delivered: bool,
-}
-
-/// One speculative macro-event: an I/O whose entire
-/// submit→fabric→device→(irq|poll)→wake→complete timeline was
-/// precomputed at submit time because every resource it touches is
-/// provably uncontended over its horizon. The private device-side
-/// legs already ran eagerly; the shared-leg reservation and the
-/// interrupt preview are frozen here until the single `Local::Settle`
-/// event replays the completion side — or contention de-fuses the
-/// chain back into per-stage events at the point of divergence.
+/// One speculative macro-event: a polled I/O whose entire
+/// submit→fabric→device→poll→complete timeline was precomputed at
+/// submit time because every resource it touches is provably
+/// uncontended over its horizon. The private device-side legs already
+/// ran eagerly; the shared-leg reservation is frozen here until the
+/// single `Local::Settle` event replays the reap — or contention
+/// de-fuses the chain back into per-stage events at the point of
+/// divergence.
 #[derive(Debug)]
 struct FusedChain {
-    /// When the completion settles (predicted `wake_ready`, or the
-    /// poll event instant). Re-previews move it; the stale `Settle`
-    /// event is skipped by an instant-match guard.
+    /// The instant the real `PollComplete` would fire. A chain flushed
+    /// early by hook A or de-fused by hook B leaves its `Settle` event
+    /// behind; an instant-match guard skips it.
     settle_at: SimTime,
-    device: usize,
     issued_at: SimTime,
     ledger: LedgerId,
     /// When the completion payload reaches the leaf switch — the
     /// instant the chain's real `FabricUp` would fire, and the replay
     /// point for every de-fuse.
     t_leaf: SimTime,
-    /// When the CQE (and MSI, for interrupt chains) lands host-side.
+    /// When the CQE lands host-side.
     at_host: SimTime,
     fabric_shared: SimDuration,
     model: CompletionModel,
@@ -304,8 +277,6 @@ struct FusedChain {
     /// settlement, whichever comes first.
     reservation: SharedLegReservation,
     committed: bool,
-    /// `Some` for interrupt chains, `None` for polled ones.
-    irq: Option<FusedIrq>,
 }
 
 /// Per-run fusion counters, harvested into
@@ -316,8 +287,9 @@ pub(crate) struct FusionTally {
     pub(crate) fused: u64,
     /// Fused chains torn back into per-stage events by contention.
     pub(crate) defused: u64,
-    /// Per-stage events the settled macro-events replaced (4 per
-    /// interrupt chain, 3 per polled chain).
+    /// Per-stage events the settled macro-events replaced (3 per
+    /// chain: `CommandAtDevice`, `DeviceDone` and `FabricUp` collapse
+    /// with `PollComplete` into one `Settle`).
     pub(crate) elided: u64,
 }
 
@@ -336,9 +308,9 @@ pub(crate) struct IoPathWorld {
     pub(crate) tracers: Option<Vec<crate::blktrace::TraceRecorder>>,
     /// Per-worker-LP ledger-log windows (same invariance argument).
     pub(crate) ledger_logs: Option<Vec<LedgerLog>>,
-    /// Per-worker-LP completion-model tallies (interrupt reaps, poll
-    /// reaps, hybrid oversleeps), indexed by the job's owning LP.
-    pub(crate) completions: Vec<CompletionCounters>,
+    /// Completion-model tally of the run (interrupt reaps, poll
+    /// reaps, hybrid oversleeps).
+    pub(crate) completions: CompletionCounters,
     geometry: CpuSsdGeometry,
     horizon: SimTime,
     afa_socket: u16,
@@ -379,8 +351,8 @@ pub(crate) struct IoPathWorld {
     /// Jobs targeting each device (fusion requires a private device).
     device_job_count: Vec<u32>,
     /// Jobs owned by each worker LP (fusion requires a private LP:
-    /// no foreign job's CPU state can interleave with the frozen
-    /// completion preview).
+    /// no foreign job's wake or reap can interleave with the
+    /// settlement on the reaping core pair).
     lp_job_count: [u32; WORKER_LPS],
 }
 
@@ -435,7 +407,7 @@ impl IoPathWorld {
             causes,
             tracers: tracer.map(|t| vec![t; WORKER_LPS]),
             ledger_logs: ledger_log.map(|l| vec![l; WORKER_LPS]),
-            completions: vec![CompletionCounters::default(); WORKER_LPS],
+            completions: CompletionCounters::default(),
             job_lp,
             job_of_device,
             next_allowed: vec![SimTime::ZERO; jobs_len],
@@ -769,7 +741,7 @@ impl IoPathWorld {
         let cpu = self.geometry.cpu_of_ssd(device);
         let policy = self.jobs[job].spec().policy();
         let work = COMPLETE_COST + self.jobs[job].spec().logging_cpu_overhead();
-        self.completions[self.job_lp[job]].interrupts += batch.as_slice().len() as u64;
+        self.completions.interrupts += batch.as_slice().len() as u64;
         let first = batch.first();
         let run_start = {
             let led = &mut self.ledger_slab[first.ledger as usize];
@@ -816,11 +788,10 @@ impl IoPathWorld {
             led.accrue(Cause::Fabric, fabric_shared);
             complete::poll_reap(&mut self.host, cpu, model, issued_at, at_host, work, led)
         };
-        let tally = &mut self.completions[self.job_lp[job]];
-        tally.polls += 1;
+        self.completions.polls += 1;
         if let CompletionModel::Hybrid { sleep } = model {
             if issued_at + sleep > at_host {
-                tally.hybrid_sleeps += 1;
+                self.completions.hybrid_sleeps += 1;
             }
         }
         self.finish_io(job, issued_at, done, id);
@@ -828,7 +799,7 @@ impl IoPathWorld {
     }
 
     // ------------------------------------------------------------------
-    // Macro-event fusion (see DESIGN.md §6)
+    // Macro-event fusion of polled chains (see DESIGN.md §6.2)
     // ------------------------------------------------------------------
 
     /// The cheap, declinable half of the fusion gate: conditions under
@@ -837,6 +808,10 @@ impl IoPathWorld {
     /// Failing any of these takes the plain per-stage path.
     fn fusion_candidate(&self, job: usize, device: usize) -> bool {
         self.fusion_enabled
+            // Polled and hybrid chains only: fusing an interrupt chain
+            // would mean freezing its MSI-X route and handler timing,
+            // and no measured workload paid for that (DESIGN.md §6.2).
+            && self.model_of(job).parks_thread()
             // Coalescing batches completions across I/Os on the hub.
             && self.coalescing.is_none()
             // Capture windows admit by per-LP arrival order, which a
@@ -850,8 +825,7 @@ impl IoPathWorld {
             // chain's alone.
             && self.device_job_count[device] == 1
             // Private worker LP: no foreign job's submit/wake/reap can
-            // interleave with the completion-side state the preview
-            // froze.
+            // interleave with the reaping CPU's state.
             && self.lp_job_count[self.job_lp[job]] == 1
             && self.fused[job].is_none()
     }
@@ -859,9 +833,9 @@ impl IoPathWorld {
     /// The speculative fast path (hub, at `SubmitDown` time, after the
     /// real shared down-leg claim): run the private device-side legs
     /// eagerly, then — if the completion side is provably uncontended —
-    /// freeze the rest of the timeline into a [`FusedChain`] and book
-    /// one [`Local::Settle`] macro-event in place of the 4 (interrupt)
-    /// or 3 (poll) per-stage events.
+    /// freeze the rest of the polled timeline into a [`FusedChain`] and
+    /// book one [`Local::Settle`] macro-event in place of the 3
+    /// per-stage events.
     ///
     /// The private legs are exact regardless of what the completion
     /// side decides: the device, its links and the parked ledger are
@@ -902,15 +876,14 @@ impl IoPathWorld {
             led,
         );
         let cross_socket = self.host.topology().socket_of(cpu) != self.afa_socket;
-        let polled = model.parks_thread();
         // Completion-side gate: every check is against state frozen
         // until the settlement by construction (the gates themselves
         // plus hooks A and B), so a pass makes the precomputed
         // timeline exact.
         let fused = 'gate: {
-            let Some(r) =
-                self.fabric
-                    .preview_completion_shared_legs(device, t_leaf, bytes as u64, polled)
+            let Some(r) = self
+                .fabric
+                .preview_completion_shared_legs(device, t_leaf, bytes as u64)
             else {
                 break 'gate None;
             };
@@ -938,90 +911,30 @@ impl IoPathWorld {
             let Some(vt) = self.host.vectors() else {
                 break 'gate None;
             };
+            // No interrupt-driven device may point its effective
+            // vector at the reap core pair: a foreign handler there is
+            // a keyed cross event, so at the settlement instant it
+            // would always run before the plain `Settle` event, while
+            // the real keyed `PollComplete` could sort ahead of it —
+            // the reaping CPU's state would diverge.
             let sib_c = self.host.topology().sibling_of(cpu);
-            let irq = if model.uses_irq_path() {
-                // The routing must be deterministic from current state
-                // (no pending reshuffle) …
-                let Some(delivery) = vt.preview_route(device, at_host) else {
-                    break 'gate None;
-                };
-                // … and stay deterministic until the settlement: any
-                // route processed before it carries a timestamp well
-                // inside the guard margin, so none can trip the
-                // balancer RNG the preview could not see.
-                let designated = vt.designated(device);
-                let v = delivery.vector_cpu;
-                let sib_v = self.host.topology().sibling_of(v);
-                let outcome = self
-                    .host
-                    .preview_irq_delivery(delivery, designated, at_host);
-                if vt.is_balanced() && outcome.wake_ready + REBALANCE_GUARD >= vt.next_rebalance() {
+            for d2 in 0..self.devices.len() {
+                if d2 == device {
+                    continue;
+                }
+                let j2 = self.job_of_device[d2];
+                if j2 == usize::MAX || !self.model_of(j2).uses_irq_path() {
+                    continue;
+                }
+                let eff = vt.effective(d2);
+                if eff == cpu || eff == sib_c {
                     break 'gate None;
                 }
-                // The vector core must host no foreign job: a foreign
-                // wake on it could consume the RNG draws and busy
-                // windows the preview froze.
-                for (j2, other) in self.jobs.iter().enumerate() {
-                    if j2 == job {
-                        continue;
-                    }
-                    let c2 = self.geometry.cpu_of_ssd(other.spec().device());
-                    if c2 == v || c2 == sib_v {
-                        break 'gate None;
-                    }
-                }
-                // No other interrupt-driven device may point its
-                // effective vector at the chain's vector or reap core
-                // pairs: a same-instant foreign delivery is keyed and
-                // would sort *before* the plain settlement event,
-                // diverging from the real (keyed) completion order.
-                for d2 in 0..self.devices.len() {
-                    if d2 == device {
-                        continue;
-                    }
-                    let j2 = self.job_of_device[d2];
-                    if j2 == usize::MAX || !self.model_of(j2).uses_irq_path() {
-                        continue;
-                    }
-                    let eff = vt.effective(d2);
-                    if eff == v || eff == sib_v || eff == cpu || eff == sib_c {
-                        break 'gate None;
-                    }
-                }
-                Some(FusedIrq {
-                    delivery,
-                    designated,
-                    outcome,
-                    delivered: false,
-                })
-            } else {
-                // Polled chains still need the reap core pair clear of
-                // foreign effective vectors (same keyed-vs-plain
-                // ordering argument for the reaping CPU's state).
-                for d2 in 0..self.devices.len() {
-                    if d2 == device {
-                        continue;
-                    }
-                    let j2 = self.job_of_device[d2];
-                    if j2 == usize::MAX || !self.model_of(j2).uses_irq_path() {
-                        continue;
-                    }
-                    let eff = vt.effective(d2);
-                    if eff == cpu || eff == sib_c {
-                        break 'gate None;
-                    }
-                }
-                None
-            };
-            let settle_at = match &irq {
-                Some(f) => f.outcome.wake_ready,
+            }
+            Some(FusedChain {
                 // The instant the real `PollComplete` event would
                 // fire (its handler works off the carried `at_host`).
-                None => at_host.max(t_leaf + self.hub_lookahead()),
-            };
-            Some(FusedChain {
-                settle_at,
-                device,
+                settle_at: at_host.max(t_leaf + self.hub_lookahead()),
                 issued_at: start,
                 ledger: id,
                 t_leaf,
@@ -1031,7 +944,6 @@ impl IoPathWorld {
                 cross_socket,
                 reservation: r,
                 committed: false,
-                irq,
             })
         };
         match fused {
@@ -1063,9 +975,8 @@ impl IoPathWorld {
     }
 
     /// Worker: a settlement macro-event fired. The instant guard
-    /// drops stale pops — a re-preview moved the settlement, a
-    /// background install flushed it early, or contention de-fused the
-    /// chain entirely.
+    /// drops stale pops — a background install flushed the chain
+    /// early, or contention de-fused it.
     fn on_settle(&mut self, job: usize, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         if self.fused[job].as_ref().is_none_or(|c| c.settle_at != now) {
@@ -1075,9 +986,8 @@ impl IoPathWorld {
     }
 
     /// Replays a fused chain's completion side in one shot: commit the
-    /// shared legs (if hook B hasn't already), run the real interrupt
-    /// route + delivery (validated against the frozen preview), then
-    /// the verbatim wake/reap — or poll-reap — handler.
+    /// shared legs (if hook B hasn't already), then run the verbatim
+    /// poll-reap handler.
     fn settle_fused(&mut self, job: usize, ctx: &mut Ctx<'_>) {
         let chain = self.fused[job].take().expect("settling job has a chain");
         self.fused_live -= 1;
@@ -1085,40 +995,16 @@ impl IoPathWorld {
             self.fabric
                 .commit_completion_shared_legs(&chain.reservation);
         }
-        self.fused_tally.elided += if chain.irq.is_some() { 4 } else { 3 };
-        match chain.irq {
-            Some(f) => {
-                let irq = if f.delivered {
-                    f.outcome
-                } else {
-                    let (delivery, designated) = self.host.route_irq(chain.device, chain.at_host);
-                    debug_assert_eq!(delivery, f.delivery, "fused route diverged");
-                    debug_assert_eq!(designated, f.designated, "fused designated CPU diverged");
-                    let irq = self
-                        .host
-                        .deliver_irq_routed(delivery, designated, chain.at_host);
-                    debug_assert_eq!(irq, f.outcome, "fused handler outcome diverged");
-                    irq
-                };
-                let entry = CqEntry {
-                    issued_at: chain.issued_at,
-                    ledger: chain.ledger,
-                    fabric_shared: chain.fabric_shared,
-                };
-                self.on_wake_reap(job, irq, chain.at_host, CqBatch::One(entry), ctx);
-            }
-            None => {
-                self.on_poll_complete(
-                    job,
-                    chain.issued_at,
-                    chain.ledger,
-                    chain.fabric_shared,
-                    chain.at_host,
-                    chain.model,
-                    ctx,
-                );
-            }
-        }
+        self.fused_tally.elided += 3;
+        self.on_poll_complete(
+            job,
+            chain.issued_at,
+            chain.ledger,
+            chain.fabric_shared,
+            chain.at_host,
+            chain.model,
+            ctx,
+        );
     }
 
     /// Tears a pending chain back into per-stage events at the point
@@ -1195,127 +1081,32 @@ impl IoPathWorld {
         }
     }
 
-    /// Hook A, pre-install: a background burst is about to land on
-    /// `p_cpu`. Two real orderings must be replayed before it:
-    ///
-    /// 1. Chains whose interrupt handler already (logically) ran on
-    ///    this core pair — `at_host` at or before this instant — get
-    ///    their deferred delivery executed now, so its state
-    ///    mutations land before the install exactly as the real
-    ///    `IrqDeliver` did.
-    /// 2. Chains settling at exactly this instant whose real
-    ///    completion event precedes the keyed `BgPlace` in the merge
-    ///    order are settled now, acting as their owning LP (interrupt
-    ///    completions always precede it — their source LP is a
-    ///    worker's; polled ones by the hub channel's dst/seq rule).
-    fn flush_fused_before_install(&mut self, p_cpu: CpuId, now: SimTime, ctx: &mut Ctx<'_>) {
-        let sib = self.host.topology().sibling_of(p_cpu);
-        let mut deliver: Vec<usize> = Vec::new();
-        for (job, chain) in self.fused.iter().enumerate() {
-            let Some(c) = chain else { continue };
-            let Some(f) = &c.irq else { continue };
-            if f.delivered {
-                continue;
-            }
-            let v = f.delivery.vector_cpu;
-            if v != p_cpu && v != sib {
-                continue;
-            }
-            if c.at_host < now || (c.at_host == now && c.t_leaf + BG_PLACE_LATENCY <= now) {
-                deliver.push(job);
-            }
-        }
-        for job in deliver {
-            let (device, at_host) = {
-                let c = self.fused[job].as_ref().expect("deferred delivery");
-                (c.device, c.at_host)
-            };
-            let (delivery, designated) = self.host.route_irq(device, at_host);
-            let irq = self.host.deliver_irq_routed(delivery, designated, at_host);
-            let c = self.fused[job].as_mut().expect("deferred delivery");
-            let f = c.irq.as_mut().expect("interrupt chain");
-            debug_assert_eq!(delivery, f.delivery, "fused route diverged");
-            debug_assert_eq!(designated, f.designated, "fused designated CPU diverged");
-            debug_assert_eq!(irq, f.outcome, "fused handler outcome diverged");
-            f.outcome = irq;
-            f.delivered = true;
-            if c.settle_at != irq.wake_ready {
-                // Unreachable when the asserts hold; keep release
-                // builds self-consistent anyway.
-                c.settle_at = irq.wake_ready;
-                ctx.at_lp(self.job_lp[job], c.settle_at, Local::Settle { job });
-            }
-        }
-        let p_lp = lp_of_cpu(p_cpu);
-        let mut flush: Vec<(usize, usize, u64, usize)> = Vec::new();
+    /// Hook A, pre-install: a background burst is about to land on a
+    /// CPU owned by `p_lp`. Chains settling at exactly this instant
+    /// whose real `PollComplete` precedes the keyed `BgPlace` in the
+    /// merge order are settled now, acting as their owning LP. Both
+    /// events are sent by the hub, so the real completion precedes the
+    /// install iff its destination LP is lower, or — same channel — iff
+    /// it was sent (at `t_leaf`) no later than the `BgPlace`.
+    fn flush_fused_before_install(&mut self, p_lp: usize, now: SimTime, ctx: &mut Ctx<'_>) {
+        let mut flush: Vec<(usize, usize)> = Vec::new();
         for (job, chain) in self.fused.iter().enumerate() {
             let Some(c) = chain else { continue };
             if c.settle_at != now {
                 continue;
             }
             let dst = self.job_lp[job];
-            match &c.irq {
-                // Real `WakeReap`: keyed, worker source — always
-                // before the hub-sourced `BgPlace`.
-                Some(f) => flush.push((
-                    lp_of_cpu(f.delivery.vector_cpu),
-                    dst,
-                    c.t_leaf.as_nanos(),
-                    job,
-                )),
-                // Real `PollComplete` shares the hub source: it
-                // precedes the install iff its destination LP is
-                // lower, or — same channel — iff it was sent (at
-                // `t_leaf`) no later than the `BgPlace`.
-                None => {
-                    if dst < p_lp || (dst == p_lp && c.t_leaf + BG_PLACE_LATENCY <= now) {
-                        flush.push((HUB_LP, dst, c.t_leaf.as_nanos(), job));
-                    }
-                }
+            if dst < p_lp || (dst == p_lp && c.t_leaf + BG_PLACE_LATENCY <= now) {
+                flush.push((dst, job));
             }
         }
+        // One fused job per LP (the private-LP gate): destination
+        // order is the hub channels' merge order.
         flush.sort_unstable();
-        for (_, dst, _, job) in flush {
+        for (dst, job) in flush {
             let prev = ctx.set_acting_lp(dst);
             self.settle_fused(job, ctx);
             ctx.set_acting_lp(prev);
-        }
-    }
-
-    /// Hook A, post-install: the burst on `p_cpu` changes the
-    /// predicted handler outcome of any chain whose interrupt has not
-    /// yet (logically) been delivered on this core pair — recompute
-    /// the preview against post-install state and move the settlement
-    /// (the stale event is skipped by the instant guard). Never
-    /// de-fuses and never replays the delivery.
-    fn repreview_fused_after_install(&mut self, p_cpu: CpuId, now: SimTime, ctx: &mut Ctx<'_>) {
-        let sib = self.host.topology().sibling_of(p_cpu);
-        let mut updates: Vec<(usize, IrqOutcome)> = Vec::new();
-        for (job, chain) in self.fused.iter().enumerate() {
-            let Some(c) = chain else { continue };
-            let Some(f) = &c.irq else { continue };
-            if f.delivered {
-                continue;
-            }
-            let v = f.delivery.vector_cpu;
-            if v != p_cpu && v != sib {
-                continue;
-            }
-            debug_assert!(c.at_host >= now, "undelivered chain behind the clock");
-            updates.push((
-                job,
-                self.host
-                    .preview_irq_delivery(f.delivery, f.designated, c.at_host),
-            ));
-        }
-        for (job, outcome) in updates {
-            let c = self.fused[job].as_mut().expect("re-previewed chain");
-            let f = c.irq.as_mut().expect("interrupt chain");
-            f.outcome = outcome;
-            if c.settle_at != outcome.wake_ready {
-                c.settle_at = outcome.wake_ready;
-                ctx.at_lp(self.job_lp[job], c.settle_at, Local::Settle { job });
-            }
         }
     }
 }
@@ -1458,17 +1249,12 @@ impl ShardWorld for IoPathWorld {
             }
             Cross::BgPlace { placement } => {
                 let now = ctx.now();
-                let p_cpu = placement.cpu;
-                // Hook A around the install: flush and deliver what
-                // the real order puts before it, then re-preview what
-                // the burst invalidates.
+                // Hook A: settle what the real order puts before the
+                // install.
                 if self.fused_live > 0 {
-                    self.flush_fused_before_install(p_cpu, now, ctx);
+                    self.flush_fused_before_install(lp_of_cpu(placement.cpu), now, ctx);
                 }
                 self.host.install_background(placement, now);
-                if self.fused_live > 0 {
-                    self.repreview_fused_after_install(p_cpu, now, ctx);
-                }
             }
             Cross::CpuBusy { cpu, until } => {
                 self.host.note_io_busy(cpu, until);

@@ -15,7 +15,7 @@ use afa_host::{CpuTopology, HostModel};
 use afa_pcie::{FabricStats, PcieFabric};
 use afa_sim::metrics::CompletionCounters;
 use afa_sim::{ShardedSim, SimDuration, SimRng, SimTime};
-use afa_ssd::{DeviceStats, FtlStats, SsdDevice};
+use afa_ssd::{DeviceProfile, DeviceStats, FtlStats, SsdDevice};
 use afa_workload::{JobReport, JobSpec, JobState};
 
 use crate::config::AfaConfig;
@@ -70,8 +70,9 @@ const MAX_SSDS: usize = 64;
 
 /// Checks an explicit job list (e.g. a parsed fio jobfile) against the
 /// simulated host: at least one job, every device among the host's 64
-/// SSDs, every pinned CPU on the host, and at most one job per device.
-/// The error names the offending job as `job<index>`, the label
+/// SSDs, every pinned CPU on the host, every region within the Table-I
+/// device's logical capacity, and at most one job per device. The
+/// error names the offending job as `job<index>`, the label
 /// [`JobReport::to_fio_style`] output uses. [`AfaSystem::run`] panics
 /// on any of these, so callers holding untrusted input check first.
 pub fn check_jobs(specs: &[JobSpec]) -> Result<(), String> {
@@ -79,6 +80,7 @@ pub fn check_jobs(specs: &[JobSpec]) -> Result<(), String> {
         return Err("no jobs to run".to_owned());
     }
     let cpus = CpuTopology::xeon_e5_2690_v2_dual().logical_cpus();
+    let capacity_pages = DeviceProfile::Table1.spec().logical_pages();
     let mut owner: Vec<Option<usize>> = vec![None; MAX_SSDS];
     for (j, spec) in specs.iter().enumerate() {
         let device = spec.device();
@@ -94,6 +96,12 @@ pub fn check_jobs(specs: &[JobSpec]) -> Result<(), String> {
                     cpu.0
                 ));
             }
+        }
+        if spec.region_pages() > capacity_pages {
+            return Err(format!(
+                "job{j}: size of {} 4k pages is beyond the device's {capacity_pages} logical pages",
+                spec.region_pages()
+            ));
         }
         if let Some(first) = owner[device].replace(j) {
             return Err(format!(
@@ -125,7 +133,7 @@ pub struct RunResult {
     /// engages (8 busy-polled ULL SSDs).
     pub events_processed: u64,
     /// Events that were scheduled into the past and clamped (0 for a
-    /// healthy model; see [`afa_sim::Simulation::clamped_past_schedules`]).
+    /// healthy model; see [`afa_sim::ShardedSim::clamped_past_schedules`]).
     pub clamped_past_schedules: u64,
     /// The final host model (scheduler/IRQ counters via
     /// [`HostModel::stats`]).
@@ -294,7 +302,7 @@ impl AfaSystem {
         );
         // Macro-event fusion: on unless `AFA_NO_FUSION` / a
         // `FusionOverride` says otherwise. The fast path additionally
-        // gates itself per submit (QD1, uncontended resources — see
+        // gates itself per submit (polled QD1, uncontended resources — see
         // `IoPathWorld::fusion_candidate`), and is byte-exact, so the
         // knob only exists for A/B verification.
         world.set_fusion(fusion_enabled());
@@ -327,11 +335,7 @@ impl AfaSystem {
             .iter()
             .map(|d| (d.stats(), d.ftl_stats()))
             .collect();
-        let mut completions = CompletionCounters::default();
-        for tally in &world.completions {
-            completions.absorb(tally);
-        }
-        afa_sim::metrics::add_completion(completions);
+        afa_sim::metrics::add_completion(world.completions);
         // The elided events keep the *logical* event total comparable
         // across fusion settings: popped events + elided = the
         // un-fused count.
@@ -358,7 +362,7 @@ impl AfaSystem {
             host: world.host,
             fabric_stats: world.fabric.stats(),
             device_stats,
-            completions,
+            completions: world.completions,
         }
     }
 }

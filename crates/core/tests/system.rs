@@ -176,8 +176,10 @@ fn rate_cap_paces_issues() {
 fn events_are_counted_and_never_clamped() {
     let r = quick(TuningStage::IrqAffinity, 2, 50);
     let ios: u64 = r.reports.iter().map(|rep| rep.completed()).sum();
-    // ~2 events per I/O (DeviceDone + Completion) plus issues and
-    // background arrivals.
+    // 7 events per I/O on the per-stage interrupt path (submit down,
+    // command at device, device done, fabric up, IRQ delivery,
+    // wake-reap, CPU-busy note) plus background arrivals; interrupt
+    // chains never fuse.
     assert!(
         r.events_processed > 2 * ios,
         "{} events for {} I/Os",

@@ -131,41 +131,10 @@ impl VectorTable {
         }
     }
 
-    /// Pure preview of [`route`](Self::route): what routing `device` at
-    /// `now` *would* return, or `None` when a pending rebalance makes
-    /// the answer depend on RNG draws that have not happened yet. The
-    /// fusion fast path declines to fuse in that case rather than
-    /// guess.
-    pub fn preview_route(&self, device: usize, now: SimTime) -> Option<IrqDelivery> {
-        if self.mode == IrqMode::Balanced && now >= self.next_rebalance {
-            return None;
-        }
-        let vector_cpu = self.effective[device];
-        Some(IrqDelivery {
-            vector_cpu,
-            remote: vector_cpu != self.designated[device],
-            polluted: now < self.polluted_until[device],
-        })
-    }
-
     /// The current effective (routed-to) CPU of a device, without
     /// advancing the balancer.
     pub fn effective(&self, device: usize) -> CpuId {
         self.effective[device]
-    }
-
-    /// The next instant the balancer may reshuffle vectors. Routes
-    /// strictly before it are deterministic from current state.
-    pub fn next_rebalance(&self) -> SimTime {
-        self.next_rebalance
-    }
-
-    /// Whether the stock balancer owns this table (vectors can move
-    /// and routing can consume RNG draws). Pinned and affinity-aware
-    /// tables never reshuffle, so [`next_rebalance`](Self::next_rebalance)
-    /// is meaningless for them.
-    pub fn is_balanced(&self) -> bool {
-        self.mode == IrqMode::Balanced
     }
 }
 

@@ -593,75 +593,6 @@ impl HostModel {
         }
     }
 
-    /// Pure twin of [`deliver_irq_routed`](Self::deliver_irq_routed):
-    /// computes the identical [`IrqOutcome`] without touching any CPU
-    /// state. A burst that has ended by `now` is treated as retired
-    /// (what the lazy [`sync`](Self::sync) would do), and the
-    /// pollution draw peeks at the vector CPU's noise stream via a
-    /// local copy — the real delivery later consumes the same value.
-    /// Only exact while nothing mutates the vector CPU's state between
-    /// preview and delivery; the fusion gate's vector-privacy checks
-    /// guarantee that.
-    pub fn preview_irq_delivery(
-        &self,
-        delivery: IrqDelivery,
-        designated: CpuId,
-        now: SimTime,
-    ) -> IrqOutcome {
-        let vcpu = delivery.vector_cpu;
-        let state = &self.cpus[vcpu.0 as usize];
-        let bg = state.bg.as_ref().filter(|b| b.end() > now);
-        let enabled_at = match bg {
-            Some(bg) if bg.active_at(now) => bg.irqs_enabled_at(now),
-            _ => now,
-        };
-        let enabled_at = enabled_at.max(state.irq_busy_until);
-        let irqoff_wait = enabled_at.saturating_since(now);
-
-        let mut handler_cost = self.costs.irq_handler;
-        if self.sibling_busy(vcpu, enabled_at) {
-            handler_cost = scale(handler_cost, self.costs.ht_slowdown);
-        }
-        if delivery.polluted || delivery.remote {
-            let min = self.costs.pollution_min.as_nanos();
-            let max = self.costs.pollution_max.as_nanos();
-            let mut draw = state.draw_state;
-            let extra = min + afa_sim::rng::splitmix64(&mut draw) % (max - min + 1);
-            let mut pair = (vcpu.0 as u64) << 16 | designated.0 as u64;
-            let pair_factor = 0.5 + 2.0 * (crate::pair_hash(&mut pair) % 1_000) as f64 / 1_000.0;
-            handler_cost += scale(SimDuration::nanos(extra), pair_factor);
-        }
-        let handler_done = enabled_at + self.costs.irq_entry + handler_cost;
-
-        let wake_ready = if delivery.remote {
-            let ipi = if self.topo.same_socket(vcpu, designated) {
-                self.costs.ipi_same_socket
-            } else {
-                self.costs.ipi_cross_socket
-            };
-            handler_done + ipi + self.costs.remote_wake
-        } else {
-            handler_done
-        };
-
-        IrqOutcome {
-            delivery,
-            handler_done,
-            wake_ready,
-            irqoff_wait,
-        }
-    }
-
-    /// Whether `cpu` carries no background burst that is still alive
-    /// at `now` (an already-ended burst counts as clear — the lazy
-    /// sync would retire it). Pure; part of the fusion gate.
-    pub fn bg_clear(&self, cpu: CpuId, now: SimTime) -> bool {
-        self.cpus[cpu.0 as usize]
-            .bg
-            .as_ref()
-            .is_none_or(|b| b.end() <= now)
-    }
-
     // ------------------------------------------------------------------
     // Task wake-up and execution
     // ------------------------------------------------------------------
@@ -1150,58 +1081,6 @@ mod tests {
         for gap in remote_gap {
             assert!(gap >= SimDuration::micros(2), "IPI too cheap: {gap}");
         }
-    }
-
-    #[test]
-    fn preview_irq_delivery_matches_real_delivery() {
-        // Balanced placement: remote + polluted deliveries draw from
-        // the vector CPU's noise stream, the hardest case for the pure
-        // preview to reproduce.
-        let mut h = HostModel::new(
-            CpuTopology::xeon_e5_2690_v2_dual(),
-            KernelConfig::stock(),
-            BackgroundConfig::centos7_desktop(),
-            31,
-        );
-        let designated: Vec<CpuId> = (0..64u16).map(|d| CpuId(4 + d % 32)).collect();
-        h.init_vectors(designated, 31);
-        let mut t = SimTime::ZERO;
-        for d in 0..64usize {
-            h.spawn_background(t);
-            let (delivery, designated) = h.route_irq(d, t);
-            let previewed = h.preview_irq_delivery(delivery, designated, t);
-            let real = h.deliver_irq_routed(delivery, designated, t);
-            assert_eq!(previewed, real, "device {d} at {t}");
-            t += SimDuration::micros(173);
-        }
-    }
-
-    #[test]
-    fn bg_clear_tracks_burst_lifetime() {
-        let mut h = HostModel::new(
-            CpuTopology::xeon_e5_2690_v2_dual(),
-            KernelConfig::stock(),
-            BackgroundConfig::centos7_desktop(),
-            37,
-        );
-        h.init_vectors(vec![CpuId(4)], 37);
-        assert!(h.bg_clear(CpuId(4), SimTime::ZERO), "fresh CPU is clear");
-        let mut t = SimTime::ZERO;
-        let mut landed = None;
-        for _ in 0..5_000 {
-            h.spawn_background(t);
-            if h.bg_active(CpuId(4), t) {
-                landed = Some(t);
-                break;
-            }
-            t += SimDuration::micros(50);
-        }
-        let t = landed.expect("a burst landed on cpu(4)");
-        assert!(!h.bg_clear(CpuId(4), t), "active burst is not clear");
-        assert!(
-            h.bg_clear(CpuId(4), t + SimDuration::secs(60)),
-            "ended burst counts as clear even before the lazy sync"
-        );
     }
 
     #[test]

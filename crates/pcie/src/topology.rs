@@ -47,8 +47,8 @@ pub struct FabricStats {
     pub commands: u64,
 }
 
-/// A validated-but-unbooked claim on the shared upstream legs,
-/// produced by
+/// A validated-but-unbooked claim on the shared upstream legs for a
+/// polled completion, produced by
 /// [`PcieFabric::preview_completion_shared_legs`] and booked by
 /// [`PcieFabric::commit_completion_shared_legs`]. The busy windows are
 /// exact — the preview only succeeds when both links are idle at the
@@ -58,10 +58,9 @@ pub struct FabricStats {
 pub struct SharedLegReservation {
     /// The completing device.
     pub device: usize,
-    /// Bytes on the wire (data + CQE + MSI when interrupt-driven).
+    /// Bytes on the wire (data + CQE; a polled completion carries no
+    /// MSI).
     pub payload: u64,
-    /// Whether the completion is reaped by polling (no MSI message).
-    pub polled: bool,
     /// Index into the leaf→spine link array (`leaf * SPINES + spine`).
     pub leaf: usize,
     /// Spine switch / host uplink index.
@@ -74,7 +73,7 @@ pub struct SharedLegReservation {
     pub up_start: SimTime,
     /// When the uplink goes idle again.
     pub up_busy_end: SimTime,
-    /// When the CQE (or MSI-X interrupt) lands at the host.
+    /// When the CQE DMA write lands at the host.
     pub at_host: SimTime,
 }
 
@@ -331,14 +330,16 @@ impl PcieFabric {
         }
     }
 
-    /// Previews the shared completion legs **without mutating** the
-    /// fabric: the speculative half of the fusion fast path. Returns
-    /// `None` unless both shared links are idle at the instants the
-    /// payload would reach them — i.e. the chain would experience
-    /// *zero* queueing — because only then is the precomputed timeline
-    /// guaranteed exact until someone else claims a leg inside the
-    /// reserved windows. On success the returned reservation carries
-    /// both busy windows and the host-arrival instant;
+    /// Previews the shared legs of a *polled* completion **without
+    /// mutating** the fabric: the speculative half of the fusion fast
+    /// path, which [`poll_completion_shared_legs`](Self::poll_completion_shared_legs)
+    /// would reserve for real. Returns `None` unless both shared links
+    /// are idle at the instants the payload would reach them — i.e.
+    /// the chain would experience *zero* queueing — because only then
+    /// is the precomputed timeline guaranteed exact until someone else
+    /// claims a leg inside the reserved windows. On success the
+    /// returned reservation carries both busy windows and the
+    /// host-arrival instant;
     /// [`commit_completion_shared_legs`](Self::commit_completion_shared_legs)
     /// later books it, and the windows let the caller detect
     /// conflicting claims in between.
@@ -347,11 +348,10 @@ impl PcieFabric {
         device: usize,
         t_leaf: SimTime,
         bytes: u64,
-        polled: bool,
     ) -> Option<SharedLegReservation> {
         let a = self.assignments[device];
         let li = self.leaf_index(a);
-        let payload = bytes + CQE_BYTES + if polled { 0 } else { MSI_BYTES };
+        let payload = bytes + CQE_BYTES;
         let leaf = &self.leaf_up[li];
         if leaf.free_at() > t_leaf {
             return None;
@@ -363,28 +363,22 @@ impl PcieFabric {
             return None;
         }
         let up_busy_end = up_start + up.spec().serialization(payload);
-        let mut at_host = up_busy_end + up.propagation();
-        if !polled {
-            at_host += self.msi_latency;
-        }
         Some(SharedLegReservation {
             device,
             payload,
-            polled,
             leaf: li,
             spine: a.spine as usize,
             leaf_start: t_leaf,
             leaf_busy_end,
             up_start,
             up_busy_end,
-            at_host,
+            at_host: up_busy_end + up.propagation(),
         })
     }
 
     /// Books a previously previewed reservation: ratchets both shared
     /// links' `free_at` over the validated busy windows and applies
-    /// exactly the accounting [`deliver_completion_shared_legs`](Self::deliver_completion_shared_legs)
-    /// / [`poll_completion_shared_legs`](Self::poll_completion_shared_legs)
+    /// exactly the accounting [`poll_completion_shared_legs`](Self::poll_completion_shared_legs)
     /// would have. Commit order may differ from window order — the
     /// caller guarantees the windows were conflict-free, and
     /// [`Link::commit`] is a max-ratchet, so the end state is
@@ -393,9 +387,6 @@ impl PcieFabric {
         self.stats.uplink_bytes += r.payload;
         self.leaf_up[r.leaf].commit(r.leaf_busy_end, r.payload);
         self.uplink_up[r.spine].commit(r.up_busy_end, r.payload);
-        if !r.polled {
-            self.stats.interrupts += 1;
-        }
     }
 
     /// Current `free_at` of the shared upstream pair `(leaf index,
@@ -584,31 +575,25 @@ mod tests {
 
     #[test]
     fn preview_commit_matches_reserve_exactly() {
-        for polled in [false, true] {
-            let mut real = PcieFabric::paper_single_host(8);
-            let mut fused = PcieFabric::paper_single_host(8);
-            let t_leaf = SimTime::from_nanos(5_000);
-            let r = fused
-                .preview_completion_shared_legs(3, t_leaf, 4096, polled)
-                .expect("idle fabric previews");
-            let at_host = if polled {
-                real.poll_completion_shared_legs(3, t_leaf, 4096)
-            } else {
-                real.deliver_completion_shared_legs(3, t_leaf, 4096)
-            };
-            assert_eq!(r.at_host, at_host, "preview must predict the real path");
-            fused.commit_completion_shared_legs(&r);
-            assert_eq!(real.stats(), fused.stats());
-            assert_eq!(
-                real.shared_leg_free_at(r.leaf, r.spine),
-                fused.shared_leg_free_at(r.leaf, r.spine)
-            );
-            // The just-committed window makes the legs busy, so a
-            // second preview at the same instant must decline.
-            assert!(fused
-                .preview_completion_shared_legs(3, t_leaf, 4096, polled)
-                .is_none());
-        }
+        let mut real = PcieFabric::paper_single_host(8);
+        let mut fused = PcieFabric::paper_single_host(8);
+        let t_leaf = SimTime::from_nanos(5_000);
+        let r = fused
+            .preview_completion_shared_legs(3, t_leaf, 4096)
+            .expect("idle fabric previews");
+        let at_host = real.poll_completion_shared_legs(3, t_leaf, 4096);
+        assert_eq!(r.at_host, at_host, "preview must predict the real path");
+        fused.commit_completion_shared_legs(&r);
+        assert_eq!(real.stats(), fused.stats());
+        assert_eq!(
+            real.shared_leg_free_at(r.leaf, r.spine),
+            fused.shared_leg_free_at(r.leaf, r.spine)
+        );
+        // The just-committed window makes the legs busy, so a second
+        // preview at the same instant must decline.
+        assert!(fused
+            .preview_completion_shared_legs(3, t_leaf, 4096)
+            .is_none());
     }
 
     #[test]

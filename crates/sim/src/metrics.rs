@@ -169,14 +169,6 @@ impl CompletionCounters {
         self.interrupts | self.polls | self.hybrid_sleeps != 0
     }
 
-    /// Component-wise sum, for stitching per-LP tallies into a run
-    /// total.
-    pub fn absorb(&mut self, other: &CompletionCounters) {
-        self.interrupts += other.interrupts;
-        self.polls += other.polls;
-        self.hybrid_sleeps += other.hybrid_sleeps;
-    }
-
     /// Whether any *non-interrupt* completion model ran. Artifacts key
     /// on this rather than [`CompletionCounters::any`]: every
     /// pre-existing golden reaps via MSI-X, so a key that appeared on
@@ -244,15 +236,6 @@ impl FleetCounters {
     pub fn any(&self) -> bool {
         self.arrays_failed | self.failovers | self.retries | self.rereplication_ios != 0
     }
-
-    /// Component-wise sum, for stitching per-cell tallies into a run
-    /// total.
-    pub fn absorb(&mut self, other: &FleetCounters) {
-        self.arrays_failed += other.arrays_failed;
-        self.failovers += other.failovers;
-        self.retries += other.retries;
-        self.rereplication_ios += other.rereplication_ios;
-    }
 }
 
 /// Adds a run's fleet-layer counters to the process-wide totals
@@ -295,9 +278,9 @@ pub struct FusionCounters {
     /// Fused chains torn back into per-stage events after another I/O
     /// claimed a shared fabric leg inside their precomputed window.
     pub defused_chains: u64,
-    /// Per-stage events the settled macro-events replaced (4 per
-    /// interrupt chain, 3 per polled chain) — the gap between logical
-    /// and popped event counts a harness must add back.
+    /// Per-stage events the settled macro-events replaced (3 per
+    /// chain; only polled chains fuse) — the gap between logical and
+    /// popped event counts a harness must add back.
     pub elided_events: u64,
 }
 
@@ -430,9 +413,6 @@ mod tests {
         assert!(delta.retries >= 6);
         assert!(delta.rereplication_ios >= 12);
         assert!(!FleetCounters::default().any());
-        let mut sum = FleetCounters::default();
-        sum.absorb(&delta);
-        assert_eq!(sum, delta);
     }
 
     #[test]

@@ -60,11 +60,20 @@ fn parse_size(line: usize, v: &str) -> Result<u64, ParseJobFileError> {
         Some(d) => (d, 1024 * 1024 * 1024),
         None => (v.as_str(), 1),
     };
-    digits
+    let n = digits
         .parse::<u64>()
-        .map(|n| n * mult)
-        .map_err(|e| err(line, format!("bad size '{v}': {e}")))
+        .map_err(|e| err(line, format!("bad size '{v}': {e}")))?;
+    n.checked_mul(mult)
+        .ok_or_else(|| err(line, format!("size '{v}' overflows 64 bits")))
 }
+
+/// Most jobs one section may replicate: one per SSD of the paper's
+/// host.
+const MAX_NUMJOBS: u32 = 64;
+
+/// The `runtime` range in seconds, the same one `afactl --seconds`
+/// clamps to.
+const RUNTIME_RANGE_S: std::ops::RangeInclusive<f64> = 0.01..=600.0;
 
 #[derive(Clone, Default)]
 struct Section {
@@ -98,6 +107,9 @@ impl Section {
                 let pct: u8 = value
                     .parse()
                     .map_err(|e| err(line, format!("bad rwmixread: {e}")))?;
+                if pct > 100 {
+                    return Err(err(line, "rwmixread must be at most 100"));
+                }
                 self.rw = Some(RwPattern::RandRw { read_pct: pct });
             }
             "bs" | "blocksize" => {
@@ -126,11 +138,21 @@ impl Section {
                 });
             }
             "runtime" => {
-                let v = value.trim_end_matches('s');
-                self.runtime_s = Some(
-                    v.parse()
-                        .map_err(|e| err(line, format!("bad runtime: {e}")))?,
-                );
+                let secs: f64 = value
+                    .trim_end_matches('s')
+                    .parse()
+                    .map_err(|e| err(line, format!("bad runtime: {e}")))?;
+                if !RUNTIME_RANGE_S.contains(&secs) {
+                    return Err(err(
+                        line,
+                        format!(
+                            "runtime must be between {} and {} seconds",
+                            RUNTIME_RANGE_S.start(),
+                            RUNTIME_RANGE_S.end()
+                        ),
+                    ));
+                }
+                self.runtime_s = Some(secs);
             }
             "filename" => {
                 let dev = value
@@ -150,11 +172,16 @@ impl Section {
                 self.cpu = Some(CpuId(cpu));
             }
             "numjobs" => {
-                self.numjobs = Some(
-                    value
-                        .parse()
-                        .map_err(|e| err(line, format!("bad numjobs: {e}")))?,
-                );
+                let n: u32 = value
+                    .parse()
+                    .map_err(|e| err(line, format!("bad numjobs: {e}")))?;
+                if n > MAX_NUMJOBS {
+                    return Err(err(
+                        line,
+                        format!("numjobs must be at most {MAX_NUMJOBS}, the host's SSD count"),
+                    ));
+                }
+                self.numjobs = Some(n);
             }
             "rate_iops" => {
                 self.rate_iops = Some(
@@ -195,10 +222,21 @@ impl Section {
         let device = self
             .device
             .ok_or_else(|| err(line, "job needs filename=/dev/nvmeN"))?;
+        if let (Some(pages), Some(bs)) = (self.size_pages, self.bs) {
+            if pages < u64::from(bs / 4096) {
+                return Err(err(
+                    line,
+                    format!("size of {pages} 4k pages is smaller than one bs={bs} block"),
+                ));
+            }
+        }
         let copies = self.numjobs.unwrap_or(1).max(1);
         let mut specs = Vec::with_capacity(copies as usize);
         for copy in 0..copies {
-            let mut spec = JobSpec::paper_default(device + copy as usize);
+            let device = device
+                .checked_add(copy as usize)
+                .ok_or_else(|| err(line, "filename plus numjobs overflows the device index"))?;
+            let mut spec = JobSpec::paper_default(device);
             if let Some(rw) = self.rw {
                 spec = spec.rw(rw);
             }
@@ -215,7 +253,10 @@ impl Section {
                 spec = spec.runtime(SimDuration::from_secs_f64(secs));
             }
             if let Some(cpu) = self.cpu {
-                spec = spec.cpus_allowed(CpuId(cpu.0 + copy as u16));
+                let cpu = cpu.0.checked_add(copy as u16).ok_or_else(|| {
+                    err(line, "cpus_allowed plus numjobs overflows the CPU index")
+                })?;
+                spec = spec.cpus_allowed(CpuId(cpu));
             }
             if let Some(iops) = self.rate_iops {
                 spec = spec.rate_iops_cap(iops);

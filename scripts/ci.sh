@@ -52,12 +52,13 @@ for fig in fig06 fig07 fig08 fig09 fig10 fig11 fig12 fig13 tailscale-fanout tail
     echo "golden OK: $fig"
 done
 
-echo "==> fusion on/off byte-compare (fig06 + ull-crossover)"
+echo "==> fusion on/off byte-compare (ull-crossover)"
 # The macro-event fusion fast path must be invisible in the artifacts:
 # AFA_NO_FUSION=1 forces every chain down the per-stage path, and the
-# JSON must not move by a byte. fig06 covers the interrupt chain,
-# ull-crossover covers the polled and hybrid reap chains.
-for exp in fig06 ull-crossover; do
+# JSON must not move by a byte. Only polled and hybrid chains fuse, and
+# ull-crossover runs both; interrupt-only experiments such as fig06
+# never fuse, so comparing them here would check nothing.
+for exp in ull-crossover; do
     AFA_NO_FUSION=1 ./target/release/afactl exp "$exp" --seconds 0.25 --ssds 8 --seed 42 \
         --json > "$golden_tmp/$exp-nofusion.json"
     if ! cmp -s "tests/golden/$exp.json" "$golden_tmp/$exp-nofusion.json"; then
@@ -77,12 +78,15 @@ echo "==> whole-system property suite (one test thread)"
 # artifact, so the suite runs serially.
 cargo test --release --features proptest --test proptests -- --test-threads 1
 
-echo "==> desperf regression check (pinned-scale fig06 events/sec + event-count budget)"
+echo "==> desperf regression check (pinned-scale events/sec floors)"
 # Fails if DES throughput fell more than 20% below the most recent
-# committed BENCH_desperf.json entry, and (via the event-fusion gate)
-# if the pinned fusion probe schedules more than 4 events per latency
-# sample — the event-count budget that keeps the macro-event fast
-# path honest next to the events/sec floor.
+# committed BENCH_desperf.json entry: fig06 at 64 SSDs, then the fleet
+# ladder (plus its slab ceiling and 1M/10k rate band), the
+# fleet-failover grid and the ull-crossover grid. The floors are
+# wall-clock figures from the host that committed the entry, so a slow
+# or shared host can fail them without a regression. The event-count
+# budget of polled fusion is checked exactly by the tier-1 test
+# polled_chains_fuse_and_interrupt_chains_do_not.
 ./target/release/desperf --check
 
 echo "CI OK"

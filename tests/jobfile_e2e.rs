@@ -102,7 +102,7 @@ filename=/dev/nvme0
 
 /// Jobfiles the simulated host cannot run, with the error each must
 /// produce: `(name, jobfile, expected message)`.
-const MALFORMED: [(&str, &str, &str); 4] = [
+const MALFORMED: &[(&str, &str, &str)] = &[
     (
         "duplicate-device",
         "[a]\nfilename=/dev/nvme0\n[b]\nfilename=/dev/nvme0\n",
@@ -123,11 +123,66 @@ const MALFORMED: [(&str, &str, &str); 4] = [
         "[a]\nfilename=/dev/nvme0\niodepth=0\n",
         "line 3: iodepth must be positive",
     ),
+    (
+        "numjobs-u32-max",
+        "[a]\nfilename=/dev/nvme0\nnumjobs=4294967295\n",
+        "line 3: numjobs must be at most 64",
+    ),
+    (
+        "size-beyond-capacity",
+        "[a]\nfilename=/dev/nvme0\nsize=1000g\n",
+        "job0: size of 262144000 4k pages is beyond the device's",
+    ),
+    (
+        "size-below-one-block",
+        "[a]\nfilename=/dev/nvme0\nsize=4k\nbs=8k\n",
+        "line 1: size of 1 4k pages is smaller than one bs=8192 block",
+    ),
+    (
+        "size-overflow",
+        "[a]\nfilename=/dev/nvme0\nsize=99999999999g\n",
+        "line 3: size '99999999999g' overflows 64 bits",
+    ),
+    (
+        "runtime-inf",
+        "[a]\nfilename=/dev/nvme0\nruntime=inf\n",
+        "line 3: runtime must be between 0.01 and 600 seconds",
+    ),
+    (
+        "runtime-1e300",
+        "[a]\nfilename=/dev/nvme0\nruntime=1e300\n",
+        "line 3: runtime must be between 0.01 and 600 seconds",
+    ),
+    (
+        "runtime-nan",
+        "[a]\nfilename=/dev/nvme0\nruntime=nan\n",
+        "line 3: runtime must be between 0.01 and 600 seconds",
+    ),
+    (
+        "runtime-0",
+        "[a]\nfilename=/dev/nvme0\nruntime=0\n",
+        "line 3: runtime must be between 0.01 and 600 seconds",
+    ),
+    (
+        "rwmixread-200",
+        "[a]\nfilename=/dev/nvme0\nrwmixread=200\n",
+        "line 3: rwmixread must be at most 100",
+    ),
+    (
+        "cpu-overflow",
+        "[a]\nfilename=/dev/nvme0\ncpus_allowed=65535\nnumjobs=2\n",
+        "line 1: cpus_allowed plus numjobs overflows the CPU index",
+    ),
+    (
+        "device-overflow",
+        "[a]\nfilename=/dev/nvme18446744073709551615\nnumjobs=2\n",
+        "line 1: filename plus numjobs overflows the device index",
+    ),
 ];
 
 #[test]
 fn malformed_jobfiles_are_errors() {
-    for (name, text, expected) in MALFORMED {
+    for &(name, text, expected) in MALFORMED {
         let error = match parse_jobfile(text) {
             Err(e) => e.to_string(),
             Ok(jobs) => check_jobs(&jobs).expect_err(name),
@@ -140,7 +195,7 @@ fn malformed_jobfiles_are_errors() {
 fn afactl_jobfile_exits_1_on_malformed_jobfiles() {
     let dir = std::env::temp_dir().join(format!("afa-jobfile-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    for (name, text, expected) in MALFORMED {
+    for &(name, text, expected) in MALFORMED {
         let path = dir.join(format!("{name}.fio"));
         std::fs::write(&path, text).expect("write jobfile");
         let out = Command::new(env!("CARGO_BIN_EXE_afactl"))

@@ -316,53 +316,61 @@ fn ledger_tiles_latency_for_every_completion_model() {
     });
 }
 
-/// Macro-event fusion is invisible in the artifacts: for any
-/// experiment, scale and seed, a run with the fusion fast path forced
-/// on serializes to exactly the bytes of a run with every chain forced
-/// down the per-stage path — including the manifest's per-cause
-/// latency budget. The fast path must actually engage (a gate that
-/// silently declines everything would pass the byte-compare
-/// vacuously), and with fusion forced off it must fuse nothing.
+/// Macro-event fusion is invisible in the artifacts, and only polled
+/// chains fuse: for any scale and seed, a run with the fusion fast path
+/// forced on serializes to exactly the bytes of a run with every chain
+/// forced down the per-stage path — including the manifest's per-cause
+/// latency budget. Each case checks one drawn interrupt experiment
+/// (fig06–fig09, fig11), which must fuse nothing even with fusion
+/// forced on, and `ablate-poll`, whose busy-polled half must actually
+/// fuse (a gate that silently declines everything would pass the
+/// byte-compare vacuously). With fusion forced off nothing fuses.
 #[test]
 fn fusion_on_and_off_produce_identical_artifacts() {
-    // All QD1 interrupt- or poll-chain experiments at ≤ 6 SSDs: one
-    // job per worker LP, so the runs satisfy the fusion gates.
-    // (ablate-coalescing would decline by design — QD4 with coalescing
-    // on — and is covered by the golden matrix instead.)
-    let names = ["fig06", "fig07", "fig08", "fig09", "fig11", "ablate-poll"];
+    // QD1 experiments at ≤ 6 SSDs: one job per worker LP, so every
+    // gate but the completion model passes. (ablate-coalescing would
+    // decline by design — QD4 with coalescing on — and is covered by
+    // the golden matrix instead.)
+    let interrupt = ["fig06", "fig07", "fig08", "fig09", "fig11"];
     run_cases("fusion_on_and_off_produce_identical_artifacts", 6, |g| {
-        let def = afa::core::experiment::find(names[g.usize_in(0, names.len() - 1)])
-            .expect("experiment registered");
+        let figure = interrupt[g.usize_in(0, interrupt.len() - 1)];
         let scale = afa::core::experiment::ExperimentScale::new(
             SimDuration::millis(g.u64_in(10, 30)),
             g.usize_in(1, 6),
             g.u64_in(0, 10_000),
         );
-        let run = |fuse: bool| {
-            let _fusion = FusionOverride::set(fuse);
-            let before = afa::sim::metrics::fusion_totals();
-            let json = afa::core::experiment::run_experiment(def, scale)
-                .to_json()
-                .to_string();
-            (json, afa::sim::metrics::fusion_totals().since(&before))
-        };
-        let (fused_json, fused_tally) = run(true);
-        let (unfused_json, unfused_tally) = run(false);
-        assert_eq!(
-            fused_json, unfused_json,
-            "{} artifact diverged between fusion on and off",
-            def.name,
-        );
-        assert!(
-            fused_tally.fused_chains > 0,
-            "{}: run fused no chains — the fast path is dead",
-            def.name,
-        );
-        assert_eq!(
-            unfused_tally.fused_chains, 0,
-            "{}: FusionOverride(false) still fused chains",
-            def.name,
-        );
+        for name in [figure, "ablate-poll"] {
+            let def = afa::core::experiment::find(name).expect("experiment registered");
+            let run = |fuse: bool| {
+                let _fusion = FusionOverride::set(fuse);
+                let before = afa::sim::metrics::fusion_totals();
+                let json = afa::core::experiment::run_experiment(def, scale)
+                    .to_json()
+                    .to_string();
+                (json, afa::sim::metrics::fusion_totals().since(&before))
+            };
+            let (fused_json, fused_tally) = run(true);
+            let (unfused_json, unfused_tally) = run(false);
+            assert_eq!(
+                fused_json, unfused_json,
+                "{name} artifact diverged between fusion on and off"
+            );
+            if name == "ablate-poll" {
+                assert!(
+                    fused_tally.fused_chains > 0,
+                    "{name}: run fused no chains — the polled fast path is dead"
+                );
+            } else {
+                assert_eq!(
+                    fused_tally.fused_chains, 0,
+                    "{name}: an interrupt chain fused"
+                );
+            }
+            assert_eq!(
+                unfused_tally.fused_chains, 0,
+                "{name}: FusionOverride(false) still fused chains"
+            );
+        }
     });
 }
 

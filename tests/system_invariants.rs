@@ -3,6 +3,7 @@
 use afa::core::{AfaConfig, AfaSystem, TuningStage};
 use afa::host::CpuId;
 use afa::sim::SimDuration;
+use afa::ssd::DeviceProfile;
 use afa::workload::IoEngine;
 
 fn quick(stage: TuningStage, ssds: usize, ms: u64, seed: u64) -> afa::core::RunResult {
@@ -131,4 +132,84 @@ fn every_job_respects_its_deadline_and_depth() {
     }
     // Simulation drains completely: elapsed stays near the deadline.
     assert!(r.elapsed.as_secs_f64() < 0.2);
+}
+
+/// Everything a run reports that fusion must not move.
+fn run_fingerprint(r: &afa::core::RunResult) -> impl PartialEq + std::fmt::Debug {
+    let reports: Vec<(String, u64, u64)> = r
+        .reports
+        .iter()
+        .map(|rep| {
+            (
+                rep.to_fio_style("job"),
+                rep.histogram().mean().to_bits(),
+                rep.bytes_transferred(),
+            )
+        })
+        .collect();
+    (
+        reports,
+        r.elapsed,
+        r.host.stats().clone(),
+        r.fabric_stats,
+        r.completions,
+    )
+}
+
+/// The engine's event budget per completed I/O, with fusion forced on
+/// and off. Busy-polled QD1 chains on private worker LPs fuse into one
+/// settlement event (3 events per I/O instead of 6); interrupt chains
+/// never fuse, so a libaio run pops the same events either way. Both
+/// cases live in this one test because [`FusionOverride`] is
+/// process-wide; the counts come from each run's own
+/// [`RunResult::events_processed`], so sibling tests cannot skew them.
+///
+/// [`FusionOverride`]: afa::core::FusionOverride
+/// [`RunResult::events_processed`]: afa::core::RunResult::events_processed
+#[test]
+fn polled_chains_fuse_and_interrupt_chains_do_not() {
+    let run = |config: &AfaConfig, fuse: bool| {
+        let _fusion = afa::core::FusionOverride::set(fuse);
+        AfaSystem::run(config)
+    };
+    let per_io = |r: &afa::core::RunResult| {
+        let ios: u64 = r.reports.iter().map(|rep| rep.completed()).sum();
+        assert!(ios > 1_000, "only {ios} I/Os");
+        r.events_processed as f64 / ios as f64
+    };
+
+    // The `ull-poll-8` benchmark configuration at 50 ms.
+    let ull_poll = AfaConfig::paper(TuningStage::IrqAffinity)
+        .with_ssds(8)
+        .with_runtime(SimDuration::millis(50))
+        .with_seed(42)
+        .with_device_profile(DeviceProfile::UltraLowLatency)
+        .with_engine(IoEngine::Polling);
+    let fused = run(&ull_poll, true);
+    let unfused = run(&ull_poll, false);
+    assert!(
+        per_io(&fused) <= 4.0,
+        "fused polled run popped {:.2} events per I/O (budget 4.0)",
+        per_io(&fused)
+    );
+    assert!(
+        (5.9..6.1).contains(&per_io(&unfused)),
+        "unfused polled run popped {:.2} events per I/O, expected 6",
+        per_io(&unfused)
+    );
+    assert_eq!(run_fingerprint(&fused), run_fingerprint(&unfused));
+
+    // libaio at 8 SSDs: one job per worker LP, so every other gate
+    // passes and only the completion model keeps the chains unfused.
+    let libaio = AfaConfig::paper(TuningStage::IrqAffinity)
+        .with_ssds(8)
+        .with_runtime(SimDuration::millis(50))
+        .with_seed(42);
+    let on = run(&libaio, true);
+    let off = run(&libaio, false);
+    assert_eq!(
+        on.events_processed, off.events_processed,
+        "interrupt chains fused"
+    );
+    assert_eq!(run_fingerprint(&on), run_fingerprint(&off));
 }
