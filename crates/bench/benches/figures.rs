@@ -12,7 +12,10 @@ fn main() {
     // Cargo's bench runner passes flags like `--bench`; take the first
     // non-flag argument as the filter.
     let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-    let scale = ExperimentScale::from_env();
+    let scale = ExperimentScale::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     let t0 = std::time::Instant::now();
 
     let mut ran = 0usize;

@@ -16,7 +16,9 @@
 //! (0.25 s × 8 SSDs, seed 42 — 30 runs spanning both device profiles
 //! and all three completion models, so the polled reap path stays in
 //! the trajectory), each with its wall-clock and events/sec, recorded
-//! alongside the host's core count. Because the scales are pinned,
+//! alongside the host's core count. The fig06 run also records
+//! `fig06_ns_per_io`, the fastest pass's wall time per simulated I/O
+//! (older entries lack it). Because the scales are pinned,
 //! entries are comparable across commits: the file is the perf
 //! trajectory of the event queue, histogram, serving layer and I/O-path
 //! engine over the repo's history.
@@ -305,6 +307,7 @@ fn main() {
         ("fig06_samples", Json::u64(fig06.samples)),
         ("fig06_events", Json::u64(fig06.events)),
         ("fig06_events_per_sec", Json::f64(fig06.events_per_sec)),
+        ("fig06_ns_per_io", Json::f64(fig06.ns_per_io())),
         ("host_cores", Json::u64(cores as u64)),
         ("frontend_wall_s", Json::f64(fe_wall)),
         ("frontend_samples", Json::u64(fe_result.samples())),
@@ -336,6 +339,13 @@ struct Fig06Measurement {
     samples: u64,
     events: u64,
     events_per_sec: f64,
+}
+
+impl Fig06Measurement {
+    /// Wall-clock nanoseconds per simulated I/O (latency sample).
+    fn ns_per_io(&self) -> f64 {
+        self.wall_s * 1e9 / self.samples.max(1) as f64
+    }
 }
 
 /// Runs the pinned-scale fig06 trajectory best-of-3 and returns the
@@ -381,6 +391,7 @@ fn run_trajectory_fig06() -> Fig06Measurement {
         "fig06: {:.2}s wall, {} samples, {} events, {:.0} events/sec (best of 3 passes)",
         best.wall_s, best.samples, best.events, best.events_per_sec
     );
+    println!("fig06_ns_per_io {:.1}", best.ns_per_io());
     best
 }
 

@@ -15,7 +15,8 @@
 //!
 //! Scaling: all experiment targets honour `AFA_SECONDS`, `AFA_SSDS`,
 //! `AFA_SEED` and `AFA_FULL=1` (the paper's full 120 s × 64-SSD runs);
-//! see [`afa_core::experiment::ExperimentScale::from_env`].
+//! see [`afa_core::experiment::ExperimentScale::from_env`]. A malformed
+//! or out-of-range value makes the target exit 1 naming the variable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,21 +29,25 @@ pub use afa_core::experiment::ExperimentScale;
 
 /// Runs the registry experiment `name` at the environment scale:
 /// banner, table, run manifest, then CSV + JSON artifacts under
-/// `target/afa-results/`. Unknown names list the registry and fail.
+/// `target/afa-results/`. Unknown names list the registry and fail, as
+/// does a malformed scale variable.
 pub fn run_named(name: &str) -> ExitCode {
-    if run_named_inner(name) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    run_many(&[name])
 }
 
 /// Runs several registry experiments in sequence; fails if any name is
-/// unknown.
+/// unknown or a scale variable is malformed.
 pub fn run_many(names: &[&str]) -> ExitCode {
+    let scale = match ExperimentScale::from_env() {
+        Ok(scale) => scale,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut ok = true;
     for name in names {
-        ok &= run_named_inner(name);
+        ok &= run_named_inner(name, scale);
     }
     if ok {
         ExitCode::SUCCESS
@@ -51,7 +56,7 @@ pub fn run_many(names: &[&str]) -> ExitCode {
     }
 }
 
-fn run_named_inner(name: &str) -> bool {
+fn run_named_inner(name: &str, scale: ExperimentScale) -> bool {
     let Some(def) = afa_core::experiment::find(name) else {
         eprintln!("unknown experiment '{name}'; registered experiments:");
         for def in afa_core::experiment::registry() {
@@ -59,7 +64,6 @@ fn run_named_inner(name: &str) -> bool {
         }
         return false;
     };
-    let scale = ExperimentScale::from_env();
     banner(def.description, scale);
     let run = afa_core::experiment::run_experiment(def, scale);
     println!("{}", run.result.to_table());

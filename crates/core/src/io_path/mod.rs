@@ -34,8 +34,11 @@
 //! background-daemon placement. The split is part of the model, not an
 //! execution detail: the hub reserves the shared down-legs in the
 //! order its `SubmitDown` arrivals merge (the FIFO behind Fig. 12's
-//! convoys), and background placement sees CPU business through the
-//! one-lookahead-stale `CpuBusy` view.
+//! convoys), and background placement sees CPU business through a
+//! view that is one worker lookahead stale: workers log their busy
+//! reports on the host ([`HostModel::note_io_busy`]) and the hub folds
+//! the ones visible at each placement decision, so the view costs no
+//! event.
 //!
 //! Inter-LP hops ride [`Cross`] events under per-LP lookahead bounds
 //! (the smaller of a fabric hop and interrupt entry + handler for
@@ -107,8 +110,8 @@ pub(crate) fn lp_of_cpu(cpu: CpuId) -> usize {
 /// [`IoPathWorld::ledger_slab`]).
 pub(crate) type LedgerId = u32;
 
-/// LP-local events. Kept small (32 bytes): the timing wheel copies
-/// events through its buckets on every push/cascade/pop, so the cold
+/// LP-local events. Kept small (32 bytes): the event queue parks every
+/// event once in a slab slot sized for the largest one, so the cold
 /// per-I/O ledger lives in an indexed slab on the world and events
 /// carry only a [`LedgerId`].
 #[derive(Debug)]
@@ -240,11 +243,6 @@ pub(crate) enum Cross {
     },
     /// Hub → CPU-owner worker: install a background burst.
     BgPlace { placement: BgPlacement },
-    /// Worker → hub: the owning LP charged I/O work on `cpu`
-    /// through `until`; keeps the hub's background-placement view of
-    /// CPU business fresh (one lookahead stale, see
-    /// [`HostModel::note_io_busy`]).
-    CpuBusy { cpu: CpuId, until: SimTime },
 }
 
 /// One speculative macro-event: a polled I/O whose entire
@@ -549,10 +547,12 @@ impl IoPathWorld {
         // Tell the hub how long this burst keeps the CPU busy, so
         // background placement stops seeing it as idle (§IV-C: a CPU
         // whose I/O task *sleeps* must look idle — one that is still
-        // submitting must not).
+        // submitting must not). The report becomes visible one worker
+        // lookahead from now, when a hub message sent now would land.
         if let Some(until) = busy_until {
-            let at = ctx.now() + self.worker_lookahead();
-            ctx.send(HUB_LP, at, Cross::CpuBusy { cpu, until });
+            let now = ctx.now();
+            self.host
+                .note_io_busy(cpu, until, now, now + self.worker_lookahead());
         }
     }
 
@@ -1137,7 +1137,7 @@ impl ShardWorld for IoPathWorld {
             Local::BgArrival => {
                 let now = ctx.now();
                 let start = now + BG_PLACE_LATENCY;
-                if let Some(placement) = self.host.decide_background_remote(start) {
+                if let Some(placement) = self.host.decide_background_remote(now, start) {
                     // Mirror the install on the hub-owned placement
                     // view so the next decision's idle test sees this
                     // burst; the CPU's owner performs the
@@ -1256,9 +1256,6 @@ impl ShardWorld for IoPathWorld {
                 }
                 self.host.install_background(placement, now);
             }
-            Cross::CpuBusy { cpu, until } => {
-                self.host.note_io_busy(cpu, until);
-            }
         }
     }
 }
@@ -1269,8 +1266,10 @@ mod tests {
 
     #[test]
     fn local_events_stay_small() {
-        // The wheel copies events through its buckets; the cold
-        // IoLedger payload must stay in the slab, not the event.
+        // The wheel moves 16-byte handles; each event is parked once,
+        // in a queue slab slot as large as the larger of `Local` and
+        // `Cross`. The cold IoLedger payload must stay in the world's
+        // ledger slab, not the event, or it would size that slot.
         assert!(
             std::mem::size_of::<Local>() <= 32,
             "Local grew to {} bytes",
@@ -1280,9 +1279,10 @@ mod tests {
 
     #[test]
     fn cross_events_stay_bounded() {
-        // Cross payloads park in the engine's slab, not the wheel, so
-        // the budget is looser — but a regression to a by-value
-        // ledger (~250 bytes) must still fail loudly.
+        // `Cross` sets the size of every slab slot the queue parks an
+        // event in. Each event is parked once, so the budget is looser
+        // than `Local`'s — but a regression to a by-value ledger
+        // (~250 bytes) must still fail loudly.
         assert!(
             std::mem::size_of::<Cross>() <= 112,
             "Cross grew to {} bytes",

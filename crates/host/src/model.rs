@@ -14,6 +14,8 @@
 //! the host contributes no events of its own beyond background
 //! arrivals.
 
+use std::collections::VecDeque;
+
 use afa_sim::{SimDuration, SimRng, SimTime};
 
 use crate::background::{BackgroundConfig, BgBurst};
@@ -190,6 +192,16 @@ struct BgView {
     io_busy_until: SimTime,
 }
 
+/// One [`HostModel::note_io_busy`] report on its way to the placement
+/// view: `cpu` runs I/O work through `until`, and the view may see it
+/// from `visible_at` on.
+#[derive(Clone, Copy, Debug)]
+struct BusyReport {
+    visible_at: SimTime,
+    cpu: CpuId,
+    until: SimTime,
+}
+
 /// A hub-side background-placement decision, handed to the CPU-owning
 /// logical process for installation (see [`HostModel::decide_background`]).
 #[derive(Clone, Debug)]
@@ -215,6 +227,12 @@ pub struct HostModel {
     cpus: Vec<CpuState>,
     /// Hub-owned placement view, one slot per CPU (see [`BgView`]).
     bg_view: Vec<BgView>,
+    /// Busy reports not yet visible to the view, in `visible_at`
+    /// order.
+    busy_reports: VecDeque<BusyReport>,
+    /// `config.tick_period(nohz)` for `nohz` = false, true: computed
+    /// once, since the charge and wake paths read it on every call.
+    tick_periods: [SimDuration; 2],
     /// Relative likelihood of each CPU attracting background work.
     /// A random ~20 % of CPUs are "hot" (persistent daemons such as
     /// llvmpipe park threads there), which is what spreads the
@@ -239,6 +257,7 @@ impl HostModel {
         let bg_weight = (0..n)
             .map(|_| if bg_rng.chance(0.2) { 4.0 } else { 1.0 })
             .collect();
+        let tick_periods = [config.tick_period(false), config.tick_period(true)];
         HostModel {
             topo,
             config,
@@ -246,6 +265,8 @@ impl HostModel {
             costs: SchedCosts::default(),
             cpus: (0..n).map(|c| CpuState::new(seed, c)).collect(),
             bg_view: vec![BgView::default(); n],
+            busy_reports: VecDeque::new(),
+            tick_periods,
             bg_weight,
             vectors: None,
             bg_rng,
@@ -337,13 +358,20 @@ impl HostModel {
     }
 
     /// The hub variant of
-    /// [`decide_background`](Self::decide_background): the idle test
-    /// reads only the hub-owned placement view — installs mirrored via
+    /// [`decide_background`](Self::decide_background), deciding at
+    /// `now` for a burst starting at `start`: the idle test reads only
+    /// the hub-owned placement view — installs mirrored via
     /// [`mirror_background`](Self::mirror_background), I/O charges
-    /// reported via [`note_io_busy`](Self::note_io_busy) — so the
-    /// decision never touches state owned by other logical processes.
-    /// The view lags true CPU state by at most the worker lookahead.
-    pub fn decide_background_remote(&mut self, start: SimTime) -> Option<BgPlacement> {
+    /// reported via [`note_io_busy`](Self::note_io_busy) and visible
+    /// by `now` — so the decision never touches state owned by other
+    /// logical processes. The view lags true CPU state by at most the
+    /// worker lookahead.
+    pub fn decide_background_remote(
+        &mut self,
+        now: SimTime,
+        start: SimTime,
+    ) -> Option<BgPlacement> {
+        self.fold_busy_reports(now);
         self.decide_background_with(start, true)
     }
 
@@ -438,16 +466,44 @@ impl HostModel {
         }
     }
 
-    /// Records in the hub-owned placement view that `cpu` ran I/O work
-    /// through `until`. Worker LPs report their charges to the hub so
-    /// its placement view keeps seeing I/O CPUs as busy while they
-    /// run; the report arrives one worker lookahead after the charge,
-    /// so the hub's view is never more than that much stale. Touches
-    /// only the view — never the live [`CpuState`] — so the report
-    /// cannot perturb the owner's scheduler.
-    pub fn note_io_busy(&mut self, cpu: CpuId, until: SimTime) {
-        let view = &mut self.bg_view[cpu.0 as usize];
-        view.io_busy_until = view.io_busy_until.max(until);
+    /// Reports, at `now`, that `cpu` runs I/O work through `until`;
+    /// the hub-owned placement view sees the report from `visible_at`
+    /// on. Worker LPs report their charges so the view keeps seeing
+    /// I/O CPUs as busy while they run; with `visible_at` one worker
+    /// lookahead after `now`, the view is never more than that much
+    /// stale. Touches only the view — never the live [`CpuState`] —
+    /// so the report cannot perturb the owner's scheduler.
+    ///
+    /// Reports must arrive in `visible_at` order. Each call first
+    /// folds the reports already visible at `now`: no decision can
+    /// precede `now` any more, so this bounds the pending log without
+    /// changing what any decision sees.
+    pub fn note_io_busy(&mut self, cpu: CpuId, until: SimTime, now: SimTime, visible_at: SimTime) {
+        debug_assert!(
+            self.busy_reports
+                .back()
+                .is_none_or(|r| r.visible_at <= visible_at),
+            "busy reports out of visibility order"
+        );
+        self.fold_busy_reports(now);
+        self.busy_reports.push_back(BusyReport {
+            visible_at,
+            cpu,
+            until,
+        });
+    }
+
+    /// Applies every busy report visible at `now` to the placement
+    /// view. Each is a max, so the fold order does not matter.
+    fn fold_busy_reports(&mut self, now: SimTime) {
+        while let Some(r) = self.busy_reports.front().copied() {
+            if r.visible_at > now {
+                break;
+            }
+            self.busy_reports.pop_front();
+            let view = &mut self.bg_view[r.cpu.0 as usize];
+            view.io_busy_until = view.io_busy_until.max(r.until);
+        }
     }
 
     /// Weighted random choice among candidate CPUs (hot CPUs attract
@@ -613,10 +669,14 @@ impl HostModel {
         s.io_busy_until > t || s.bg.as_ref().is_some_and(|b| b.active_at(t))
     }
 
+    /// The timer-tick period of `cpu` (`nohz_full` CPUs tick at 1 Hz).
+    fn tick_period(&self, cpu: CpuId) -> SimDuration {
+        self.tick_periods[self.config.nohz_full.contains(cpu) as usize]
+    }
+
     /// Next timer tick on `cpu` strictly after `t`.
     fn next_tick(&self, cpu: CpuId, t: SimTime) -> SimTime {
-        let nohz = self.config.nohz_full.contains(cpu);
-        let period = self.config.tick_period(nohz).as_nanos();
+        let period = self.tick_period(cpu).as_nanos();
         // Per-CPU phase: ticks are skewed across CPUs.
         let phase = (cpu.0 as u64 * 137_000) % period;
         let tn = t.as_nanos();
@@ -633,8 +693,7 @@ impl HostModel {
         if end <= start {
             return 0;
         }
-        let nohz = self.config.nohz_full.contains(cpu);
-        let period = self.config.tick_period(nohz).as_nanos();
+        let period = self.tick_period(cpu).as_nanos();
         let phase = (cpu.0 as u64 * 137_000) % period;
         let count = |t: u64| -> u64 {
             if t < phase {
@@ -766,9 +825,7 @@ impl HostModel {
                             3
                         }
                     };
-                    let nohz = self.config.nohz_full.contains(cpu);
-                    let period = self.config.tick_period(nohz);
-                    let tick_preempt = first_tick + period * extra_ticks;
+                    let tick_preempt = first_tick + self.tick_period(cpu) * extra_ticks;
                     // The burst may simply finish first; and a
                     // non-preemptible section can push past the tick.
                     let candidate = tick_preempt.min(bg_end).max(ready);
@@ -1149,6 +1206,36 @@ mod tests {
             plain.stats().rcu_softirq_hits > 0,
             "expected softirq hits without rcu_nocbs"
         );
+    }
+
+    /// A busy report reaches the hub's placement view exactly at its
+    /// `visible_at`: one nanosecond earlier the decision still sees the
+    /// CPU as it was. Only CPUs 4 and 5 are placeable, and the
+    /// IoAggressive profile prefers CPUs free of I/O for 5 ms. CPU 5
+    /// ran I/O until just before, so it is idle but never quiet; CPU 4
+    /// is quiet until its report lands and busy after. Either way a
+    /// decision sees the report, it has exactly one candidate.
+    #[test]
+    fn busy_reports_become_visible_at_their_arrival() {
+        let config = KernelConfig {
+            isolcpus: CpuSet::from_range(0, 3).union(CpuSet::from_range(6, 39)),
+            sched_profile: SchedProfile::IoAggressive,
+            ..KernelConfig::stock()
+        };
+        let mut h = quiet_host(config);
+        let visible_at = t_us(10_000);
+        let recent = visible_at - SimDuration::micros(1);
+        h.note_io_busy(CpuId(5), recent, SimTime::ZERO, SimTime::ZERO);
+        h.note_io_busy(CpuId(4), t_us(1_000_000), recent, visible_at);
+        let before = visible_at - SimDuration::nanos(1);
+        let early = h
+            .decide_background_remote(before, before)
+            .expect("allowed CPUs");
+        assert_eq!(early.cpu, CpuId(4), "report seen before it arrived");
+        let on_time = h
+            .decide_background_remote(visible_at, visible_at)
+            .expect("allowed CPUs");
+        assert_eq!(on_time.cpu, CpuId(5), "report not seen when it arrived");
     }
 
     #[test]

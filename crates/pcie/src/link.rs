@@ -108,6 +108,11 @@ pub struct Link {
     free_at: SimTime,
     bytes_carried: u64,
     transfers: u64,
+    /// The last `(bytes, spec.serialization(bytes))` pair
+    /// [`reserve`](Self::reserve) computed: a link carries one or two
+    /// payload sizes, so this skips the float conversion and rounding
+    /// on almost every transfer.
+    last_serialization: (u64, SimDuration),
 }
 
 impl Link {
@@ -119,6 +124,7 @@ impl Link {
             free_at: SimTime::ZERO,
             bytes_carried: 0,
             transfers: 0,
+            last_serialization: (0, spec.serialization(0)),
         }
     }
 
@@ -131,7 +137,10 @@ impl Link {
     /// than `now`; returns the arrival time at the far end.
     pub fn reserve(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let start = now.max(self.free_at);
-        let ser = self.spec.serialization(bytes);
+        if self.last_serialization.0 != bytes {
+            self.last_serialization = (bytes, self.spec.serialization(bytes));
+        }
+        let ser = self.last_serialization.1;
         self.free_at = start + ser;
         self.bytes_carried += bytes;
         self.transfers += 1;

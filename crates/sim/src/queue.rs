@@ -12,28 +12,44 @@
 //! comparator work of a binary heap — and per-level occupancy bitmaps
 //! make "find the next bucket" a single `trailing_zeros`.
 //!
+//! Each event is *parked once*: its payload (and merge key, if any)
+//! goes into a free-listed slab at push time and leaves it at pop time.
+//! The buckets hold 16-byte `(time, slot)` handles, so a cascade moves
+//! handles, never payloads, however large the event type is.
+//!
 //! # Ordering contract
 //!
-//! Identical to the binary-heap implementation this replaced (kept
-//! below as a `#[cfg(test)]` reference): events pop in ascending time
-//! order, and events scheduled for the same instant pop in FIFO
-//! (insertion) order. The FIFO guarantee is structural rather than
-//! enforced by sequence numbers: same-time events always map to the
-//! same bucket, pushes append, and cascades preserve bucket order, so
-//! insertion order survives all the way to level 0 — this is what
-//! keeps whole-system runs bit-reproducible. Differential tests (unit
-//! and property) drive both implementations with interleaved
-//! push/pop sequences and require identical output.
+//! Events pop in ascending time order. Among events at one instant:
+//!
+//! 1. a *drain batch* is everything an instant's level-0 bucket holds
+//!    when it is drained; an event pushed at the instant being drained
+//!    joins the next batch of that instant, after the current one;
+//! 2. within a batch, keyed events ([`EventQueue::push_keyed`]) pop
+//!    before plain ones ([`EventQueue::push`]), in [`MergeKey`] order;
+//! 3. plain events pop in push (FIFO) order.
+//!
+//! Push order survives the wheel structurally: same-time events always
+//! map to the same bucket, pushes append, and cascades preserve bucket
+//! order. Rule 2 is applied when a level-0 bucket drains: a batch of
+//! more than one event with at least one keyed entry is stable-sorted
+//! there, keyed entries first by key, plain entries after in push
+//! order. For plain-only traffic this is exactly the `(time,
+//! insertion)` order of the binary heap this replaced (kept below as a
+//! `#[cfg(test)]` reference) — this is what keeps whole-system runs
+//! bit-reproducible. Differential tests (unit and property) drive the
+//! wheel against the heap and against a sorted-set model of the rules
+//! above with interleaved push/pop sequences and require identical
+//! output.
 //!
 //! Timestamps may go backwards relative to the wheel origin (the
 //! generic API allows pushing a time earlier than the last pop); such
 //! events overflow into a small sequence-numbered binary heap and
-//! still pop in exact `(time, insertion)` order. The simulation driver
-//! never produces them — [`crate::Scheduler`] clamps to `now` — so the
-//! hot path pays only an empty-heap check.
+//! still pop in exact `(time, keyed-before-plain, key or insertion)`
+//! order. The simulation driver never produces them — [`crate::Scheduler`]
+//! clamps to `now` — so the hot path pays only an empty-heap check.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -78,6 +94,20 @@ fn level_of(time: u64, cur: u64) -> usize {
     ((63 - ((time ^ cur) | 1).leading_zeros()) / LEVEL_BITS) as usize
 }
 
+/// A wheel-resident reference to a parked event.
+#[derive(Clone, Copy, Debug)]
+struct Handle {
+    time: u64,
+    /// Index into [`EventQueue::slab`].
+    slot: u32,
+    /// Pushed by [`EventQueue::push_keyed`]; its key is
+    /// `keys[slot]`.
+    keyed: bool,
+}
+
+// Cascades copy handles, so keep them at two words.
+const _: () = assert!(std::mem::size_of::<Handle>() == 16);
+
 /// An event pushed with a timestamp earlier than the wheel origin
 /// (impossible through the simulation driver, legal through the raw
 /// API): ordered by time, then insertion sequence, exactly like the
@@ -92,8 +122,8 @@ struct PastEntry<E> {
 
 impl<E> PastEntry<E> {
     /// Ascending-order rank: time, then keyed-before-plain, then key
-    /// (keyed) or insertion seq (plain) — the same order the wheel's
-    /// buckets realize structurally.
+    /// (keyed) or insertion seq (plain) — the order a wheel drain
+    /// batch pops in.
     fn rank(&self, other: &Self) -> Ordering {
         self.time
             .cmp(&other.time)
@@ -145,22 +175,29 @@ impl<E> Ord for PastEntry<E> {
 /// ```
 pub struct EventQueue<E> {
     /// `LEVELS × SLOTS` buckets, flattened; bucket `level*SLOTS + slot`
-    /// holds events whose timestamp chunk at `level` equals `slot`.
-    wheel: Vec<Vec<(u64, E)>>,
+    /// holds handles whose timestamp chunk at `level` equals `slot`.
+    wheel: Vec<Vec<Handle>>,
     /// Per-level bitmap of non-empty buckets.
     occupied: [u64; LEVELS],
     /// Wheel origin: all wheel-resident events have `time >= cur`.
     cur: u64,
-    /// The drained current level-0 bucket; every entry is at
-    /// `ready_time`, popped front-first to preserve FIFO order.
-    ready: VecDeque<E>,
+    /// Parked payloads of wheel-resident events, indexed by
+    /// [`Handle::slot`]; `None` slots are on `free`.
+    slab: Vec<Option<E>>,
+    /// Merge keys of keyed slots (stale for plain ones).
+    keys: Vec<MergeKey>,
+    free: Vec<u32>,
+    /// The current drain batch: slots of the drained level-0 bucket,
+    /// in pop order from `ready_pos`, every one at `ready_time`.
+    ready: Vec<u32>,
+    ready_pos: usize,
     ready_time: u64,
     /// Overflow for `time < cur` pushes (see module docs).
     past: BinaryHeap<PastEntry<E>>,
     past_seq: u64,
     /// Reusable cascade buffer; bucket allocations rotate through it
     /// so steady-state operation does not allocate.
-    scratch: Vec<(u64, E)>,
+    scratch: Vec<Handle>,
     len: usize,
 }
 
@@ -177,7 +214,11 @@ impl<E> EventQueue<E> {
             wheel: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
             cur: 0,
-            ready: VecDeque::new(),
+            slab: Vec::new(),
+            keys: Vec::new(),
+            free: Vec::new(),
+            ready: Vec::new(),
+            ready_pos: 0,
             ready_time: 0,
             past: BinaryHeap::new(),
             past_seq: 0,
@@ -187,61 +228,102 @@ impl<E> EventQueue<E> {
     }
 
     /// Creates an empty queue pre-sized for roughly `capacity` pending
-    /// events: the drain and cascade buffers are pre-allocated (bucket
-    /// storage itself grows on demand and is reused thereafter).
+    /// events: the slab and the cascade buffer are pre-allocated
+    /// (bucket storage itself grows on demand and is reused
+    /// thereafter).
     pub fn with_capacity(capacity: usize) -> Self {
+        let capacity = capacity.min(1 << 20);
         EventQueue {
-            ready: VecDeque::with_capacity(capacity.min(1 << 20)),
-            scratch: Vec::with_capacity(capacity.min(1 << 20)),
+            slab: Vec::with_capacity(capacity),
+            keys: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
+            scratch: Vec::with_capacity(capacity),
             ..Self::new()
         }
     }
 
-    /// Places `(t, event)` in its wheel bucket. Requires `t >= cur`.
+    /// Parks `event` in a free slab slot and returns the slot.
     #[inline]
-    fn insert(&mut self, t: u64, event: E) {
-        let level = level_of(t, self.cur);
-        let slot = ((t >> (level as u32 * LEVEL_BITS)) & SLOT_MASK) as usize;
-        self.wheel[level * SLOTS + slot].push((t, event));
+    fn park(&mut self, event: E) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                self.keys.push(MergeKey {
+                    src: 0,
+                    dst: 0,
+                    seq: 0,
+                });
+                (self.slab.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Takes the event parked in `slot` and frees the slot.
+    #[inline]
+    fn unpark(&mut self, slot: u32) -> E {
+        self.free.push(slot);
+        self.slab[slot as usize].take().expect("parked event")
+    }
+
+    /// Places `handle` in its wheel bucket. Requires `handle.time >= cur`.
+    #[inline]
+    fn insert(&mut self, handle: Handle) {
+        let level = level_of(handle.time, self.cur);
+        let slot = ((handle.time >> (level as u32 * LEVEL_BITS)) & SLOT_MASK) as usize;
+        self.wheel[level * SLOTS + slot].push(handle);
         self.occupied[level] |= 1 << slot;
     }
 
-    /// Schedules `event` at the absolute instant `time`.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        let t = time.as_nanos();
+    /// Schedules `(t, event)`, keyed by `key` if it has one: parked on
+    /// the wheel, or in the overflow heap if `t` precedes the origin.
+    #[inline]
+    fn schedule(&mut self, t: u64, key: Option<MergeKey>, event: E) {
         if self.len == 0 {
             // Empty queue: re-anchor the wheel so `t` is the origin.
             // Keeps single-outstanding-event churn entirely in level 0
             // and lets arbitrary (even "past") times start fresh.
             self.cur = t;
         }
+        self.len += 1;
         if t < self.cur {
             let seq = self.past_seq;
             self.past_seq += 1;
             self.past.push(PastEntry {
                 time: t,
-                key: None,
+                key,
                 seq,
                 event,
             });
-        } else {
-            self.insert(t, event);
+            return;
         }
-        self.len += 1;
+        let slot = self.park(event);
+        if let Some(key) = key {
+            self.keys[slot as usize] = key;
+        }
+        self.insert(Handle {
+            time: t,
+            slot,
+            keyed: key.is_some(),
+        });
     }
 
-    /// Schedules a keyed event at the absolute instant `time`, placed
-    /// so that at every instant all keyed events pop in [`MergeKey`]
-    /// order *before* any plain events sharing the timestamp.
+    /// Schedules `event` at the absolute instant `time`.
+    pub fn push(&mut self, time: SimTime, event: E) {
+        self.schedule(time.as_nanos(), None, event);
+    }
+
+    /// Schedules a keyed event at the absolute instant `time`. Within
+    /// the drain batch it lands in, every keyed event pops in
+    /// [`MergeKey`] order *before* any plain event sharing the
+    /// timestamp (see the module docs).
     ///
-    /// The position is found by a backward scan of the target bucket:
-    /// same-instant keyed entries are maintained key-sorted as a
-    /// subsequence of the bucket, an invariant cascades preserve
-    /// (same-instant events always share buckets at every level and
-    /// cascades keep relative order). Same-instant groups are tiny in
-    /// practice — a handful of cross arrivals — so the scan is short;
-    /// the plain [`EventQueue::push`] path is untouched and pays
-    /// nothing for this.
+    /// The push itself is the plain append; the merge order is
+    /// resolved once, when the instant's level-0 bucket drains, so
+    /// neither this push nor a cascade pays for it.
     ///
     /// The caller must not push a keyed event at or before an instant
     /// it has already drained past (the LP engine's lookahead
@@ -253,50 +335,7 @@ impl<E> EventQueue<E> {
         E: KeyedEvent,
     {
         let key = event.merge_key().expect("push_keyed requires a merge key");
-        let t = time.as_nanos();
-        if self.len == 0 {
-            self.cur = t;
-        }
-        if t < self.cur {
-            let seq = self.past_seq;
-            self.past_seq += 1;
-            self.past.push(PastEntry {
-                time: t,
-                key: Some(key),
-                seq,
-                event,
-            });
-            self.len += 1;
-            return;
-        }
-        let level = level_of(t, self.cur);
-        let slot = ((t >> (level as u32 * LEVEL_BITS)) & SLOT_MASK) as usize;
-        let bucket = &mut self.wheel[level * SLOTS + slot];
-        self.occupied[level] |= 1 << slot;
-        // Scan backward for the last same-instant keyed entry with a
-        // key below ours (insert right after it); failing that, before
-        // the earliest same-instant entry; failing that, append.
-        let mut before: Option<usize> = None;
-        let mut pos = bucket.len();
-        for i in (0..bucket.len()).rev() {
-            let (bt, ref e) = bucket[i];
-            if bt != t {
-                continue;
-            }
-            match e.merge_key() {
-                Some(k) if k <= key => {
-                    pos = i + 1;
-                    before = None;
-                    break;
-                }
-                _ => before = Some(i),
-            }
-        }
-        if let Some(i) = before {
-            pos = i;
-        }
-        bucket.insert(pos, (t, event));
-        self.len += 1;
+        self.schedule(time.as_nanos(), Some(key), event);
     }
 
     /// Cascades buckets until level 0 is occupied. Requires at least
@@ -322,12 +361,48 @@ impl<E> EventQueue<E> {
                 &mut self.wheel[level * SLOTS + slot as usize],
                 std::mem::take(&mut self.scratch),
             );
-            for (t, e) in items.drain(..) {
-                debug_assert!(level_of(t, self.cur) < level, "cascade must descend");
-                self.insert(t, e);
+            for handle in items.drain(..) {
+                debug_assert!(
+                    level_of(handle.time, self.cur) < level,
+                    "cascade must descend"
+                );
+                self.insert(handle);
             }
             self.scratch = items;
         }
+    }
+
+    /// Drains the earliest level-0 bucket into the ready batch, in pop
+    /// order. Requires at least one wheel-resident event.
+    fn drain_next_batch(&mut self) {
+        self.settle_wheel();
+        let slot = self.occupied[0].trailing_zeros() as u64;
+        let t = (self.cur & !SLOT_MASK) | slot;
+        debug_assert!(t >= self.cur);
+        self.cur = t;
+        self.ready_time = t;
+        self.occupied[0] &= !(1 << slot);
+        // A level-0 bucket spans exactly one nanosecond, so every
+        // entry shares the timestamp. Keyed entries move ahead of
+        // plain ones in key order; the sort is stable, so plain
+        // entries keep push order.
+        let bucket = &mut self.wheel[slot as usize];
+        if bucket.len() > 1 && bucket.iter().any(|h| h.keyed) {
+            let keys = &self.keys;
+            bucket.sort_by(|a, b| match (a.keyed, b.keyed) {
+                (true, true) => keys[a.slot as usize].cmp(&keys[b.slot as usize]),
+                (true, false) => Ordering::Less,
+                (false, true) => Ordering::Greater,
+                (false, false) => Ordering::Equal,
+            });
+        }
+        self.ready.clear();
+        self.ready_pos = 0;
+        // Drain keeps the bucket's allocation for its next occupant.
+        self.ready.extend(bucket.drain(..).map(|h| {
+            debug_assert_eq!(h.time, t);
+            h.slot
+        }));
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
@@ -341,26 +416,12 @@ impl<E> EventQueue<E> {
         if let Some(entry) = self.past.pop() {
             return Some((SimTime::from_nanos(entry.time), entry.event));
         }
-        if let Some(event) = self.ready.pop_front() {
-            return Some((SimTime::from_nanos(self.ready_time), event));
+        if self.ready_pos == self.ready.len() {
+            self.drain_next_batch();
         }
-        self.settle_wheel();
-        let slot = self.occupied[0].trailing_zeros() as u64;
-        let t = (self.cur & !SLOT_MASK) | slot;
-        debug_assert!(t >= self.cur);
-        self.cur = t;
-        self.ready_time = t;
-        self.occupied[0] &= !(1 << slot);
-        // A level-0 bucket spans exactly one nanosecond, so every
-        // entry shares the timestamp; drain preserves FIFO order and
-        // keeps the bucket's allocation for its next occupant.
-        let bucket = &mut self.wheel[slot as usize];
-        self.ready.extend(bucket.drain(..).map(|(bt, e)| {
-            debug_assert_eq!(bt, t);
-            e
-        }));
-        let event = self.ready.pop_front().expect("occupied level-0 bucket");
-        Some((SimTime::from_nanos(t), event))
+        let slot = self.ready[self.ready_pos];
+        self.ready_pos += 1;
+        Some((SimTime::from_nanos(self.ready_time), self.unpark(slot)))
     }
 
     /// Returns the timestamp of the earliest pending event.
@@ -376,7 +437,7 @@ impl<E> EventQueue<E> {
         if let Some(p) = self.past.peek() {
             return Some(SimTime::from_nanos(p.time));
         }
-        if !self.ready.is_empty() {
+        if self.ready_pos < self.ready.len() {
             return Some(SimTime::from_nanos(self.ready_time));
         }
         for level in 0..LEVELS {
@@ -389,7 +450,7 @@ impl<E> EventQueue<E> {
             }
             let t = self.wheel[level * SLOTS + slot as usize]
                 .iter()
-                .map(|&(t, _)| t)
+                .map(|h| h.time)
                 .min()
                 .expect("bucket marked occupied");
             return Some(SimTime::from_nanos(t));
@@ -407,7 +468,7 @@ impl<E> EventQueue<E> {
         if let Some(p) = self.past.peek() {
             return Some(SimTime::from_nanos(p.time));
         }
-        if !self.ready.is_empty() {
+        if self.ready_pos < self.ready.len() {
             return Some(SimTime::from_nanos(self.ready_time));
         }
         self.settle_wheel();
@@ -431,7 +492,11 @@ impl<E> EventQueue<E> {
             bucket.clear();
         }
         self.occupied = [0; LEVELS];
+        self.slab.clear();
+        self.keys.clear();
+        self.free.clear();
         self.ready.clear();
+        self.ready_pos = 0;
         self.past.clear();
         self.scratch.clear();
         self.cur = 0;
@@ -711,6 +776,113 @@ mod tests {
         push_ke(&mut q, 400, KE(None, 4));
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e.1)).collect();
         assert_eq!(order, vec![4, 3, 2, 1]);
+    }
+
+    /// `(time, batch, plain?, key, push order, id)`; plain events share
+    /// one dummy key, so push order breaks their ties.
+    type RefEntry = (u64, u64, bool, (u16, u16, u64), u64, u32);
+
+    /// The merge order [`EventQueue::push_keyed`] promises, as a plain
+    /// sorted set: `(time, drain batch, keyed before plain, MergeKey
+    /// or push order)`. A batch is what one drain of an instant takes;
+    /// an event pushed at the instant being drained joins the next
+    /// batch of that instant.
+    #[derive(Default)]
+    struct KeyedReference {
+        pending: std::collections::BTreeSet<RefEntry>,
+        /// `(instant, batch)` of the last pop.
+        draining: Option<(u64, u64)>,
+        pushes: u64,
+    }
+
+    impl KeyedReference {
+        fn push(&mut self, time: u64, e: KE) {
+            let batch = match self.draining {
+                Some((now, batch)) if now == time => batch + 1,
+                _ => 0,
+            };
+            let (plain, key) = match e.0 {
+                Some(key) => (false, key),
+                None => (true, (0, 0, 0)),
+            };
+            self.pending
+                .insert((time, batch, plain, key, self.pushes, e.1));
+            self.pushes += 1;
+        }
+
+        fn pop(&mut self) -> Option<(u64, u32)> {
+            let (time, batch, _, _, _, id) = self.pending.pop_first()?;
+            self.draining = Some((time, batch));
+            Some((time, id))
+        }
+    }
+
+    /// Random interleavings of `push`, `push_keyed` and `pop` must pop
+    /// exactly the order of [`KeyedReference`]. Keys are drawn per
+    /// `(src, dst)` channel with sequence numbers rising in push order,
+    /// as the LP engine draws them; a share of the pushes lands on the
+    /// instant last popped (never before it), and future instants are
+    /// coarse so several events share them and cascade together.
+    #[test]
+    fn keyed_differential_against_merge_reference() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for trial in 0..24u64 {
+            let mut q = EventQueue::new();
+            let mut reference = KeyedReference::default();
+            let mut channel_seq = [[0u64; 4]; 4];
+            let mut clock = trial * 7_919;
+            let mut id = 0u32;
+            for _ in 0..4_000 {
+                let r = rng();
+                if r % 100 < 55 || q.is_empty() {
+                    // An empty queue re-anchors its origin at the next
+                    // push, so a later push at the last-popped instant
+                    // would land in the past-overflow heap, which has
+                    // no drain batches (see
+                    // `keyed_past_pushes_order_against_plain`); the
+                    // first push into an empty queue lands on the clock.
+                    let gap = match (r >> 7) % 10 {
+                        _ if q.is_empty() => 0,
+                        0..=2 => 0,
+                        3..=5 => ((r >> 16) % 8) * 64,
+                        6 | 7 => ((r >> 16) % 8) * 50_000,
+                        _ => ((r >> 16) % 4) * 40_000_000,
+                    };
+                    let key = if (r >> 40) % 3 == 0 {
+                        None
+                    } else {
+                        let (src, dst) = (((r >> 44) % 4) as usize, ((r >> 48) % 4) as usize);
+                        let seq = channel_seq[src][dst];
+                        channel_seq[src][dst] += 1;
+                        Some((src as u16, dst as u16, seq))
+                    };
+                    let e = KE(key, id);
+                    id += 1;
+                    push_ke(&mut q, clock + gap, e);
+                    reference.push(clock + gap, e);
+                } else {
+                    let got = q.pop().map(|(pt, e)| (pt.as_nanos(), e.1));
+                    assert_eq!(got, reference.pop(), "trial {trial}");
+                    if let Some((pt, _)) = got {
+                        clock = pt;
+                    }
+                }
+                assert_eq!(q.len(), reference.pending.len(), "trial {trial}");
+            }
+            loop {
+                let got = q.pop().map(|(pt, e)| (pt.as_nanos(), e.1));
+                assert_eq!(got, reference.pop(), "drain, trial {trial}");
+                if got.is_none() {
+                    break;
+                }
+            }
+        }
     }
 
     /// The differential ordering test the timing wheel's correctness

@@ -17,10 +17,13 @@
 //!    destination LP, per-channel send seq)`;
 //! 4. local events at equal times keep timing-wheel FIFO order.
 //!
-//! The merge is realized *structurally* by [`EventQueue::push_keyed`]:
-//! cross events are placed key-sorted among same-instant entries at
-//! insertion time, so the hot pop path is the plain wheel pop — there
-//! is no side ordering structure to consult per event.
+//! The wheel itself keeps this order: cross events go in through
+//! [`EventQueue::push_keyed`] and local events through
+//! [`EventQueue::push`], and the queue sorts an instant's keyed entries
+//! ahead of its plain ones, by key, when that instant's level-0 bucket
+//! drains. Pushes are plain appends and there is no side ordering
+//! structure to consult per event. An event sent or scheduled *at* the
+//! instant being drained pops after that instant's current batch.
 //!
 //! # Lookahead
 //!
@@ -64,9 +67,9 @@ pub trait ShardWorld {
 }
 
 /// A wheel entry: a local event tagged with its LP, or a cross arrival
-/// whose payload is parked in the slab (keeping the wheel entry small
-/// and cheap to cascade).
-enum Item<L> {
+/// with its merge key. The queue parks each entry once, so a large
+/// cross payload is never copied through the wheel's buckets.
+enum Item<L, C> {
     Local {
         lp: u16,
         event: L,
@@ -75,11 +78,11 @@ enum Item<L> {
         src: u16,
         dst: u16,
         seq: u64,
-        slot: u32,
+        event: C,
     },
 }
 
-impl<L> KeyedEvent for Item<L> {
+impl<L, C> KeyedEvent for Item<L, C> {
     fn merge_key(&self) -> Option<MergeKey> {
         match *self {
             Item::Local { .. } => None,
@@ -88,14 +91,10 @@ impl<L> KeyedEvent for Item<L> {
     }
 }
 
-/// The engine state handlers schedule into: the wheel, the parked
-/// cross payloads and the per-channel send counters.
+/// The engine state handlers schedule into: the wheel and the
+/// per-channel send counters.
 struct Wheel<L, C> {
-    queue: EventQueue<Item<L>>,
-    /// Parked cross payloads referenced by wheel-resident
-    /// `Item::Cross` entries.
-    slab: Vec<Option<C>>,
-    slab_free: Vec<u32>,
+    queue: EventQueue<Item<L, C>>,
     /// Per-`(src LP, dst LP)` send counters, `lp_count²` flattened.
     send_seq: Vec<u64>,
     /// Per-LP lookahead bound on cross sends.
@@ -114,29 +113,19 @@ impl<L, C> Wheel<L, C> {
         );
     }
 
-    /// Parks `event` and places it in merge-key position, drawing the
+    /// Pushes a cross event keyed for the merge order, drawing the
     /// `(src, dst)` channel's next sequence number.
     fn push_cross(&mut self, src: usize, dst: usize, time: SimTime, event: C) {
         let channel = &mut self.send_seq[src * self.lookahead.len() + dst];
         let seq = *channel;
         *channel += 1;
-        let slot = match self.slab_free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(event);
-                slot
-            }
-            None => {
-                self.slab.push(Some(event));
-                (self.slab.len() - 1) as u32
-            }
-        };
         self.queue.push_keyed(
             time,
             Item::Cross {
                 src: src as u16,
                 dst: dst as u16,
                 seq,
-                slot,
+                event,
             },
         );
     }
@@ -256,8 +245,6 @@ impl<W: ShardWorld> ShardedSim<W> {
             world,
             wheel: Wheel {
                 queue: EventQueue::new(),
-                slab: Vec::new(),
-                slab_free: Vec::new(),
                 send_seq: vec![0; lps * lps],
                 lookahead: lookaheads,
                 clamped: 0,
@@ -308,15 +295,15 @@ impl<W: ShardWorld> ShardedSim<W> {
                     };
                     self.world.handle_local(event, &mut ctx);
                 }
-                Item::Cross { src, dst, slot, .. } => {
-                    let payload = self.wheel.slab[slot as usize].take().expect("parked cross");
-                    self.wheel.slab_free.push(slot);
+                Item::Cross {
+                    src, dst, event, ..
+                } => {
                     let mut ctx = ShardCtx {
                         lp: dst as usize,
                         now: time,
                         wheel: &mut self.wheel,
                     };
-                    self.world.handle_cross(src as usize, payload, &mut ctx);
+                    self.world.handle_cross(src as usize, event, &mut ctx);
                 }
             }
         }

@@ -71,6 +71,13 @@ done
 echo "==> afabench tests"
 cargo test -q --manifest-path afabench/Cargo.toml
 
+echo "==> afabench digest pins (five workloads, full scale, seed 42)"
+# The goldens above run at 0.25 s x 8 SSDs; this is the paper-scale
+# exactness check. Each workload's simulation digest must match the pin
+# in afabench/provenance.json, and afabench exits 1 on any pin miss or
+# failed unit. About 1-2 minutes on a 2-vCPU host.
+cargo run --release --manifest-path afabench/Cargo.toml -- run --seed 42
+
 echo "==> whole-system property suite (one test thread)"
 # The properties share process-wide state: the FusionOverride guard and
 # the afa_sim::metrics totals the run manifest reports as deltas. Run

@@ -158,7 +158,7 @@ fn run_fingerprint(r: &afa::core::RunResult) -> impl PartialEq + std::fmt::Debug
 
 /// The engine's event budget per completed I/O, with fusion forced on
 /// and off. Busy-polled QD1 chains on private worker LPs fuse into one
-/// settlement event (3 events per I/O instead of 6); interrupt chains
+/// settlement event (2 events per I/O instead of 5); interrupt chains
 /// never fuse, so a libaio run pops the same events either way. Both
 /// cases live in this one test because [`FusionOverride`] is
 /// process-wide; the counts come from each run's own
@@ -188,13 +188,13 @@ fn polled_chains_fuse_and_interrupt_chains_do_not() {
     let fused = run(&ull_poll, true);
     let unfused = run(&ull_poll, false);
     assert!(
-        per_io(&fused) <= 4.0,
-        "fused polled run popped {:.2} events per I/O (budget 4.0)",
+        per_io(&fused) <= 3.0,
+        "fused polled run popped {:.2} events per I/O (budget 3.0)",
         per_io(&fused)
     );
     assert!(
-        (5.9..6.1).contains(&per_io(&unfused)),
-        "unfused polled run popped {:.2} events per I/O, expected 6",
+        (4.9..5.1).contains(&per_io(&unfused)),
+        "unfused polled run popped {:.2} events per I/O, expected 5",
         per_io(&unfused)
     );
     assert_eq!(run_fingerprint(&fused), run_fingerprint(&unfused));
