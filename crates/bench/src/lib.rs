@@ -4,7 +4,7 @@
 //!
 //! * **Figure/table regeneration** — `cargo bench -p afa-bench --bench
 //!   figures` iterates the experiment registry
-//!   ([`afa_core::experiment::registry`]) and prints paper-style
+//!   ([`afa_core::experiment::registry()`]) and prints paper-style
 //!   tables. Individual binaries (`cargo run -p afa-bench --release
 //!   --bin fig06`, …) are thin wrappers over [`run_named`]: each
 //!   regenerates one artifact, prints its run manifest, and writes

@@ -30,11 +30,12 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 use afa_frontend::{ArrivalEntry, ArrivalWheel, RequestBook, SloTarget, SloTracker, SubCompletion};
 use afa_sim::metrics::FrontendCounters;
-use afa_sim::{Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
+use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
 use afa_stats::{Json, LatencyHistogram, LatencyProfile, NinesPoint};
 use afa_volume::SubIo;
 
@@ -376,9 +377,9 @@ fn run_rung(scale: ExperimentScale, tenants: u64) -> FleetCell {
         arrivals: 0,
         wheel_peak: 0,
     };
-    let mut sim = Simulation::new(world);
-    sim.schedule_at(SimTime::ZERO, FleetEvent::Tick);
-    sim.run_to_completion();
+    let mut sim = ShardedSim::new(world, vec![super::ONE_LP_LOOKAHEAD]);
+    sim.schedule(0, SimTime::ZERO, FleetEvent::Tick);
+    sim.run();
     let sim_events = sim.events_processed();
     let world = sim.into_world();
 
@@ -440,6 +441,8 @@ enum FleetEvent {
     SubDone { request: u64, sub: usize },
 }
 
+type Ctx<'a> = ShardCtx<'a, FleetEvent, Infallible>;
+
 /// Per-tenant tail state. At the million rung the vast majority of
 /// active tenants finish exactly one request inside the horizon, so
 /// the sketch only materializes on the *second* completion; a lone
@@ -485,7 +488,7 @@ struct FleetWorld {
 }
 
 impl FleetWorld {
-    fn on_arrival(&mut self, entry: ArrivalEntry, sched: &mut Scheduler<'_, FleetEvent>) {
+    fn on_arrival(&mut self, entry: ArrivalEntry, ctx: &mut Ctx<'_>) {
         self.arrivals += 1;
         // Chain the tenant's next arrival before serving this one;
         // gaps are stateless one-shot draws, and at-or-past-deadline
@@ -511,12 +514,12 @@ impl FleetWorld {
         // Per-sub service: floor + exponential tail from a one-shot
         // stream keyed by the request, never scheduled into the past
         // (the batch drain can run a slot width behind the arrival).
-        let now = sched.now();
+        let now = ctx.now();
         let stream = SERVICE_SALT ^ ((entry.tenant as u64) << 27) ^ entry.k as u64;
         let mut rng = SimRng::from_seed_and_stream(self.seed, stream);
         for sub in 0..self.width {
             let service = SUB_FLOOR + SimDuration::nanos(rng.exponential(SUB_TAIL_MEAN_NS) as u64);
-            sched.at(
+            ctx.at(
                 (entry.at + service).max(now),
                 FleetEvent::SubDone { request, sub },
             );
@@ -524,13 +527,14 @@ impl FleetWorld {
     }
 }
 
-impl World for FleetWorld {
-    type Event = FleetEvent;
+impl ShardWorld for FleetWorld {
+    type Local = FleetEvent;
+    type Cross = Infallible;
 
-    fn handle(&mut self, event: FleetEvent, sched: &mut Scheduler<'_, FleetEvent>) {
+    fn handle_local(&mut self, event: FleetEvent, ctx: &mut Ctx<'_>) {
         match event {
             FleetEvent::Tick => {
-                let now = sched.now();
+                let now = ctx.now();
                 let mut batch = std::mem::take(&mut self.batch);
                 // Chained pushes can land at or before `now`; loop
                 // until the wheel has nothing due.
@@ -540,17 +544,17 @@ impl World for FleetWorld {
                         break;
                     }
                     for &entry in &batch {
-                        self.on_arrival(entry, sched);
+                        self.on_arrival(entry, ctx);
                     }
                 }
                 self.batch = batch;
                 self.wheel_peak = self.wheel_peak.max(self.wheel.len() as u64);
                 if let Some(due) = self.wheel.next_due() {
-                    sched.at(due, FleetEvent::Tick);
+                    ctx.at(due, FleetEvent::Tick);
                 }
             }
             FleetEvent::SubDone { request, sub } => {
-                let now = sched.now();
+                let now = ctx.now();
                 if let SubCompletion::Finished(fin) =
                     self.book.complete_sub(request, sub, now, false)
                 {
@@ -579,6 +583,10 @@ impl World for FleetWorld {
                 }
             }
         }
+    }
+
+    fn handle_cross(&mut self, _src: usize, event: Infallible, _ctx: &mut Ctx<'_>) {
+        match event {}
     }
 }
 

@@ -25,6 +25,8 @@
 //! client reap tile the measured latency to the nanosecond
 //! ([`FailoverCell::ledger_mismatches`] is always zero).
 
+use std::convert::Infallible;
+
 use afa_fleet::{
     heal_jobs, place_among, ArrayInstance, HealJob, HopSpec, NetHop, ReadPolicy, RetryPolicy,
 };
@@ -33,7 +35,7 @@ use afa_host::{BackgroundConfig, CpuTopology, HostModel, SchedPolicy};
 use afa_pcie::PcieFabric;
 use afa_sim::metrics::{CompletionCounters, FleetCounters, FrontendCounters};
 use afa_sim::trace::Cause;
-use afa_sim::{Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
+use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
 use afa_ssd::{NvmeCommand, SsdDevice, SsdSpec};
 use afa_stats::{Json, LatencyHistogram, LatencyProfile, NinesPoint, SketchRollup};
 use afa_volume::SubIo;
@@ -634,15 +636,15 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
         deadline,
         horizon: deadline + SimDuration::millis(50),
     };
-    let mut sim = Simulation::new(world);
-    sim.schedule_at(SimTime::ZERO, FlEvent::Arrival);
+    let mut sim = ShardedSim::new(world, vec![super::ONE_LP_LOOKAHEAD]);
+    sim.schedule(0, SimTime::ZERO, FlEvent::Arrival);
     for array in 0..arrays_n {
-        sim.schedule_at(SimTime::ZERO, FlEvent::BgArrival { array });
+        sim.schedule(0, SimTime::ZERO, FlEvent::BgArrival { array });
     }
     if let Some(at) = kill_at {
-        sim.schedule_at(at, FlEvent::Kill);
+        sim.schedule(0, at, FlEvent::Kill);
     }
-    sim.run_to_completion();
+    sim.run();
     let world = sim.into_world();
 
     let (_merged, sketch_merges) = world.rollup.merged();
@@ -825,6 +827,8 @@ enum FlEvent {
     BgArrival { array: usize },
 }
 
+type Ctx<'a> = ShardCtx<'a, FlEvent, Infallible>;
+
 struct FleetWorld {
     arrays: Vec<ArrayInstance>,
     hops: Vec<NetHop>,
@@ -915,11 +919,11 @@ impl FleetWorld {
         write: bool,
         from_hedge: bool,
         sent_at: SimTime,
-        sched: &mut Scheduler<'_, FlEvent>,
+        ctx: &mut Ctx<'_>,
     ) {
         let req_bytes = RPC_ENVELOPE + if write { DATA_BYTES as u64 } else { 0 };
         let at_array = self.hops[array].request.reserve(sent_at, req_bytes);
-        sched.at(
+        ctx.at(
             at_array,
             FlEvent::NetArrive {
                 request,
@@ -1063,17 +1067,18 @@ impl FleetWorld {
     }
 }
 
-impl World for FleetWorld {
-    type Event = FlEvent;
+impl ShardWorld for FleetWorld {
+    type Local = FlEvent;
+    type Cross = Infallible;
 
-    fn handle(&mut self, event: FlEvent, sched: &mut Scheduler<'_, FlEvent>) {
+    fn handle_local(&mut self, event: FlEvent, ctx: &mut Ctx<'_>) {
         match event {
             FlEvent::Arrival => {
-                let now = sched.now();
+                let now = ctx.now();
                 let gap = self.rng_arrival.exponential(1.0 / ARRIVAL_RATE);
                 let next = now + SimDuration::from_secs_f64(gap);
                 if next < self.deadline {
-                    sched.at(next, FlEvent::Arrival);
+                    ctx.at(next, FlEvent::Arrival);
                 }
                 let volume = self.rng_volume.below(VOLUMES);
                 let write =
@@ -1154,7 +1159,7 @@ impl World for FleetWorld {
                     // on a surviving replica.
                     self.failovers += 1;
                     let backoff = self.retry.delay(2).expect("first retry is in budget");
-                    sched.at(
+                    ctx.at(
                         submit_end + backoff,
                         FlEvent::Retry {
                             request: id,
@@ -1164,12 +1169,12 @@ impl World for FleetWorld {
                     );
                 } else {
                     for (i, &array) in targets.iter().enumerate() {
-                        self.send_sub(id, i, 1, array, write, false, submit_end, sched);
+                        self.send_sub(id, i, 1, array, write, false, submit_end, ctx);
                     }
                 }
                 if !write && self.policy == ReadPolicy::HedgedSecondary {
                     if let Some(delay) = self.hedge.as_ref().and_then(HedgePolicy::delay) {
-                        sched.at(submit_end + delay, FlEvent::HedgeFire { request: id });
+                        ctx.at(submit_end + delay, FlEvent::HedgeFire { request: id });
                     }
                 }
             }
@@ -1185,7 +1190,7 @@ impl World for FleetWorld {
                     self.stale_drops += 1;
                     return;
                 }
-                let now = sched.now();
+                let now = ctx.now();
                 let route = self.route(request).expect("attempt_live checked");
                 let (write, lba, volume) = (route.write, route.subs[sub].lba, route.volume);
                 let device = self.device_of(volume);
@@ -1195,7 +1200,7 @@ impl World for FleetWorld {
                     NvmeCommand::read(lba, DATA_BYTES)
                 };
                 let times = self.arrays[array].ingest(now, device, cmd, ARRAY_SUBMIT);
-                sched.at(
+                ctx.at(
                     times.dev_done,
                     FlEvent::DevDone {
                         request,
@@ -1227,11 +1232,11 @@ impl World for FleetWorld {
                     self.stale_drops += 1;
                     return;
                 }
-                let now = sched.now();
+                let now = ctx.now();
                 let write = self.route(request).expect("attempt_live checked").write;
                 let payload = if write { 64 } else { DATA_BYTES as u64 };
                 let at_host = self.arrays[array].completion_to_host(device, now, payload);
-                sched.at(
+                ctx.at(
                     at_host,
                     FlEvent::ArrayReap {
                         request,
@@ -1265,7 +1270,7 @@ impl World for FleetWorld {
                     self.stale_drops += 1;
                     return;
                 }
-                let now = sched.now();
+                let now = ctx.now();
                 let policy = self.sched_policy;
                 let reap = self.arrays[array].reap(device, now, policy, ARRAY_REAP);
                 let write = self.route(request).expect("attempt_live checked").write;
@@ -1273,7 +1278,7 @@ impl World for FleetWorld {
                 let client_rx = self.hops[array]
                     .completion
                     .reserve(reap.reap_end, ret_bytes);
-                sched.at(
+                ctx.at(
                     client_rx,
                     FlEvent::NetReturn {
                         request,
@@ -1304,7 +1309,7 @@ impl World for FleetWorld {
                 from_hedge,
                 timeline,
             } => {
-                let settle_end = sched.now() + CLIENT_REAP;
+                let settle_end = ctx.now() + CLIENT_REAP;
                 if !self.attempt_live(request, sub, attempt) {
                     // In a hedged cell a completion addressed to a
                     // finished request (or to a done sub of a live
@@ -1330,7 +1335,7 @@ impl World for FleetWorld {
                 self.settle(request, sub, from_hedge, Some(timeline), settle_end);
             }
             FlEvent::HedgeFire { request } => {
-                let now = sched.now();
+                let now = ctx.now();
                 let Some((sub, _io)) = self.book.hedge_straggler(request) else {
                     return;
                 };
@@ -1347,7 +1352,7 @@ impl World for FleetWorld {
                     return;
                 };
                 self.hedges_fired += 1;
-                self.send_sub(request, sub, attempt, secondary, write, true, now, sched);
+                self.send_sub(request, sub, attempt, secondary, write, true, now, ctx);
             }
             FlEvent::Retry {
                 request,
@@ -1357,7 +1362,7 @@ impl World for FleetWorld {
                 if !self.attempt_live(request, sub, attempt) {
                     return;
                 }
-                let now = sched.now();
+                let now = ctx.now();
                 if self.book.retry_sub(request, sub).is_none() {
                     return;
                 }
@@ -1373,10 +1378,10 @@ impl World for FleetWorld {
                 self.retries += 1;
                 let route = self.route_mut(request).expect("attempt_live checked");
                 route.subs[sub].array = target;
-                self.send_sub(request, sub, attempt, target, write, false, now, sched);
+                self.send_sub(request, sub, attempt, target, write, false, now, ctx);
             }
             FlEvent::Kill => {
-                let now = sched.now();
+                let now = ctx.now();
                 let dead = self.kill_array;
                 self.arrays[dead].kill();
                 self.arrays_failed += 1;
@@ -1396,7 +1401,7 @@ impl World for FleetWorld {
                 for (request, sub, attempt) in sweeps {
                     self.failovers += 1;
                     match self.retry.delay(attempt) {
-                        Some(backoff) => sched.at(
+                        Some(backoff) => ctx.at(
                             now + backoff,
                             FlEvent::Retry {
                                 request,
@@ -1420,14 +1425,14 @@ impl World for FleetWorld {
                 let window_ns = self.deadline.saturating_since(now).as_nanos() / 2;
                 let gap_ns = (window_ns / self.heal_plan.len() as u64).max(1);
                 for job in 0..self.heal_plan.len() {
-                    sched.at(
+                    ctx.at(
                         now + SimDuration::nanos(gap_ns * (job as u64 + 1)),
                         FlEvent::Rerepl { job },
                     );
                 }
             }
             FlEvent::Rerepl { job } => {
-                let now = sched.now();
+                let now = ctx.now();
                 let HealJob {
                     volume,
                     source,
@@ -1462,23 +1467,27 @@ impl World for FleetWorld {
                     ARRAY_SUBMIT,
                 );
                 self.rereplication_ios += 2;
-                sched.at(write.dev_done, FlEvent::RereplDone);
+                ctx.at(write.dev_done, FlEvent::RereplDone);
             }
             FlEvent::RereplDone => {
                 self.heal_outstanding -= 1;
                 if self.heal_outstanding == 0 {
-                    self.recovered_at = Some(sched.now());
+                    self.recovered_at = Some(ctx.now());
                 }
             }
             FlEvent::BgArrival { array } => {
-                let now = sched.now();
+                let now = ctx.now();
                 self.arrays[array].spawn_background(now);
                 let next = self.arrays[array].next_background_arrival(now);
                 if next < self.horizon {
-                    sched.at(next, FlEvent::BgArrival { array });
+                    ctx.at(next, FlEvent::BgArrival { array });
                 }
             }
         }
+    }
+
+    fn handle_cross(&mut self, _src: usize, event: Infallible, _ctx: &mut Ctx<'_>) {
+        match event {}
     }
 }
 

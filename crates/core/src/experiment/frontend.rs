@@ -28,6 +28,8 @@
 //! measured latency to the nanosecond, counted by
 //! [`ServeCell::ledger_mismatches`] (always zero).
 
+use std::convert::Infallible;
+
 use afa_frontend::{
     AdmissionQueue, ArrivalGen, HedgePolicy, RequestBook, RequestLedger, SloReport, SloTracker,
     SubCompletion, TenantSpec, TokenBucket, WeightedScheduler,
@@ -36,7 +38,7 @@ use afa_host::{BackgroundConfig, CpuId, CpuTopology, HostModel, SchedPolicy};
 use afa_pcie::PcieFabric;
 use afa_sim::metrics::FrontendCounters;
 use afa_sim::trace::Cause;
-use afa_sim::{Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
+use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
 use afa_ssd::{NvmeCommand, SsdDevice, SsdSpec};
 use afa_stats::{Json, LatencyHistogram, LatencyProfile, NinesPoint};
 use afa_volume::{StripeConfig, StripedVolume};
@@ -402,15 +404,15 @@ fn run_cell(
         horizon: SimTime::ZERO + scale.runtime + SimDuration::millis(50),
         request_pages: 4_000_000,
     };
-    let mut sim = Simulation::new(world);
+    let mut sim = ShardedSim::new(world, vec![super::ONE_LP_LOOKAHEAD]);
     for tenant in 0..specs.len() {
-        sim.schedule_at(SimTime::ZERO, FeEvent::FirstArrival { tenant });
+        sim.schedule(0, SimTime::ZERO, FeEvent::FirstArrival { tenant });
     }
     if writes == MixedWrites::On {
-        sim.schedule_at(SimTime::ZERO, FeEvent::WriteArrival);
+        sim.schedule(0, SimTime::ZERO, FeEvent::WriteArrival);
     }
-    sim.schedule_at(SimTime::ZERO, FeEvent::BgArrival);
-    sim.run_to_completion();
+    sim.schedule(0, SimTime::ZERO, FeEvent::BgArrival);
+    sim.run();
     let world = sim.into_world();
 
     let counters = FrontendCounters {
@@ -482,6 +484,8 @@ enum FeEvent {
     /// Background host noise.
     BgArrival,
 }
+
+type Ctx<'a> = ShardCtx<'a, FeEvent, Infallible>;
 
 struct QueuedReq {
     arrived_at: SimTime,
@@ -565,10 +569,10 @@ impl FrontendWorld {
     }
 
     /// Wakes an idle dispatch worker, if any.
-    fn kick_worker(&mut self, sched: &mut Scheduler<'_, FeEvent>) {
+    fn kick_worker(&mut self, ctx: &mut Ctx<'_>) {
         if let Some(worker) = self.worker_busy.iter().position(|&b| !b) {
             self.worker_busy[worker] = true;
-            sched.immediately(FeEvent::TryDispatch { worker });
+            ctx.at(ctx.now(), FeEvent::TryDispatch { worker });
         }
     }
 
@@ -583,12 +587,12 @@ impl FrontendWorld {
         submitted_at: SimTime,
         submit_end: SimTime,
         from_hedge: bool,
-        sched: &mut Scheduler<'_, FeEvent>,
+        ctx: &mut Ctx<'_>,
     ) {
         let device = self.volume.member_device(io.member);
         let at_device = self.fabric.submit_command(device, submitted_at);
         let info = self.devices[device].submit(at_device, NvmeCommand::read(io.lba, io.bytes));
-        sched.at(
+        ctx.at(
             info.completes_at,
             FeEvent::SubDeviceDone {
                 request,
@@ -604,22 +608,23 @@ impl FrontendWorld {
     }
 }
 
-impl World for FrontendWorld {
-    type Event = FeEvent;
+impl ShardWorld for FrontendWorld {
+    type Local = FeEvent;
+    type Cross = Infallible;
 
-    fn handle(&mut self, event: FeEvent, sched: &mut Scheduler<'_, FeEvent>) {
+    fn handle_local(&mut self, event: FeEvent, ctx: &mut Ctx<'_>) {
         match event {
             FeEvent::FirstArrival { tenant } => {
-                let first = self.arrivals[tenant].next_after(sched.now());
+                let first = self.arrivals[tenant].next_after(ctx.now());
                 if first < self.deadline {
-                    sched.at(first, FeEvent::Arrival { tenant });
+                    ctx.at(first, FeEvent::Arrival { tenant });
                 }
             }
             FeEvent::Arrival { tenant } => {
-                let now = sched.now();
+                let now = ctx.now();
                 let next = self.arrivals[tenant].next_after(now);
                 if next < self.deadline {
-                    sched.at(next, FeEvent::Arrival { tenant });
+                    ctx.at(next, FeEvent::Arrival { tenant });
                 }
                 // Placement is drawn before admission so the stream's
                 // consumption does not depend on shed outcomes.
@@ -635,11 +640,11 @@ impl World for FrontendWorld {
                     arrived_at: now,
                     page,
                 }) {
-                    self.kick_worker(sched);
+                    self.kick_worker(ctx);
                 }
             }
             FeEvent::TryDispatch { worker } => {
-                let now = sched.now();
+                let now = ctx.now();
                 self.has_work.clear();
                 self.has_work
                     .extend(self.queues.iter().map(|q| !q.is_empty()));
@@ -656,11 +661,11 @@ impl World for FrontendWorld {
                 let submit_end = self.host.charge_cpu(cpu, now, submit_cost);
                 let request = self.book.begin(tenant, item.arrived_at, now, &subs);
                 for (i, &io) in subs.iter().enumerate() {
-                    self.submit_sub(request, i, io, submit_end, submit_end, false, sched);
+                    self.submit_sub(request, i, io, submit_end, submit_end, false, ctx);
                 }
                 self.sub_scratch = subs;
                 if let Some(delay) = self.hedge.as_ref().and_then(HedgePolicy::delay) {
-                    sched.at(
+                    ctx.at(
                         submit_end + delay,
                         FeEvent::HedgeFire {
                             request,
@@ -670,7 +675,7 @@ impl World for FrontendWorld {
                 }
                 // The worker stays busy until the submit batch retires,
                 // then looks for more work.
-                sched.at(submit_end, FeEvent::TryDispatch { worker });
+                ctx.at(submit_end, FeEvent::TryDispatch { worker });
             }
             FeEvent::SubDeviceDone {
                 request,
@@ -682,9 +687,9 @@ impl World for FrontendWorld {
                 submitted_at,
                 at_device,
             } => {
-                let now = sched.now();
+                let now = ctx.now();
                 let at_host = self.fabric.deliver_completion(device, now, bytes as u64);
-                sched.at(
+                ctx.at(
                     at_host,
                     FeEvent::SubHostDone {
                         request,
@@ -708,7 +713,7 @@ impl World for FrontendWorld {
                 at_device,
                 dev_done,
             } => {
-                let now = sched.now();
+                let now = ctx.now();
                 let irq = self.host.deliver_irq(device, now);
                 let dispatched = self.book.dispatched_at(request);
                 // Every sub completion wakes the serving task on its
@@ -744,7 +749,7 @@ impl World for FrontendWorld {
                         // has already passed.
                         if self.book.outstanding(request) == 1 {
                             if let Some(delay) = self.hedge.as_ref().and_then(HedgePolicy::delay) {
-                                sched.at(
+                                ctx.at(
                                     (submit_end + delay).max(now),
                                     FeEvent::HedgeFire {
                                         request,
@@ -815,22 +820,22 @@ impl World for FrontendWorld {
                 request,
                 submit_end,
             } => {
-                let now = sched.now();
+                let now = ctx.now();
                 if let Some((sub, mut io)) = self.book.hedge_straggler(request) {
                     self.hedges_fired += 1;
                     // The duplicate reads the mirrored-pair replica on
                     // the stripe's buddy member: re-queueing behind the
                     // straggler on its own device could never win.
                     io.member = (io.member + 1) % self.volume.width();
-                    self.submit_sub(request, sub, io, now, submit_end, true, sched);
+                    self.submit_sub(request, sub, io, now, submit_end, true, ctx);
                 }
             }
             FeEvent::WriteArrival => {
-                let now = sched.now();
+                let now = ctx.now();
                 let gaps = self.write_gaps.as_mut().expect("mixed writes enabled");
                 let next = gaps.next_after(now);
                 if next < self.deadline {
-                    sched.at(next, FeEvent::WriteArrival);
+                    ctx.at(next, FeEvent::WriteArrival);
                 }
                 // Fire-and-forget: the write occupies one member's
                 // pipeline (stalling reads queued behind it); its
@@ -843,14 +848,18 @@ impl World for FrontendWorld {
                 self.devices[device].submit(at_device, NvmeCommand::write(lba, WRITE_BYTES));
             }
             FeEvent::BgArrival => {
-                let now = sched.now();
+                let now = ctx.now();
                 self.host.spawn_background(now);
                 let next = self.host.next_background_arrival(now);
                 if next < self.horizon {
-                    sched.at(next, FeEvent::BgArrival);
+                    ctx.at(next, FeEvent::BgArrival);
                 }
             }
         }
+    }
+
+    fn handle_cross(&mut self, _src: usize, event: Infallible, _ctx: &mut Ctx<'_>) {
+        match event {}
     }
 }
 

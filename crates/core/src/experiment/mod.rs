@@ -60,6 +60,11 @@ pub use tables::{table1, table2, table2_matrix, Table1Result, Table2Matrix};
 pub use tailscale::{tail_at_scale, TailScaleCell, TailScaleResult};
 pub use ull_crossover::{ull_crossover, UllCrossoverCell, UllCrossoverResult};
 
+/// Lookahead of the one LP each serving, fleet, volume and multi-host
+/// world runs on. It is never read: those worlds have `Cross =
+/// Infallible`, so nothing is ever sent between LPs.
+const ONE_LP_LOOKAHEAD: afa_sim::SimDuration = afa_sim::SimDuration::nanos(1);
+
 /// Runs several independent experiment configurations on the bounded
 /// worker pool ([`pool::map_bounded`]), preserving input order.
 pub(crate) fn run_parallel(configs: Vec<crate::AfaConfig>) -> Vec<crate::RunResult> {

@@ -9,8 +9,10 @@
 //! and 2 either idle or hammer their partitions with deep sequential
 //! reads. Host 0's latency profile must not move.
 
+use std::convert::Infallible;
+
 use afa_pcie::PcieFabric;
-use afa_sim::{Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
+use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
 use afa_ssd::{FirmwareProfile, NvmeCommand, SsdDevice, SsdSpec};
 use afa_stats::{Json, LatencyHistogram, LatencyProfile, NinesPoint};
 
@@ -128,6 +130,8 @@ enum MhEvent {
     Complete { stream: usize, issued_at: SimTime },
 }
 
+type Ctx<'a> = ShardCtx<'a, MhEvent, Infallible>;
+
 struct MhWorld {
     fabric: PcieFabric,
     devices: Vec<Option<SsdDevice>>,
@@ -139,7 +143,7 @@ struct MhWorld {
 }
 
 impl MhWorld {
-    fn issue(&mut self, stream: usize, now: SimTime, sched: &mut Scheduler<'_, MhEvent>) {
+    fn issue(&mut self, stream: usize, now: SimTime, ctx: &mut Ctx<'_>) {
         if now >= self.deadline {
             return;
         }
@@ -158,7 +162,7 @@ impl MhWorld {
             .as_mut()
             .expect("stream device exists")
             .submit(at_device, NvmeCommand::read(lba, bytes));
-        sched.at(
+        ctx.at(
             info.completes_at,
             MhEvent::DeviceDone {
                 stream,
@@ -168,26 +172,27 @@ impl MhWorld {
     }
 }
 
-impl World for MhWorld {
-    type Event = MhEvent;
+impl ShardWorld for MhWorld {
+    type Local = MhEvent;
+    type Cross = Infallible;
 
-    fn handle(&mut self, event: MhEvent, sched: &mut Scheduler<'_, MhEvent>) {
+    fn handle_local(&mut self, event: MhEvent, ctx: &mut Ctx<'_>) {
         match event {
             MhEvent::Issue { stream } => {
-                let now = sched.now();
+                let now = ctx.now();
                 for _ in 0..self.streams[stream].depth {
-                    self.issue(stream, now, sched);
+                    self.issue(stream, now, ctx);
                 }
             }
             MhEvent::DeviceDone { stream, issued_at } => {
-                let now = sched.now();
+                let now = ctx.now();
                 let device = self.streams[stream].device;
                 let bytes = self.streams[stream].bytes as u64;
                 let at_host = self.fabric.deliver_completion(device, now, bytes);
-                sched.at(at_host, MhEvent::Complete { stream, issued_at });
+                ctx.at(at_host, MhEvent::Complete { stream, issued_at });
             }
             MhEvent::Complete { stream, issued_at } => {
-                let now = sched.now();
+                let now = ctx.now();
                 if self.streams[stream].measured {
                     self.hist.record(now.saturating_since(issued_at).as_nanos());
                 } else {
@@ -195,10 +200,14 @@ impl World for MhWorld {
                 }
                 let next = now + HOST_TURNAROUND;
                 if next < self.deadline {
-                    sched.at(next, MhEvent::Issue { stream });
+                    ctx.at(next, MhEvent::Issue { stream });
                 }
             }
         }
+    }
+
+    fn handle_cross(&mut self, _src: usize, event: Infallible, _ctx: &mut Ctx<'_>) {
+        match event {}
     }
 }
 
@@ -256,14 +265,16 @@ fn run_once(scale: ExperimentScale, neighbors_loaded: bool) -> (LatencyProfile, 
         deadline,
         rng: SimRng::from_seed_and_stream(scale.seed, 0x3357),
     };
-    let mut sim = Simulation::new(world);
-    for stream in 0..sim.world().streams.len() {
-        sim.schedule_at(
+    let streams = world.streams.len();
+    let mut sim = ShardedSim::new(world, vec![super::ONE_LP_LOOKAHEAD]);
+    for stream in 0..streams {
+        sim.schedule(
+            0,
             SimTime::ZERO + SimDuration::micros(stream as u64 * 11 % 89),
             MhEvent::Issue { stream },
         );
     }
-    sim.run_to_completion();
+    sim.run();
     let world = sim.into_world();
     let gbps = world.neighbor_bytes as f64 / runtime.as_secs_f64() / 1e9;
     (world.hist.profile(), gbps)

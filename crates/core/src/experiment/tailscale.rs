@@ -10,9 +10,11 @@
 //! devices' p99^(1/w) quantile — unless the per-device tail is tamed,
 //! which is the paper's whole point.
 
+use std::convert::Infallible;
+
 use afa_host::{BackgroundConfig, CpuId, CpuTopology, HostModel, SchedPolicy};
 use afa_pcie::PcieFabric;
-use afa_sim::{Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
+use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
 use afa_ssd::{NvmeCommand, SsdDevice, SsdSpec};
 use afa_stats::{Json, LatencyHistogram, LatencyProfile, NinesPoint};
 use afa_volume::{RequestTracker, StripeConfig, StripedVolume};
@@ -188,15 +190,16 @@ fn run_cell(stage: TuningStage, width: usize, scale: ExperimentScale) -> TailSca
         horizon: SimTime::ZERO + scale.runtime + SimDuration::millis(50),
         request_pages: 4_000_000,
     };
-    let mut sim = Simulation::new(world);
+    let mut sim = ShardedSim::new(world, vec![super::ONE_LP_LOOKAHEAD]);
     for client in 0..CLIENTS {
-        sim.schedule_at(
+        sim.schedule(
+            0,
             SimTime::ZERO + SimDuration::micros(client as u64 * 17),
             VolEvent::Issue { client },
         );
     }
-    sim.schedule_at(SimTime::ZERO, VolEvent::BgArrival);
-    sim.run_to_completion();
+    sim.schedule(0, SimTime::ZERO, VolEvent::BgArrival);
+    sim.run();
     let world = sim.into_world();
     TailScaleCell {
         stage,
@@ -222,6 +225,8 @@ enum VolEvent {
     BgArrival,
 }
 
+type Ctx<'a> = ShardCtx<'a, VolEvent, Infallible>;
+
 struct VolumeWorld {
     host: HostModel,
     fabric: PcieFabric,
@@ -240,7 +245,7 @@ struct VolumeWorld {
 impl VolumeWorld {
     /// Issues one striped request for `client` with the thread running
     /// at `now`.
-    fn issue(&mut self, client: usize, now: SimTime, sched: &mut Scheduler<'_, VolEvent>) {
+    fn issue(&mut self, client: usize, now: SimTime, ctx: &mut Ctx<'_>) {
         if now >= self.deadline {
             return;
         }
@@ -260,7 +265,7 @@ impl VolumeWorld {
             // Fabric upstream and interrupt handling happen when their
             // events fire, so shared links and host state mutate in
             // global time order.
-            sched.at(
+            ctx.at(
                 info.completes_at,
                 VolEvent::SubDeviceDone {
                     request,
@@ -272,26 +277,27 @@ impl VolumeWorld {
     }
 }
 
-impl World for VolumeWorld {
-    type Event = VolEvent;
+impl ShardWorld for VolumeWorld {
+    type Local = VolEvent;
+    type Cross = Infallible;
 
-    fn handle(&mut self, event: VolEvent, sched: &mut Scheduler<'_, VolEvent>) {
+    fn handle_local(&mut self, event: VolEvent, ctx: &mut Ctx<'_>) {
         match event {
             VolEvent::Issue { client } => {
-                let now = sched.now();
-                self.issue(client, now, sched);
+                let now = ctx.now();
+                self.issue(client, now, ctx);
             }
             VolEvent::SubDeviceDone {
                 request,
                 device,
                 bytes,
             } => {
-                let now = sched.now();
+                let now = ctx.now();
                 let at_host = self.fabric.deliver_completion(device, now, bytes as u64);
-                sched.at(at_host, VolEvent::SubDone { request, device });
+                ctx.at(at_host, VolEvent::SubDone { request, device });
             }
             VolEvent::SubDone { request, device } => {
-                let now = sched.now();
+                let now = ctx.now();
                 let irq = self.host.deliver_irq(device, now);
                 if let Some(done) = self.tracker.complete_sub(request) {
                     // Last sub-I/O: wake the client, reap all events,
@@ -302,18 +308,22 @@ impl World for VolumeWorld {
                     let end = self.host.charge_cpu(cpu, run_start, reap);
                     self.hist
                         .record(end.saturating_since(done.issued_at).as_nanos());
-                    self.issue(done.client, end, sched);
+                    self.issue(done.client, end, ctx);
                 }
             }
             VolEvent::BgArrival => {
-                let now = sched.now();
+                let now = ctx.now();
                 self.host.spawn_background(now);
                 let next = self.host.next_background_arrival(now);
                 if next < self.horizon {
-                    sched.at(next, VolEvent::BgArrival);
+                    ctx.at(next, VolEvent::BgArrival);
                 }
             }
         }
+    }
+
+    fn handle_cross(&mut self, _src: usize, event: Infallible, _ctx: &mut Ctx<'_>) {
+        match event {}
     }
 }
 

@@ -16,19 +16,19 @@
 //! ```
 //!
 //! Matching §III of the paper: the fio thread pays the submit syscall
-//! on its pinned CPU ([`submit`]), the command crosses the switch tree
-//! ([`fabric`]), the SSD serves the read ([`device`]), data + CQE +
-//! MSI cross back, the host routes and runs the interrupt ([`irq`]),
-//! the scheduler wakes the thread ([`wake`]) and the thread reaps
-//! ([`complete`]).
+//! on its pinned CPU (`submit`), the command crosses the switch tree
+//! (`fabric`), the SSD serves the read (`device`), data + CQE +
+//! MSI cross back, the host routes and runs the interrupt (`irq`),
+//! the scheduler wakes the thread (`wake`) and the thread reaps
+//! (`complete`).
 //!
 //! # LP topology
 //!
-//! One world serves [`LP_COUNT`] logical processes: [`WORKER_LPS`]
+//! One world serves `LP_COUNT` logical processes: `WORKER_LPS`
 //! *worker* LPs plus one *hub* LP. Each worker owns whole physical
 //! cores (a core and its hyper-sibling always land together), and with
 //! them every device, fio job, per-device PCIe link and per-CPU
-//! scheduler state mapped to those cores by [`lp_of_cpu`]. The hub
+//! scheduler state mapped to those cores by `lp_of_cpu`. The hub
 //! owns everything shared: the upstream leaf/uplink links, the MSI-X
 //! vector table and IRQ balancer, interrupt coalescing, and
 //! background-daemon placement. The split is part of the model, not an
@@ -40,16 +40,16 @@
 //! the ones visible at each placement decision, so the view costs no
 //! event.
 //!
-//! Inter-LP hops ride [`Cross`] events under per-LP lookahead bounds
+//! Inter-LP hops ride `Cross` events under per-LP lookahead bounds
 //! (the smaller of a fabric hop and interrupt entry + handler for
 //! workers, hop + MSI latency for the hub), asserted on every send.
 //!
 //! Every stage writes its timing contribution into the I/O's
 //! [`IoLedger`], parked in the *owning worker's* slab for the I/O's
-//! whole life (events carry only a [`LedgerId`]; cross events carry
+//! whole life (events carry only a `LedgerId`; cross events carry
 //! the scalar outcomes of remote stages). Cause attribution, blktrace
 //! stage records and the optional ledger log all derive from the
-//! settled ledger in one place ([`IoPathWorld::finish_io`]), in
+//! settled ledger in one place (`IoPathWorld::finish_io`), in
 //! place, with no per-I/O copies in or out of the slab.
 
 mod complete;

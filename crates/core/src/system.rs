@@ -128,9 +128,9 @@ pub struct RunResult {
     pub ledgers: Option<LedgerLog>,
     /// Simulated time at which the last completion landed.
     pub elapsed: SimTime,
-    /// Simulation events processed by the run: about 7 per I/O on the
-    /// paper's 64-SSD setup, and about 3 when macro-event fusion
-    /// engages (8 busy-polled ULL SSDs).
+    /// Simulation events processed by the run: 6.00 per I/O on the
+    /// paper's 64-SSD setup, and 2.21 when macro-event fusion engages
+    /// (8 busy-polled ULL SSDs).
     pub events_processed: u64,
     /// Events that were scheduled into the past and clamped (0 for a
     /// healthy model; see [`afa_sim::ShardedSim::clamped_past_schedules`]).

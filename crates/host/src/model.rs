@@ -471,7 +471,7 @@ impl HostModel {
     /// on. Worker LPs report their charges so the view keeps seeing
     /// I/O CPUs as busy while they run; with `visible_at` one worker
     /// lookahead after `now`, the view is never more than that much
-    /// stale. Touches only the view — never the live [`CpuState`] —
+    /// stale. Touches only the view — never the live `CpuState` —
     /// so the report cannot perturb the owner's scheduler.
     ///
     /// Reports must arrive in `visible_at` order. Each call first

@@ -11,8 +11,9 @@
 //! * [`rng`] — deterministic, splittable random-number streams
 //!   (splitmix64 seeding + xoshiro256\*\* generation) so that every
 //!   experiment is exactly reproducible from a single master seed,
-//! * [`Simulation`] — a generic driver that pops events and dispatches
-//!   them to a user-provided [`World`],
+//! * [`ShardedSim`] — the event engine every simulation runs on: it
+//!   pops events and dispatches them to a user-provided [`ShardWorld`]
+//!   partitioned into logical processes (see [`shard`]),
 //! * [`trace`] — lightweight cause-attribution hooks used to root-cause
 //!   tail-latency samples (the simulated analogue of the paper's LTTng
 //!   analysis),
@@ -36,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod check;
-mod driver;
 pub mod metrics;
 mod queue;
 pub mod rng;
@@ -44,8 +44,7 @@ pub mod shard;
 mod time;
 pub mod trace;
 
-pub use driver::{Scheduler, Simulation, StepOutcome, World};
-pub use queue::{EventQueue, KeyedEvent, MergeKey};
+pub use queue::{EventQueue, MergeKey};
 pub use rng::SimRng;
 pub use shard::{ShardCtx, ShardWorld, ShardedSim};
 pub use time::{SimDuration, SimTime};

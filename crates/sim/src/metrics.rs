@@ -1,7 +1,7 @@
 //! Process-wide DES throughput counters.
 //!
-//! Every [`Simulation`](crate::Simulation) adds its processed-event
-//! count here when a `run_to_completion` / `run_until` drive finishes
+//! Every [`ShardedSim`](crate::ShardedSim) adds its processed-event
+//! count here when its [`run`](crate::ShardedSim::run) finishes
 //! (batched, so the per-event hot path pays nothing). Harnesses
 //! snapshot [`events_processed_total`] around a workload to derive an
 //! events/sec figure — the single number that decides how close the
@@ -52,7 +52,7 @@ pub fn events_processed_total() -> u64 {
 }
 
 /// Adds `n` past-time schedules that were clamped to the clock (see
-/// [`Simulation::clamped_past_schedules`](crate::Simulation::clamped_past_schedules)).
+/// [`ShardedSim::clamped_past_schedules`](crate::ShardedSim::clamped_past_schedules)).
 pub fn add_clamped_past(n: u64) {
     if n > 0 {
         CLAMPED_PAST.fetch_add(n, Ordering::Relaxed);

@@ -45,8 +45,9 @@
 //! generic API allows pushing a time earlier than the last pop); such
 //! events overflow into a small sequence-numbered binary heap and
 //! still pop in exact `(time, keyed-before-plain, key or insertion)`
-//! order. The simulation driver never produces them — [`crate::Scheduler`]
-//! clamps to `now` — so the hot path pays only an empty-heap check.
+//! order. The LP engine never produces them — [`crate::ShardCtx::at`]
+//! clamps to `now` and cross sends land in the future — so the hot
+//! path pays only an empty-heap check.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -65,16 +66,6 @@ pub struct MergeKey {
     pub dst: u16,
     /// Per-`(src, dst)` channel send counter.
     pub seq: u64,
-}
-
-/// An event type that can carry a [`MergeKey`]. Events returning
-/// `Some` sort *before* plain (`None`) events at the same instant and
-/// among themselves by key; plain events keep wheel FIFO order. Only
-/// [`EventQueue::push_keyed`] consults this — the plain
-/// [`EventQueue::push`] path never calls it.
-pub trait KeyedEvent {
-    /// The merge key, or `None` for an event ordered by FIFO alone.
-    fn merge_key(&self) -> Option<MergeKey>;
 }
 
 /// Bits of the timestamp consumed per wheel level.
@@ -109,9 +100,8 @@ struct Handle {
 const _: () = assert!(std::mem::size_of::<Handle>() == 16);
 
 /// An event pushed with a timestamp earlier than the wheel origin
-/// (impossible through the simulation driver, legal through the raw
-/// API): ordered by time, then insertion sequence, exactly like the
-/// old heap.
+/// (impossible through the LP engine, legal through the raw API):
+/// ordered by time, then insertion sequence, exactly like the old heap.
 struct PastEntry<E> {
     time: u64,
     /// `Some` for keyed (cross) events, `None` for plain pushes.
@@ -316,9 +306,9 @@ impl<E> EventQueue<E> {
         self.schedule(time.as_nanos(), None, event);
     }
 
-    /// Schedules a keyed event at the absolute instant `time`. Within
-    /// the drain batch it lands in, every keyed event pops in
-    /// [`MergeKey`] order *before* any plain event sharing the
+    /// Schedules `event` at the absolute instant `time` under merge key
+    /// `key`. Within the drain batch it lands in, every keyed event
+    /// pops in [`MergeKey`] order *before* any plain event sharing the
     /// timestamp (see the module docs).
     ///
     /// The push itself is the plain append; the merge order is
@@ -330,11 +320,7 @@ impl<E> EventQueue<E> {
     /// discipline guarantees arrivals are strictly in each receiver's
     /// future); a keyed event landing in the past-overflow heap is
     /// still ordered correctly against everything pending.
-    pub fn push_keyed(&mut self, time: SimTime, event: E)
-    where
-        E: KeyedEvent,
-    {
-        let key = event.merge_key().expect("push_keyed requires a merge key");
+    pub fn push_keyed(&mut self, time: SimTime, key: MergeKey, event: E) {
         self.schedule(time.as_nanos(), Some(key), event);
     }
 
@@ -427,9 +413,7 @@ impl<E> EventQueue<E> {
     /// Returns the timestamp of the earliest pending event.
     ///
     /// Non-mutating, so when the head of the queue is buried in a
-    /// not-yet-cascaded bucket this scans that bucket (O(bucket));
-    /// hot loops inside the crate use [`EventQueue::next_time`], which
-    /// settles the wheel and is amortized O(1).
+    /// not-yet-cascaded bucket this scans that bucket (O(bucket)).
     pub fn peek_time(&self) -> Option<SimTime> {
         if self.len == 0 {
             return None;
@@ -456,24 +440,6 @@ impl<E> EventQueue<E> {
             return Some(SimTime::from_nanos(t));
         }
         unreachable!("non-zero len with no events stored")
-    }
-
-    /// Returns the timestamp of the earliest pending event, settling
-    /// the wheel so the subsequent [`EventQueue::pop`] is O(1). This is
-    /// the form the simulation driver's deadline loop uses.
-    pub fn next_time(&mut self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(p) = self.past.peek() {
-            return Some(SimTime::from_nanos(p.time));
-        }
-        if self.ready_pos < self.ready.len() {
-            return Some(SimTime::from_nanos(self.ready_time));
-        }
-        self.settle_wheel();
-        let slot = self.occupied[0].trailing_zeros() as u64;
-        Some(SimTime::from_nanos((self.cur & !SLOT_MASK) | slot))
     }
 
     /// Returns the number of pending events.
@@ -694,36 +660,13 @@ mod tests {
         assert_eq!(q.pop(), Some((t(2_000), "d")));
     }
 
-    #[test]
-    fn next_time_matches_peek_time() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.next_time(), None);
-        let mut x = 9u64;
-        for i in 0..500u64 {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            q.push(t((x >> 32) % 1_000_000), i);
-        }
-        while !q.is_empty() {
-            let peeked = q.peek_time();
-            assert_eq!(q.next_time(), peeked);
-            let (popped, _) = q.pop().expect("non-empty");
-            assert_eq!(Some(popped), peeked);
-        }
-    }
-
     /// Keyed-path test event: `Some(key)` sorts before plain `None`.
     #[derive(Debug, PartialEq, Eq, Clone, Copy)]
     struct KE(Option<(u16, u16, u64)>, u32);
 
-    impl KeyedEvent for KE {
-        fn merge_key(&self) -> Option<MergeKey> {
-            self.0.map(|(src, dst, seq)| MergeKey { src, dst, seq })
-        }
-    }
-
     fn push_ke(q: &mut EventQueue<KE>, time: u64, e: KE) {
         match e.0 {
-            Some(_) => q.push_keyed(t(time), e),
+            Some((src, dst, seq)) => q.push_keyed(t(time), MergeKey { src, dst, seq }, e),
             None => q.push(t(time), e),
         }
     }
@@ -754,7 +697,7 @@ mod tests {
         // group must cascade down several levels intact.
         let far = 5_000_000;
         for seq in (0..10u64).rev() {
-            q.push_keyed(t(far), KE(Some((0, 0, seq)), seq as u32));
+            push_ke(&mut q, far, KE(Some((0, 0, seq)), seq as u32));
         }
         push_ke(&mut q, far, KE(None, 50));
         assert_eq!(q.pop(), Some((t(1), KE(None, 99))));
@@ -923,7 +866,7 @@ mod tests {
                     let b = heap.pop();
                     assert_eq!(a, b, "trial {trial}");
                     if let Some((pt, _)) = a {
-                        // Keep pushes causal, like the driver does.
+                        // Keep pushes causal, like the LP engine does.
                         clock = clock.max(pt.as_nanos());
                     }
                 }

@@ -7,6 +7,10 @@
 //! to. An LP schedules *local* events for itself and exchanges
 //! timestamped *cross* events with other LPs (self-sends included).
 //!
+//! This is the only event driver in the workspace. A world with nothing
+//! to send runs as one LP with `Cross = Infallible`: its events pop in
+//! `(time, push order)`, and its lookahead is never read.
+//!
 //! # The deterministic merge contract
 //!
 //! The wheel processes events in exactly this order:
@@ -36,7 +40,7 @@
 //! keeps each LP's declared latency floor honest: an LP with a large
 //! bound cannot hide a fast send behind another LP's smaller one.
 
-use crate::queue::{EventQueue, KeyedEvent, MergeKey};
+use crate::queue::{EventQueue, MergeKey};
 use crate::time::{SimDuration, SimTime};
 
 /// A world partitioned into logical processes.
@@ -67,28 +71,12 @@ pub trait ShardWorld {
 }
 
 /// A wheel entry: a local event tagged with its LP, or a cross arrival
-/// with its merge key. The queue parks each entry once, so a large
-/// cross payload is never copied through the wheel's buckets.
+/// tagged with its channel (its merge key sits in the queue's key
+/// slab). The queue parks each entry once, so a large cross payload is
+/// never copied through the wheel's buckets.
 enum Item<L, C> {
-    Local {
-        lp: u16,
-        event: L,
-    },
-    Cross {
-        src: u16,
-        dst: u16,
-        seq: u64,
-        event: C,
-    },
-}
-
-impl<L, C> KeyedEvent for Item<L, C> {
-    fn merge_key(&self) -> Option<MergeKey> {
-        match *self {
-            Item::Local { .. } => None,
-            Item::Cross { src, dst, seq, .. } => Some(MergeKey { src, dst, seq }),
-        }
-    }
+    Local { lp: u16, event: L },
+    Cross { src: u16, dst: u16, event: C },
 }
 
 /// The engine state handlers schedule into: the wheel and the
@@ -119,14 +107,11 @@ impl<L, C> Wheel<L, C> {
         let channel = &mut self.send_seq[src * self.lookahead.len() + dst];
         let seq = *channel;
         *channel += 1;
+        let (src, dst) = (src as u16, dst as u16);
         self.queue.push_keyed(
             time,
-            Item::Cross {
-                src: src as u16,
-                dst: dst as u16,
-                seq,
-                event,
-            },
+            MergeKey { src, dst, seq },
+            Item::Cross { src, dst, event },
         );
     }
 }
@@ -150,8 +135,11 @@ impl<L, C> ShardCtx<'_, L, C> {
     }
 
     /// Schedules a local event for the current LP at an absolute time.
-    /// Past instants clamp to the clock and count, exactly like
-    /// [`Scheduler::at`](crate::Scheduler::at).
+    /// Simulated time only moves forward: a past instant clamps to the
+    /// clock (the event fires now, after the running one) and counts
+    /// on [`ShardedSim::clamped_past_schedules`]. A non-zero count is a
+    /// model bug that would otherwise hide as silently reordered
+    /// events.
     pub fn at(&mut self, time: SimTime, event: L) {
         self.at_lp(self.lp, time, event);
     }
@@ -161,7 +149,7 @@ impl<L, C> ShardCtx<'_, L, C> {
     /// settlement event directly on the job's worker LP.
     pub fn at_lp(&mut self, lp: usize, time: SimTime, event: L) {
         if time < self.now {
-            crate::driver::note_past_schedule(&mut self.wheel.clamped, self.now, time);
+            self.wheel.clamped += 1;
         }
         self.wheel.push_local(lp, time.max(self.now), event);
     }
@@ -295,9 +283,7 @@ impl<W: ShardWorld> ShardedSim<W> {
                     };
                     self.world.handle_local(event, &mut ctx);
                 }
-                Item::Cross {
-                    src, dst, event, ..
-                } => {
+                Item::Cross { src, dst, event } => {
                     let mut ctx = ShardCtx {
                         lp: dst as usize,
                         now: time,
@@ -415,6 +401,53 @@ mod tests {
         }
         // Same inputs, same run.
         assert_eq!(run_ring(4), (logs, events, now));
+    }
+
+    #[test]
+    fn run_flushes_the_global_event_counter() {
+        let before = crate::metrics::events_processed_total();
+        let (_, events, _) = run_ring(4);
+        // ≥, not ==: other tests in the process also count.
+        assert!(crate::metrics::events_processed_total() >= before + events);
+    }
+
+    /// A one-LP world with nothing to send, the shape of the
+    /// experiment worlds: event 1 schedules event 2 before the clock.
+    struct PastScheduler {
+        seen: Vec<(u64, u32)>,
+    }
+
+    impl ShardWorld for PastScheduler {
+        type Local = u32;
+        type Cross = std::convert::Infallible;
+        fn handle_local(&mut self, id: u32, ctx: &mut ShardCtx<'_, u32, Self::Cross>) {
+            self.seen.push((ctx.now().as_nanos(), id));
+            if id == 1 {
+                ctx.at(SimTime::from_nanos(40), 2);
+            }
+        }
+        fn handle_cross(
+            &mut self,
+            _s: usize,
+            event: Self::Cross,
+            _c: &mut ShardCtx<'_, u32, Self::Cross>,
+        ) {
+            match event {}
+        }
+    }
+
+    #[test]
+    fn past_schedules_clamp_to_now_and_count() {
+        let clamped_before = crate::metrics::clamped_past_total();
+        let world = PastScheduler { seen: Vec::new() };
+        let mut sim = ShardedSim::new(world, vec![SimDuration::nanos(1)]);
+        sim.schedule(0, SimTime::from_nanos(100), 1);
+        sim.run();
+        assert_eq!(sim.clamped_past_schedules(), 1);
+        assert!(crate::metrics::clamped_past_total() > clamped_before);
+        // The clamped event fires at the clock, after the one that
+        // scheduled it.
+        assert_eq!(sim.into_world().seen, vec![(100, 1), (100, 2)]);
     }
 
     /// Two sources fire same-timestamp cross events at LP 0; the

@@ -2,9 +2,9 @@
 //!
 //! The paper root-causes tail-latency samples with LTTng. The simulated
 //! analogue is a [`TraceSink`] that components notify whenever a latency
-//! contribution is incurred, tagged with a [`Cause`]. Experiments can
-//! install a [`CauseAccumulator`] to obtain a per-cause latency budget,
-//! or [`NullSink`] (the default) to pay nothing.
+//! contribution is incurred, tagged with a [`Cause`]. Experiments
+//! fold settled ledgers into a [`CauseAccumulator`] to obtain a
+//! per-cause latency budget.
 
 use std::collections::BTreeMap;
 
@@ -126,14 +126,6 @@ pub trait TraceSink {
     fn record(&mut self, time: SimTime, tag: u64, cause: Cause, amount: SimDuration);
 }
 
-/// A sink that discards everything; the zero-overhead default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _time: SimTime, _tag: u64, _cause: Cause, _amount: SimDuration) {}
-}
-
 /// Accumulates total latency per cause — the simulated analogue of an
 /// LTTng post-processing pass.
 ///
@@ -247,128 +239,6 @@ impl TraceSink for CauseAccumulator {
     }
 }
 
-/// Lifecycle phase of a *client request* in the frontend serving
-/// layer — the request-level analogue of the per-I/O `IoStage` path.
-///
-/// A request is born at `Arrive`, passes admission (`Admit`) or is
-/// dropped (`Shed`), waits in its tenant queue until `Dispatch` fans
-/// it out into sub-I/Os, may spawn a duplicate straggler sub-I/O
-/// (`HedgeFire`), and settles at `Complete`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RequestPhase {
-    /// Open-loop arrival hit the frontend.
-    Arrive,
-    /// Passed the token bucket and entered the tenant queue.
-    Admit,
-    /// Rejected (rate-limited or queue overflow).
-    Shed,
-    /// Dequeued by the QoS scheduler and fanned out into sub-I/Os.
-    Dispatch,
-    /// A hedged duplicate of the straggler sub-I/O was issued.
-    HedgeFire,
-    /// The last sub-I/O settled and the client was woken.
-    Complete,
-}
-
-impl RequestPhase {
-    /// A short, stable label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            RequestPhase::Arrive => "arrive",
-            RequestPhase::Admit => "admit",
-            RequestPhase::Shed => "shed",
-            RequestPhase::Dispatch => "dispatch",
-            RequestPhase::HedgeFire => "hedge_fire",
-            RequestPhase::Complete => "complete",
-        }
-    }
-}
-
-/// One per-request trace event: `(time, request id, tenant, phase)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RequestEvent {
-    /// Simulation time of the transition.
-    pub at: SimTime,
-    /// Frontend-assigned request id.
-    pub request: u64,
-    /// Tenant the request belongs to.
-    pub tenant: u16,
-    /// The lifecycle transition.
-    pub phase: RequestPhase,
-}
-
-/// Bounded in-order capture of [`RequestEvent`]s (the request-level
-/// sibling of the blktrace-style per-I/O stage records).
-#[derive(Clone, Debug, Default)]
-pub struct RequestLog {
-    events: Vec<RequestEvent>,
-    capacity: usize,
-}
-
-impl RequestLog {
-    /// Creates a log keeping at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        RequestLog {
-            events: Vec::with_capacity(capacity.min(1 << 16)),
-            capacity,
-        }
-    }
-
-    /// Records one event; silently dropped once the window is full.
-    pub fn push(&mut self, event: RequestEvent) {
-        if self.events.len() < self.capacity {
-            self.events.push(event);
-        }
-    }
-
-    /// The captured events, in record order.
-    pub fn events(&self) -> &[RequestEvent] {
-        &self.events
-    }
-
-    /// Events for one request, in record order.
-    pub fn for_request(&self, request: u64) -> impl Iterator<Item = &RequestEvent> + '_ {
-        self.events.iter().filter(move |e| e.request == request)
-    }
-}
-
-/// A past-time schedule observed by a driver: the clock stood at
-/// `now` when an event was requested for `requested` (< `now`). The
-/// event is clamped to `now` and counted; a healthy model never
-/// produces these.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PastSchedule {
-    /// The simulation clock when the offending schedule happened.
-    pub now: SimTime,
-    /// The (past) instant the event asked for.
-    pub requested: SimTime,
-}
-
-type PastScheduleHook = Box<dyn Fn(PastSchedule) + Send + Sync>;
-
-static PAST_SCHEDULE_HOOK: std::sync::Mutex<Option<PastScheduleHook>> = std::sync::Mutex::new(None);
-
-/// Installs (or, with `None`, removes) the process-wide hook invoked on
-/// every clamped past-time schedule. With no hook installed the event
-/// is counted silently — drivers never write to stderr themselves, so
-/// concurrent runs cannot interleave garbage. Returns the previous
-/// hook.
-pub fn set_past_schedule_hook(hook: Option<PastScheduleHook>) -> Option<PastScheduleHook> {
-    let mut slot = PAST_SCHEDULE_HOOK.lock().expect("hook lock");
-    std::mem::replace(&mut *slot, hook)
-}
-
-/// Reports one clamped past-time schedule to the installed hook, if
-/// any. Called by the drivers; the hot path never takes the lock
-/// because schedules into the past do not happen in a healthy model.
-pub fn note_past_schedule(now: SimTime, requested: SimTime) {
-    if let Ok(slot) = PAST_SCHEDULE_HOOK.lock() {
-        if let Some(hook) = slot.as_ref() {
-            hook(PastSchedule { now, requested });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,12 +271,6 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), Cause::ALL.len());
-    }
-
-    #[test]
-    fn null_sink_is_noop() {
-        let mut sink = NullSink;
-        sink.record(SimTime::ZERO, 0, Cause::Other, SimDuration::micros(1));
     }
 
     #[test]
@@ -450,31 +314,6 @@ mod tests {
         assert_eq!(a.total(Cause::Fabric), SimDuration::micros(5));
         assert_eq!(a.count(Cause::Fabric), 2);
         assert_eq!(a.count(Cause::CpuWork), 1);
-    }
-
-    #[test]
-    fn request_log_caps_and_filters() {
-        let mut log = RequestLog::new(3);
-        for (i, phase) in [
-            RequestPhase::Arrive,
-            RequestPhase::Admit,
-            RequestPhase::Dispatch,
-            RequestPhase::Complete,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            log.push(RequestEvent {
-                at: SimTime::from_nanos(i as u64 * 10),
-                request: (i % 2) as u64,
-                tenant: 0,
-                phase,
-            });
-        }
-        assert_eq!(log.events().len(), 3, "capacity bounds the window");
-        assert_eq!(log.for_request(0).count(), 2);
-        assert_eq!(log.events()[2].phase, RequestPhase::Dispatch);
-        assert_eq!(RequestPhase::HedgeFire.label(), "hedge_fire");
     }
 
     #[test]

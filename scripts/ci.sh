@@ -13,6 +13,11 @@ cargo test -q --workspace
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (warnings are errors)"
+# Broken or private intra-doc links are invisible to clippy and the
+# tests; rustdoc is the only check that sees them.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -25,15 +30,16 @@ if [ "$count" -lt 20 ]; then
 fi
 echo "afactl list: $count experiments registered"
 
-echo "==> golden artifact byte-compare (scaled fig06-fig13 + request-serving)"
+echo "==> golden artifact byte-compare (scaled fig06-fig13, serving, fleet, volume, multi-host)"
 # Doubles as the experiment smoke test: regenerates the figure
-# artifacts (plus the frontend request-serving experiments) at a
-# reduced scale and byte-compares them against the committed fixtures.
+# artifacts (plus the serving, fleet, striped-volume and multi-host
+# experiments) at a reduced scale and byte-compares them against the
+# committed fixtures.
 # Any change in event ordering, RNG streams, model behaviour or JSON
 # schema shows up here as a diff.
 golden_tmp="$(mktemp -d)"
 trap 'rm -rf "$golden_tmp"' EXIT
-for fig in fig06 fig07 fig08 fig09 fig10 fig11 fig12 fig13 tailscale-fanout tailscale-hedge fleet-arrival fleet-failover ull-crossover; do
+for fig in fig06 fig07 fig08 fig09 fig10 fig11 fig12 fig13 tailscale-fanout tailscale-hedge fleet-arrival fleet-failover ull-crossover tailscale multihost; do
     ./target/release/afactl exp "$fig" --seconds 0.25 --ssds 8 --seed 42 \
         --json > "$golden_tmp/$fig.json"
     if ! cmp -s "tests/golden/$fig.json" "$golden_tmp/$fig.json"; then

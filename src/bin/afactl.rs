@@ -98,6 +98,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
             }
             "--sigmas" => {
                 opts.sigmas = value()?.parse().map_err(|e| format!("--sigmas: {e}"))?;
+                if !(opts.sigmas.is_finite() && opts.sigmas > 0.0) {
+                    return Err("--sigmas must be finite and > 0".into());
+                }
             }
             "--json" => opts.json = true,
             "--out" => opts.out = Some(value()?.clone()),
@@ -334,4 +337,44 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse;
+
+    /// The error `parse` returns for `args`, if any.
+    fn error(args: &[&str]) -> Option<String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse(&args).err()
+    }
+
+    #[test]
+    fn sigmas_must_be_finite_and_positive() {
+        for bad in ["nan", "inf", "-1", "0"] {
+            let err = error(&["--sigmas", bad]).expect(bad);
+            assert!(err.contains("--sigmas"), "{bad}: {err}");
+        }
+        let args = ["--sigmas".to_string(), "2.5".to_string()];
+        assert_eq!(parse(&args).map(|o| o.sigmas), Ok(2.5));
+    }
+
+    #[test]
+    fn out_of_range_and_malformed_arguments_are_errors() {
+        for args in [
+            &["--ssds", "0"][..],
+            &["--ssds", "65"],
+            &["--seconds", "nan"],
+            &["--seconds", "0.001"],
+            &["--seconds", "601"],
+            &["--bogus"],
+            &["--seed"],
+        ] {
+            assert!(error(args).is_some(), "{args:?} parsed");
+        }
+        assert_eq!(
+            error(&["--ssds", "64", "--seconds", "0.25", "--json"]),
+            None
+        );
+    }
 }

@@ -1,7 +1,9 @@
-//! Golden artifacts in the default test suite: four of the committed
+//! Golden artifacts in the default test suite: seven of the committed
 //! fixtures under `tests/golden/`, regenerated at their scale
-//! (0.25 s × 8 SSDs, seed 42) and byte-compared. `scripts/ci.sh`
-//! compares all thirteen through `afactl`.
+//! (0.25 s × 8 SSDs, seed 42) and byte-compared. Besides two paper
+//! figures they cover every world that runs as a one-LP simulation
+//! (serving, fleet, striped volume, multi-host). `scripts/ci.sh`
+//! compares all fifteen through `afactl`.
 //!
 //! One `#[test]` in its own file on purpose: the run manifest's
 //! `frontend`, `completion` and `fleet` keys are deltas of
@@ -14,7 +16,15 @@ use afa::sim::SimDuration;
 #[test]
 fn golden_artifacts_are_byte_identical() {
     let scale = ExperimentScale::new(SimDuration::from_secs_f64(0.25), 8, 42);
-    for name in ["fig06", "fig12", "fleet-failover", "tailscale-hedge"] {
+    for name in [
+        "fig06",
+        "fig12",
+        "fleet-failover",
+        "fleet-arrival",
+        "tailscale-hedge",
+        "tailscale",
+        "multihost",
+    ] {
         let def = experiment::find(name).expect("experiment registered");
         // `afactl exp --json` prints the artifact plus a newline.
         let artifact = format!("{}\n", experiment::run_experiment(def, scale).to_json());
