@@ -44,7 +44,7 @@
 use std::time::Instant;
 
 use afa_bench::micro::{self, Harness};
-use afa_core::experiment::{self, Experiment, ExperimentScale};
+use afa_core::experiment::{self, ExperimentScale};
 use afa_sim::SimDuration;
 use afa_stats::Json;
 

@@ -34,7 +34,7 @@ use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 use afa_frontend::{ArrivalEntry, ArrivalWheel, RequestBook, SloTarget, SloTracker, SubCompletion};
-use afa_sim::metrics::FrontendCounters;
+use afa_sim::metrics::{self, FrontendCounters};
 use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
 use afa_stats::{Json, LatencyHistogram, LatencyProfile, NinesPoint};
 use afa_volume::SubIo;
@@ -401,12 +401,15 @@ fn run_rung(scale: ExperimentScale, tenants: u64) -> FleetCell {
         .unwrap_or(0);
     let report = rollup.report();
 
-    afa_sim::metrics::add_frontend(FrontendCounters {
-        requests_admitted: world.admitted,
-        requests_shed: world.shed,
-        slab_peak_live: world.book.peak_in_flight() as u64,
-        sketch_merges,
-        ..FrontendCounters::default()
+    metrics::flush(metrics::Counters {
+        frontend: FrontendCounters {
+            requests_admitted: world.admitted,
+            requests_shed: world.shed,
+            slab_peak_live: world.book.peak_in_flight() as u64,
+            sketch_merges,
+            ..FrontendCounters::default()
+        },
+        ..Default::default()
     });
 
     FleetCell {
@@ -659,11 +662,24 @@ mod tests {
 
     #[test]
     fn fleet_flushes_slab_and_sketch_counters() {
-        let before = afa_sim::metrics::frontend_totals();
-        let result = fleet_arrival(ExperimentScale::new(SimDuration::millis(60), 4, 11));
-        let delta = afa_sim::metrics::frontend_totals().since(&before);
-        assert!(delta.requests_admitted >= result.cells[0].admitted);
-        assert!(delta.slab_peak_live > 0, "slab peak must flush");
-        assert!(delta.sketch_merges > 0, "sketch merges must flush");
+        let (result, counts) = metrics::capture(|| {
+            fleet_arrival(ExperimentScale::new(SimDuration::millis(60), 4, 11))
+        });
+        let sum = |field: fn(&FleetCell) -> u64| result.cells.iter().map(field).sum::<u64>();
+        assert_eq!(
+            counts.frontend,
+            FrontendCounters {
+                requests_admitted: sum(|c| c.admitted),
+                requests_shed: sum(|c| c.shed),
+                slab_peak_live: sum(|c| c.slab_peak_live),
+                sketch_merges: sum(|c| c.sketch_merges),
+                ..FrontendCounters::default()
+            }
+        );
+        assert!(counts.frontend.slab_peak_live > 0, "slab peak must flush");
+        assert!(
+            counts.frontend.sketch_merges > 0,
+            "sketch merges must flush"
+        );
     }
 }

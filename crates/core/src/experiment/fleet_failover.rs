@@ -33,7 +33,7 @@ use afa_fleet::{
 use afa_frontend::{HedgePolicy, RequestBook, RequestLedger, SubCompletion};
 use afa_host::{BackgroundConfig, CpuTopology, HostModel, SchedPolicy};
 use afa_pcie::PcieFabric;
-use afa_sim::metrics::{CompletionCounters, FleetCounters, FrontendCounters};
+use afa_sim::metrics::{self, CompletionCounters, FleetCounters, FrontendCounters};
 use afa_sim::trace::Cause;
 use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
 use afa_ssd::{NvmeCommand, SsdDevice, SsdSpec};
@@ -654,21 +654,23 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
         retries: world.retries,
         rereplication_ios: world.rereplication_ios,
     };
-    afa_sim::metrics::add_fleet(fleet);
-    afa_sim::metrics::add_frontend(FrontendCounters {
-        requests_admitted: world.admitted,
-        requests_shed: world.shed,
-        hedges_fired: world.hedges_fired,
-        hedges_won: world.hedges_won,
-        slab_peak_live: world.book.peak_in_flight() as u64,
-        sketch_merges,
-    });
-    // Secondary arrays' reaps are interrupt completions too: sum every
-    // array instance so the stitched manifest sees the whole fleet,
-    // not just one world's flush.
-    afa_sim::metrics::add_completion(CompletionCounters {
-        interrupts: world.arrays.iter().map(ArrayInstance::completions).sum(),
-        ..CompletionCounters::default()
+    metrics::flush(metrics::Counters {
+        fleet,
+        frontend: FrontendCounters {
+            requests_admitted: world.admitted,
+            requests_shed: world.shed,
+            hedges_fired: world.hedges_fired,
+            hedges_won: world.hedges_won,
+            slab_peak_live: world.book.peak_in_flight() as u64,
+            sketch_merges,
+        },
+        // Secondary arrays' reaps are interrupt completions too: sum
+        // every array instance so the manifest sees the whole fleet.
+        completion: CompletionCounters {
+            interrupts: world.arrays.iter().map(ArrayInstance::completions).sum(),
+            ..CompletionCounters::default()
+        },
+        ..Default::default()
     });
     let cell = FailoverCell {
         stage: cfg.stage,

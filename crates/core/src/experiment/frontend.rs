@@ -36,7 +36,7 @@ use afa_frontend::{
 };
 use afa_host::{BackgroundConfig, CpuId, CpuTopology, HostModel, SchedPolicy};
 use afa_pcie::PcieFabric;
-use afa_sim::metrics::FrontendCounters;
+use afa_sim::metrics::{self, FrontendCounters};
 use afa_sim::trace::Cause;
 use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
 use afa_ssd::{NvmeCommand, SsdDevice, SsdSpec};
@@ -425,7 +425,10 @@ fn run_cell(
         // artifacts keep the original four-key "frontend" object.
         ..FrontendCounters::default()
     };
-    afa_sim::metrics::add_frontend(counters);
+    metrics::flush(metrics::Counters {
+        frontend: counters,
+        ..Default::default()
+    });
     ServeCell {
         stage,
         width,

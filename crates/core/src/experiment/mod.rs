@@ -2,12 +2,12 @@
 //! evaluation, plus the ablations from `DESIGN.md`.
 //!
 //! Every runner takes an [`ExperimentScale`] (run time, device count,
-//! seed — typically from the environment via
-//! [`ExperimentScale::from_env`]) and returns a result object with
-//! `to_table()` / `to_csv()` / `to_json()` renderings. All runners are
-//! registered in [`registry::registry`], which the bench harness and
-//! `afactl` dispatch through; [`registry::run_experiment`] wraps any
-//! run with a reproducibility manifest.
+//! seed — `afactl exp` reads them from `--seconds`, `--ssds` and
+//! `--seed`) and returns a result object with `to_table()` /
+//! `to_csv()` / `to_json()` renderings. All runners are registered in
+//! [`registry::registry`], which `afactl` dispatches through;
+//! [`registry::run_experiment`] wraps any run with a reproducibility
+//! manifest.
 
 mod ablations;
 mod characterize;
@@ -50,7 +50,7 @@ pub use iotrace::{io_trace, IoTraceResult};
 pub use multihost::{multi_host_isolation, MultiHostResult};
 pub use pts::{pts_random_write, PtsRun, SteadyStateDetector};
 pub use registry::{
-    cause_rows_json, find, registry, run_experiment, Experiment, ExperimentDef, ExperimentResult,
+    cause_rows_json, find, registry, run_experiment, ExperimentDef, ExperimentResult,
     ExperimentRun, RunManifest,
 };
 pub use rootcause::{root_cause, root_cause_ladder, RootCauseLadder, RootCauseReport};

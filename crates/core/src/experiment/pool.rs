@@ -8,10 +8,21 @@
 //! [`worker_cap`] worker threads that preserves input order. Each item
 //! still runs exactly once with whatever seed its configuration
 //! carries, so results are identical to a sequential map.
+//!
+//! Each item also runs as if on the calling thread: its worker pins
+//! the caller's [`FusionOverride`], and the counts the item
+//! [`flush`](afa_sim::metrics::flush)es come back to the caller, which
+//! flushes them in turn. So a sweep inside an experiment counts toward
+//! that experiment's run manifest, and a sweep under a fusion override
+//! runs with it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
+
+use afa_sim::metrics::{self, Counters};
+
+use crate::system::FusionOverride;
 
 /// Maximum worker threads a sweep may occupy: the machine's available
 /// parallelism (1 if it cannot be determined).
@@ -27,7 +38,9 @@ pub fn worker_cap() -> usize {
 /// At most `min(worker_cap(), items.len())` threads run concurrently;
 /// idle workers steal the next unclaimed item, so a sweep of 64
 /// configurations on a 12-core machine keeps all cores busy without
-/// spawning 64 threads.
+/// spawning 64 threads. Every item sees the caller's
+/// [`FusionOverride`], and its metrics flushes reach the caller's open
+/// [`capture`](afa_sim::metrics::capture) (or the process totals).
 pub fn map_bounded<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -41,7 +54,8 @@ where
     let workers = worker_cap().min(n);
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
+    let fusion = FusionOverride::current();
+    let (tx, rx) = mpsc::channel::<(usize, R, Counters)>();
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -49,22 +63,27 @@ where
             let slots = &slots;
             let next = &next;
             let f = &f;
-            scope.spawn(move || loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    return;
+            scope.spawn(move || {
+                let _fusion = FusionOverride::pin(fusion);
+                loop {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    if idx >= n {
+                        return;
+                    }
+                    let item = slots[idx]
+                        .lock()
+                        .expect("pool slot poisoned")
+                        .take()
+                        .expect("pool slot claimed twice");
+                    let (result, counts) = metrics::capture(|| f(item));
+                    let _ = tx.send((idx, result, counts));
                 }
-                let item = slots[idx]
-                    .lock()
-                    .expect("pool slot poisoned")
-                    .take()
-                    .expect("pool slot claimed twice");
-                let _ = tx.send((idx, f(item)));
             });
         }
         drop(tx);
         let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (idx, result) in rx {
+        for (idx, result, counts) in rx {
+            metrics::flush(counts);
             out[idx] = Some(result);
         }
         out.into_iter()
@@ -121,5 +140,37 @@ mod tests {
     #[test]
     fn worker_cap_is_positive() {
         assert!(worker_cap() >= 1);
+    }
+
+    #[test]
+    fn worker_flushes_reach_the_callers_capture() {
+        let (out, counts) = metrics::capture(|| {
+            map_bounded((1..=64).collect::<Vec<u64>>(), |x| {
+                metrics::flush(Counters {
+                    events: x,
+                    ..Counters::default()
+                });
+                x
+            })
+        });
+        assert_eq!(out.len(), 64);
+        assert_eq!(
+            counts,
+            Counters {
+                events: 64 * 65 / 2,
+                ..Counters::default()
+            }
+        );
+    }
+
+    #[test]
+    fn workers_see_the_callers_fusion_override() {
+        let seen = |n: usize| map_bounded(vec![(); n], |()| FusionOverride::current());
+        assert_eq!(seen(16), vec![None; 16]);
+        for pinned in [true, false] {
+            let _fusion = FusionOverride::set(pinned);
+            assert_eq!(seen(16), vec![Some(pinned); 16]);
+        }
+        assert_eq!(seen(16), vec![None; 16], "the pin outlived its guard");
     }
 }

@@ -7,23 +7,26 @@
 //!   table ([`ExperimentResult::to_table`]), a plotting CSV
 //!   ([`ExperimentResult::to_csv`]) and a machine-readable JSON
 //!   document ([`ExperimentResult::to_json`]).
-//! * [`Experiment`] / [`ExperimentDef`] — a named, described runner.
-//!   The static [`registry`] lists one [`ExperimentDef`] per artifact;
-//!   [`find`] resolves a name.
+//! * [`ExperimentDef`] — a named, described runner. The static
+//!   [`registry`] lists one per artifact; [`find`] resolves a name.
 //! * [`run_experiment`] — runs a definition at an [`ExperimentScale`]
 //!   and wraps the result with a [`RunManifest`]: seed, scale, stage,
-//!   wall-clock, sample count and a per-[`Cause`] latency budget
-//!   measured by a deterministic attribution probe.
+//!   wall-clock, sample count, the run's own simulation counters and a
+//!   per-[`Cause`] latency budget measured by a deterministic
+//!   attribution probe.
 //!
 //! Everything in the JSON artifact is a pure function of
 //! `(experiment, scale)` — host wall-clock is carried in the manifest
 //! struct and rendered in tables, but serialized as `null` so two runs
-//! with the same seed emit byte-identical JSON.
+//! with the same seed emit byte-identical JSON. The manifest's counters
+//! come from an [`afa_sim::metrics::capture`] around the experiment, so
+//! runs sharing a process (threads, a test binary) cannot leak into
+//! each other's artifacts.
 
 use std::time::Duration;
 use std::time::Instant;
 
-use afa_sim::metrics::{CompletionCounters, FleetCounters, FrontendCounters, FusionCounters};
+use afa_sim::metrics::{self, CompletionCounters, FleetCounters, FrontendCounters, FusionCounters};
 use afa_sim::trace::{Cause, CauseBudget};
 use afa_sim::SimDuration;
 use afa_stats::Json;
@@ -54,21 +57,6 @@ pub trait ExperimentResult {
     }
 }
 
-/// A named experiment that can run at any [`ExperimentScale`].
-pub trait Experiment {
-    /// Registry name (`afactl exp <name>`).
-    fn name(&self) -> &'static str;
-    /// One-line description (`afactl list`).
-    fn description(&self) -> &'static str;
-    /// The tuning stage the experiment is *about*, when it has a
-    /// single one (sweeps over stages return `None`).
-    fn stage(&self) -> Option<TuningStage> {
-        None
-    }
-    /// Runs the experiment.
-    fn run(&self, scale: ExperimentScale) -> Box<dyn ExperimentResult>;
-}
-
 /// A registry entry: a name, a description and a runner fn.
 #[derive(Clone, Copy)]
 pub struct ExperimentDef {
@@ -81,20 +69,9 @@ pub struct ExperimentDef {
     runner: fn(ExperimentScale) -> Box<dyn ExperimentResult>,
 }
 
-impl Experiment for ExperimentDef {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn description(&self) -> &'static str {
-        self.description
-    }
-
-    fn stage(&self) -> Option<TuningStage> {
-        self.stage
-    }
-
-    fn run(&self, scale: ExperimentScale) -> Box<dyn ExperimentResult> {
+impl ExperimentDef {
+    /// Runs the experiment (without a manifest; see [`run_experiment`]).
+    pub fn run(&self, scale: ExperimentScale) -> Box<dyn ExperimentResult> {
         (self.runner)(scale)
     }
 }
@@ -329,43 +306,35 @@ pub struct RunManifest {
     /// Host wall-clock time of the run. Rendered in tables only —
     /// serialized as `null` so same-seed JSON is byte-identical.
     pub wall: Duration,
-    /// Simulation events processed while the experiment ran (delta of
-    /// the process-wide [`afa_sim::metrics`] counter, excluding the
-    /// attribution probe). Wall-dependent siblings (`events_per_sec`)
-    /// are table-only for the same reason `wall` is: the JSON artifact
-    /// must stay a pure function of `(experiment, scale)`.
+    /// Simulation events the experiment processed (the attribution
+    /// probe excluded). Table-only, like its wall-dependent sibling
+    /// `events_per_sec`: fusion changes the count, and the JSON
+    /// artifact must stay identical with fusion on or off.
     pub events_processed: u64,
     /// DES throughput (`events_processed / wall`). Table-only.
     pub events_per_sec: f64,
-    /// Past-time schedules clamped to the clock while the experiment
-    /// (and its attribution probe) ran — delta of the process-wide
-    /// [`afa_sim::metrics::clamped_past_total`] counter. Always 0 for
-    /// a healthy model, so unlike the throughput counters it *is*
-    /// serialized: a non-zero value in an artifact is a red flag worth
-    /// failing CI over.
+    /// Past-time schedules clamped to the clock by the experiment and
+    /// its attribution probe. Always 0 for a healthy model, so unlike
+    /// the throughput counters it *is* serialized: a non-zero value in
+    /// an artifact is a red flag worth failing CI over.
     pub clamped_past_schedules: u64,
-    /// Frontend serving-layer counters flushed while the experiment
-    /// ran (delta of the process-wide [`afa_sim::metrics`] totals).
-    /// All-zero for experiments that never touch the serving layer —
-    /// and then omitted from the JSON artifact, so pre-frontend
-    /// goldens stay byte-identical.
+    /// Frontend serving-layer counters the experiment flushed. All-zero
+    /// for experiments that never touch the serving layer — and then
+    /// omitted from the JSON artifact, so pre-frontend goldens stay
+    /// byte-identical.
     pub frontend: FrontendCounters,
-    /// Completion-model counters flushed while the experiment itself
-    /// ran (the attribution probe is excluded — it would otherwise
-    /// add its own interrupt-reaped I/Os). Serialized only when a
-    /// non-interrupt model reaped something
+    /// Completion-model counters the experiment flushed (the
+    /// attribution probe's interrupt-reaped I/Os excluded). Serialized
+    /// only when a non-interrupt model reaped something
     /// ([`CompletionCounters::any_polled`]): every pre-existing golden
     /// reaps via MSI-X, so keying on plain interrupt counts would
     /// rewrite them all.
     pub completion: CompletionCounters,
-    /// Fleet-layer fault counters flushed while the experiment ran
-    /// (delta of the process-wide [`afa_sim::metrics`] totals).
-    /// All-zero for every non-fleet experiment — and then omitted
-    /// from the JSON artifact, so pre-fleet goldens stay
-    /// byte-identical.
+    /// Fleet-layer fault counters the experiment flushed. All-zero for
+    /// every non-fleet experiment — and then omitted from the JSON
+    /// artifact, so pre-fleet goldens stay byte-identical.
     pub fleet: FleetCounters,
-    /// Event-chain fusion counters flushed while the experiment ran
-    /// (delta of the process-wide [`afa_sim::metrics`] totals). Like
+    /// Event-chain fusion counters the experiment flushed. Like
     /// `events_per_sec` these are table-only: fusion is a scheduling
     /// optimization whose whole contract is that artifacts are
     /// byte-identical with it on or off, so serializing its counters
@@ -597,31 +566,20 @@ impl ExperimentRun {
 
 /// Runs `def` at `scale` and attaches a [`RunManifest`].
 ///
-/// The per-cause latency budget comes from a separate deterministic
-/// *probe* run with attribution enabled, at the experiment's stage
-/// (or the fully tuned kernel for multi-stage experiments) and a
-/// reduced scale, so the budget is cheap and reproducible even for
-/// experiments that don't attribute causes themselves.
+/// The manifest's counters are what the experiment
+/// [`flush`](afa_sim::metrics::flush)ed, on this thread and on the
+/// pool workers it fanned out to; they are passed on to the enclosing
+/// capture (or the process totals) afterwards. The per-cause latency
+/// budget comes from a separate deterministic *probe* run with
+/// attribution enabled, at the experiment's stage (or the fully tuned
+/// kernel for multi-stage experiments) and a reduced scale, so the
+/// budget is cheap and reproducible even for experiments that don't
+/// attribute causes themselves.
 pub fn run_experiment(def: &ExperimentDef, scale: ExperimentScale) -> ExperimentRun {
-    let events_before = afa_sim::metrics::events_processed_total();
-    let clamped_before = afa_sim::metrics::clamped_past_total();
-    let frontend_before = afa_sim::metrics::frontend_totals();
-    let completion_before = afa_sim::metrics::completion_totals();
-    let fleet_before = afa_sim::metrics::fleet_totals();
-    let fusion_before = afa_sim::metrics::fusion_totals();
     let t0 = Instant::now();
-    let result = def.run(scale);
+    let (result, run) = metrics::capture(|| def.run(scale));
     let wall = t0.elapsed();
-    // Process-wide counter: the delta includes any simulations that ran
-    // concurrently (e.g. the pool runs experiments in parallel), so it
-    // is an honest throughput figure for this run only when the caller
-    // runs one experiment at a time — which is why it stays out of the
-    // byte-stable JSON and only appears in the human table.
-    let events_processed = afa_sim::metrics::events_processed_total() - events_before;
-    let events_per_sec = events_processed as f64 / wall.as_secs_f64().max(1e-9);
-    // Before the probe: the probe's interrupt-reaped I/Os are not
-    // part of the experiment's completion-model story.
-    let completion = afa_sim::metrics::completion_totals().since(&completion_before);
+    let events_per_sec = run.events as f64 / wall.as_secs_f64().max(1e-9);
 
     let probe_runtime = if scale.runtime > SimDuration::millis(250) {
         SimDuration::millis(250)
@@ -638,18 +596,10 @@ pub fn run_experiment(def: &ExperimentDef, scale: ExperimentScale) -> Experiment
             .with_cause_attribution(true),
     );
     let budget = probe.causes.expect("attribution enabled").budget();
-    // Measured after the probe so a past-time schedule anywhere in the
-    // run (experiment or probe) taints the artifact. Deterministic —
-    // and expected to be exactly 0 — for a single experiment at a
-    // time; the parallel pool may attribute a sibling's clamps here,
-    // which is fine for a tripwire.
-    let clamped_past_schedules = afa_sim::metrics::clamped_past_total() - clamped_before;
-    let frontend = afa_sim::metrics::frontend_totals().since(&frontend_before);
-    let fleet = afa_sim::metrics::fleet_totals().since(&fleet_before);
-    // Measured after the probe, like the other table rows: the row
-    // reflects everything this run scheduled. The probe itself is
-    // libaio, and interrupt chains never fuse.
-    let fusion = afa_sim::metrics::fusion_totals().since(&fusion_before);
+    // A past-time schedule anywhere in the run, experiment or probe,
+    // taints the artifact.
+    let clamped_past_schedules = run.clamped_past + probe.clamped_past_schedules;
+    metrics::flush(run);
 
     let samples = result.samples();
     ExperimentRun {
@@ -659,13 +609,13 @@ pub fn run_experiment(def: &ExperimentDef, scale: ExperimentScale) -> Experiment
             stage: def.stage,
             samples,
             wall,
-            events_processed,
+            events_processed: run.events,
             events_per_sec,
             clamped_past_schedules,
-            frontend,
-            completion,
-            fleet,
-            fusion,
+            frontend: run.frontend,
+            completion: run.completion,
+            fleet: run.fleet,
+            fusion: run.fusion,
             budget,
             probe_scale,
             probe_stage,
@@ -799,7 +749,7 @@ mod tests {
 
     #[test]
     fn events_per_sec_is_table_only() {
-        // fig06 actually drives a simulation, so the event delta must
+        // fig06 actually drives a simulation, so the event count must
         // be non-zero; the JSON schema must not grow a key for it.
         let def = find("fig06").expect("fig06 registered");
         let run = run_experiment(def, ExperimentScale::quick());

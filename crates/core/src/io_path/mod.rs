@@ -68,7 +68,7 @@ use model::CompletionModel;
 
 use afa_host::{BgPlacement, CpuId, HostModel, IrqDelivery, IrqOutcome};
 use afa_pcie::{PcieFabric, SharedLegReservation};
-use afa_sim::metrics::CompletionCounters;
+use afa_sim::metrics::{CompletionCounters, FusionCounters};
 use afa_sim::trace::Cause;
 use afa_sim::{ShardCtx, ShardWorld, SimDuration, SimTime};
 use afa_ssd::SsdDevice;
@@ -277,20 +277,6 @@ struct FusedChain {
     committed: bool,
 }
 
-/// Per-run fusion counters, harvested into
-/// [`afa_sim::metrics::FusionCounters`] by the run driver.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct FusionTally {
-    /// Chains fully fused into one settlement macro-event.
-    pub(crate) fused: u64,
-    /// Fused chains torn back into per-stage events by contention.
-    pub(crate) defused: u64,
-    /// Per-stage events the settled macro-events replaced (3 per
-    /// chain: `CommandAtDevice`, `DeviceDone` and `FabricUp` collapse
-    /// with `PollComplete` into one `Settle`).
-    pub(crate) elided: u64,
-}
-
 /// The whole-array world: jobs × host × fabric × devices, driven by
 /// [`Local`]/[`Cross`] events through the staged I/O path. One value
 /// serves every LP; each event mutates only its LP's slice.
@@ -345,7 +331,11 @@ pub(crate) struct IoPathWorld {
     fused: Vec<Option<FusedChain>>,
     /// Live chain count — the hooks' short-circuit.
     fused_live: usize,
-    fused_tally: FusionTally,
+    /// Fusion tally of the run: fused and de-fused chains, and the
+    /// per-stage events settled chains replaced (3 per chain:
+    /// `CommandAtDevice`, `DeviceDone` and `FabricUp` collapse with
+    /// `PollComplete` into one `Settle`).
+    pub(crate) fusion: FusionCounters,
     /// Jobs targeting each device (fusion requires a private device).
     device_job_count: Vec<u32>,
     /// Jobs owned by each worker LP (fusion requires a private LP:
@@ -418,7 +408,7 @@ impl IoPathWorld {
             fusion_enabled: false,
             fused: (0..jobs_len).map(|_| None).collect(),
             fused_live: 0,
-            fused_tally: FusionTally::default(),
+            fusion: FusionCounters::default(),
             device_job_count,
             lp_job_count,
         }
@@ -428,11 +418,6 @@ impl IoPathWorld {
     /// once per run).
     pub(crate) fn set_fusion(&mut self, enabled: bool) {
         self.fusion_enabled = enabled;
-    }
-
-    /// The run's fusion tally, for the harvest.
-    pub(crate) fn fusion_tally(&self) -> FusionTally {
-        self.fused_tally
     }
 
     /// Worker lookahead: the minimum delay any worker send adds — a
@@ -951,7 +936,7 @@ impl IoPathWorld {
                 let settle_at = chain.settle_at;
                 self.fused[job] = Some(chain);
                 self.fused_live += 1;
-                self.fused_tally.fused += 1;
+                self.fusion.fused_chains += 1;
                 ctx.at_lp(job_lp, settle_at, Local::Settle { job });
             }
             None => {
@@ -995,7 +980,7 @@ impl IoPathWorld {
             self.fabric
                 .commit_completion_shared_legs(&chain.reservation);
         }
-        self.fused_tally.elided += 3;
+        self.fusion.elided_events += 3;
         self.on_poll_complete(
             job,
             chain.issued_at,
@@ -1016,7 +1001,7 @@ impl IoPathWorld {
         let c = self.fused[job].take().expect("de-fusing a live chain");
         debug_assert!(!c.committed, "cannot de-fuse a committed chain");
         self.fused_live -= 1;
-        self.fused_tally.defused += 1;
+        self.fusion.defused_chains += 1;
         ctx.send_from(
             self.job_lp[job],
             HUB_LP,

@@ -9,11 +9,12 @@
 //! geometry, runs the simulation and harvests the world into one
 //! result.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::marker::PhantomData;
 
 use afa_host::{CpuTopology, HostModel};
 use afa_pcie::{FabricStats, PcieFabric};
-use afa_sim::metrics::CompletionCounters;
+use afa_sim::metrics::{self, CompletionCounters};
 use afa_sim::{ShardedSim, SimDuration, SimRng, SimTime};
 use afa_ssd::{DeviceProfile, DeviceStats, FtlStats, SsdDevice};
 use afa_workload::{JobReport, JobSpec, JobState};
@@ -22,47 +23,65 @@ use crate::config::AfaConfig;
 use crate::geometry::CpuSsdGeometry;
 use crate::io_path::{lp_of_cpu, IoPathWorld, LedgerLog, Local, HUB_LP, LP_COUNT};
 
-/// Encoded fusion override: 0 = none (`AFA_NO_FUSION` decides),
-/// 1 = force on, 2 = force off.
-static FUSION_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's pinned fusion setting; `None` defers to
+    /// `AFA_NO_FUSION`.
+    static FUSION_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
+}
 
-/// RAII scope pinning the macro-event fusion fast path on or off,
-/// taking precedence over `AFA_NO_FUSION`. Because results are
-/// byte-identical with fusion on or off, overlapping overrides from
-/// concurrent tests cannot change any outcome — only how many events
-/// the engine pops.
+/// RAII scope pinning the macro-event fusion fast path on or off for
+/// runs on the current thread, taking precedence over `AFA_NO_FUSION`.
+/// The experiment pool forwards the pin to its workers, so a sweep
+/// runs as its caller set it; runs on other threads are unaffected.
+/// Results are byte-identical with fusion on or off — the pin changes
+/// only how many events the engine pops.
 pub struct FusionOverride {
-    prev: usize,
+    prev: Option<bool>,
+    /// The guard restores its own thread's setting, so it must drop
+    /// there.
+    _thread: PhantomData<*const ()>,
 }
 
 impl FusionOverride {
-    /// Pins fusion on (`true`) or off (`false`) until the guard drops.
+    /// Pins fusion on (`true`) or off (`false`) on this thread until
+    /// the guard drops.
     pub fn set(enabled: bool) -> Self {
-        let prev = FUSION_OVERRIDE.swap(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-        FusionOverride { prev }
+        Self::pin(Some(enabled))
+    }
+
+    /// Pins `setting` on this thread until the guard drops; `None`
+    /// defers to `AFA_NO_FUSION` again.
+    pub(crate) fn pin(setting: Option<bool>) -> Self {
+        FusionOverride {
+            prev: FUSION_OVERRIDE.replace(setting),
+            _thread: PhantomData,
+        }
+    }
+
+    /// This thread's pinned setting, if any.
+    pub(crate) fn current() -> Option<bool> {
+        FUSION_OVERRIDE.get()
     }
 }
 
 impl Drop for FusionOverride {
     fn drop(&mut self) {
-        FUSION_OVERRIDE.store(self.prev, Ordering::Relaxed);
+        FUSION_OVERRIDE.set(self.prev);
     }
 }
 
-/// Resolves whether a run fuses stage chains: a [`FusionOverride`]
-/// wins, then `AFA_NO_FUSION` (any non-empty value other than `0`
-/// disables), then the default (on).
+/// Resolves whether a run fuses stage chains: this thread's
+/// [`FusionOverride`] wins, then `AFA_NO_FUSION` (any non-empty value
+/// other than `0` disables), then the default (on).
 fn fusion_enabled() -> bool {
-    match FUSION_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => !std::env::var("AFA_NO_FUSION")
+    FusionOverride::current().unwrap_or_else(|| {
+        !std::env::var("AFA_NO_FUSION")
             .map(|v| {
                 let v = v.trim();
                 !v.is_empty() && v != "0"
             })
-            .unwrap_or(false),
-    }
+            .unwrap_or(false)
+    })
 }
 
 /// SSDs the paper's host enumerates.
@@ -70,8 +89,9 @@ const MAX_SSDS: usize = 64;
 
 /// Checks an explicit job list (e.g. a parsed fio jobfile) against the
 /// simulated host: at least one job, every device among the host's 64
-/// SSDs, every pinned CPU on the host, every region within the Table-I
-/// device's logical capacity, and at most one job per device. The
+/// SSDs, every pinned CPU on the host and off its reserved system CPUs,
+/// every region within the Table-I device's logical capacity, and at
+/// most one job per device. The
 /// error names the offending job as `job<index>`, the label
 /// [`JobReport::to_fio_style`] output uses. [`AfaSystem::run`] panics
 /// on any of these, so callers holding untrusted input check first.
@@ -80,6 +100,7 @@ pub fn check_jobs(specs: &[JobSpec]) -> Result<(), String> {
         return Err("no jobs to run".to_owned());
     }
     let cpus = CpuTopology::xeon_e5_2690_v2_dual().logical_cpus();
+    let geometry = CpuSsdGeometry::paper(0);
     let capacity_pages = DeviceProfile::Table1.spec().logical_pages();
     let mut owner: Vec<Option<usize>> = vec![None; MAX_SSDS];
     for (j, spec) in specs.iter().enumerate() {
@@ -93,6 +114,12 @@ pub fn check_jobs(specs: &[JobSpec]) -> Result<(), String> {
             if cpu.0 >= cpus {
                 return Err(format!(
                     "job{j}: cpus_allowed={} is beyond the host's {cpus} CPUs",
+                    cpu.0
+                ));
+            }
+            if geometry.reserved_cpus().contains(&cpu) {
+                return Err(format!(
+                    "job{j}: cpus_allowed={} is reserved for system tasks",
                     cpu.0
                 ));
             }
@@ -143,8 +170,8 @@ pub struct RunResult {
     /// Per-device counters.
     pub device_stats: Vec<(DeviceStats, FtlStats)>,
     /// How completions were reaped (interrupt / poll / hybrid
-    /// oversleep); also flushed to [`afa_sim::metrics`] so harnesses
-    /// can delta the process-wide totals around an experiment.
+    /// oversleep); also [`flush`](afa_sim::metrics::flush)ed, so an
+    /// experiment's manifest counts them.
     pub completions: CompletionCounters,
 }
 
@@ -335,15 +362,13 @@ impl AfaSystem {
             .iter()
             .map(|d| (d.stats(), d.ftl_stats()))
             .collect();
-        afa_sim::metrics::add_completion(world.completions);
-        // The elided events keep the *logical* event total comparable
-        // across fusion settings: popped events + elided = the
-        // un-fused count.
-        let fusion = world.fusion_tally();
-        afa_sim::metrics::add_fusion(afa_sim::metrics::FusionCounters {
-            fused_chains: fusion.fused,
-            defused_chains: fusion.defused,
-            elided_events: fusion.elided,
+        // The elided fusion events keep the *logical* event total
+        // comparable across fusion settings: popped events + elided =
+        // the un-fused count.
+        metrics::flush(metrics::Counters {
+            completion: world.completions,
+            fusion: world.fusion,
+            ..Default::default()
         });
         // Capture windows are per worker LP (see `IoPathWorld`); merge
         // them into one run-wide window.

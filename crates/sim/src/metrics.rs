@@ -1,73 +1,141 @@
-//! Process-wide DES throughput counters.
+//! Per-run simulation counters.
 //!
-//! Every [`ShardedSim`](crate::ShardedSim) adds its processed-event
-//! count here when its [`run`](crate::ShardedSim::run) finishes
-//! (batched, so the per-event hot path pays nothing). Harnesses
-//! snapshot [`events_processed_total`] around a workload to derive an
-//! events/sec figure — the single number that decides how close the
-//! reproduction can get to the paper's full 120 s × 64-SSD runs.
+//! Every simulation hands its counts to [`flush`] once, when it
+//! finishes (batched, so the per-event hot path pays nothing): the
+//! [`ShardedSim`](crate::ShardedSim) engine its processed and clamped
+//! events, the experiment worlds their serving, completion, fleet and
+//! fusion tallies. A flush lands in the innermost [`capture`] open on
+//! the calling thread, so a harness that wraps a run in `capture` gets
+//! exactly that run's [`Counters`] — whatever else runs in the process
+//! at the same time. A flush outside any capture adds to the process
+//! totals ([`events_processed_total`] and friends).
 //!
-//! The counter is cumulative across the whole process and shared by
-//! concurrent simulations (the experiment pool runs many at once), so
-//! deltas are only meaningful around code the caller knows ran in
-//! isolation; keep derived rates out of byte-stable artifacts.
+//! `capture` does not forward what it collected: its caller reads the
+//! counts and passes them on with `flush`, so every count reaches the
+//! process totals exactly once. Work fanned out to other threads comes
+//! back the same way (the experiment pool captures on each worker and
+//! flushes on the calling thread).
 //!
-//! The frontend serving layer flushes its shed/hedge counters here the
-//! same way ([`add_frontend`] / [`frontend_totals`]): per-run integers
-//! accumulated locally, one atomic add when the drive finishes. Unlike
-//! the throughput counters these are simulation-deterministic, so
-//! harnesses may serialize their deltas.
+//! The event and fusion counts are engine throughput figures — keep
+//! rates derived from them out of byte-stable artifacts. The serving,
+//! completion and fleet counts are simulation-deterministic, so
+//! harnesses may serialize them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::RefCell;
+use std::sync::{LazyLock, Mutex};
 
-static EVENTS_PROCESSED: AtomicU64 = AtomicU64::new(0);
-static CLAMPED_PAST: AtomicU64 = AtomicU64::new(0);
-static REQUESTS_ADMITTED: AtomicU64 = AtomicU64::new(0);
-static REQUESTS_SHED: AtomicU64 = AtomicU64::new(0);
-static HEDGES_FIRED: AtomicU64 = AtomicU64::new(0);
-static HEDGES_WON: AtomicU64 = AtomicU64::new(0);
-static SLAB_PEAK_LIVE: AtomicU64 = AtomicU64::new(0);
-static SKETCH_MERGES: AtomicU64 = AtomicU64::new(0);
-static COMPLETION_INTERRUPTS: AtomicU64 = AtomicU64::new(0);
-static COMPLETION_POLLS: AtomicU64 = AtomicU64::new(0);
-static COMPLETION_HYBRID_SLEEPS: AtomicU64 = AtomicU64::new(0);
-static FLEET_ARRAYS_FAILED: AtomicU64 = AtomicU64::new(0);
-static FLEET_FAILOVERS: AtomicU64 = AtomicU64::new(0);
-static FLEET_RETRIES: AtomicU64 = AtomicU64::new(0);
-static FLEET_REREPLICATION_IOS: AtomicU64 = AtomicU64::new(0);
-static FUSED_CHAINS: AtomicU64 = AtomicU64::new(0);
-static DEFUSED_CHAINS: AtomicU64 = AtomicU64::new(0);
-static ELIDED_EVENTS: AtomicU64 = AtomicU64::new(0);
+/// Everything one run counts, flushed once when it finishes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Simulation events processed.
+    pub events: u64,
+    /// Past-time schedules clamped to the clock (see
+    /// [`ShardedSim::clamped_past_schedules`](crate::ShardedSim::clamped_past_schedules)).
+    /// A healthy model never schedules into the past.
+    pub clamped_past: u64,
+    /// Frontend serving-layer counters.
+    pub frontend: FrontendCounters,
+    /// Completion-model counters.
+    pub completion: CompletionCounters,
+    /// Fleet-layer fault counters.
+    pub fleet: FleetCounters,
+    /// Macro-event fusion counters.
+    pub fusion: FusionCounters,
+}
 
-/// Adds `n` processed events to the process-wide total.
-pub fn add_events(n: u64) {
-    if n > 0 {
-        EVENTS_PROCESSED.fetch_add(n, Ordering::Relaxed);
+impl Counters {
+    /// Field-wise sum: adds every counter of `other` to `self`.
+    pub fn add(&mut self, other: Counters) {
+        self.events += other.events;
+        self.clamped_past += other.clamped_past;
+        let (fe, o) = (&mut self.frontend, other.frontend);
+        fe.requests_admitted += o.requests_admitted;
+        fe.requests_shed += o.requests_shed;
+        fe.hedges_fired += o.hedges_fired;
+        fe.hedges_won += o.hedges_won;
+        fe.slab_peak_live += o.slab_peak_live;
+        fe.sketch_merges += o.sketch_merges;
+        let (cm, o) = (&mut self.completion, other.completion);
+        cm.interrupts += o.interrupts;
+        cm.polls += o.polls;
+        cm.hybrid_sleeps += o.hybrid_sleeps;
+        let (fl, o) = (&mut self.fleet, other.fleet);
+        fl.arrays_failed += o.arrays_failed;
+        fl.failovers += o.failovers;
+        fl.retries += o.retries;
+        fl.rereplication_ios += o.rereplication_ios;
+        let (fu, o) = (&mut self.fusion, other.fusion);
+        fu.fused_chains += o.fused_chains;
+        fu.defused_chains += o.defused_chains;
+        fu.elided_events += o.elided_events;
     }
 }
 
-/// Total simulation events processed by this process so far.
+/// Counts flushed outside any capture, process-wide.
+static TOTALS: LazyLock<Mutex<Counters>> = LazyLock::new(Mutex::default);
+
+thread_local! {
+    /// This thread's open captures, innermost last.
+    static CAPTURES: RefCell<Vec<Counters>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Hands a finished run's counts on: to the innermost [`capture`] open
+/// on this thread, or to the process totals when none is open.
+pub fn flush(counts: Counters) {
+    let captured = CAPTURES.with_borrow_mut(|open| {
+        if let Some(top) = open.last_mut() {
+            top.add(counts);
+            true
+        } else {
+            false
+        }
+    });
+    if !captured {
+        TOTALS
+            .lock()
+            .expect("a flush panicked holding the totals")
+            .add(counts);
+    }
+}
+
+/// Runs `f` and returns what it [`flush`]ed on this thread, on top of
+/// its result. Nested captures each see only their own scope. The
+/// counts are not forwarded: pass them on with `flush` once read.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Counters) {
+    /// Closes the capture even when `f` unwinds, so a caught panic
+    /// cannot strand later flushes on this thread in a dead scope.
+    struct Close;
+    impl Drop for Close {
+        fn drop(&mut self) {
+            CAPTURES.with_borrow_mut(|open| open.pop());
+        }
+    }
+    CAPTURES.with_borrow_mut(|open| open.push(Counters::default()));
+    let close = Close;
+    let result = f();
+    let counts = CAPTURES.with_borrow(|open| *open.last().expect("capture still open"));
+    drop(close);
+    (result, counts)
+}
+
+fn totals() -> Counters {
+    *TOTALS.lock().expect("a flush panicked holding the totals")
+}
+
+/// Simulation events in the process totals so far. Counts flushed
+/// inside an open capture arrive when its caller passes them on.
 pub fn events_processed_total() -> u64 {
-    EVENTS_PROCESSED.load(Ordering::Relaxed)
+    totals().events
 }
 
-/// Adds `n` past-time schedules that were clamped to the clock (see
-/// [`ShardedSim::clamped_past_schedules`](crate::ShardedSim::clamped_past_schedules)).
-pub fn add_clamped_past(n: u64) {
-    if n > 0 {
-        CLAMPED_PAST.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Total past-time schedules clamped by this process so far. A healthy
-/// model never schedules into the past, so harnesses snapshot this
-/// around a run and fail loudly on a non-zero delta.
+/// Past-time schedules clamped, in the process totals so far. A
+/// healthy model never schedules into the past, so harnesses snapshot
+/// this around a run and fail loudly on a non-zero delta.
 pub fn clamped_past_total() -> u64 {
-    CLAMPED_PAST.load(Ordering::Relaxed)
+    totals().clamped_past
 }
 
-/// Process-wide frontend serving-layer counters (a snapshot of the
-/// cumulative totals; deltas around a run give per-run figures).
+/// Frontend serving-layer counters of one run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrontendCounters {
     /// Requests that passed admission into a tenant queue.
@@ -78,28 +146,15 @@ pub struct FrontendCounters {
     pub hedges_fired: u64,
     /// Hedges whose duplicate finished before the original.
     pub hedges_won: u64,
-    /// Request-book slab occupancy high-water marks, summed across
-    /// flushes — the cumulative total is not meaningful on its own,
-    /// but the delta around a single run is that run's peak.
+    /// Request-book slab occupancy high-water marks, summed over the
+    /// worlds that flushed: an experiment that runs several cells
+    /// reports the sum of its cells' peaks, not one overall peak.
     pub slab_peak_live: u64,
     /// Cross-tenant quantile-sketch rollup merges performed.
     pub sketch_merges: u64,
 }
 
 impl FrontendCounters {
-    /// Component-wise difference (`self - earlier`), for deltas around
-    /// a run.
-    pub fn since(&self, earlier: &FrontendCounters) -> FrontendCounters {
-        FrontendCounters {
-            requests_admitted: self.requests_admitted - earlier.requests_admitted,
-            requests_shed: self.requests_shed - earlier.requests_shed,
-            hedges_fired: self.hedges_fired - earlier.hedges_fired,
-            hedges_won: self.hedges_won - earlier.hedges_won,
-            slab_peak_live: self.slab_peak_live - earlier.slab_peak_live,
-            sketch_merges: self.sketch_merges - earlier.sketch_merges,
-        }
-    }
-
     /// Whether any counter moved.
     pub fn any(&self) -> bool {
         self.requests_admitted
@@ -112,34 +167,8 @@ impl FrontendCounters {
     }
 }
 
-/// Adds a frontend run's counters to the process-wide totals. Like
-/// [`add_events`], this is a batched flush: the serving-layer world
-/// accumulates plain integers on the hot path and flushes once when
-/// its drive finishes.
-pub fn add_frontend(delta: FrontendCounters) {
-    if delta.requests_admitted > 0 {
-        REQUESTS_ADMITTED.fetch_add(delta.requests_admitted, Ordering::Relaxed);
-    }
-    if delta.requests_shed > 0 {
-        REQUESTS_SHED.fetch_add(delta.requests_shed, Ordering::Relaxed);
-    }
-    if delta.hedges_fired > 0 {
-        HEDGES_FIRED.fetch_add(delta.hedges_fired, Ordering::Relaxed);
-    }
-    if delta.hedges_won > 0 {
-        HEDGES_WON.fetch_add(delta.hedges_won, Ordering::Relaxed);
-    }
-    if delta.slab_peak_live > 0 {
-        SLAB_PEAK_LIVE.fetch_add(delta.slab_peak_live, Ordering::Relaxed);
-    }
-    if delta.sketch_merges > 0 {
-        SKETCH_MERGES.fetch_add(delta.sketch_merges, Ordering::Relaxed);
-    }
-}
-
-/// Process-wide completion-model counters: how each finished I/O was
-/// reaped. Simulation-deterministic, flushed once per run like
-/// [`FrontendCounters`], so harnesses may serialize their deltas.
+/// Completion-model counters: how each finished I/O was reaped.
+/// Simulation-deterministic, so harnesses may serialize them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompletionCounters {
     /// Completions reaped after an MSI-X interrupt + wake-up.
@@ -154,8 +183,8 @@ pub struct CompletionCounters {
 }
 
 impl CompletionCounters {
-    /// Component-wise difference (`self - earlier`), for deltas around
-    /// a run.
+    /// Component-wise difference (`self - earlier`), for deltas of the
+    /// process totals around a run.
     pub fn since(&self, earlier: &CompletionCounters) -> CompletionCounters {
         CompletionCounters {
             interrupts: self.interrupts - earlier.interrupts,
@@ -178,33 +207,14 @@ impl CompletionCounters {
     }
 }
 
-/// Adds a run's completion-model counters to the process-wide totals
-/// (batched flush, like [`add_frontend`]).
-pub fn add_completion(delta: CompletionCounters) {
-    if delta.interrupts > 0 {
-        COMPLETION_INTERRUPTS.fetch_add(delta.interrupts, Ordering::Relaxed);
-    }
-    if delta.polls > 0 {
-        COMPLETION_POLLS.fetch_add(delta.polls, Ordering::Relaxed);
-    }
-    if delta.hybrid_sleeps > 0 {
-        COMPLETION_HYBRID_SLEEPS.fetch_add(delta.hybrid_sleeps, Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of the cumulative completion-model counters.
+/// Completion-model counters in the process totals so far.
 pub fn completion_totals() -> CompletionCounters {
-    CompletionCounters {
-        interrupts: COMPLETION_INTERRUPTS.load(Ordering::Relaxed),
-        polls: COMPLETION_POLLS.load(Ordering::Relaxed),
-        hybrid_sleeps: COMPLETION_HYBRID_SLEEPS.load(Ordering::Relaxed),
-    }
+    totals().completion
 }
 
-/// Process-wide fleet-layer counters: replicated multi-array serving
-/// with fault injection. Simulation-deterministic, flushed once per
-/// run like [`FrontendCounters`], so harnesses may serialize their
-/// deltas.
+/// Fleet-layer counters: replicated multi-array serving with fault
+/// injection. Simulation-deterministic, so harnesses may serialize
+/// them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FleetCounters {
     /// Arrays killed by the fault-injection plan.
@@ -221,56 +231,17 @@ pub struct FleetCounters {
 }
 
 impl FleetCounters {
-    /// Component-wise difference (`self - earlier`), for deltas around
-    /// a run.
-    pub fn since(&self, earlier: &FleetCounters) -> FleetCounters {
-        FleetCounters {
-            arrays_failed: self.arrays_failed - earlier.arrays_failed,
-            failovers: self.failovers - earlier.failovers,
-            retries: self.retries - earlier.retries,
-            rereplication_ios: self.rereplication_ios - earlier.rereplication_ios,
-        }
-    }
-
     /// Whether any counter moved.
     pub fn any(&self) -> bool {
         self.arrays_failed | self.failovers | self.retries | self.rereplication_ios != 0
     }
 }
 
-/// Adds a run's fleet-layer counters to the process-wide totals
-/// (batched flush, like [`add_frontend`]).
-pub fn add_fleet(delta: FleetCounters) {
-    if delta.arrays_failed > 0 {
-        FLEET_ARRAYS_FAILED.fetch_add(delta.arrays_failed, Ordering::Relaxed);
-    }
-    if delta.failovers > 0 {
-        FLEET_FAILOVERS.fetch_add(delta.failovers, Ordering::Relaxed);
-    }
-    if delta.retries > 0 {
-        FLEET_RETRIES.fetch_add(delta.retries, Ordering::Relaxed);
-    }
-    if delta.rereplication_ios > 0 {
-        FLEET_REREPLICATION_IOS.fetch_add(delta.rereplication_ios, Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of the cumulative fleet-layer counters.
-pub fn fleet_totals() -> FleetCounters {
-    FleetCounters {
-        arrays_failed: FLEET_ARRAYS_FAILED.load(Ordering::Relaxed),
-        failovers: FLEET_FAILOVERS.load(Ordering::Relaxed),
-        retries: FLEET_RETRIES.load(Ordering::Relaxed),
-        rereplication_ios: FLEET_REREPLICATION_IOS.load(Ordering::Relaxed),
-    }
-}
-
-/// Process-wide macro-event fusion counters: how many I/O stage
-/// chains the fusion fast path collapsed into a single settlement
-/// event, and how many had to be de-fused back into per-stage events
-/// after a shared resource was claimed under them. Simulation-
-/// deterministic for a given fusion setting. Flushed once per run like
-/// [`FrontendCounters`].
+/// Macro-event fusion counters: how many I/O stage chains the fusion
+/// fast path collapsed into a single settlement event, and how many
+/// had to be de-fused back into per-stage events after a shared
+/// resource was claimed under them. Simulation-deterministic for a
+/// given fusion setting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FusionCounters {
     /// Stage chains fused into one settlement macro-event at submit.
@@ -285,8 +256,8 @@ pub struct FusionCounters {
 }
 
 impl FusionCounters {
-    /// Component-wise difference (`self - earlier`), for deltas around
-    /// a run.
+    /// Component-wise difference (`self - earlier`), for deltas of the
+    /// process totals around a run.
     pub fn since(&self, earlier: &FusionCounters) -> FusionCounters {
         FusionCounters {
             fused_chains: self.fused_chains - earlier.fused_chains,
@@ -301,143 +272,130 @@ impl FusionCounters {
     }
 }
 
-/// Adds a run's fusion counters to the process-wide totals (batched
-/// flush, like [`add_frontend`]).
-pub fn add_fusion(delta: FusionCounters) {
-    if delta.fused_chains > 0 {
-        FUSED_CHAINS.fetch_add(delta.fused_chains, Ordering::Relaxed);
-    }
-    if delta.defused_chains > 0 {
-        DEFUSED_CHAINS.fetch_add(delta.defused_chains, Ordering::Relaxed);
-    }
-    if delta.elided_events > 0 {
-        ELIDED_EVENTS.fetch_add(delta.elided_events, Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of the cumulative fusion counters.
+/// Fusion counters in the process totals so far.
 pub fn fusion_totals() -> FusionCounters {
-    FusionCounters {
-        fused_chains: FUSED_CHAINS.load(Ordering::Relaxed),
-        defused_chains: DEFUSED_CHAINS.load(Ordering::Relaxed),
-        elided_events: ELIDED_EVENTS.load(Ordering::Relaxed),
-    }
-}
-
-/// Snapshot of the cumulative frontend counters.
-pub fn frontend_totals() -> FrontendCounters {
-    FrontendCounters {
-        requests_admitted: REQUESTS_ADMITTED.load(Ordering::Relaxed),
-        requests_shed: REQUESTS_SHED.load(Ordering::Relaxed),
-        hedges_fired: HEDGES_FIRED.load(Ordering::Relaxed),
-        hedges_won: HEDGES_WON.load(Ordering::Relaxed),
-        slab_peak_live: SLAB_PEAK_LIVE.load(Ordering::Relaxed),
-        sketch_merges: SKETCH_MERGES.load(Ordering::Relaxed),
-    }
+    totals().fusion
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn adds_accumulate() {
-        let before = events_processed_total();
-        add_events(0);
-        assert!(events_processed_total() >= before);
-        add_events(17);
-        assert!(events_processed_total() >= before + 17);
+    /// A value with a distinct multiple of `k` in every field, so a
+    /// dropped or crossed field in [`Counters::add`] shows.
+    fn every_field(k: u64) -> Counters {
+        Counters {
+            events: k,
+            clamped_past: 2 * k,
+            frontend: FrontendCounters {
+                requests_admitted: 3 * k,
+                requests_shed: 4 * k,
+                hedges_fired: 5 * k,
+                hedges_won: 6 * k,
+                slab_peak_live: 7 * k,
+                sketch_merges: 8 * k,
+            },
+            completion: CompletionCounters {
+                interrupts: 9 * k,
+                polls: 10 * k,
+                hybrid_sleeps: 11 * k,
+            },
+            fleet: FleetCounters {
+                arrays_failed: 12 * k,
+                failovers: 13 * k,
+                retries: 14 * k,
+                rereplication_ios: 15 * k,
+            },
+            fusion: FusionCounters {
+                fused_chains: 16 * k,
+                defused_chains: 17 * k,
+                elided_events: 18 * k,
+            },
+        }
     }
 
     #[test]
-    fn frontend_counters_accumulate_and_delta() {
-        let before = frontend_totals();
-        add_frontend(FrontendCounters::default()); // all-zero: no-op
-        add_frontend(FrontendCounters {
-            requests_admitted: 10,
-            requests_shed: 2,
-            hedges_fired: 3,
-            hedges_won: 1,
-            slab_peak_live: 7,
-            sketch_merges: 4,
-        });
-        let delta = frontend_totals().since(&before);
-        assert!(delta.any());
-        assert!(delta.requests_admitted >= 10);
-        assert!(delta.requests_shed >= 2);
-        assert!(delta.hedges_fired >= 3);
-        assert!(delta.hedges_won >= 1);
-        assert!(delta.slab_peak_live >= 7);
-        assert!(delta.sketch_merges >= 4);
-        assert!(!FrontendCounters::default().any());
+    fn add_sums_every_field() {
+        let mut sum = every_field(1);
+        sum.add(every_field(2));
+        assert_eq!(sum, every_field(3));
+        sum.add(Counters::default());
+        assert_eq!(sum, every_field(3));
     }
 
     #[test]
-    fn completion_counters_accumulate_and_delta() {
-        let before = completion_totals();
-        add_completion(CompletionCounters::default()); // all-zero: no-op
-        add_completion(CompletionCounters {
-            interrupts: 5,
-            polls: 3,
-            hybrid_sleeps: 2,
+    fn a_capture_sees_only_its_own_threads_flushes() {
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let run = |k: u64| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    capture(|| {
+                        for _ in 0..100 {
+                            flush(every_field(k));
+                            // Interleave the two threads' flushes.
+                            barrier.wait();
+                        }
+                    })
+                    .1
+                })
+            };
+            let (a, b) = (run(1), run(1_000));
+            (a.join().expect("thread a"), b.join().expect("thread b"))
         });
-        let delta = completion_totals().since(&before);
-        assert!(delta.any());
-        assert!(delta.any_polled());
-        assert!(delta.interrupts >= 5);
-        assert!(delta.polls >= 3);
-        assert!(delta.hybrid_sleeps >= 2);
-        assert!(!CompletionCounters::default().any());
+        assert_eq!(a, every_field(100));
+        assert_eq!(b, every_field(100_000));
+    }
+
+    #[test]
+    fn nested_captures_forward_only_when_flushed() {
+        let ((), outer) = capture(|| {
+            flush(every_field(1));
+            let ((), inner) = capture(|| flush(every_field(2)));
+            assert_eq!(inner, every_field(2));
+            flush(inner);
+            // A capture whose counts are dropped never reaches the
+            // enclosing scope.
+            let ((), dropped) = capture(|| flush(every_field(4)));
+            assert_eq!(dropped, every_field(4));
+        });
+        assert_eq!(outer, every_field(3));
+    }
+
+    #[test]
+    fn a_caught_panic_closes_its_capture() {
+        let ((), outer) = capture(|| {
+            let caught = std::panic::catch_unwind(|| {
+                capture(|| {
+                    flush(every_field(5));
+                    panic!("run failed");
+                })
+            });
+            assert!(caught.is_err());
+            flush(every_field(1));
+        });
+        assert_eq!(outer, every_field(1));
+    }
+
+    #[test]
+    fn any_flags_follow_their_fields() {
+        assert!(!Counters::default().frontend.any());
+        assert!(!Counters::default().completion.any());
+        assert!(!Counters::default().fleet.any());
+        assert!(!Counters::default().fusion.any());
+        let all = every_field(1);
+        assert!(all.frontend.any() && all.fleet.any() && all.fusion.any());
+        assert!(all.completion.any() && all.completion.any_polled());
         let irq_only = CompletionCounters {
             interrupts: 9,
             polls: 0,
             hybrid_sleeps: 0,
         };
         assert!(irq_only.any() && !irq_only.any_polled());
-    }
-
-    #[test]
-    fn fleet_counters_accumulate_and_delta() {
-        let before = fleet_totals();
-        add_fleet(FleetCounters::default()); // all-zero: no-op
-        add_fleet(FleetCounters {
-            arrays_failed: 1,
-            failovers: 4,
-            retries: 6,
-            rereplication_ios: 12,
-        });
-        let delta = fleet_totals().since(&before);
-        assert!(delta.any());
-        assert!(delta.arrays_failed >= 1);
-        assert!(delta.failovers >= 4);
-        assert!(delta.retries >= 6);
-        assert!(delta.rereplication_ios >= 12);
-        assert!(!FleetCounters::default().any());
-    }
-
-    #[test]
-    fn fusion_counters_accumulate_and_delta() {
-        let before = fusion_totals();
-        add_fusion(FusionCounters::default()); // all-zero: no-op
-        add_fusion(FusionCounters {
-            fused_chains: 8,
-            defused_chains: 2,
-            elided_events: 32,
-        });
-        let delta = fusion_totals().since(&before);
-        assert!(delta.any());
-        assert!(delta.fused_chains >= 8);
-        assert!(delta.defused_chains >= 2);
-        assert!(delta.elided_events >= 32);
-        assert!(!FusionCounters::default().any());
-    }
-
-    #[test]
-    fn clamped_adds_accumulate() {
-        let before = clamped_past_total();
-        add_clamped_past(0);
-        assert!(clamped_past_total() >= before);
-        add_clamped_past(3);
-        assert!(clamped_past_total() >= before + 3);
+        let hybrid_only = CompletionCounters {
+            hybrid_sleeps: 1,
+            ..CompletionCounters::default()
+        };
+        assert!(hybrid_only.any_polled());
     }
 }

@@ -267,8 +267,8 @@ impl<W: ShardWorld> ShardedSim<W> {
         self.world
     }
 
-    /// Runs until no event remains, then adds the processed and clamped
-    /// counts to the process-wide [`metrics`](crate::metrics) totals.
+    /// Runs until no event remains, then [`flush`](crate::metrics::flush)es
+    /// this run's processed and clamped counts.
     pub fn run(&mut self) {
         let (processed, clamped) = (self.processed, self.wheel.clamped);
         while let Some((time, item)) = self.wheel.queue.pop() {
@@ -293,8 +293,11 @@ impl<W: ShardWorld> ShardedSim<W> {
                 }
             }
         }
-        crate::metrics::add_events(self.processed - processed);
-        crate::metrics::add_clamped_past(self.wheel.clamped - clamped);
+        crate::metrics::flush(crate::metrics::Counters {
+            events: self.processed - processed,
+            clamped_past: self.wheel.clamped - clamped,
+            ..Default::default()
+        });
     }
 }
 
@@ -405,10 +408,14 @@ mod tests {
 
     #[test]
     fn run_flushes_the_global_event_counter() {
-        let before = crate::metrics::events_processed_total();
-        let (_, events, _) = run_ring(4);
-        // ≥, not ==: other tests in the process also count.
-        assert!(crate::metrics::events_processed_total() >= before + events);
+        let ((_, events, _), counts) = crate::metrics::capture(|| run_ring(4));
+        assert_eq!(
+            counts,
+            crate::metrics::Counters {
+                events,
+                ..Default::default()
+            }
+        );
     }
 
     /// A one-LP world with nothing to send, the shape of the
@@ -438,13 +445,12 @@ mod tests {
 
     #[test]
     fn past_schedules_clamp_to_now_and_count() {
-        let clamped_before = crate::metrics::clamped_past_total();
         let world = PastScheduler { seen: Vec::new() };
         let mut sim = ShardedSim::new(world, vec![SimDuration::nanos(1)]);
         sim.schedule(0, SimTime::from_nanos(100), 1);
-        sim.run();
+        let ((), counts) = crate::metrics::capture(|| sim.run());
         assert_eq!(sim.clamped_past_schedules(), 1);
-        assert!(crate::metrics::clamped_past_total() > clamped_before);
+        assert_eq!((counts.events, counts.clamped_past), (2, 1));
         // The clamped event fires at the clock, after the one that
         // scheduled it.
         assert_eq!(sim.into_world().seen, vec![(100, 1), (100, 2)]);

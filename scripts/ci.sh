@@ -84,12 +84,13 @@ echo "==> afabench digest pins (five workloads, full scale, seed 42)"
 # failed unit. About 1-2 minutes on a 2-vCPU host.
 cargo run --release --manifest-path afabench/Cargo.toml -- run --seed 42
 
-echo "==> whole-system property suite (one test thread)"
-# The properties share process-wide state: the FusionOverride guard and
-# the afa_sim::metrics totals the run manifest reports as deltas. Run
-# concurrently, one property's simulations leak into another's
-# artifact, so the suite runs serially.
-cargo test --release --features proptest --test proptests -- --test-threads 1
+echo "==> whole-system property suite (parallel)"
+# The properties run on parallel test threads: each run manifest reads
+# only the counters its own run flushed (afa_sim::metrics::capture), and
+# a FusionOverride pins only its own thread and the pool workers that
+# thread fans out to, so no property's simulations can leak into
+# another's artifact or flip its fusion setting.
+cargo test --release --features proptest --test proptests
 
 echo "==> desperf regression check (pinned-scale events/sec floors)"
 # Fails if DES throughput fell more than 20% below the most recent

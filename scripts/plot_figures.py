@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Plot the CSV artifacts the bench harness writes to target/afa-results/.
+"""Plot the CSV artifacts `afactl exp <name> --out target/afa-results` writes.
 
 Usage:
     python3 scripts/plot_figures.py [target/afa-results] [out_dir]

@@ -5,10 +5,11 @@
 //! (serving, fleet, striped volume, multi-host). `scripts/ci.sh`
 //! compares all fifteen through `afactl`.
 //!
-//! One `#[test]` in its own file on purpose: the run manifest's
-//! `frontend`, `completion` and `fleet` keys are deltas of
-//! process-wide counters, so a simulation running concurrently in the
-//! same test binary would leak into these artifacts.
+//! The seven runs build concurrently, one thread each. Each manifest's
+//! `frontend`, `completion` and `fleet` keys come from its own run's
+//! counters, so a sibling run in the same process must not move a
+//! byte: a counter that leaked between runs (a serving run's
+//! `frontend` key appearing in `fig06`, say) fails the compare.
 
 use afa::core::experiment::{self, ExperimentScale};
 use afa::sim::SimDuration;
@@ -16,18 +17,28 @@ use afa::sim::SimDuration;
 #[test]
 fn golden_artifacts_are_byte_identical() {
     let scale = ExperimentScale::new(SimDuration::from_secs_f64(0.25), 8, 42);
-    for name in [
-        "fig06",
-        "fig12",
-        "fleet-failover",
-        "fleet-arrival",
-        "tailscale-hedge",
-        "tailscale",
-        "multihost",
-    ] {
-        let def = experiment::find(name).expect("experiment registered");
-        // `afactl exp --json` prints the artifact plus a newline.
-        let artifact = format!("{}\n", experiment::run_experiment(def, scale).to_json());
+    // Spawn all seven runs, then join them: they overlap in time.
+    let artifacts = std::thread::scope(|s| {
+        [
+            "fig06",
+            "fig12",
+            "fleet-failover",
+            "fleet-arrival",
+            "tailscale-hedge",
+            "tailscale",
+            "multihost",
+        ]
+        .map(|name| {
+            s.spawn(move || {
+                let def = experiment::find(name).expect("experiment registered");
+                // `afactl exp --json` prints the artifact plus a newline.
+                let run = experiment::run_experiment(def, scale);
+                (name, format!("{}\n", run.to_json()))
+            })
+        })
+        .map(|run| run.join().expect("artifact thread panicked"))
+    });
+    for (name, artifact) in artifacts {
         let path = format!("{}/tests/golden/{name}.json", env!("CARGO_MANIFEST_DIR"));
         let golden = std::fs::read_to_string(&path).expect("golden fixture");
         if let Some(at) = artifact

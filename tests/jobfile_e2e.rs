@@ -119,6 +119,11 @@ const MALFORMED: &[(&str, &str, &str)] = &[
         "job0: cpus_allowed=99 is beyond the host's 40 CPUs",
     ),
     (
+        "cpu-reserved",
+        "[a]\nfilename=/dev/nvme0\ncpus_allowed=0\n",
+        "job0: cpus_allowed=0 is reserved for system tasks",
+    ),
+    (
         "iodepth-0",
         "[a]\nfilename=/dev/nvme0\niodepth=0\n",
         "line 3: iodepth must be positive",

@@ -5,13 +5,13 @@
 //! the suite is gated behind the `proptest` cargo feature:
 //!
 //! ```text
-//! cargo test --release --features proptest --test proptests -- --test-threads 1
+//! cargo test --release --features proptest --test proptests
 //! ```
 //!
-//! Run it on one test thread: the properties read process-wide state
-//! (the [`FusionOverride`] guard and the `afa_sim::metrics` totals
-//! behind the run manifest), so concurrent properties leak into each
-//! other's artifacts.
+//! The properties run in parallel: a [`FusionOverride`] pins only its
+//! own thread (and the pool workers that thread fans out to), and each
+//! run manifest reads its own run's counters, so concurrent properties
+//! cannot leak into each other's artifacts.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -343,11 +343,8 @@ fn fusion_on_and_off_produce_identical_artifacts() {
             let def = afa::core::experiment::find(name).expect("experiment registered");
             let run = |fuse: bool| {
                 let _fusion = FusionOverride::set(fuse);
-                let before = afa::sim::metrics::fusion_totals();
-                let json = afa::core::experiment::run_experiment(def, scale)
-                    .to_json()
-                    .to_string();
-                (json, afa::sim::metrics::fusion_totals().since(&before))
+                let run = afa::core::experiment::run_experiment(def, scale);
+                (run.to_json().to_string(), run.manifest.fusion)
             };
             let (fused_json, fused_tally) = run(true);
             let (unfused_json, unfused_tally) = run(false);

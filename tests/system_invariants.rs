@@ -159,10 +159,10 @@ fn run_fingerprint(r: &afa::core::RunResult) -> impl PartialEq + std::fmt::Debug
 /// The engine's event budget per completed I/O, with fusion forced on
 /// and off. Busy-polled QD1 chains on private worker LPs fuse into one
 /// settlement event (2 events per I/O instead of 5); interrupt chains
-/// never fuse, so a libaio run pops the same events either way. Both
-/// cases live in this one test because [`FusionOverride`] is
-/// process-wide; the counts come from each run's own
-/// [`RunResult::events_processed`], so sibling tests cannot skew them.
+/// never fuse, so a libaio run pops the same events either way.
+/// [`FusionOverride`] pins only this test's thread, and the counts
+/// come from each run's own [`RunResult::events_processed`], so
+/// sibling tests can neither flip fusion mid-run nor skew the counts.
 ///
 /// [`FusionOverride`]: afa::core::FusionOverride
 /// [`RunResult::events_processed`]: afa::core::RunResult::events_processed
