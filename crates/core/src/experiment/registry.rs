@@ -365,7 +365,12 @@ impl RunManifest {
             self.stage.map_or("(multi)", TuningStage::label)
         ));
         out.push_str(&format!("samples : {}\n", self.samples));
-        out.push_str(&format!("wall    : {:.2}s\n", self.wall.as_secs_f64()));
+        out.push_str(&format!("wall    : {:.2}s", self.wall.as_secs_f64()));
+        if self.samples > 0 {
+            let ns_per_sample = self.wall.as_nanos() as f64 / self.samples as f64;
+            out.push_str(&format!(" ({ns_per_sample:.0} host ns/sample)"));
+        }
+        out.push('\n');
         out.push_str(&format!(
             "events  : {} ({:.0} events/sec)\n",
             self.events_processed, self.events_per_sec
@@ -760,6 +765,7 @@ mod tests {
         assert!(run.manifest.events_per_sec > 0.0);
         let table = run.manifest.to_table();
         assert!(table.contains("events/sec"), "{table}");
+        assert!(table.contains("host ns/sample"), "{table}");
         let rendered = run.manifest.to_json().to_string();
         assert!(
             !rendered.contains("events_per_sec") && !rendered.contains("events_processed"),

@@ -92,15 +92,15 @@ echo "==> whole-system property suite (parallel)"
 # another's artifact or flip its fusion setting.
 cargo test --release --features proptest --test proptests
 
-echo "==> desperf regression check (pinned-scale events/sec floors)"
-# Fails if DES throughput fell more than 20% below the most recent
-# committed BENCH_desperf.json entry: fig06 at 64 SSDs, then the fleet
-# ladder (plus its slab ceiling and 1M/10k rate band), the
-# fleet-failover grid and the ull-crossover grid. The floors are
-# wall-clock figures from the host that committed the entry, so a slow
-# or shared host can fail them without a regression. The event-count
-# budget of polled fusion is checked exactly by the tier-1 test
-# polled_chains_fuse_and_interrupt_chains_do_not.
-./target/release/desperf --check
+echo "==> fleet-ladder rate band (release, ignored by default)"
+# The only wall-clock check left in CI, and a ratio within one process:
+# the million-tenant rung's events/sec must stay within [0.8, 1.2] of
+# the 10k rung's, best of 3 passes per rung. Each rung takes ~30 ms, so
+# a busy shared host can still push the ratio out of the band. Its exact
+# work (events and slab bytes per rung) is pinned by the default test
+# suite; the event counts of the benchmark's five workloads are pinned
+# by the tier-1 test benchmark_workloads_do_pinned_work. Wall-clock cost
+# per simulated I/O is afabench's to measure.
+cargo test --release -p afa-core --lib -- --ignored million_tenant_rung
 
 echo "CI OK"

@@ -15,11 +15,13 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::process::Command;
 
-use afa::core::{AfaConfig, AfaSystem, FusionOverride, TuningStage};
-use afa::sim::check::run_cases;
+use afa::core::{check_jobs, AfaConfig, AfaSystem, FusionOverride, TuningStage};
+use afa::sim::check::{run_cases, Gen};
 use afa::sim::{EventQueue, ShardCtx, ShardWorld, ShardedSim, SimDuration, SimTime};
 use afa::stats::NinesPoint;
+use afa::workload::parse_jobfile;
 
 /// For any seed and small device count, the system completes I/O on
 /// every device, latencies are at least the physical floor (device
@@ -725,4 +727,124 @@ fn tuned_never_loses_to_default() {
         };
         assert!(max(&tuned) <= max(&default));
     });
+}
+
+/// The jobfile parser's keys, each with valid values, then after a `|`
+/// malformed ones (`_` is the empty value). Valid values stay small
+/// (10–30 ms runtimes, depths up to 64, blocks up to 1 MiB).
+const JOBFILE_VOCABULARY: &str = "\
+rw randread randwrite read write randrw | trim _
+readwrite randrw | RANDREAD
+rwmixread 0 70 100 | 101 -5 x
+bs 4k 8K 128k 1m | 0 1000 4x 4g 99999999999g
+blocksize 4096 16k | \u{ff14}k
+iodepth 1 8 64 | 0 -1 4294967296 x
+ioengine libaio sync psync io_uring_poll pvsync2_hipri polling io_uring_hybrid hybrid | spdk _
+runtime 0.01 0.02s 0.03 | 0 0.001 601 inf nan -1 1e300 x _
+filename /dev/nvme0 /dev/nvme5n1 /dev/nvme63 | /dev/nvme64 /dev/nvme70 /dev/sda nvme3 \
+/dev/nvme18446744073709551615 /dev/nvme99999999999999999999
+cpus_allowed 4 17 39 | 0 3 40 99 65535 4-7 -1 x
+numjobs 0 1 2 8 | 64 65 4294967295 x
+rate_iops 1 1000 0 18446744073709551615 | -1 x
+write_lat_log 1 0
+size 4k 1m 1g 0 | 1000g 99999999999g x
+direct 1
+bogus | 1";
+
+/// Lines that are no `key=value` pair: bare keys, comments, headers.
+const JOBFILE_NOISE: &str = "\
+group_reporting
+iodepth
+bs
+; comment
+
+[
+[]
+[global
+=
+iodepth = 8 = 9";
+
+fn pick<'a>(g: &mut Gen, items: &[&'a str]) -> &'a str {
+    items[g.usize_in(0, items.len())]
+}
+
+/// A vocabulary pair, malformed one time in eight, or now and then noise.
+fn jobfile_line(g: &mut Gen) -> String {
+    if g.u32_in(0, 16) == 0 {
+        return pick(g, &JOBFILE_NOISE.lines().collect::<Vec<_>>()).to_owned();
+    }
+    let keys: Vec<&str> = JOBFILE_VOCABULARY.lines().collect();
+    let (key, values) = pick(g, &keys)
+        .split_once(' ')
+        .expect("a key and its values");
+    let sides: Vec<&str> = values.split('|').filter(|v| !v.trim().is_empty()).collect();
+    let side = sides[if g.u32_in(0, 8) == 0 {
+        sides.len() - 1
+    } else {
+        0
+    }];
+    let value = pick(g, &side.split_whitespace().collect::<Vec<_>>());
+    format!("{key}={}", if value == "_" { "" } else { value })
+}
+
+/// A fio jobfile from the parser's vocabulary. `[global]` opens with a
+/// 10 ms runtime that later lines override only with another short one
+/// or a malformed one, so no accepted case runs longer than 30 ms.
+fn random_jobfile(g: &mut Gen) -> String {
+    let mut lines = vec!["[global]".to_owned(), "runtime=0.01".to_owned()];
+    if g.u32_in(0, 16) == 0 {
+        lines.insert(0, "iodepth=1".to_owned()); // a key outside any section
+    }
+    for _ in 0..g.usize_in(0, 4) {
+        lines.push(jobfile_line(g));
+    }
+    for section in 0..g.usize_in(1, 4) {
+        lines.push(pick(g, &["[job]", "[a b]", "[job]", "[GLOBAL]"]).to_owned());
+        if g.u32_in(0, 16) != 0 {
+            let device = 8 * section + g.usize_in(0, 8);
+            lines.push(format!("filename=/dev/nvme{device}"));
+        }
+        for _ in 0..g.usize_in(0, 5) {
+            lines.push(jobfile_line(g));
+        }
+    }
+    lines.join("\n")
+}
+
+/// Jobfiles fail with errors, never panics: any jobfile built from the
+/// parser's vocabulary, malformed values included, goes through
+/// `parse_jobfile` → `check_jobs` → `AfaSystem::run` without a panic,
+/// and `afactl jobfile` exits 0 when that pipeline accepts it and 1
+/// when it rejects it.
+#[test]
+fn jobfiles_fail_with_errors_never_panics() {
+    let dir = std::env::temp_dir().join(format!("afa-jobfile-prop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    run_cases("jobfiles_fail_with_errors_never_panics", 96, |g| {
+        let text = random_jobfile(g);
+        let stage = TuningStage::ALL[g.usize_in(0, TuningStage::ALL.len())];
+        let seed = g.u64_in(0, 10_000);
+        let accepted = match parse_jobfile(&text) {
+            Ok(jobs) if check_jobs(&jobs).is_ok() => {
+                AfaSystem::run(&AfaConfig::paper(stage).with_seed(seed).with_jobs(jobs));
+                true
+            }
+            _ => false,
+        };
+        let path = dir.join(format!("{seed}.fio"));
+        std::fs::write(&path, &text).expect("write jobfile");
+        let out = Command::new(env!("CARGO_BIN_EXE_afactl"))
+            .arg("jobfile")
+            .arg(&path)
+            .args(["--stage", stage.label(), "--seed", &seed.to_string()])
+            .output()
+            .expect("run afactl");
+        assert_eq!(
+            out.status.code(),
+            Some(i32::from(!accepted)),
+            "afactl jobfile on\n{text}\nstderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    });
+    std::fs::remove_dir_all(&dir).ok();
 }

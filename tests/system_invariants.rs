@@ -1,10 +1,11 @@
 //! Cross-crate invariants of the whole-array simulation.
 
+use afa::core::experiment::{self, ExperimentResult, ExperimentScale};
 use afa::core::{AfaConfig, AfaSystem, TuningStage};
 use afa::host::CpuId;
-use afa::sim::SimDuration;
+use afa::sim::{metrics, SimDuration};
 use afa::ssd::DeviceProfile;
-use afa::workload::IoEngine;
+use afa::workload::{IoEngine, RwPattern};
 
 fn quick(stage: TuningStage, ssds: usize, ms: u64, seed: u64) -> afa::core::RunResult {
     AfaSystem::run(
@@ -156,6 +157,85 @@ fn run_fingerprint(r: &afa::core::RunResult) -> impl PartialEq + std::fmt::Debug
     )
 }
 
+/// An afabench array workload's base configuration at seed 42 and 50 ms.
+fn bench_array(stage: TuningStage, ssds: usize) -> AfaConfig {
+    AfaConfig::paper(stage)
+        .with_ssds(ssds)
+        .with_runtime(SimDuration::millis(50))
+        .with_seed(42)
+}
+
+/// The `ull-poll-8` benchmark configuration at 50 ms.
+fn ull_poll_8() -> AfaConfig {
+    bench_array(TuningStage::IrqAffinity, 8)
+        .with_device_profile(DeviceProfile::UltraLowLatency)
+        .with_engine(IoEngine::Polling)
+}
+
+/// Named work counts of one run.
+type Work = Vec<(&'static str, u64)>;
+
+fn array_work(config: AfaConfig) -> Work {
+    let r = AfaSystem::run(&config);
+    let host = r.host.stats();
+    vec![
+        ("ios", r.reports.iter().map(|rep| rep.completed()).sum()),
+        ("events", r.events_processed),
+        ("commands", r.fabric_stats.commands),
+        ("irqs", host.irqs),
+        ("wakes", host.wakes),
+    ]
+}
+
+/// A serving experiment's requests, events and interrupt reaps.
+fn serving_work<R: ExperimentResult>(run: impl FnOnce(ExperimentScale) -> R, ssds: usize) -> Work {
+    let scale = ExperimentScale::new(SimDuration::millis(250), ssds, 42);
+    let (result, counts) = metrics::capture(|| run(scale));
+    vec![
+        ("requests", result.samples()),
+        ("events", counts.events),
+        ("interrupt_reaps", counts.completion.interrupts),
+    ]
+}
+
+/// Exact work counts of afabench's five workloads at seed 42, scaled
+/// down: the array rows use `Workload::array_config`'s settings at
+/// 50 ms, the serving rows run at 0.25 s. The counts are deterministic,
+/// so an engine that pops more events for the same I/Os fails this on
+/// any host. The goldens leave event counts out (fusion moves them), so
+/// a change that moves a count updates its pin here and says why.
+/// `ull-poll-8`'s event totals are pinned by
+/// [`polled_chains_fuse_and_interrupt_chains_do_not`].
+#[test]
+fn benchmark_workloads_do_pinned_work() {
+    let mut mixed =
+        bench_array(TuningStage::IrqAffinity, 16).with_rw(RwPattern::RandRw { read_pct: 70 });
+    mixed.iodepth = 8;
+    #[rustfmt::skip]
+    let rows = [
+        ("paper-64", array_work(bench_array(TuningStage::Default, 64)),
+            "ios=52389 events=314426 commands=52389 irqs=52389 wakes=52389"),
+        ("mixed-qd8-16", array_work(mixed),
+            "ios=32337 events=194066 commands=32337 irqs=32337 wakes=32337"),
+        ("ull-poll-8", array_work(ull_poll_8()),
+            "ios=22444 commands=22444 irqs=0 wakes=0"),
+        ("tailscale-hedge", serving_work(experiment::tailscale_hedge, 16),
+            "requests=3008 events=110019"),
+        ("fleet-failover", serving_work(experiment::fleet_failover, 8),
+            "requests=15480 events=79145 interrupt_reaps=15480"),
+    ];
+    for (name, work, pinned) in rows {
+        let counted: Vec<String> = pinned
+            .split(' ')
+            .map(|pin| {
+                let key = &pin[..pin.find('=').expect("key=count")];
+                format!("{key}={}", work.iter().find(|w| w.0 == key).expect(key).1)
+            })
+            .collect();
+        assert_eq!(counted.join(" "), pinned, "{name}: work counts moved");
+    }
+}
+
 /// The engine's event budget per completed I/O, with fusion forced on
 /// and off. Busy-polled QD1 chains on private worker LPs fuse into one
 /// settlement event (2 events per I/O instead of 5); interrupt chains
@@ -172,44 +252,25 @@ fn polled_chains_fuse_and_interrupt_chains_do_not() {
         let _fusion = afa::core::FusionOverride::set(fuse);
         AfaSystem::run(config)
     };
-    let per_io = |r: &afa::core::RunResult| {
-        let ios: u64 = r.reports.iter().map(|rep| rep.completed()).sum();
-        assert!(ios > 1_000, "only {ios} I/Os");
-        r.events_processed as f64 / ios as f64
-    };
 
-    // The `ull-poll-8` benchmark configuration at 50 ms.
-    let ull_poll = AfaConfig::paper(TuningStage::IrqAffinity)
-        .with_ssds(8)
-        .with_runtime(SimDuration::millis(50))
-        .with_seed(42)
-        .with_device_profile(DeviceProfile::UltraLowLatency)
-        .with_engine(IoEngine::Polling);
-    let fused = run(&ull_poll, true);
-    let unfused = run(&ull_poll, false);
-    assert!(
-        per_io(&fused) <= 3.0,
-        "fused polled run popped {:.2} events per I/O (budget 3.0)",
-        per_io(&fused)
-    );
-    assert!(
-        (4.9..5.1).contains(&per_io(&unfused)),
-        "unfused polled run popped {:.2} events per I/O, expected 5",
-        per_io(&unfused)
+    let (fused, unfused) = (run(&ull_poll_8(), true), run(&ull_poll_8(), false));
+    let ios: u64 = fused.reports.iter().map(|rep| rep.completed()).sum();
+    assert_eq!(ios, 22_444);
+    assert_eq!(
+        (fused.events_processed, unfused.events_processed),
+        (49_956, 112_256),
+        "polled events (fused, unfused) for 22,444 I/Os"
     );
     assert_eq!(run_fingerprint(&fused), run_fingerprint(&unfused));
 
     // libaio at 8 SSDs: one job per worker LP, so every other gate
     // passes and only the completion model keeps the chains unfused.
-    let libaio = AfaConfig::paper(TuningStage::IrqAffinity)
-        .with_ssds(8)
-        .with_runtime(SimDuration::millis(50))
-        .with_seed(42);
-    let on = run(&libaio, true);
-    let off = run(&libaio, false);
+    let libaio = bench_array(TuningStage::IrqAffinity, 8);
+    let (on, off) = (run(&libaio, true), run(&libaio, false));
     assert_eq!(
-        on.events_processed, off.events_processed,
-        "interrupt chains fused"
+        (on.events_processed, off.events_processed),
+        (65_328, 65_328),
+        "interrupt events (fusion on, off)"
     );
     assert_eq!(run_fingerprint(&on), run_fingerprint(&off));
 }
