@@ -47,15 +47,10 @@ pub struct AfaConfig {
     /// custom SMART policies); `None` uses the tuning stage's
     /// firmware.
     pub firmware_override: Option<afa_ssd::FirmwareProfile>,
-    /// Timer-tick rate override in Hz (tick ablation).
-    pub tick_override: Option<u32>,
-    /// Idle-policy override (C-state ablation).
-    pub idle_override: Option<afa_host::IdlePolicy>,
     /// Per-job issue-rate cap (fio's `rate_iops`); `None` = unpaced.
     pub rate_iops: Option<u64>,
-    /// Override of the kernel's `rcu_nocbs` set (RCU ablation).
-    pub rcu_override: Option<afa_host::CpuSet>,
-    /// Wholesale kernel-config replacement (future-work prototypes).
+    /// Kernel-config replacement for the tuning stage's (the tick,
+    /// C-state and RCU ablations, future-work prototypes).
     pub kernel_override: Option<afa_host::KernelConfig>,
     /// NVMe interrupt coalescing; `None` = one MSI per completion
     /// (the paper's devices).
@@ -76,20 +71,17 @@ pub struct AfaConfig {
     /// the first N completed I/Os (0 = off); results land in
     /// [`RunResult::ledgers`](crate::RunResult::ledgers).
     pub ledger_log: usize,
-    /// Socket the AFA's PCIe uplink attaches to (the paper's CPU2 =
-    /// socket 1, §III-A). fio threads on the other socket pay a
-    /// cross-socket (NUMA) penalty on the completion path.
-    pub afa_socket: u16,
     /// Device class for every SSD in the array (Table-I 25 µs default,
     /// or the ULL ~9 µs class). Also selects the queue-pair topology:
     /// the ULL class models per-CPU NVMe SQ/CQ pairs.
     pub device_profile: DeviceProfile,
-    /// Hybrid-poll sleep fraction: percent of the device profile's
-    /// nominal read latency the thread sleeps before it starts
-    /// spinning (io_uring's `hybrid_poll` knob). Integer percent keeps
-    /// the derived sleep deterministic across platforms.
-    pub hybrid_sleep_percent: u32,
 }
+
+/// Hybrid-poll sleep fraction: percent of the device profile's nominal
+/// read latency the thread sleeps before it starts spinning (io_uring's
+/// `hybrid_poll` knob). Integer percent keeps the derived sleep
+/// deterministic across platforms.
+const HYBRID_SLEEP_PERCENT: u64 = 50;
 
 impl AfaConfig {
     /// The paper's §III setup at a given tuning stage: 64 SSDs, the
@@ -107,19 +99,14 @@ impl AfaConfig {
             block_size: 4096,
             iodepth: 1,
             firmware_override: None,
-            tick_override: None,
-            idle_override: None,
             rate_iops: None,
-            rcu_override: None,
             kernel_override: None,
             irq_coalescing: None,
             jobs_override: None,
             trace_ios: 0,
             attribute_causes: false,
             ledger_log: 0,
-            afa_socket: 1,
             device_profile: DeviceProfile::Table1,
-            hybrid_sleep_percent: 50,
         }
     }
 
@@ -127,7 +114,7 @@ impl AfaConfig {
     /// applied to the device profile's nominal read latency.
     pub fn hybrid_sleep(&self) -> SimDuration {
         let nominal = self.device_profile.nominal_read_latency();
-        SimDuration::nanos(nominal.as_nanos() * self.hybrid_sleep_percent as u64 / 100)
+        SimDuration::nanos(nominal.as_nanos() * HYBRID_SLEEP_PERCENT / 100)
     }
 
     /// Caps each job's issue rate (fio's `rate_iops`).
@@ -232,18 +219,6 @@ impl AfaConfig {
     /// Selects the device class for every SSD in the array.
     pub fn with_device_profile(mut self, profile: DeviceProfile) -> Self {
         self.device_profile = profile;
-        self
-    }
-
-    /// Sets the hybrid-poll sleep fraction (percent of the device's
-    /// nominal read latency; io_uring's `hybrid_poll` knob).
-    ///
-    /// # Panics
-    ///
-    /// Panics if above 100.
-    pub fn with_hybrid_sleep_percent(mut self, percent: u32) -> Self {
-        assert!(percent <= 100, "sleep fraction is a percentage");
-        self.hybrid_sleep_percent = percent;
         self
     }
 }

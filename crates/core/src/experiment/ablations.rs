@@ -25,9 +25,9 @@ pub struct AblationResult {
     pub rows: Vec<(String, f64, f64, f64)>,
 }
 
-impl AblationResult {
+impl ExperimentResult for AblationResult {
     /// Renders the sweep.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let mut out = format!("{}\n", self.title);
         out.push_str(&format!(
             "{:<26} {:>10} {:>12} {:>10}\n",
@@ -42,7 +42,7 @@ impl AblationResult {
     }
 
     /// One CSV row per sweep setting.
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::from("setting,mean_us,p99999_us,max_us\n");
         for (setting, mean, p5, max) in &self.rows {
             out.push_str(&format!(
@@ -51,16 +51,6 @@ impl AblationResult {
             ));
         }
         out
-    }
-}
-
-impl ExperimentResult for AblationResult {
-    fn to_table(&self) -> String {
-        AblationResult::to_table(self)
-    }
-
-    fn to_csv(&self) -> String {
-        AblationResult::to_csv(self)
     }
 
     fn to_json(&self) -> Json {
@@ -113,9 +103,10 @@ pub fn ablate_tick(scale: ExperimentScale) -> AblationResult {
                 .with_ssds(scale.ssds)
                 .with_runtime(scale.runtime)
                 .with_seed(scale.seed);
-            // Patch the kernel's tick rate through the tuning's config.
-            config.tuning = crate::Tuning::new(TuningStage::Default);
-            config.tick_override = Some(hz);
+            // Patch the stage kernel's tick rate.
+            let mut kernel = config.tuning.kernel_config(config.geometry.io_cpu_set());
+            kernel.tick_hz = hz;
+            config.kernel_override = Some(kernel);
             config
         })
         .collect();
@@ -154,7 +145,9 @@ pub fn ablate_cstate(scale: ExperimentScale) -> AblationResult {
                 .with_ssds(scale.ssds)
                 .with_runtime(scale.runtime)
                 .with_seed(scale.seed);
-            config.idle_override = Some(idle);
+            let mut kernel = config.tuning.kernel_config(config.geometry.io_cpu_set());
+            kernel.idle = idle;
+            config.kernel_override = Some(kernel);
             config
         })
         .collect();
@@ -353,7 +346,9 @@ pub fn ablate_rcu(scale: ExperimentScale) -> AblationResult {
             if !offload {
                 // Leave isolcpus/nohz/idle as tuned, but keep RCU
                 // callbacks on the fio CPUs.
-                config.rcu_override = Some(CpuSet::EMPTY);
+                let mut kernel = config.tuning.kernel_config(config.geometry.io_cpu_set());
+                kernel.rcu_nocbs = CpuSet::EMPTY;
+                config.kernel_override = Some(kernel);
             }
             config
         })
@@ -426,9 +421,25 @@ pub struct GcAblationResult {
     pub gc_cycles: u64,
 }
 
-impl GcAblationResult {
+fn histogram_json(h: &LatencyHistogram) -> Json {
+    Json::obj([
+        ("count", Json::u64(h.count())),
+        ("mean_us", Json::f64(h.mean() / 1e3)),
+        (
+            "p99_us",
+            Json::f64(h.value_at_percentile(99.0) as f64 / 1e3),
+        ),
+        (
+            "p9999_us",
+            Json::f64(h.value_at_percentile(99.99) as f64 / 1e3),
+        ),
+        ("max_us", Json::f64(h.max() as f64 / 1e3)),
+    ])
+}
+
+impl ExperimentResult for GcAblationResult {
     /// Renders the comparison.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let mut out =
             String::from("Ablation — FOB vs. aged (non-FOB) device, 70/30 mixed 4 KiB load\n");
         out.push_str(&format!(
@@ -450,28 +461,6 @@ impl GcAblationResult {
             self.aged_write_amplification, self.gc_cycles
         ));
         out
-    }
-}
-
-fn histogram_json(h: &LatencyHistogram) -> Json {
-    Json::obj([
-        ("count", Json::u64(h.count())),
-        ("mean_us", Json::f64(h.mean() / 1e3)),
-        (
-            "p99_us",
-            Json::f64(h.value_at_percentile(99.0) as f64 / 1e3),
-        ),
-        (
-            "p9999_us",
-            Json::f64(h.value_at_percentile(99.99) as f64 / 1e3),
-        ),
-        ("max_us", Json::f64(h.max() as f64 / 1e3)),
-    ])
-}
-
-impl ExperimentResult for GcAblationResult {
-    fn to_table(&self) -> String {
-        GcAblationResult::to_table(self)
     }
 
     fn to_csv(&self) -> String {

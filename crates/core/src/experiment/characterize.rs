@@ -42,9 +42,11 @@ impl QdSweepResult {
             .map(|p| p.depth)
             .unwrap_or(1)
     }
+}
 
+impl ExperimentResult for QdSweepResult {
     /// Renders the curve.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let mut out = String::from("Queue-depth sweep — 4 KiB random read, single device\n");
         out.push_str(&format!(
             "{:<6} {:>12} {:>10} {:>10}\n",
@@ -61,12 +63,6 @@ impl QdSweepResult {
             self.knee_depth()
         ));
         out
-    }
-}
-
-impl ExperimentResult for QdSweepResult {
-    fn to_table(&self) -> String {
-        QdSweepResult::to_table(self)
     }
 
     fn to_csv(&self) -> String {

@@ -41,10 +41,17 @@ impl FigureDistributions {
             .fold(0.0, f64::max)
     }
 
+    /// Total samples behind the figure.
+    pub fn total_samples(&self) -> u64 {
+        self.profiles.iter().map(LatencyProfile::samples).sum()
+    }
+}
+
+impl ExperimentResult for FigureDistributions {
     /// Renders the distribution envelope: per metric, the min / mean /
     /// max across devices (the visual spread of the figure's 64
     /// lines).
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let mut out = format!(
             "{} — {} devices, {} samples/device\n",
             self.label,
@@ -70,7 +77,7 @@ impl FigureDistributions {
 
     /// Renders one CSV row per device (columns: the seven metrics in
     /// µs), like the 64 lines of the paper's plots.
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::from("device,avg,p99,p999,p9999,p99999,p999999,max\n");
         for (d, p) in self.profiles.iter().enumerate() {
             out.push_str(&format!("{d},{}\n", p.to_csv_row()));
@@ -78,13 +85,8 @@ impl FigureDistributions {
         out
     }
 
-    /// Total samples behind the figure.
-    pub fn total_samples(&self) -> u64 {
-        self.profiles.iter().map(LatencyProfile::samples).sum()
-    }
-
     /// Serializes the figure: label, summary, per-device profiles.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         Json::obj([
             ("label", Json::str(&self.label)),
             ("devices", Json::u64(self.profiles.len() as u64)),
@@ -94,20 +96,6 @@ impl FigureDistributions {
                 Json::arr(self.profiles.iter().map(LatencyProfile::to_json)),
             ),
         ])
-    }
-}
-
-impl ExperimentResult for FigureDistributions {
-    fn to_table(&self) -> String {
-        FigureDistributions::to_table(self)
-    }
-
-    fn to_csv(&self) -> String {
-        FigureDistributions::to_csv(self)
-    }
-
-    fn to_json(&self) -> Json {
-        FigureDistributions::to_json(self)
     }
 
     fn samples(&self) -> u64 {
@@ -186,9 +174,11 @@ impl Fig10Scatter {
         let median = gaps[gaps.len() / 2];
         Some(median as f64 * self.mean_latency_ns / 1e9)
     }
+}
 
+impl ExperimentResult for Fig10Scatter {
     /// Renders a summary table.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let total_points: usize = self.points_per_device.iter().map(Vec::len).sum();
         let total_spikes: usize = self.spikes_per_device.iter().sum();
         let mut out = String::from("Fig. 10 — latency scatter, 32 SSDs, production firmware\n");
@@ -204,7 +194,7 @@ impl Fig10Scatter {
     }
 
     /// CSV of all retained points (`device,index,latency_us`).
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::from("device,index,latency_us\n");
         for (d, points) in self.points_per_device.iter().enumerate() {
             for p in points {
@@ -216,16 +206,6 @@ impl Fig10Scatter {
             }
         }
         out
-    }
-}
-
-impl ExperimentResult for Fig10Scatter {
-    fn to_table(&self) -> String {
-        Fig10Scatter::to_table(self)
-    }
-
-    fn to_csv(&self) -> String {
-        Fig10Scatter::to_csv(self)
     }
 
     fn to_json(&self) -> Json {
@@ -341,10 +321,12 @@ impl Fig12Comparison {
             base / tuned
         }
     }
+}
 
+impl ExperimentResult for Fig12Comparison {
     /// Renders the two Fig. 12 charts (average and standard deviation
     /// per metric, one column per configuration) as tables.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let mut out = String::from("Fig. 12 — comparison of four system configurations\n\n");
         for (title, pick) in [
             ("average (us)", 0usize),
@@ -378,7 +360,7 @@ impl Fig12Comparison {
     }
 
     /// One CSV row per `(stage, metric)`: cross-device mean and std.
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::from("stage,metric,mean_us,std_us\n");
         for (stage, summary) in &self.stages {
             for point in NinesPoint::ALL {
@@ -393,16 +375,6 @@ impl Fig12Comparison {
             }
         }
         out
-    }
-}
-
-impl ExperimentResult for Fig12Comparison {
-    fn to_table(&self) -> String {
-        Fig12Comparison::to_table(self)
-    }
-
-    fn to_csv(&self) -> String {
-        Fig12Comparison::to_csv(self)
     }
 
     fn to_json(&self) -> Json {
@@ -472,9 +444,11 @@ impl Fig13Results {
             .map(|(row, fig)| (*row, fig.summary.clone()))
             .collect()
     }
+}
 
+impl ExperimentResult for Fig13Results {
     /// Renders all four rows.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let mut out = String::from("Fig. 13 — latency vs. SSDs per physical CPU core\n\n");
         for (row, fig) in &self.rows {
             out.push_str(&format!(
@@ -496,7 +470,7 @@ impl Fig13Results {
     }
 
     /// One CSV row per `(Table II row, device)`.
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::from("row,device,avg,p99,p999,p9999,p99999,p999999,max\n");
         for (row, fig) in &self.rows {
             for (d, p) in fig.profiles.iter().enumerate() {
@@ -504,16 +478,6 @@ impl Fig13Results {
             }
         }
         out
-    }
-}
-
-impl ExperimentResult for Fig13Results {
-    fn to_table(&self) -> String {
-        Fig13Results::to_table(self)
-    }
-
-    fn to_csv(&self) -> String {
-        Fig13Results::to_csv(self)
     }
 
     fn to_json(&self) -> Json {

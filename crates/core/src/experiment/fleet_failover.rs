@@ -28,15 +28,15 @@
 use std::convert::Infallible;
 
 use afa_fleet::{
-    heal_jobs, place_among, ArrayInstance, HealJob, HopSpec, NetHop, ReadPolicy, RetryPolicy,
+    heal_jobs, place_among, ArrayInstance, ArrayPath, HealJob, HopSpec, NetHop, ReadPolicy,
+    RetryPolicy,
 };
 use afa_frontend::{HedgePolicy, RequestBook, RequestLedger, SubCompletion};
-use afa_host::{BackgroundConfig, CpuTopology, HostModel, SchedPolicy};
-use afa_pcie::PcieFabric;
+use afa_host::{CpuId, SchedPolicy};
 use afa_sim::metrics::{self, CompletionCounters, FleetCounters, FrontendCounters};
 use afa_sim::trace::Cause;
 use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
-use afa_ssd::{NvmeCommand, SsdDevice, SsdSpec};
+use afa_ssd::NvmeCommand;
 use afa_stats::{Json, LatencyHistogram, LatencyProfile, NinesPoint, SketchRollup};
 use afa_volume::SubIo;
 
@@ -556,30 +556,7 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
             let array_seed = scale
                 .seed
                 .wrapping_add((a as u64 + 1).wrapping_mul(0xA11A_D00D_9E37_79B9));
-            let topo = CpuTopology::xeon_e5_2690_v2_dual();
-            let mut host = HostModel::new(
-                topo,
-                tuning.kernel_config(geometry.io_cpu_set()),
-                BackgroundConfig::centos7_desktop(),
-                array_seed,
-            );
-            let cpus: Vec<_> = (0..devices_per).map(|d| geometry.cpu_of_ssd(d)).collect();
-            host.init_vectors(cpus.clone(), array_seed);
-            let devices = (0..devices_per)
-                .map(|d| {
-                    SsdDevice::new(
-                        SsdSpec::table1(),
-                        tuning.firmware(),
-                        array_seed ^ (d as u64).wrapping_mul(0x61C8_8646),
-                    )
-                })
-                .collect();
-            ArrayInstance::new(
-                host,
-                PcieFabric::paper_single_host(devices_per),
-                devices,
-                cpus,
-            )
+            super::paper_array(&tuning, &geometry, devices_per, array_seed, array_seed)
         })
         .collect();
     let hops = (0..arrays_n)
@@ -593,6 +570,7 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
     let world = FleetWorld {
         arrays,
         hops,
+        cpus: (0..devices_per).map(|d| geometry.cpu_of_ssd(d)).collect(),
         devices_per,
         r: cfg.r,
         policy: cfg.policy,
@@ -621,7 +599,6 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
         after: LatencyHistogram::new(),
         rollup: SketchRollup::new(arrays_n),
         ledger: RequestLedger::new(),
-        req_ledger: RequestLedger::new(),
         ledger_mismatches: 0,
         admitted: 0,
         settled: 0,
@@ -667,7 +644,7 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
         // Secondary arrays' reaps are interrupt completions too: sum
         // every array instance so the manifest sees the whole fleet.
         completion: CompletionCounters {
-            interrupts: world.arrays.iter().map(ArrayInstance::completions).sum(),
+            interrupts: world.arrays.iter().map(ArrayInstance::interrupts).sum(),
             ..CompletionCounters::default()
         },
         ..Default::default()
@@ -689,7 +666,7 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
         per_array: (0..arrays_n)
             .map(|a| {
                 (
-                    world.arrays[a].completions(),
+                    world.arrays[a].interrupts(),
                     world.rollup.array(a).value_at_percentile(99.9) as f64 / 1_000.0,
                 )
             })
@@ -725,22 +702,19 @@ struct SubRoute {
     done: bool,
 }
 
-/// The winning (latest-settling) sub's full timeline, for exact
-/// ledger attribution.
+/// One sub-I/O attempt's trip, client clock to client clock: the
+/// fleet-side stamps around the array's [`ArrayPath`]. The winning
+/// (latest-settling) sub's timeline is what the request ledger tiles.
 #[derive(Clone, Copy, Debug)]
 struct FleetTimeline {
     array: usize,
     sent_at: SimTime,
     at_array: SimTime,
-    arr_submit_end: SimTime,
-    at_device: SimTime,
-    dev_done: SimTime,
-    at_host: SimTime,
-    wake_ready: SimTime,
-    run_start: SimTime,
-    reap_end: SimTime,
+    /// When the array CPU finished the submission path.
+    submit_end: SimTime,
+    path: ArrayPath,
+    /// When the completion RPC landed back at the client.
     client_rx: SimTime,
-    settle_end: SimTime,
 }
 
 /// One open request's fleet-side state, shadow-indexed by the book's
@@ -780,13 +754,9 @@ enum FlEvent {
         request: u64,
         sub: usize,
         attempt: u32,
-        array: usize,
         device: usize,
         from_hedge: bool,
-        sent_at: SimTime,
-        at_array: SimTime,
-        arr_submit_end: SimTime,
-        at_device: SimTime,
+        timeline: FleetTimeline,
     },
     /// The completion reached the array host: IRQ, wake, reap, then
     /// the network leg home.
@@ -794,14 +764,9 @@ enum FlEvent {
         request: u64,
         sub: usize,
         attempt: u32,
-        array: usize,
         device: usize,
         from_hedge: bool,
-        sent_at: SimTime,
-        at_array: SimTime,
-        arr_submit_end: SimTime,
-        at_device: SimTime,
-        dev_done: SimTime,
+        timeline: FleetTimeline,
     },
     /// The completion RPC landed back at the frontend.
     NetReturn {
@@ -834,6 +799,9 @@ type Ctx<'a> = ShardCtx<'a, FlEvent, Infallible>;
 struct FleetWorld {
     arrays: Vec<ArrayInstance>,
     hops: Vec<NetHop>,
+    /// The designated CPU per device slot (the same on every array):
+    /// it submits to and reaps its device.
+    cpus: Vec<CpuId>,
     devices_per: usize,
     r: usize,
     policy: ReadPolicy,
@@ -867,7 +835,6 @@ struct FleetWorld {
     after: LatencyHistogram,
     rollup: SketchRollup,
     ledger: RequestLedger,
-    req_ledger: RequestLedger,
     ledger_mismatches: u64,
     admitted: u64,
     settled: u64,
@@ -968,7 +935,7 @@ impl FleetWorld {
                 route.subs[sub].done = true;
                 if let Some(t) = timeline {
                     match &mut route.best {
-                        Some(best) if best.settle_end >= t.settle_end => {}
+                        Some(best) if best.client_rx >= t.client_rx => {}
                         slot => *slot = Some(t),
                     }
                 }
@@ -982,7 +949,7 @@ impl FleetWorld {
                 route.subs[sub].done = true;
                 if let Some(t) = timeline {
                     match &mut route.best {
-                        Some(best) if best.settle_end >= t.settle_end => {}
+                        Some(best) if best.client_rx >= t.client_rx => {}
                         slot => *slot = Some(t),
                     }
                 }
@@ -1012,42 +979,25 @@ impl FleetWorld {
                 // Exact attribution: every segment between adjacent
                 // timestamps of the winning sub's timeline, client
                 // clock to client clock. Telescopes to `latency`.
-                let ledger = &mut self.req_ledger;
-                ledger.reset();
-                ledger.charge(
-                    Cause::CpuWork,
-                    route.submit_end.saturating_since(route.arrived_at)
-                        + best.arr_submit_end.saturating_since(best.at_array)
-                        + best.reap_end.saturating_since(best.run_start)
-                        + best.settle_end.saturating_since(best.client_rx),
-                );
-                // Backoff / hedge wait between client submit and the
-                // winning attempt's network send.
-                ledger.charge(
-                    Cause::Other,
-                    best.sent_at.saturating_since(route.submit_end),
-                );
-                ledger.charge(
-                    Cause::Network,
-                    best.at_array.saturating_since(best.sent_at)
-                        + best.client_rx.saturating_since(best.reap_end),
-                );
-                ledger.charge(
-                    Cause::Fabric,
-                    best.at_device.saturating_since(best.arr_submit_end)
-                        + best.at_host.saturating_since(best.dev_done),
-                );
-                ledger.charge(
-                    Cause::DeviceService,
-                    best.dev_done.saturating_since(best.at_device),
-                );
-                ledger.charge(
-                    Cause::IrqHandling,
-                    best.wake_ready.saturating_since(best.at_host),
-                );
-                ledger.charge(
-                    Cause::SchedulerDelay,
-                    best.run_start.saturating_since(best.wake_ready),
+                let [to_device, service, to_host, irq, wake, reap] = best.path.stamps();
+                let ledger = RequestLedger::tile(
+                    route.arrived_at,
+                    &[
+                        (Cause::CpuWork, route.submit_end),
+                        // Backoff / hedge wait between client submit
+                        // and the winning attempt's network send.
+                        (Cause::Other, best.sent_at),
+                        (Cause::Network, best.at_array),
+                        (Cause::CpuWork, best.submit_end),
+                        to_device,
+                        service,
+                        to_host,
+                        irq,
+                        wake,
+                        reap,
+                        (Cause::Network, best.client_rx),
+                        (Cause::CpuWork, best.client_rx + CLIENT_REAP),
+                    ],
                 );
                 if ledger.total() != latency {
                     self.ledger_mismatches += 1;
@@ -1201,20 +1151,25 @@ impl ShardWorld for FleetWorld {
                 } else {
                     NvmeCommand::read(lba, DATA_BYTES)
                 };
-                let times = self.arrays[array].ingest(now, device, cmd, ARRAY_SUBMIT);
+                let target = &mut self.arrays[array];
+                let submit_end = target.charge(self.cpus[device], now, ARRAY_SUBMIT);
+                let path = target.issue(device, submit_end, cmd);
                 ctx.at(
-                    times.dev_done,
+                    path.dev_done,
                     FlEvent::DevDone {
                         request,
                         sub,
                         attempt,
-                        array,
                         device,
                         from_hedge,
-                        sent_at,
-                        at_array: now,
-                        arr_submit_end: times.submit_end,
-                        at_device: times.at_device,
+                        timeline: FleetTimeline {
+                            array,
+                            sent_at,
+                            at_array: now,
+                            submit_end,
+                            path,
+                            client_rx: SimTime::ZERO,
+                        },
                     },
                 );
             }
@@ -1222,36 +1177,26 @@ impl ShardWorld for FleetWorld {
                 request,
                 sub,
                 attempt,
-                array,
                 device,
                 from_hedge,
-                sent_at,
-                at_array,
-                arr_submit_end,
-                at_device,
+                mut timeline,
             } => {
                 if !self.attempt_live(request, sub, attempt) {
                     self.stale_drops += 1;
                     return;
                 }
-                let now = ctx.now();
                 let write = self.route(request).expect("attempt_live checked").write;
                 let payload = if write { 64 } else { DATA_BYTES as u64 };
-                let at_host = self.arrays[array].completion_to_host(device, now, payload);
+                self.arrays[timeline.array].to_host(device, payload, &mut timeline.path);
                 ctx.at(
-                    at_host,
+                    timeline.path.at_host,
                     FlEvent::ArrayReap {
                         request,
                         sub,
                         attempt,
-                        array,
                         device,
                         from_hedge,
-                        sent_at,
-                        at_array,
-                        arr_submit_end,
-                        at_device,
-                        dev_done: now,
+                        timeline,
                     },
                 );
             }
@@ -1259,48 +1204,31 @@ impl ShardWorld for FleetWorld {
                 request,
                 sub,
                 attempt,
-                array,
                 device,
                 from_hedge,
-                sent_at,
-                at_array,
-                arr_submit_end,
-                at_device,
-                dev_done,
+                mut timeline,
             } => {
                 if !self.attempt_live(request, sub, attempt) {
                     self.stale_drops += 1;
                     return;
                 }
-                let now = ctx.now();
-                let policy = self.sched_policy;
-                let reap = self.arrays[array].reap(device, now, policy, ARRAY_REAP);
+                let array = &mut self.arrays[timeline.array];
+                array.interrupt(device, &mut timeline.path);
+                let cpu = self.cpus[device];
+                array.reap(cpu, self.sched_policy, ARRAY_REAP, &mut timeline.path);
                 let write = self.route(request).expect("attempt_live checked").write;
                 let ret_bytes = RPC_ENVELOPE + if write { 0 } else { DATA_BYTES as u64 };
-                let client_rx = self.hops[array]
+                timeline.client_rx = self.hops[timeline.array]
                     .completion
-                    .reserve(reap.reap_end, ret_bytes);
+                    .reserve(timeline.path.reap_end, ret_bytes);
                 ctx.at(
-                    client_rx,
+                    timeline.client_rx,
                     FlEvent::NetReturn {
                         request,
                         sub,
                         attempt,
                         from_hedge,
-                        timeline: FleetTimeline {
-                            array,
-                            sent_at,
-                            at_array,
-                            arr_submit_end,
-                            at_device,
-                            dev_done,
-                            at_host: now,
-                            wake_ready: reap.wake_ready,
-                            run_start: reap.run_start,
-                            reap_end: reap.reap_end,
-                            client_rx,
-                            settle_end: client_rx + CLIENT_REAP,
-                        },
+                        timeline,
                     },
                 );
             }
@@ -1448,13 +1376,11 @@ impl ShardWorld for FleetWorld {
                     return;
                 }
                 let device = self.device_of(volume);
+                let cpu = self.cpus[device];
                 let lba = (volume * 16) % (LBA_SPACE - 16);
-                let read = self.arrays[source].ingest(
-                    now,
-                    device,
-                    NvmeCommand::read(lba, HEAL_BYTES),
-                    ARRAY_SUBMIT,
-                );
+                let from = &mut self.arrays[source];
+                let read_at = from.charge(cpu, now, ARRAY_SUBMIT);
+                let read = from.issue(device, read_at, NvmeCommand::read(lba, HEAL_BYTES));
                 // Ship the copy source→frontend→target on the same
                 // paired legs foreground traffic uses: the heal
                 // genuinely competes for network and device time.
@@ -1462,12 +1388,9 @@ impl ShardWorld for FleetWorld {
                     .completion
                     .reserve(read.dev_done, HEAL_BYTES as u64);
                 let at_target = self.hops[target].request.reserve(relay, HEAL_BYTES as u64);
-                let write = self.arrays[target].ingest(
-                    at_target,
-                    device,
-                    NvmeCommand::write(lba, HEAL_BYTES),
-                    ARRAY_SUBMIT,
-                );
+                let to = &mut self.arrays[target];
+                let write_at = to.charge(cpu, at_target, ARRAY_SUBMIT);
+                let write = to.issue(device, write_at, NvmeCommand::write(lba, HEAL_BYTES));
                 self.rereplication_ios += 2;
                 ctx.at(write.dev_done, FlEvent::RereplDone);
             }
@@ -1478,9 +1401,7 @@ impl ShardWorld for FleetWorld {
                 }
             }
             FlEvent::BgArrival { array } => {
-                let now = ctx.now();
-                self.arrays[array].spawn_background(now);
-                let next = self.arrays[array].next_background_arrival(now);
+                let next = self.arrays[array].background(ctx.now());
                 if next < self.horizon {
                     ctx.at(next, FlEvent::BgArrival { array });
                 }

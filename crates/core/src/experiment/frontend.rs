@@ -30,16 +30,16 @@
 
 use std::convert::Infallible;
 
+use afa_fleet::{ArrayInstance, ArrayPath};
 use afa_frontend::{
     AdmissionQueue, ArrivalGen, HedgePolicy, RequestBook, RequestLedger, SloReport, SloTracker,
     SubCompletion, TenantSpec, TokenBucket, WeightedScheduler,
 };
-use afa_host::{BackgroundConfig, CpuId, CpuTopology, HostModel, SchedPolicy};
-use afa_pcie::PcieFabric;
-use afa_sim::metrics::{self, FrontendCounters};
+use afa_host::{CpuId, SchedPolicy};
+use afa_sim::metrics::{self, CompletionCounters, FrontendCounters};
 use afa_sim::trace::Cause;
 use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
-use afa_ssd::{NvmeCommand, SsdDevice, SsdSpec};
+use afa_ssd::NvmeCommand;
 use afa_stats::{Json, LatencyHistogram, LatencyProfile, NinesPoint};
 use afa_volume::{StripeConfig, StripedVolume};
 use afa_workload::ArrivalProcess;
@@ -58,6 +58,9 @@ const SUBMIT_BASE: SimDuration = SimDuration::nanos(1_500);
 const SUBMIT_PER_SUB: SimDuration = SimDuration::nanos(500);
 /// Completion-reap cost for the finishing sub-I/O.
 const COMPLETE_COST: SimDuration = SimDuration::nanos(1_300);
+/// The stripe unit. A request reads one unit from every member, so
+/// every sub-I/O, and every hedged duplicate, moves this many bytes.
+const SUB_BYTES: u32 = 4096;
 /// Sub-I/O settle percentile a warm hedge policy duplicates after.
 const HEDGE_PERCENTILE: f64 = 95.0;
 /// Background write stream of the mixed-load (hedge) experiment:
@@ -327,35 +330,18 @@ fn run_cell(
 ) -> ServeCell {
     let tuning = Tuning::new(stage);
     let geometry = CpuSsdGeometry::paper(width.max(WORKERS));
-    let topo = CpuTopology::xeon_e5_2690_v2_dual();
-    let mut host = HostModel::new(
-        topo,
-        tuning.kernel_config(geometry.io_cpu_set()),
-        BackgroundConfig::centos7_desktop(),
-        scale.seed ^ 0xF30_47E0,
-    );
-    host.init_vectors(
-        (0..width).map(|d| geometry.cpu_of_ssd(d)).collect(),
-        scale.seed ^ 0xF30_47E0,
-    );
-    let devices: Vec<SsdDevice> = (0..width)
-        .map(|d| {
-            SsdDevice::new(
-                SsdSpec::table1(),
-                tuning.firmware(),
-                scale.seed ^ (d as u64).wrapping_mul(0x61C8_8646),
-            )
-        })
-        .collect();
-    let volume = StripedVolume::new((0..width).collect(), StripeConfig::new(4096));
     let specs = tenant_mix();
     let weights: Vec<u32> = specs.iter().map(|t| t.weight).collect();
 
     let world = FrontendWorld {
-        host,
-        fabric: PcieFabric::paper_single_host(width),
-        devices,
-        volume,
+        array: super::paper_array(
+            &tuning,
+            &geometry,
+            width,
+            scale.seed ^ 0xF30_47E0,
+            scale.seed,
+        ),
+        volume: StripedVolume::new((0..width).collect(), StripeConfig::new(SUB_BYTES)),
         book: RequestBook::new(),
         arrivals: specs
             .iter()
@@ -390,7 +376,6 @@ fn run_cell(
         settles: Vec::new(),
         has_work: Vec::with_capacity(specs.len()),
         sub_scratch: Vec::new(),
-        req_ledger: RequestLedger::new(),
         policy: tuning.fio_policy(),
         hist: LatencyHistogram::new(),
         ledger: RequestLedger::new(),
@@ -427,6 +412,10 @@ fn run_cell(
     };
     metrics::flush(metrics::Counters {
         frontend: counters,
+        completion: CompletionCounters {
+            interrupts: world.array.interrupts(),
+            ..CompletionCounters::default()
+        },
         ..Default::default()
     });
     ServeCell {
@@ -457,31 +446,25 @@ enum FeEvent {
     /// A dispatch worker looks for queued work.
     TryDispatch { worker: usize },
     /// A sub-I/O finished inside its device; the completion crosses
-    /// the fabric next. Timestamps ride along so the finishing sub can
-    /// be attributed exactly.
+    /// the fabric next. Its path rides along so the finishing sub can
+    /// be attributed exactly (`u16` indices keep the event at 64 B).
     SubDeviceDone {
         request: u64,
-        sub: usize,
-        device: usize,
-        bytes: u32,
+        sub: u16,
+        device: u16,
         from_hedge: bool,
-        submit_end: SimTime,
-        submitted_at: SimTime,
-        at_device: SimTime,
+        path: ArrayPath,
     },
-    /// The completion reached the host: IRQ, (maybe) wake and reap.
+    /// The completion reached the host: IRQ, wake and reap.
     SubHostDone {
         request: u64,
-        sub: usize,
-        device: usize,
+        sub: u16,
+        device: u16,
         from_hedge: bool,
-        submit_end: SimTime,
-        submitted_at: SimTime,
-        at_device: SimTime,
-        dev_done: SimTime,
+        path: ArrayPath,
     },
     /// The hedge timer for `request` fired.
-    HedgeFire { request: u64, submit_end: SimTime },
+    HedgeFire { request: u64 },
     /// One background single-member write arrives (mixed load only).
     WriteArrival,
     /// Background host noise.
@@ -495,25 +478,24 @@ struct QueuedReq {
     page: u64,
 }
 
-/// The full settle timeline of one sub-I/O completion, kept per open
-/// request for the sub with the latest `reap_end` so the finishing
-/// request can be attributed exactly.
-#[derive(Clone, Copy, Debug)]
-struct SubTimeline {
+/// One open request's settle state, kept so the finishing request can
+/// be attributed exactly: its submit stamps and the path of its
+/// latest-reaping sub so far.
+#[derive(Clone, Copy, Debug, Default)]
+struct Settle {
+    /// When the dispatch worker's submit batch retired.
     submit_end: SimTime,
-    submitted_at: SimTime,
-    at_device: SimTime,
-    dev_done: SimTime,
-    at_host: SimTime,
-    wake_ready: SimTime,
-    run_start: SimTime,
-    reap_end: SimTime,
+    /// When the hedged duplicate was sent: its clock starts there, not
+    /// at the original submit.
+    hedged_at: SimTime,
+    /// When the latest-reaping sub was sent.
+    sent_at: SimTime,
+    /// That sub's array path.
+    path: ArrayPath,
 }
 
 struct FrontendWorld {
-    host: HostModel,
-    fabric: PcieFabric,
-    devices: Vec<SsdDevice>,
+    array: ArrayInstance,
     volume: StripedVolume,
     book: RequestBook,
     arrivals: Vec<ArrivalGen>,
@@ -526,20 +508,16 @@ struct FrontendWorld {
     write_rng: SimRng,
     worker_busy: Vec<bool>,
     worker_cpus: Vec<CpuId>,
-    /// Settle timeline of the latest-reaping sub per open request,
-    /// shadow-indexed by the request handle's dense slot index
-    /// ([`afa_frontend::Handle::index`]) — slots recycle with the
-    /// book's slab, so this never rehashes or grows past peak
-    /// concurrency.
-    settles: Vec<Option<SubTimeline>>,
+    /// Settle state per open request, shadow-indexed by the request
+    /// handle's dense slot index ([`afa_frontend::Handle::index`]) —
+    /// slots recycle with the book's slab, so this never rehashes or
+    /// grows past peak concurrency.
+    settles: Vec<Settle>,
     /// Scratch for the WDRR pick (reused across dispatches).
     has_work: Vec<bool>,
     /// Scratch for the striped fan-out mapping (reused across
     /// dispatches).
     sub_scratch: Vec<afa_volume::SubIo>,
-    /// Scratch ledger reset per finished request instead of
-    /// reconstructed.
-    req_ledger: RequestLedger,
     policy: SchedPolicy,
     hist: LatencyHistogram,
     ledger: RequestLedger,
@@ -553,21 +531,23 @@ struct FrontendWorld {
 }
 
 impl FrontendWorld {
-    /// Keeps, per open request, the settle timeline of the sub-I/O
-    /// with the latest `reap_end` — the one the request's latency is
-    /// attributed to.
-    fn note_settle(&mut self, request: u64, timeline: SubTimeline) {
-        let idx = (request & 0xffff_ffff) as usize;
-        if idx >= self.settles.len() {
-            self.settles.resize(idx + 1, None);
-        }
-        match &mut self.settles[idx] {
-            Some(best) => {
-                if timeline.reap_end > best.reap_end {
-                    *best = timeline;
-                }
-            }
-            slot => *slot = Some(timeline),
+    /// The settle state of open request `request`.
+    fn settle(&mut self, request: u64) -> &mut Settle {
+        &mut self.settles[(request & 0xffff_ffff) as usize]
+    }
+
+    /// Keeps, per open request, the path of the sub-I/O with the
+    /// latest `reap_end` — the one the request's latency is attributed
+    /// to.
+    fn note_settle(&mut self, request: u64, from_hedge: bool, path: ArrayPath) {
+        let settle = self.settle(request);
+        if path.reap_end > settle.path.reap_end {
+            settle.sent_at = if from_hedge {
+                settle.hedged_at
+            } else {
+                settle.submit_end
+            };
+            settle.path = path;
         }
     }
 
@@ -579,33 +559,29 @@ impl FrontendWorld {
         }
     }
 
-    /// Submits one sub-I/O (original or hedge duplicate) to its device
-    /// through the fabric.
-    #[allow(clippy::too_many_arguments)]
+    /// Sends one sub-I/O (original or hedge duplicate) to its device
+    /// at `at`.
     fn submit_sub(
         &mut self,
         request: u64,
         sub: usize,
         io: afa_volume::SubIo,
-        submitted_at: SimTime,
-        submit_end: SimTime,
+        at: SimTime,
         from_hedge: bool,
         ctx: &mut Ctx<'_>,
     ) {
         let device = self.volume.member_device(io.member);
-        let at_device = self.fabric.submit_command(device, submitted_at);
-        let info = self.devices[device].submit(at_device, NvmeCommand::read(io.lba, io.bytes));
+        let path = self
+            .array
+            .issue(device, at, NvmeCommand::read(io.lba, io.bytes));
         ctx.at(
-            info.completes_at,
+            path.dev_done,
             FeEvent::SubDeviceDone {
                 request,
-                sub,
-                device,
-                bytes: io.bytes,
+                sub: sub as u16,
+                device: device as u16,
                 from_hedge,
-                submit_end,
-                submitted_at,
-                at_device,
+                path,
             },
         );
     }
@@ -656,25 +632,27 @@ impl ShardWorld for FrontendWorld {
                     return;
                 };
                 let item = self.queues[tenant].pop().expect("picked tenant has work");
-                let bytes = 4096 * self.volume.width() as u32;
+                let bytes = SUB_BYTES * self.volume.width() as u32;
                 let mut subs = std::mem::take(&mut self.sub_scratch);
                 self.volume.map_read_into(item.page, bytes, &mut subs);
                 let cpu = self.worker_cpus[worker];
                 let submit_cost = SUBMIT_BASE + SUBMIT_PER_SUB * subs.len() as u64;
-                let submit_end = self.host.charge_cpu(cpu, now, submit_cost);
+                let submit_end = self.array.charge(cpu, now, submit_cost);
                 let request = self.book.begin(tenant, item.arrived_at, now, &subs);
+                let slot = (request & 0xffff_ffff) as usize;
+                if slot >= self.settles.len() {
+                    self.settles.resize(slot + 1, Settle::default());
+                }
+                self.settles[slot] = Settle {
+                    submit_end,
+                    ..Settle::default()
+                };
                 for (i, &io) in subs.iter().enumerate() {
-                    self.submit_sub(request, i, io, submit_end, submit_end, false, ctx);
+                    self.submit_sub(request, i, io, submit_end, false, ctx);
                 }
                 self.sub_scratch = subs;
                 if let Some(delay) = self.hedge.as_ref().and_then(HedgePolicy::delay) {
-                    ctx.at(
-                        submit_end + delay,
-                        FeEvent::HedgeFire {
-                            request,
-                            submit_end,
-                        },
-                    );
+                    ctx.at(submit_end + delay, FeEvent::HedgeFire { request });
                 }
                 // The worker stays busy until the submit batch retires,
                 // then looks for more work.
@@ -684,25 +662,19 @@ impl ShardWorld for FrontendWorld {
                 request,
                 sub,
                 device,
-                bytes,
                 from_hedge,
-                submit_end,
-                submitted_at,
-                at_device,
+                mut path,
             } => {
-                let now = ctx.now();
-                let at_host = self.fabric.deliver_completion(device, now, bytes as u64);
+                self.array
+                    .to_host(device as usize, SUB_BYTES as u64, &mut path);
                 ctx.at(
-                    at_host,
+                    path.at_host,
                     FeEvent::SubHostDone {
                         request,
                         sub,
                         device,
                         from_hedge,
-                        submit_end,
-                        submitted_at,
-                        at_device,
-                        dev_done: now,
+                        path,
                     },
                 );
             }
@@ -711,13 +683,10 @@ impl ShardWorld for FrontendWorld {
                 sub,
                 device,
                 from_hedge,
-                submit_end,
-                submitted_at,
-                at_device,
-                dev_done,
+                mut path,
             } => {
                 let now = ctx.now();
-                let irq = self.host.deliver_irq(device, now);
+                self.array.interrupt(device as usize, &mut path);
                 let dispatched = self.book.dispatched_at(request);
                 // Every sub completion wakes the serving task on its
                 // worker's CPU (libaio-style: one io_getevents wake
@@ -725,19 +694,12 @@ impl ShardWorld for FrontendWorld {
                 // default-stage tail — is part of the settle time the
                 // max-of-width amplifies.
                 let cpu = self.worker_cpus[(request % WORKERS as u64) as usize];
-                let (run_start, _) = self.host.wake_io_task(cpu, irq.wake_ready, self.policy);
-                let reap_end = self.host.charge_cpu(cpu, run_start, COMPLETE_COST);
-                let timeline = SubTimeline {
-                    submit_end,
-                    submitted_at,
-                    at_device,
-                    dev_done,
-                    at_host: now,
-                    wake_ready: irq.wake_ready,
-                    run_start,
-                    reap_end,
-                };
-                match self.book.complete_sub(request, sub, reap_end, from_hedge) {
+                self.array.reap(cpu, self.policy, COMPLETE_COST, &mut path);
+                let reap_end = path.reap_end;
+                match self
+                    .book
+                    .complete_sub(request, sub as usize, reap_end, from_hedge)
+                {
                     SubCompletion::Duplicate => {
                         // Hedge loser: cancelled, nothing to account.
                     }
@@ -745,19 +707,17 @@ impl ShardWorld for FrontendWorld {
                         if let (Some(policy), Some(d)) = (self.hedge.as_mut(), dispatched) {
                             policy.observe(reap_end.saturating_since(d));
                         }
-                        self.note_settle(request, timeline);
+                        self.note_settle(request, from_hedge, path);
                         // Re-arm when the straggler condition is met:
                         // one sub left and the rest settled — fire at
                         // the policy delay past submit, or now if that
                         // has already passed.
                         if self.book.outstanding(request) == 1 {
                             if let Some(delay) = self.hedge.as_ref().and_then(HedgePolicy::delay) {
+                                let submit_end = self.settle(request).submit_end;
                                 ctx.at(
                                     (submit_end + delay).max(now),
-                                    FeEvent::HedgeFire {
-                                        request,
-                                        submit_end,
-                                    },
+                                    FeEvent::HedgeFire { request },
                                 );
                             }
                         }
@@ -769,46 +729,30 @@ impl ShardWorld for FrontendWorld {
                         if fin.hedge_won {
                             self.hedges_won += 1;
                         }
-                        self.note_settle(request, timeline);
-                        let best = self.settles[(request & 0xffff_ffff) as usize]
-                            .take()
-                            .expect("settle timeline recorded");
+                        self.note_settle(request, from_hedge, path);
+                        let best = *self.settle(request);
                         let latency = fin.latency();
                         self.hist.record(latency.as_nanos());
                         self.slos[fin.tenant].record(latency);
                         // Exact attribution of the slowest winning
                         // sub-I/O's path — the charges tile `latency`
                         // to the nanosecond.
-                        let ledger = &mut self.req_ledger;
-                        ledger.reset();
-                        ledger.charge(Cause::FrontendQueue, fin.queueing());
-                        ledger.charge(
-                            Cause::CpuWork,
-                            best.submit_end.saturating_since(fin.dispatched_at)
-                                + best.reap_end.saturating_since(best.run_start),
-                        );
-                        // Hedge wait: a duplicate's clock starts when
-                        // the hedge fired, not at the original submit.
-                        ledger.charge(
-                            Cause::Other,
-                            best.submitted_at.saturating_since(best.submit_end),
-                        );
-                        ledger.charge(
-                            Cause::Fabric,
-                            best.at_device.saturating_since(best.submitted_at)
-                                + best.at_host.saturating_since(best.dev_done),
-                        );
-                        ledger.charge(
-                            Cause::DeviceService,
-                            best.dev_done.saturating_since(best.at_device),
-                        );
-                        ledger.charge(
-                            Cause::IrqHandling,
-                            best.wake_ready.saturating_since(best.at_host),
-                        );
-                        ledger.charge(
-                            Cause::SchedulerDelay,
-                            best.run_start.saturating_since(best.wake_ready),
+                        let [to_device, service, to_host, irq, wake, reap] = best.path.stamps();
+                        let ledger = RequestLedger::tile(
+                            fin.arrived_at,
+                            &[
+                                (Cause::FrontendQueue, fin.dispatched_at),
+                                (Cause::CpuWork, best.submit_end),
+                                // Hedge wait: a duplicate's clock starts
+                                // when the hedge fired.
+                                (Cause::Other, best.sent_at),
+                                to_device,
+                                service,
+                                to_host,
+                                irq,
+                                wake,
+                                reap,
+                            ],
                         );
                         if ledger.total() != latency {
                             self.ledger_mismatches += 1;
@@ -819,18 +763,16 @@ impl ShardWorld for FrontendWorld {
                     }
                 }
             }
-            FeEvent::HedgeFire {
-                request,
-                submit_end,
-            } => {
+            FeEvent::HedgeFire { request } => {
                 let now = ctx.now();
                 if let Some((sub, mut io)) = self.book.hedge_straggler(request) {
                     self.hedges_fired += 1;
+                    self.settle(request).hedged_at = now;
                     // The duplicate reads the mirrored-pair replica on
                     // the stripe's buddy member: re-queueing behind the
                     // straggler on its own device could never win.
                     io.member = (io.member + 1) % self.volume.width();
-                    self.submit_sub(request, sub, io, now, submit_end, true, ctx);
+                    self.submit_sub(request, sub, io, now, true, ctx);
                 }
             }
             FeEvent::WriteArrival => {
@@ -847,13 +789,11 @@ impl ShardWorld for FrontendWorld {
                 let member = self.write_rng.below(width as u64) as usize;
                 let lba = self.write_rng.below(self.request_pages);
                 let device = self.volume.member_device(member);
-                let at_device = self.fabric.submit_command(device, now);
-                self.devices[device].submit(at_device, NvmeCommand::write(lba, WRITE_BYTES));
+                self.array
+                    .issue(device, now, NvmeCommand::write(lba, WRITE_BYTES));
             }
             FeEvent::BgArrival => {
-                let now = ctx.now();
-                self.host.spawn_background(now);
-                let next = self.host.next_background_arrival(now);
+                let next = self.array.background(ctx.now());
                 if next < self.horizon {
                     ctx.at(next, FeEvent::BgArrival);
                 }

@@ -49,9 +49,11 @@ impl FutureWorkResult {
         }
         ((stock - proto) / (stock - manual)).clamp(0.0, 1.5)
     }
+}
 
+impl ExperimentResult for FutureWorkResult {
     /// Renders the comparison.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let mut out =
             String::from("§VI future work — automatic kernel prototypes vs. manual tuning\n");
         out.push_str(&format!(
@@ -70,12 +72,6 @@ impl FutureWorkResult {
             self.prototype_win_fraction() * 100.0
         ));
         out
-    }
-}
-
-impl ExperimentResult for FutureWorkResult {
-    fn to_table(&self) -> String {
-        FutureWorkResult::to_table(self)
     }
 
     fn to_csv(&self) -> String {

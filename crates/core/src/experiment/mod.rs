@@ -65,6 +65,46 @@ pub use ull_crossover::{ull_crossover, UllCrossoverCell, UllCrossoverResult};
 /// Infallible`, so nothing is ever sent between LPs.
 const ONE_LP_LOOKAHEAD: afa_sim::SimDuration = afa_sim::SimDuration::nanos(1);
 
+/// The paper's single-host array serving the first `width` SSDs of
+/// `geometry`: the dual-socket Xeon host under `tuning`'s kernel (its
+/// isolated set is `geometry`'s fio CPUs) with CentOS-7 background
+/// noise and each device's MSI-X vector designated to its Fig. 5 CPU,
+/// the single-host PCIe fabric, and Table-I SSDs with `tuning`'s
+/// firmware. `host_seed` seeds the host; device `d` is seeded
+/// `device_seed ^ d * 0x61C8_8646`.
+pub(crate) fn paper_array(
+    tuning: &crate::Tuning,
+    geometry: &crate::CpuSsdGeometry,
+    width: usize,
+    host_seed: u64,
+    device_seed: u64,
+) -> afa_fleet::ArrayInstance {
+    let mut host = afa_host::HostModel::new(
+        afa_host::CpuTopology::xeon_e5_2690_v2_dual(),
+        tuning.kernel_config(geometry.io_cpu_set()),
+        afa_host::BackgroundConfig::centos7_desktop(),
+        host_seed,
+    );
+    host.init_vectors(
+        (0..width).map(|d| geometry.cpu_of_ssd(d)).collect(),
+        host_seed,
+    );
+    let devices = (0..width)
+        .map(|d| {
+            afa_ssd::SsdDevice::new(
+                afa_ssd::SsdSpec::table1(),
+                tuning.firmware(),
+                device_seed ^ (d as u64).wrapping_mul(0x61C8_8646),
+            )
+        })
+        .collect();
+    afa_fleet::ArrayInstance::new(
+        host,
+        afa_pcie::PcieFabric::paper_single_host(width),
+        devices,
+    )
+}
+
 /// Runs several independent experiment configurations on the bounded
 /// worker pool ([`pool::map_bounded`]), preserving input order.
 pub(crate) fn run_parallel(configs: Vec<crate::AfaConfig>) -> Vec<crate::RunResult> {

@@ -48,9 +48,11 @@ impl MultiHostResult {
             (noisy - quiet) / quiet
         }
     }
+}
 
+impl ExperimentResult for MultiHostResult {
     /// Renders the check.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let mut out =
             String::from("Multi-host isolation — host 0 QD1 reads vs. neighbor load (§III-A)\n");
         out.push_str(&format!(
@@ -73,12 +75,6 @@ impl MultiHostResult {
             self.p999_shift() * 100.0
         ));
         out
-    }
-}
-
-impl ExperimentResult for MultiHostResult {
-    fn to_table(&self) -> String {
-        MultiHostResult::to_table(self)
     }
 
     fn to_csv(&self) -> String {

@@ -104,9 +104,9 @@ pub struct PtsRun {
     pub final_write_amplification: f64,
 }
 
-impl PtsRun {
+impl ExperimentResult for PtsRun {
     /// Renders the round log.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let mut out = String::from("SNIA PTS-E style run — 4 KiB random write rounds\n");
         out.push_str(&format!("{:<8} {:>12} {:>8}\n", "round", "IOPS", "steady"));
         for (i, iops) in self.rounds.iter().enumerate() {
@@ -121,12 +121,6 @@ impl PtsRun {
             self.final_write_amplification
         ));
         out
-    }
-}
-
-impl ExperimentResult for PtsRun {
-    fn to_table(&self) -> String {
-        PtsRun::to_table(self)
     }
 
     fn to_csv(&self) -> String {

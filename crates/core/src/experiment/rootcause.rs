@@ -42,9 +42,11 @@ impl RootCauseReport {
             .map(|&(_, _, _, per_io)| per_io)
             .unwrap_or(0.0)
     }
+}
 
+impl ExperimentResult for RootCauseReport {
     /// Renders the budget table.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let mut out = format!(
             "Root cause analysis — '{}' configuration, {} I/Os\n",
             self.stage.label(),
@@ -67,7 +69,7 @@ impl RootCauseReport {
     }
 
     /// One CSV row per cause.
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::from("stage,cause,total_us,events,us_per_io\n");
         for (cause, total_us, events, per_io) in &self.rows {
             out.push_str(&format!(
@@ -80,26 +82,12 @@ impl RootCauseReport {
     }
 
     /// Serializes the budget.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         Json::obj([
             ("stage", Json::str(self.stage.label())),
             ("completed", Json::u64(self.completed)),
             ("causes", cause_rows_json(&self.rows)),
         ])
-    }
-}
-
-impl ExperimentResult for RootCauseReport {
-    fn to_table(&self) -> String {
-        RootCauseReport::to_table(self)
-    }
-
-    fn to_csv(&self) -> String {
-        RootCauseReport::to_csv(self)
-    }
-
-    fn to_json(&self) -> Json {
-        RootCauseReport::to_json(self)
     }
 
     fn samples(&self) -> u64 {

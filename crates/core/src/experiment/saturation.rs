@@ -34,9 +34,11 @@ impl SaturationResult {
     pub fn seq_utilization(&self) -> f64 {
         self.seq_read_gbps / self.uplink_gbps
     }
+}
 
+impl ExperimentResult for SaturationResult {
     /// Renders the check.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         format!(
             "Uplink saturation (§III-B preliminary / §IV-G):\n\
              sequential reads : {:.2} GB/s ({:.0}% of the {:.2} GB/s uplink)\n\
@@ -46,12 +48,6 @@ impl SaturationResult {
             self.uplink_gbps,
             self.qd1_rand_gbps
         )
-    }
-}
-
-impl ExperimentResult for SaturationResult {
-    fn to_table(&self) -> String {
-        SaturationResult::to_table(self)
     }
 
     fn to_csv(&self) -> String {

@@ -15,8 +15,18 @@ pub struct Table1Result {
 }
 
 impl Table1Result {
+    /// Looks up a measured value by metric name.
+    pub fn measured(&self, metric: &str) -> Option<f64> {
+        self.rows
+            .iter()
+            .find(|(m, _, _)| m == metric)
+            .map(|&(_, _, v)| v)
+    }
+}
+
+impl ExperimentResult for Table1Result {
     /// Renders the comparison.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let mut out = String::from("Table I — device specification, rated vs. measured\n");
         out.push_str(&format!(
             "{:<28} {:>12} {:>12} {:>8}\n",
@@ -29,20 +39,6 @@ impl Table1Result {
             ));
         }
         out
-    }
-
-    /// Looks up a measured value by metric name.
-    pub fn measured(&self, metric: &str) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|(m, _, _)| m == metric)
-            .map(|&(_, _, v)| v)
-    }
-}
-
-impl ExperimentResult for Table1Result {
-    fn to_table(&self) -> String {
-        Table1Result::to_table(self)
     }
 
     fn to_csv(&self) -> String {

@@ -12,12 +12,14 @@
 
 use std::convert::Infallible;
 
-use afa_host::{BackgroundConfig, CpuId, CpuTopology, HostModel, SchedPolicy};
-use afa_pcie::PcieFabric;
+use afa_fleet::{ArrayInstance, ArrayPath};
+use afa_frontend::{RequestBook, SubCompletion};
+use afa_host::{CpuId, SchedPolicy};
+use afa_sim::metrics::{self, CompletionCounters};
 use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
-use afa_ssd::{NvmeCommand, SsdDevice, SsdSpec};
+use afa_ssd::NvmeCommand;
 use afa_stats::{Json, LatencyHistogram, LatencyProfile, NinesPoint};
-use afa_volume::{RequestTracker, StripeConfig, StripedVolume};
+use afa_volume::{StripeConfig, StripedVolume};
 
 use crate::experiment::registry::ExperimentResult;
 use crate::experiment::{pool, ExperimentScale};
@@ -56,9 +58,11 @@ impl TailScaleResult {
             .iter()
             .find(|c| c.stage == stage && c.width == width)
     }
+}
 
+impl ExperimentResult for TailScaleResult {
     /// Renders the sweep: client p99/p99.9/max per width, per stage.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let mut out =
             String::from("Tail at scale — client-perceived latency over a striped volume\n");
         let mut stages: Vec<TuningStage> = self.cells.iter().map(|c| c.stage).collect();
@@ -80,12 +84,6 @@ impl TailScaleResult {
             }
         }
         out
-    }
-}
-
-impl ExperimentResult for TailScaleResult {
-    fn to_table(&self) -> String {
-        TailScaleResult::to_table(self)
     }
 
     fn to_csv(&self) -> String {
@@ -151,38 +149,12 @@ pub fn tail_at_scale(scale: ExperimentScale) -> TailScaleResult {
 fn run_cell(stage: TuningStage, width: usize, scale: ExperimentScale) -> TailScaleCell {
     let tuning = Tuning::new(stage);
     let geometry = CpuSsdGeometry::paper(width.max(CLIENTS));
-    let topo = CpuTopology::xeon_e5_2690_v2_dual();
-    let mut host = HostModel::new(
-        topo,
-        tuning.kernel_config(geometry.io_cpu_set()),
-        BackgroundConfig::centos7_desktop(),
-        scale.seed ^ 0xA11CE,
-    );
-    // Vectors designated per device: reuse the paper mapping.
-    host.init_vectors(
-        (0..width).map(|d| geometry.cpu_of_ssd(d)).collect(),
-        scale.seed ^ 0xA11CE,
-    );
-    let devices: Vec<SsdDevice> = (0..width)
-        .map(|d| {
-            SsdDevice::new(
-                SsdSpec::table1(),
-                tuning.firmware(),
-                scale.seed ^ (d as u64).wrapping_mul(0x61C8_8646),
-            )
-        })
-        .collect();
-    let volume = StripedVolume::new((0..width).collect(), StripeConfig::new(4096));
-    // Client CPUs: the first CLIENTS io CPUs.
-    let client_cpus: Vec<CpuId> = (0..CLIENTS).map(|c| geometry.io_cpus()[c]).collect();
-
     let world = VolumeWorld {
-        host,
-        fabric: PcieFabric::paper_single_host(width),
-        devices,
-        volume,
-        tracker: RequestTracker::new(),
-        client_cpus,
+        array: super::paper_array(&tuning, &geometry, width, scale.seed ^ 0xA11CE, scale.seed),
+        volume: StripedVolume::new((0..width).collect(), StripeConfig::new(4096)),
+        book: RequestBook::new(),
+        // Client CPUs: the first CLIENTS io CPUs.
+        client_cpus: (0..CLIENTS).map(|c| geometry.io_cpus()[c]).collect(),
         policy: tuning.fio_policy(),
         hist: LatencyHistogram::new(),
         rng: SimRng::from_seed_and_stream(scale.seed, 0x7A11),
@@ -201,6 +173,13 @@ fn run_cell(stage: TuningStage, width: usize, scale: ExperimentScale) -> TailSca
     sim.schedule(0, SimTime::ZERO, VolEvent::BgArrival);
     sim.run();
     let world = sim.into_world();
+    metrics::flush(metrics::Counters {
+        completion: CompletionCounters {
+            interrupts: world.array.interrupts(),
+            ..CompletionCounters::default()
+        },
+        ..Default::default()
+    });
     TailScaleCell {
         stage,
         width,
@@ -215,12 +194,14 @@ enum VolEvent {
     },
     SubDeviceDone {
         request: u64,
-        device: usize,
+        sub: u32,
+        device: u32,
         bytes: u32,
     },
     SubDone {
         request: u64,
-        device: usize,
+        sub: u32,
+        device: u32,
     },
     BgArrival,
 }
@@ -228,11 +209,9 @@ enum VolEvent {
 type Ctx<'a> = ShardCtx<'a, VolEvent, Infallible>;
 
 struct VolumeWorld {
-    host: HostModel,
-    fabric: PcieFabric,
-    devices: Vec<SsdDevice>,
+    array: ArrayInstance,
     volume: StripedVolume,
-    tracker: RequestTracker,
+    book: RequestBook,
     client_cpus: Vec<CpuId>,
     policy: SchedPolicy,
     hist: LatencyHistogram,
@@ -255,21 +234,22 @@ impl VolumeWorld {
         let volume_page = self.rng.below(self.request_pages / width as u64) * width as u64;
         let subs = self.volume.map_read(volume_page, bytes);
         let submit_cost = SUBMIT_BASE + SUBMIT_PER_SUB * subs.len() as u64;
-        let submit_end = self.host.charge_cpu(cpu, now, submit_cost);
-        let request = self.tracker.begin(client, submit_end, subs.len() as u32);
-        for sub in subs {
+        let submit_end = self.array.charge(cpu, now, submit_cost);
+        let request = self.book.begin(client, submit_end, submit_end, &subs);
+        for (i, sub) in subs.iter().enumerate() {
             let device = self.volume.member_device(sub.member);
-            let at_device = self.fabric.submit_command(device, submit_end);
-            let info =
-                self.devices[device].submit(at_device, NvmeCommand::read(sub.lba, sub.bytes));
+            let path = self
+                .array
+                .issue(device, submit_end, NvmeCommand::read(sub.lba, sub.bytes));
             // Fabric upstream and interrupt handling happen when their
             // events fire, so shared links and host state mutate in
             // global time order.
             ctx.at(
-                info.completes_at,
+                path.dev_done,
                 VolEvent::SubDeviceDone {
                     request,
-                    device,
+                    sub: i as u32,
+                    device: device as u32,
                     bytes: sub.bytes,
                 },
             );
@@ -289,32 +269,51 @@ impl ShardWorld for VolumeWorld {
             }
             VolEvent::SubDeviceDone {
                 request,
+                sub,
                 device,
                 bytes,
             } => {
-                let now = ctx.now();
-                let at_host = self.fabric.deliver_completion(device, now, bytes as u64);
-                ctx.at(at_host, VolEvent::SubDone { request, device });
+                let mut path = ArrayPath {
+                    dev_done: ctx.now(),
+                    ..ArrayPath::default()
+                };
+                self.array.to_host(device as usize, bytes as u64, &mut path);
+                ctx.at(
+                    path.at_host,
+                    VolEvent::SubDone {
+                        request,
+                        sub,
+                        device,
+                    },
+                );
             }
-            VolEvent::SubDone { request, device } => {
-                let now = ctx.now();
-                let irq = self.host.deliver_irq(device, now);
-                if let Some(done) = self.tracker.complete_sub(request) {
+            VolEvent::SubDone {
+                request,
+                sub,
+                device,
+            } => {
+                let mut path = ArrayPath {
+                    at_host: ctx.now(),
+                    ..ArrayPath::default()
+                };
+                self.array.interrupt(device as usize, &mut path);
+                let completion = self
+                    .book
+                    .complete_sub(request, sub as usize, path.at_host, false);
+                if let SubCompletion::Finished(done) = completion {
                     // Last sub-I/O: wake the client, reap all events,
                     // record, issue the next request.
-                    let cpu = self.client_cpus[done.client];
-                    let (run_start, _) = self.host.wake_io_task(cpu, irq.wake_ready, self.policy);
                     let reap = COMPLETE_COST + SUBMIT_PER_SUB * self.volume.width() as u64;
-                    let end = self.host.charge_cpu(cpu, run_start, reap);
+                    let cpu = self.client_cpus[done.tenant];
+                    self.array.reap(cpu, self.policy, reap, &mut path);
                     self.hist
-                        .record(end.saturating_since(done.issued_at).as_nanos());
-                    self.issue(done.client, end, ctx);
+                        .record(path.reap_end.saturating_since(done.arrived_at).as_nanos());
+                    self.issue(done.tenant, path.reap_end, ctx);
                 }
             }
             VolEvent::BgArrival => {
                 let now = ctx.now();
-                self.host.spawn_background(now);
-                let next = self.host.next_background_arrival(now);
+                let next = self.array.background(now);
                 if next < self.horizon {
                     ctx.at(next, VolEvent::BgArrival);
                 }
@@ -370,6 +369,25 @@ mod tests {
             "tuned p99.9 {tuned_wide} !< default {default_wide}"
         );
         assert!(result.to_table().contains("width"));
+    }
+
+    /// Exact work of the sweep at 0.25 s × 8 SSDs, seed 42: requests
+    /// settled, events popped and completion interrupts delivered (one
+    /// per sub-I/O). A change that moves a count updates this pin and
+    /// says why.
+    #[test]
+    fn work_counts_are_pinned() {
+        let scale = ExperimentScale::new(SimDuration::millis(250), 8, 42);
+        let (result, counts) = metrics::capture(|| tail_at_scale(scale));
+        assert_eq!(
+            (
+                result.samples(),
+                counts.events,
+                counts.completion.interrupts
+            ),
+            (135_188, 1_107_478, 553_568),
+            "(requests, events, interrupt reaps)"
+        );
     }
 
     #[test]

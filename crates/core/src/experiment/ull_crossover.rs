@@ -79,9 +79,11 @@ impl UllCrossoverResult {
             .find(|c| c.profile == profile.label() && c.stage == stage && c.model == model)
             .expect("full grid")
     }
+}
 
+impl ExperimentResult for UllCrossoverResult {
     /// Renders the grid, one block per device class.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let mut out =
             String::from("ULL crossover — completion model x tuning ladder per device class\n");
         for profile in PROFILES {
@@ -107,7 +109,7 @@ impl UllCrossoverResult {
     }
 
     /// One CSV row per cell.
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::from(
             "profile,stage,model,mean_us,p99_us,p99999_us,max_us,cpu_us_per_io,completed,polls,hybrid_sleeps\n",
         );
@@ -128,16 +130,6 @@ impl UllCrossoverResult {
             ));
         }
         out
-    }
-}
-
-impl ExperimentResult for UllCrossoverResult {
-    fn to_table(&self) -> String {
-        UllCrossoverResult::to_table(self)
-    }
-
-    fn to_csv(&self) -> String {
-        UllCrossoverResult::to_csv(self)
     }
 
     fn to_json(&self) -> Json {

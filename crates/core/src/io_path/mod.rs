@@ -94,6 +94,11 @@ pub(crate) const LP_COUNT: usize = WORKER_LPS + 1;
 /// `c % 20`.
 const CORES_PER_SOCKET_PAIR: usize = 20;
 
+/// Socket the AFA's PCIe uplink attaches to (the paper's CPU2 =
+/// socket 1, §III-A). fio threads on the other socket pay a
+/// cross-socket (NUMA) penalty on the completion path.
+const AFA_SOCKET: u16 = 1;
+
 /// Hub-to-worker latency of a background-placement decision. Must be
 /// at least the hub lookahead; 1 µs keeps bursts effectively at their
 /// arrival instant.
@@ -297,7 +302,6 @@ pub(crate) struct IoPathWorld {
     pub(crate) completions: CompletionCounters,
     geometry: CpuSsdGeometry,
     horizon: SimTime,
-    afa_socket: u16,
     /// Owning worker LP of each job (by its device's pinned CPU).
     job_lp: Vec<usize>,
     /// Inverse of `jobs[j].spec().device()` (hub-side batch routing).
@@ -358,7 +362,6 @@ impl IoPathWorld {
         jobs: Vec<JobState>,
         geometry: CpuSsdGeometry,
         horizon: SimTime,
-        afa_socket: u16,
         causes: Option<afa_sim::trace::CauseAccumulator>,
         tracer: Option<crate::blktrace::TraceRecorder>,
         ledger_log: Option<LedgerLog>,
@@ -391,7 +394,6 @@ impl IoPathWorld {
             jobs,
             geometry,
             horizon,
-            afa_socket,
             causes,
             tracers: tracer.map(|t| vec![t; WORKER_LPS]),
             ledger_logs: ledger_log.map(|l| vec![l; WORKER_LPS]),
@@ -549,7 +551,7 @@ impl IoPathWorld {
         let device = self.jobs[job].spec().device();
         let cpu = self.geometry.cpu_of_ssd(device);
         let bytes = self.jobs[job].spec().block_size() as u64;
-        let cross_socket = self.host.topology().socket_of(cpu) != self.afa_socket;
+        let cross_socket = self.host.topology().socket_of(cpu) != AFA_SOCKET;
         let model = self.model_of(job);
         let ledger = &mut self.ledger_slab[id as usize];
         ledger.stamp(IoStage::DeviceComplete, now);
@@ -860,7 +862,7 @@ impl IoPathWorld {
             model,
             led,
         );
-        let cross_socket = self.host.topology().socket_of(cpu) != self.afa_socket;
+        let cross_socket = self.host.topology().socket_of(cpu) != AFA_SOCKET;
         // Completion-side gate: every check is against state frozen
         // until the settlement by construction (the gates themselves
         // plus hooks A and B), so a pass makes the precomputed

@@ -238,18 +238,9 @@ impl AfaSystem {
 
         let topo = CpuTopology::xeon_e5_2690_v2_dual();
         let io_set = geometry.io_cpu_set();
-        let mut kernel = config
+        let kernel = config
             .kernel_override
             .unwrap_or_else(|| config.tuning.kernel_config(io_set));
-        if let Some(hz) = config.tick_override {
-            kernel.tick_hz = hz;
-        }
-        if let Some(idle) = config.idle_override {
-            kernel.idle = idle;
-        }
-        if let Some(rcu) = config.rcu_override {
-            kernel.rcu_nocbs = rcu;
-        }
         let mut host = HostModel::new(topo, kernel, config.background, config.seed);
         host.init_vectors(geometry.assignment().to_vec(), config.seed);
 
@@ -317,7 +308,6 @@ impl AfaSystem {
             jobs,
             geometry,
             horizon,
-            config.afa_socket,
             config
                 .attribute_causes
                 .then(afa_sim::trace::CauseAccumulator::new),

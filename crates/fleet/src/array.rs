@@ -1,81 +1,78 @@
 //! One array's serving stack, composable N-up under a single clock.
 //!
-//! An [`ArrayInstance`] owns the existing single-array substrate — a
+//! An [`ArrayInstance`] owns the single-array substrate — a
 //! [`HostModel`], a [`PcieFabric`] and a row of [`SsdDevice`]s — and
 //! exposes the I/O path as *stage methods* invoked at event times, so
-//! a fleet world can interleave N arrays' events on one DES clock
-//! instead of running N sequential simulations and stitching clocks
-//! afterwards. Each stage returns the timestamps the caller needs to
-//! schedule the next event and to charge the per-request ledger.
+//! a serving world can interleave the path's stages with its own
+//! events, and a fleet world N arrays' stages, on one DES clock. A
+//! stage that runs on a CPU takes the CPU doing the work; the stages a
+//! command crosses fill in its [`ArrayPath`], the record a request
+//! ledger tiles.
 
 use afa_host::{CpuId, HostModel, SchedPolicy};
 use afa_pcie::PcieFabric;
+use afa_sim::trace::Cause;
 use afa_sim::{SimDuration, SimTime};
 use afa_ssd::{NvmeCommand, SsdDevice};
 
 use crate::failover::ArrayHealth;
 
-/// Timestamps out of [`ArrayInstance::ingest`]: the array-side CPU
-/// submit, the fabric delivery, and the device completion.
-#[derive(Clone, Copy, Debug)]
-pub struct IngestTimes {
-    /// When the array CPU finished the submission path.
-    pub submit_end: SimTime,
-    /// When the command reached the device through the PCIe fabric.
+/// When each stage of one command's trip through the array ended, as
+/// [`ArrayInstance`]'s stage methods fill it in. Fields the trip has
+/// not reached yet stay [`SimTime::ZERO`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ArrayPath {
+    /// The command reached the device through the PCIe fabric.
     pub at_device: SimTime,
-    /// When the device will complete the command.
+    /// The device completed the command.
     pub dev_done: SimTime,
-}
-
-/// Timestamps out of [`ArrayInstance::reap`]: IRQ, wakeup, and the
-/// completion-path CPU charge.
-#[derive(Clone, Copy, Debug)]
-pub struct ReapTimes {
-    /// When the IRQ handler finished and the reaper could be woken.
+    /// The completion (payload, CQE, MSI-X) reached the host.
+    pub at_host: SimTime,
+    /// The IRQ handler finished and the reaping task could be woken.
     pub wake_ready: SimTime,
-    /// When the reaping task actually got on CPU.
+    /// The reaping task got on CPU.
     pub run_start: SimTime,
-    /// When the completion path finished executing.
+    /// The completion path finished executing.
     pub reap_end: SimTime,
 }
 
+impl ArrayPath {
+    /// The stamps in path order, each with the cause the gap before it
+    /// is charged to: the array half of a request ledger's tiling.
+    pub fn stamps(&self) -> [(Cause, SimTime); 6] {
+        [
+            (Cause::Fabric, self.at_device),
+            (Cause::DeviceService, self.dev_done),
+            (Cause::Fabric, self.at_host),
+            (Cause::IrqHandling, self.wake_ready),
+            (Cause::SchedulerDelay, self.run_start),
+            (Cause::CpuWork, self.reap_end),
+        ]
+    }
+}
+
 /// One array: host + fabric + SSDs + liveness, driven by stage calls.
+/// The stage methods are `#[inline]` so a caller in another crate
+/// compiles them to the host, fabric and device calls they wrap.
 #[derive(Debug)]
 pub struct ArrayInstance {
     host: HostModel,
     fabric: PcieFabric,
     devices: Vec<SsdDevice>,
-    /// The designated I/O CPU per device slot.
-    cpus: Vec<CpuId>,
     health: ArrayHealth,
-    completions: u64,
+    interrupts: u64,
 }
 
 impl ArrayInstance {
-    /// Assembles an array from its substrate parts. `cpus[d]` is the
-    /// CPU that submits to and reaps device `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `cpus` and `devices` have equal length.
-    pub fn new(
-        host: HostModel,
-        fabric: PcieFabric,
-        devices: Vec<SsdDevice>,
-        cpus: Vec<CpuId>,
-    ) -> Self {
-        assert_eq!(
-            devices.len(),
-            cpus.len(),
-            "one designated CPU per device slot"
-        );
+    /// Assembles an array from its substrate parts; device `d` sits
+    /// behind fabric slot `d` and MSI-X vector `d`.
+    pub fn new(host: HostModel, fabric: PcieFabric, devices: Vec<SsdDevice>) -> Self {
         ArrayInstance {
             host,
             fabric,
             devices,
-            cpus,
             health: ArrayHealth::Healthy,
-            completions: 0,
+            interrupts: 0,
         }
     }
 
@@ -85,97 +82,85 @@ impl ArrayInstance {
     }
 
     /// Whether the array accepts new I/O.
+    #[inline]
     pub fn is_alive(&self) -> bool {
-        self.health.is_alive()
+        self.health == ArrayHealth::Healthy
     }
 
-    /// Kills the array: no new ingests, in-flight I/O is lost (the
+    /// Kills the array: no new commands, in-flight I/O is lost (the
     /// fleet's failover sweep re-issues it elsewhere).
     pub fn kill(&mut self) {
         self.health = ArrayHealth::Failed;
     }
 
-    /// Degrades the array: it keeps serving but every ingest pays
-    /// `extra` before touching the CPU.
-    pub fn degrade(&mut self, extra: SimDuration) {
-        self.health = ArrayHealth::Degraded(extra);
+    /// Runs `work` on `cpu` from `at` (a submission batch, say);
+    /// returns when it finishes.
+    #[inline]
+    pub fn charge(&mut self, cpu: CpuId, at: SimTime, work: SimDuration) -> SimTime {
+        self.host.charge_cpu(cpu, at, work)
     }
 
-    /// Device slots on this array.
-    pub fn width(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Runs the array-side submission path for `cmd` against device
-    /// `device`, starting when the RPC lands at `at`: CPU submit
-    /// charge, fabric hop, device service.
+    /// Sends `cmd` to `device` through the PCIe fabric at `at`; returns
+    /// the path with `at_device` and `dev_done` set.
     ///
     /// # Panics
     ///
     /// Panics if the array is dead — the fleet must route around a
-    /// [`ArrayHealth::Failed`] array, so an ingest reaching one is a
+    /// [`ArrayHealth::Failed`] array, so a command reaching one is a
     /// routing bug, not a runtime condition.
-    pub fn ingest(
-        &mut self,
-        at: SimTime,
-        device: usize,
-        cmd: NvmeCommand,
-        submit_cost: SimDuration,
-    ) -> IngestTimes {
-        assert!(self.is_alive(), "ingest on a failed array");
-        let start = at + self.health.ingest_penalty();
-        let submit_end = self.host.charge_cpu(self.cpus[device], start, submit_cost);
-        let at_device = self.fabric.submit_command(device, submit_end);
-        let dev_done = self.devices[device].submit(at_device, cmd).completes_at;
-        IngestTimes {
-            submit_end,
+    #[inline]
+    pub fn issue(&mut self, device: usize, at: SimTime, cmd: NvmeCommand) -> ArrayPath {
+        assert!(self.is_alive(), "issue on a failed array");
+        let at_device = self.fabric.submit_command(device, at);
+        ArrayPath {
             at_device,
-            dev_done,
+            dev_done: self.devices[device].submit(at_device, cmd).completes_at,
+            ..ArrayPath::default()
         }
     }
 
-    /// Carries device `device`'s completion of `bytes` back through
-    /// the PCIe fabric; returns when it reaches the array host.
-    pub fn completion_to_host(&mut self, device: usize, dev_done: SimTime, bytes: u64) -> SimTime {
-        self.fabric.deliver_completion(device, dev_done, bytes)
+    /// Carries `device`'s completion of `bytes` from `path.dev_done`
+    /// back through the fabric; sets `path.at_host`.
+    #[inline]
+    pub fn to_host(&mut self, device: usize, bytes: u64, path: &mut ArrayPath) {
+        path.at_host = self.fabric.deliver_completion(device, path.dev_done, bytes);
     }
 
-    /// Runs the array-side completion path: IRQ delivery, reaper
-    /// wakeup under `policy`, and the completion CPU charge. Counts
-    /// one completion against this array.
+    /// Delivers `device`'s completion interrupt at `path.at_host`; sets
+    /// `path.wake_ready` and counts one interrupt.
+    #[inline]
+    pub fn interrupt(&mut self, device: usize, path: &mut ArrayPath) {
+        path.wake_ready = self.host.deliver_irq(device, path.at_host).wake_ready;
+        self.interrupts += 1;
+    }
+
+    /// Wakes the reaping task on `cpu` at `path.wake_ready` under
+    /// `policy` and runs `work` there; sets `path.run_start` and
+    /// `path.reap_end`.
+    #[inline]
     pub fn reap(
         &mut self,
-        device: usize,
-        at_host: SimTime,
+        cpu: CpuId,
         policy: SchedPolicy,
-        reap_cost: SimDuration,
-    ) -> ReapTimes {
-        let cpu = self.cpus[device];
-        let irq = self.host.deliver_irq(device, at_host);
-        let (run_start, _) = self.host.wake_io_task(cpu, irq.wake_ready, policy);
-        let reap_end = self.host.charge_cpu(cpu, run_start, reap_cost);
-        self.completions += 1;
-        ReapTimes {
-            wake_ready: irq.wake_ready,
-            run_start,
-            reap_end,
-        }
+        work: SimDuration,
+        path: &mut ArrayPath,
+    ) {
+        path.run_start = self.host.wake_io_task(cpu, path.wake_ready, policy).0;
+        path.reap_end = self.host.charge_cpu(cpu, path.run_start, work);
     }
 
-    /// Completions reaped on this array (primaries and secondaries
-    /// alike — this is what the stitched manifest sums so secondary
-    /// arrays' work is visible).
-    pub fn completions(&self) -> u64 {
-        self.completions
+    /// Completion interrupts delivered on this array — every reap on a
+    /// fleet array, secondaries included, so the stitched manifest
+    /// sees the whole fleet's work.
+    pub fn interrupts(&self) -> u64 {
+        self.interrupts
     }
 
-    /// Spawns one background burst on the array host at `now`.
-    pub fn spawn_background(&mut self, now: SimTime) {
+    /// Spawns one background burst on the array host at `now`; returns
+    /// when the next one arrives.
+    #[inline]
+    pub fn background(&mut self, now: SimTime) -> SimTime {
         self.host.spawn_background(now);
-    }
-
-    /// When the array host's next background burst arrives.
-    pub fn next_background_arrival(&mut self, now: SimTime) -> SimTime {
         self.host.next_background_arrival(now)
     }
 }
@@ -189,84 +174,60 @@ mod tests {
 
     fn tiny_array(seed: u64) -> ArrayInstance {
         let topo = CpuTopology::xeon_e5_2690_v2_dual();
-        let cpus = vec![CpuId(0), CpuId(1)];
         let mut host = HostModel::new(
             topo,
             KernelConfig::stock(),
             BackgroundConfig::centos7_desktop(),
             seed,
         );
-        host.init_vectors(cpus.clone(), seed);
+        host.init_vectors(vec![CpuId(0), CpuId(1)], seed);
         let devices = (0..2)
             .map(|d| SsdDevice::new(SsdSpec::table1(), FirmwareProfile::production(), seed ^ d))
             .collect();
-        ArrayInstance::new(host, PcieFabric::paper_single_host(2), devices, cpus)
+        ArrayInstance::new(host, PcieFabric::paper_single_host(2), devices)
     }
 
     #[test]
     fn io_path_timestamps_are_monotone() {
         let mut array = tiny_array(11);
         let t0 = SimTime::from_nanos(1_000);
-        let ingest = array.ingest(
-            t0,
-            0,
-            NvmeCommand::read(64, 4096),
-            SimDuration::nanos(1_500),
-        );
-        assert!(ingest.submit_end > t0);
-        assert!(ingest.at_device > ingest.submit_end);
-        assert!(ingest.dev_done > ingest.at_device);
-        let at_host = array.completion_to_host(0, ingest.dev_done, 4096);
-        assert!(at_host > ingest.dev_done);
-        let reap = array.reap(
-            0,
-            at_host,
+        let submit_end = array.charge(CpuId(0), t0, SimDuration::nanos(1_500));
+        assert!(submit_end > t0);
+        let mut path = array.issue(0, submit_end, NvmeCommand::read(64, 4096));
+        assert!(path.at_device > submit_end);
+        assert!(path.dev_done > path.at_device);
+        array.to_host(0, 4096, &mut path);
+        assert!(path.at_host > path.dev_done);
+        array.interrupt(0, &mut path);
+        assert!(path.wake_ready >= path.at_host);
+        array.reap(
+            CpuId(0),
             SchedPolicy::default_fair(),
             SimDuration::nanos(1_300),
+            &mut path,
         );
-        assert!(reap.wake_ready >= at_host);
-        assert!(reap.run_start >= reap.wake_ready);
-        assert!(reap.reap_end > reap.run_start);
-        assert_eq!(array.completions(), 1);
+        assert!(path.run_start >= path.wake_ready);
+        assert!(path.reap_end > path.run_start);
+        assert_eq!(array.interrupts(), 1);
+        let stamps = path.stamps();
+        assert!(stamps.windows(2).all(|w| w[0].1 <= w[1].1));
+        assert_eq!(stamps[5], (Cause::CpuWork, path.reap_end));
     }
 
     #[test]
-    fn degraded_arrays_pay_the_penalty_on_ingest() {
-        let mut healthy = tiny_array(42);
-        let mut degraded = tiny_array(42);
-        degraded.degrade(SimDuration::micros(200));
-        let t0 = SimTime::from_nanos(5_000);
-        let cmd = NvmeCommand::read(0, 4096);
-        let a = healthy.ingest(t0, 1, cmd, SimDuration::nanos(1_500));
-        let b = degraded.ingest(t0, 1, cmd, SimDuration::nanos(1_500));
-        let delta = b.submit_end.saturating_since(a.submit_end);
-        assert!(
-            delta >= SimDuration::micros(200),
-            "degraded ingest starts late: {delta:?}"
-        );
-        assert!(degraded.is_alive(), "degraded still serves");
-    }
-
-    #[test]
-    #[should_panic(expected = "ingest on a failed array")]
+    #[should_panic(expected = "issue on a failed array")]
     fn dead_arrays_refuse_ingest() {
         let mut array = tiny_array(7);
         array.kill();
         assert!(!array.is_alive());
-        array.ingest(
-            SimTime::ZERO,
-            0,
-            NvmeCommand::read(0, 4096),
-            SimDuration::nanos(1_500),
-        );
+        assert_eq!(array.health(), ArrayHealth::Failed);
+        array.issue(0, SimTime::ZERO, NvmeCommand::read(0, 4096));
     }
 
     #[test]
     fn background_arrivals_advance() {
         let mut array = tiny_array(3);
         let t0 = SimTime::from_nanos(10_000);
-        let next = array.next_background_arrival(t0);
-        assert!(next > t0);
-        array.spawn_background(t0);
+        assert!(array.background(t0) > t0);
     }
 }

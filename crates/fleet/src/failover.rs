@@ -5,10 +5,6 @@
 //! ```text
 //!             kill(t)                    (not modeled: repair)
 //!   Healthy ─────────────► Failed ──────────────────────────►
-//!      │                     ▲
-//!      │ degrade(extra)      │ kill(t)
-//!      ▼                     │
-//!   Degraded ────────────────┘
 //! ```
 //!
 //! and per open sub-I/O on a killed array:
@@ -33,27 +29,9 @@ use crate::placement::place_among;
 pub enum ArrayHealth {
     /// Serving normally.
     Healthy,
-    /// Serving, but every ingest pays the given extra latency (brownout:
-    /// a failing fan, a rebuild storm, a flapping link).
-    Degraded(SimDuration),
     /// Dead: accepts nothing, completes nothing. In-flight I/O is
     /// lost and must fail over.
     Failed,
-}
-
-impl ArrayHealth {
-    /// Whether the array accepts new I/O.
-    pub fn is_alive(&self) -> bool {
-        !matches!(self, ArrayHealth::Failed)
-    }
-
-    /// Extra per-ingest latency in the current state.
-    pub fn ingest_penalty(&self) -> SimDuration {
-        match self {
-            ArrayHealth::Degraded(extra) => *extra,
-            _ => SimDuration::ZERO,
-        }
-    }
 }
 
 /// Exponential backoff with bounded attempts for failed-over sub-I/Os.
@@ -143,18 +121,6 @@ pub fn heal_jobs(volumes: u64, pre_kill: &[usize], dead: usize, r: usize) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn health_states_gate_ingest() {
-        assert!(ArrayHealth::Healthy.is_alive());
-        assert!(ArrayHealth::Degraded(SimDuration::micros(50)).is_alive());
-        assert!(!ArrayHealth::Failed.is_alive());
-        assert_eq!(ArrayHealth::Healthy.ingest_penalty(), SimDuration::ZERO);
-        assert_eq!(
-            ArrayHealth::Degraded(SimDuration::micros(50)).ingest_penalty(),
-            SimDuration::micros(50)
-        );
-    }
 
     #[test]
     fn backoff_doubles_then_exhausts() {

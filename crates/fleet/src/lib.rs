@@ -17,12 +17,15 @@
 //!   property (removing one of N arrays moves only the placements that
 //!   lived there), and [`ReadPolicy`] for how reads use the replicas,
 //! * [`ArrayInstance`] — one array's full serving stack (host model,
-//!   PCIe fabric, SSDs) exposed as stage methods so N arrays compose
-//!   under one DES clock,
+//!   PCIe fabric, SSDs) exposed as stage methods that take the CPU
+//!   doing the work and fill in each command's [`ArrayPath`], so N
+//!   arrays compose under one DES clock. All three serving worlds
+//!   cross their array through it: the fleet's, the request-level
+//!   tail-at-scale frontend and the closed-loop striped volume,
 //! * [`ArrayHealth`] / [`RetryPolicy`] / [`heal_jobs`] — the fault
-//!   side: kill or degrade an array mid-run, back off and retry open
-//!   requests onto surviving replicas, and derive the re-replication
-//!   work that restores R while competing with foreground I/O.
+//!   side: kill an array mid-run, back off and retry open requests
+//!   onto surviving replicas, and derive the re-replication work that
+//!   restores R while competing with foreground I/O.
 //!
 //! # Example
 //!
@@ -49,7 +52,7 @@ mod failover;
 mod hop;
 mod placement;
 
-pub use array::{ArrayInstance, IngestTimes, ReapTimes};
+pub use array::{ArrayInstance, ArrayPath};
 pub use failover::{heal_jobs, ArrayHealth, HealJob, RetryPolicy};
 pub use hop::{HopSpec, NetHop, NetLink};
 pub use placement::{place_among, rendezvous_score, ReadPolicy};

@@ -53,6 +53,21 @@ impl RequestLedger {
         self.acc = [SimDuration::ZERO; Cause::COUNT];
     }
 
+    /// A ledger tiling the span from `start` through `stamps`: each
+    /// stamp charges the gap since the stamp before it (`start` for the
+    /// first) to its cause, and a stamp earlier than the one before it
+    /// charges zero. Over non-decreasing stamps the charges sum to the
+    /// last stamp minus `start`.
+    pub fn tile(start: SimTime, stamps: &[(Cause, SimTime)]) -> Self {
+        let mut ledger = RequestLedger::new();
+        let mut prev = start;
+        for &(cause, at) in stamps {
+            ledger.charge(cause, at.saturating_since(prev));
+            prev = at;
+        }
+        ledger
+    }
+
     /// Charges `d` to `cause`.
     pub fn charge(&mut self, cause: Cause, d: SimDuration) {
         self.acc[cause as usize] += d;
@@ -549,6 +564,12 @@ mod tests {
         // No hedge was fired, so no loser is owed: a second completion
         // for the dead id is a bug and must be caught.
         book.complete_sub(id, 0, SimTime::from_nanos(900), false);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one sub-I/O")]
+    fn empty_fanout_panics() {
+        RequestBook::new().begin(0, SimTime::ZERO, SimTime::ZERO, &[]);
     }
 
     #[test]

@@ -46,7 +46,6 @@ mod rollup;
 pub mod series;
 mod sketch;
 mod summary;
-pub mod windowed;
 
 pub use histogram::LatencyHistogram;
 pub use json::Json;

@@ -5,9 +5,11 @@
 //! then distributed to many SSDs in parallel as in RAID. In such a
 //! setting, long tail latency of the slowest SSD would decide system's
 //! overall responsiveness" — the *tail at scale* effect. This crate
-//! provides the address-mapping and request-tracking substrate; the
-//! whole-system tail-at-scale experiment lives in
-//! `afa-core::experiment`.
+//! provides the address mapping: [`StripedVolume`] splits a request
+//! into per-member [`SubIo`]s. Requests in flight are settled on
+//! `afa_frontend::RequestBook` (first completion wins, the slowest
+//! sub decides), and the whole-system tail-at-scale experiments live
+//! in `afa-core::experiment`.
 //!
 //! # Example
 //!
@@ -25,7 +27,5 @@
 #![warn(missing_docs)]
 
 mod stripe;
-mod tracker;
 
 pub use stripe::{StripeConfig, StripedVolume, SubIo};
-pub use tracker::{ClientRequest, FinishedRequest, RequestTracker};

@@ -2,8 +2,7 @@
 //! first-party [`afa_sim::check`] harness.
 
 use afa_sim::check::run_cases;
-use afa_sim::SimTime;
-use afa_volume::{RequestTracker, StripeConfig, StripedVolume};
+use afa_volume::{StripeConfig, StripedVolume};
 
 /// The page mapping is injective and stays within bounds for any
 /// width/unit combination.
@@ -51,67 +50,5 @@ fn map_read_partitions_the_request() {
             let key = volume.map_page(p);
             assert!(covered.contains(&key), "page {p} lost");
         }
-    });
-}
-
-/// A tracked request completes exactly on its last sub-I/O.
-#[test]
-fn tracker_counts_exactly() {
-    run_cases("tracker_counts_exactly", 64, |g| {
-        let fanouts = g.vec_of(1, 50, |g| g.u32_in(1, 32));
-        let mut tracker = RequestTracker::new();
-        let ids: Vec<(u64, u32)> = fanouts
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| (tracker.begin(i, SimTime::ZERO, f), f))
-            .collect();
-        assert_eq!(tracker.in_flight(), ids.len());
-        for (id, fanout) in ids {
-            for k in 0..fanout {
-                let done = tracker.complete_sub(id);
-                if k + 1 == fanout {
-                    assert!(done.is_some(), "must finish on last sub");
-                } else {
-                    assert!(done.is_none(), "finished early at {k}/{fanout}");
-                }
-            }
-        }
-        assert_eq!(tracker.in_flight(), 0);
-    });
-}
-
-/// Timed completion fires exactly once, on the last sub-I/O, and
-/// reports `finished_at` equal to the maximum sub-completion time no
-/// matter the completion order.
-#[test]
-fn tracker_timed_completion_is_the_max() {
-    run_cases("tracker_timed_completion_is_the_max", 64, |g| {
-        let fanout = g.u32_in(1, 32);
-        let issued = SimTime::from_nanos(g.u64_in(0, 1_000));
-        let mut times: Vec<u64> = (0..fanout)
-            .map(|_| issued.as_nanos() + g.u64_in(1, 1_000_000))
-            .collect();
-        let expected_max = *times.iter().max().expect("fanout >= 1");
-        // Complete in a shuffled (index-rotated) order.
-        let rot = g.usize_in(0, fanout as usize);
-        times.rotate_left(rot);
-
-        let mut tracker = RequestTracker::new();
-        let id = tracker.begin(0, issued, fanout);
-        let mut finishes = 0;
-        for (k, &t) in times.iter().enumerate() {
-            match tracker.complete_sub_at(id, SimTime::from_nanos(t)) {
-                Some(done) => {
-                    finishes += 1;
-                    assert_eq!(k as u32 + 1, fanout, "finished before last sub");
-                    assert_eq!(done.finished_at, SimTime::from_nanos(expected_max));
-                    assert_eq!(done.issued_at, issued);
-                    assert_eq!(done.fanout, fanout);
-                }
-                None => assert!((k as u32) < fanout - 1),
-            }
-        }
-        assert_eq!(finishes, 1, "completion must fire exactly once");
-        assert_eq!(tracker.in_flight(), 0);
     });
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example root_cause
 //! ```
 
-use afa::core::experiment::{root_cause, ExperimentScale};
+use afa::core::experiment::{root_cause, ExperimentResult, ExperimentScale};
 use afa::core::TuningStage;
 use afa::sim::SimDuration;
 

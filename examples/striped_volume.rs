@@ -6,7 +6,7 @@
 //! cargo run --release --example striped_volume
 //! ```
 
-use afa::core::experiment::{tail_at_scale, ExperimentScale};
+use afa::core::experiment::{tail_at_scale, ExperimentResult, ExperimentScale};
 use afa::sim::SimDuration;
 use afa::volume::{StripeConfig, StripedVolume};
 

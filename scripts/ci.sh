@@ -4,19 +4,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every cargo command below runs with --locked: a [dependencies] edit in
+# any crate afabench links would otherwise rewrite Cargo.lock or
+# afabench/Cargo.lock silently instead of failing here.
+
 echo "==> cargo build --release --workspace"
-cargo build --release --workspace
+cargo build --locked --release --workspace
 
 echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+cargo test --locked -q --workspace
 
 echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (warnings are errors)"
 # Broken or private intra-doc links are invisible to clippy and the
 # tests; rustdoc is the only check that sees them.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -75,14 +79,14 @@ for exp in ull-crossover; do
 done
 
 echo "==> afabench tests"
-cargo test -q --manifest-path afabench/Cargo.toml
+cargo test --locked -q --manifest-path afabench/Cargo.toml
 
 echo "==> afabench digest pins (five workloads, full scale, seed 42)"
 # The goldens above run at 0.25 s x 8 SSDs; this is the paper-scale
 # exactness check. Each workload's simulation digest must match the pin
 # in afabench/provenance.json, and afabench exits 1 on any pin miss or
 # failed unit. About 1-2 minutes on a 2-vCPU host.
-cargo run --release --manifest-path afabench/Cargo.toml -- run --seed 42
+cargo run --locked --release --manifest-path afabench/Cargo.toml -- run --seed 42
 
 echo "==> whole-system property suite (parallel)"
 # The properties run on parallel test threads: each run manifest reads
@@ -90,7 +94,7 @@ echo "==> whole-system property suite (parallel)"
 # a FusionOverride pins only its own thread and the pool workers that
 # thread fans out to, so no property's simulations can leak into
 # another's artifact or flip its fusion setting.
-cargo test --release --features proptest --test proptests
+cargo test --locked --release --features proptest --test proptests
 
 echo "==> fleet-ladder rate band (release, ignored by default)"
 # The only wall-clock check left in CI, and a ratio within one process:
@@ -101,6 +105,18 @@ echo "==> fleet-ladder rate band (release, ignored by default)"
 # suite; the event counts of the benchmark's five workloads are pinned
 # by the tier-1 test benchmark_workloads_do_pinned_work. Wall-clock cost
 # per simulated I/O is afabench's to measure.
-cargo test --release -p afa-core --lib -- --ignored million_tenant_rung
+# It runs in the environment afabench gives the children it measures:
+# glibc's malloc thresholds fixed (afabench's MALLOC_TUNABLES) and, when
+# taskset exists, pinned to the highest CPU this shell may use. That
+# changes where the step runs, not its band or its estimator.
+cargo test --locked --release -p afa-core --lib --no-run
+ladder=(cargo test --locked --release -p afa-core --lib -- --ignored million_tenant_rung)
+if command -v taskset >/dev/null; then
+    cpu="$(awk '/^Cpus_allowed_list:/ {print $2}' /proc/self/status |
+        tr ',' '\n' | sed 's/.*-//' | sort -n | tail -n 1)"
+    ladder=(taskset -c "$cpu" "${ladder[@]}")
+fi
+GLIBC_TUNABLES=glibc.malloc.mmap_threshold=33554432:glibc.malloc.trim_threshold=67108864 \
+    "${ladder[@]}"
 
 echo "CI OK"

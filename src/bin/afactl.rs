@@ -20,7 +20,7 @@
 
 use std::process::ExitCode;
 
-use afa::core::experiment::{self, root_cause, ExperimentScale};
+use afa::core::experiment::{self, root_cause, ExperimentResult, ExperimentScale};
 use afa::core::profiler::ParallelProfiler;
 use afa::core::{AfaConfig, AfaSystem, TuningStage};
 use afa::sim::SimDuration;

@@ -2,7 +2,7 @@
 //! artifact at test scale without panicking and with sane structure.
 
 use afa::core::experiment::{
-    ablate_gc, ablate_poll, fig10, fig12, fig6, table1, table2, ExperimentScale,
+    ablate_gc, ablate_poll, fig10, fig12, fig6, table1, table2, ExperimentResult, ExperimentScale,
 };
 use afa::core::profiler::ParallelProfiler;
 use afa::core::Table2Row;

@@ -220,7 +220,7 @@ fn benchmark_workloads_do_pinned_work() {
         ("ull-poll-8", array_work(ull_poll_8()),
             "ios=22444 commands=22444 irqs=0 wakes=0"),
         ("tailscale-hedge", serving_work(experiment::tailscale_hedge, 16),
-            "requests=3008 events=110019"),
+            "requests=3008 events=110019 interrupt_reaps=48429"),
         ("fleet-failover", serving_work(experiment::fleet_failover, 8),
             "requests=15480 events=79145 interrupt_reaps=15480"),
     ];
