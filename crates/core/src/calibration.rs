@@ -6,7 +6,9 @@
 //! configurations, the approximate improvement factors, and where the
 //! tail comes from. This module records the paper's reported values so
 //! the experiment harness can print paper-vs-measured side by side,
-//! plus sanity expectations ("bands") used by integration tests.
+//! plus sanity expectations ("bands"). Nothing outside this file reads
+//! the bands yet: ROADMAP item 5 turns them into machine-checked claims
+//! over the registry's artifacts.
 
 /// Values the paper states explicitly, used as reference columns in
 /// the harness output and `EXPERIMENTS.md`.
@@ -54,9 +56,9 @@ pub const PAPER: PaperReference = PaperReference {
     devices_gbps: 108.8,
 };
 
-/// Shape expectations an acceptable reproduction satisfies; used by
-/// integration tests. Bands are intentionally wide — they assert the
-/// phenomenon, not the third digit.
+/// Shape expectations an acceptable reproduction satisfies (checked
+/// only by this module's own tests so far). Bands are intentionally
+/// wide — they assert the phenomenon, not the third digit.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ShapeBand {
     /// Minimum acceptable value.

@@ -63,9 +63,9 @@ pub struct AfaConfig {
     /// Record blktrace-style stage timestamps for the first N I/Os
     /// (0 = off); results land in [`RunResult::traces`](crate::RunResult::traces).
     pub trace_ios: usize,
-    /// Attribute every nanosecond of completion latency to a cause
-    /// (the simulated LTTng analysis of §IV-B/§IV-D); results land in
-    /// [`RunResult::causes`](crate::RunResult::causes).
+    /// Hand the run's cause table (the simulated LTTng analysis of
+    /// §IV-B/§IV-D, which every run flushes) back in
+    /// [`RunResult::causes`](crate::RunResult::causes) too.
     pub attribute_causes: bool,
     /// Capture the settled [`IoLedger`](crate::io_path::IoLedger) of
     /// the first N completed I/Os (0 = off); results land in
@@ -155,7 +155,8 @@ impl AfaConfig {
         self
     }
 
-    /// Enables per-cause latency attribution.
+    /// Returns the run's cause table in
+    /// [`RunResult::causes`](crate::RunResult::causes).
     pub fn with_cause_attribution(mut self, enable: bool) -> Self {
         self.attribute_causes = enable;
         self
@@ -182,12 +183,6 @@ impl AfaConfig {
     /// Sets an explicit geometry (Table II rows).
     pub fn with_geometry(mut self, geometry: CpuSsdGeometry) -> Self {
         self.geometry = geometry;
-        self
-    }
-
-    /// Sets the background workload.
-    pub fn with_background(mut self, background: BackgroundConfig) -> Self {
-        self.background = background;
         self
     }
 

@@ -23,7 +23,9 @@
 //! client CPU + (backoff/hedge wait) + network out + array CPU +
 //! fabric + device + IRQ + scheduler + array reap + network back +
 //! client reap tile the measured latency to the nanosecond
-//! ([`FailoverCell::ledger_mismatches`] is always zero).
+//! ([`FailoverCell::ledger_mismatches`] is always zero). Each cell
+//! flushes the sum of its ledgers ([`FailoverCell::causes`]) as its
+//! budget share.
 
 use std::convert::Infallible;
 
@@ -34,7 +36,7 @@ use afa_fleet::{
 use afa_frontend::{HedgePolicy, RequestBook, RequestLedger, SubCompletion};
 use afa_host::{CpuId, SchedPolicy};
 use afa_sim::metrics::{self, CompletionCounters, FleetCounters, FrontendCounters};
-use afa_sim::trace::Cause;
+use afa_sim::trace::{Cause, CauseAccumulator};
 use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
 use afa_ssd::NvmeCommand;
 use afa_stats::{Json, LatencyHistogram, LatencyProfile, NinesPoint, SketchRollup};
@@ -598,7 +600,7 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
         during: LatencyHistogram::new(),
         after: LatencyHistogram::new(),
         rollup: SketchRollup::new(arrays_n),
-        ledger: RequestLedger::new(),
+        causes: CauseAccumulator::new(),
         ledger_mismatches: 0,
         admitted: 0,
         settled: 0,
@@ -647,6 +649,7 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
             interrupts: world.arrays.iter().map(ArrayInstance::interrupts).sum(),
             ..CompletionCounters::default()
         },
+        causes: world.causes,
         ..Default::default()
     });
     let cell = FailoverCell {
@@ -675,7 +678,7 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
         admitted: world.admitted,
         shed: world.shed,
         stale_drops: world.stale_drops,
-        causes: world.ledger.iter().collect(),
+        causes: world.causes.iter().map(|(c, d, _)| (c, d)).collect(),
         ledger_mismatches: world.ledger_mismatches,
     };
     let extras = RunExtras {
@@ -834,7 +837,9 @@ struct FleetWorld {
     during: LatencyHistogram,
     after: LatencyHistogram,
     rollup: SketchRollup,
-    ledger: RequestLedger,
+    /// Run-wide cause table: each finished request adds one event to
+    /// every cause its ledger charged.
+    causes: CauseAccumulator,
     ledger_mismatches: u64,
     admitted: u64,
     settled: u64,
@@ -1003,7 +1008,7 @@ impl FleetWorld {
                     self.ledger_mismatches += 1;
                 }
                 for (cause, d) in ledger.iter() {
-                    self.ledger.charge(cause, d);
+                    self.causes.add(cause, d, 1);
                 }
             }
         }

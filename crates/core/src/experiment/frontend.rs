@@ -26,7 +26,8 @@
 //! attribution is *exact*: frontend queueing + submit CPU + (hedge
 //! wait) + fabric + device + IRQ + scheduler + reap CPU tile the
 //! measured latency to the nanosecond, counted by
-//! [`ServeCell::ledger_mismatches`] (always zero).
+//! [`ServeCell::ledger_mismatches`] (always zero). Each cell flushes
+//! the sum of its ledgers ([`ServeCell::causes`]) as its budget share.
 
 use std::convert::Infallible;
 
@@ -37,7 +38,7 @@ use afa_frontend::{
 };
 use afa_host::{CpuId, SchedPolicy};
 use afa_sim::metrics::{self, CompletionCounters, FrontendCounters};
-use afa_sim::trace::Cause;
+use afa_sim::trace::{Cause, CauseAccumulator};
 use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
 use afa_ssd::NvmeCommand;
 use afa_stats::{Json, LatencyHistogram, LatencyProfile, NinesPoint};
@@ -378,7 +379,7 @@ fn run_cell(
         sub_scratch: Vec::new(),
         policy: tuning.fio_policy(),
         hist: LatencyHistogram::new(),
-        ledger: RequestLedger::new(),
+        causes: CauseAccumulator::new(),
         ledger_mismatches: 0,
         hedges_fired: 0,
         hedges_won: 0,
@@ -416,6 +417,7 @@ fn run_cell(
             interrupts: world.array.interrupts(),
             ..CompletionCounters::default()
         },
+        causes: world.causes,
         ..Default::default()
     });
     ServeCell {
@@ -432,7 +434,7 @@ fn run_cell(
             })
             .collect(),
         counters,
-        causes: world.ledger.iter().collect(),
+        causes: world.causes.iter().map(|(c, d, _)| (c, d)).collect(),
         ledger_mismatches: world.ledger_mismatches,
     }
 }
@@ -520,7 +522,9 @@ struct FrontendWorld {
     sub_scratch: Vec<afa_volume::SubIo>,
     policy: SchedPolicy,
     hist: LatencyHistogram,
-    ledger: RequestLedger,
+    /// Run-wide cause table: each finished request adds one event to
+    /// every cause its ledger charged.
+    causes: CauseAccumulator,
     ledger_mismatches: u64,
     hedges_fired: u64,
     hedges_won: u64,
@@ -758,7 +762,7 @@ impl ShardWorld for FrontendWorld {
                             self.ledger_mismatches += 1;
                         }
                         for (cause, d) in ledger.iter() {
-                            self.ledger.charge(cause, d);
+                            self.causes.add(cause, d, 1);
                         }
                     }
                 }

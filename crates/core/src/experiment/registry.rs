@@ -11,29 +11,27 @@
 //!   [`registry`] lists one per artifact; [`find`] resolves a name.
 //! * [`run_experiment`] — runs a definition at an [`ExperimentScale`]
 //!   and wraps the result with a [`RunManifest`]: seed, scale, stage,
-//!   wall-clock, sample count, the run's own simulation counters and a
-//!   per-[`Cause`] latency budget measured by a deterministic
-//!   attribution probe.
+//!   wall-clock, sample count, the run's own simulation counters and
+//!   its per-[`Cause`] latency budget, the sum of the ledgers the run
+//!   itself settled.
 //!
 //! Everything in the JSON artifact is a pure function of
 //! `(experiment, scale)` — host wall-clock is carried in the manifest
 //! struct and rendered in tables, but serialized as `null` so two runs
 //! with the same seed emit byte-identical JSON. The manifest's counters
-//! come from an [`afa_sim::metrics::capture`] around the experiment, so
-//! runs sharing a process (threads, a test binary) cannot leak into
-//! each other's artifacts.
+//! and budget come from an [`afa_sim::metrics::capture`] around the
+//! experiment, so runs sharing a process (threads, a test binary)
+//! cannot leak into each other's artifacts.
 
 use std::time::Duration;
 use std::time::Instant;
 
-use afa_sim::metrics::{self, CompletionCounters, FleetCounters, FrontendCounters, FusionCounters};
-use afa_sim::trace::{Cause, CauseBudget};
+use afa_sim::metrics::{self, Counters};
+use afa_sim::trace::Cause;
 use afa_sim::SimDuration;
 use afa_stats::Json;
 
-use crate::config::AfaConfig;
 use crate::experiment::{self, ExperimentScale};
-use crate::system::AfaSystem;
 use crate::tuning::TuningStage;
 
 /// Uniform interface over every experiment's result object.
@@ -306,53 +304,21 @@ pub struct RunManifest {
     /// Host wall-clock time of the run. Rendered in tables only —
     /// serialized as `null` so same-seed JSON is byte-identical.
     pub wall: Duration,
-    /// Simulation events the experiment processed (the attribution
-    /// probe excluded). Table-only, like its wall-dependent sibling
-    /// `events_per_sec`: fusion changes the count, and the JSON
-    /// artifact must stay identical with fusion on or off.
-    pub events_processed: u64,
-    /// DES throughput (`events_processed / wall`). Table-only.
+    /// DES throughput (`counters.events / wall`). Table-only: like the
+    /// fusion counters, the event count changes with fusion, and the
+    /// JSON artifact must stay identical with fusion on or off.
     pub events_per_sec: f64,
-    /// Past-time schedules clamped to the clock by the experiment and
-    /// its attribution probe. Always 0 for a healthy model, so unlike
-    /// the throughput counters it *is* serialized: a non-zero value in
-    /// an artifact is a red flag worth failing CI over.
-    pub clamped_past_schedules: u64,
-    /// Frontend serving-layer counters the experiment flushed. All-zero
-    /// for experiments that never touch the serving layer — and then
-    /// omitted from the JSON artifact, so pre-frontend goldens stay
-    /// byte-identical.
-    pub frontend: FrontendCounters,
-    /// Completion-model counters the experiment flushed (the
-    /// attribution probe's interrupt-reaped I/Os excluded). Serialized
-    /// only when a non-interrupt model reaped something
-    /// ([`CompletionCounters::any_polled`]): every pre-existing golden
-    /// reaps via MSI-X, so keying on plain interrupt counts would
-    /// rewrite them all.
-    pub completion: CompletionCounters,
-    /// Fleet-layer fault counters the experiment flushed. All-zero for
-    /// every non-fleet experiment — and then omitted from the JSON
-    /// artifact, so pre-fleet goldens stay byte-identical.
-    pub fleet: FleetCounters,
-    /// Event-chain fusion counters the experiment flushed. Like
-    /// `events_per_sec` these are table-only: fusion is a scheduling
-    /// optimization whose whole contract is that artifacts are
-    /// byte-identical with it on or off, so serializing its counters
-    /// would violate the very invariant it promises.
-    pub fusion: FusionCounters,
-    /// Per-cause latency budget from the attribution probe.
-    pub budget: CauseBudget,
-    /// Scale the attribution probe ran at (reduced from `scale` to
-    /// keep the probe cheap).
-    pub probe_scale: ExperimentScale,
-    /// Tuning stage the attribution probe ran at
-    /// (`stage.unwrap_or(IrqAffinity)`).
-    pub probe_stage: TuningStage,
+    /// Everything the experiment flushed; `causes` is its latency
+    /// budget, summed over its cells. The JSON always carries the
+    /// clamped past-time schedules (non-zero is a red flag worth
+    /// failing CI over) and otherwise only deterministic parts that moved.
+    pub counters: Counters,
 }
 
 impl RunManifest {
     /// Renders the manifest for humans (includes wall-clock).
     pub fn to_table(&self) -> String {
+        let c = &self.counters;
         let mut out = format!("run manifest — {}\n", self.experiment);
         out.push_str(&format!(
             "scale   : {:.3}s per job, {} SSDs, seed {}\n",
@@ -373,65 +339,62 @@ impl RunManifest {
         out.push('\n');
         out.push_str(&format!(
             "events  : {} ({:.0} events/sec)\n",
-            self.events_processed, self.events_per_sec
+            c.events, self.events_per_sec
         ));
         out.push_str(&format!(
             "clamped : {} past-time schedules\n",
-            self.clamped_past_schedules
+            c.clamped_past
         ));
-        if self.frontend.any() {
+        if c.frontend.any() {
             out.push_str(&format!(
                 "frontend: {} admitted, {} shed, {} hedges fired, {} won\n",
-                self.frontend.requests_admitted,
-                self.frontend.requests_shed,
-                self.frontend.hedges_fired,
-                self.frontend.hedges_won
+                c.frontend.requests_admitted,
+                c.frontend.requests_shed,
+                c.frontend.hedges_fired,
+                c.frontend.hedges_won
             ));
-            if self.frontend.slab_peak_live > 0 || self.frontend.sketch_merges > 0 {
+            if c.frontend.slab_peak_live > 0 || c.frontend.sketch_merges > 0 {
                 out.push_str(&format!(
                     "serving : {} peak live slab slots, {} sketch merges\n",
-                    self.frontend.slab_peak_live, self.frontend.sketch_merges
+                    c.frontend.slab_peak_live, c.frontend.sketch_merges
                 ));
             }
         }
-        if self.fleet.any() {
+        if c.fleet.any() {
             out.push_str(&format!(
                 "fleet   : {} arrays failed, {} failovers, {} retries, {} re-replication I/Os\n",
-                self.fleet.arrays_failed,
-                self.fleet.failovers,
-                self.fleet.retries,
-                self.fleet.rereplication_ios
+                c.fleet.arrays_failed,
+                c.fleet.failovers,
+                c.fleet.retries,
+                c.fleet.rereplication_ios
             ));
         }
-        if self.completion.any() {
+        if c.completion.any() {
             out.push_str(&format!(
                 "reaps   : {} interrupt, {} polled ({} hybrid oversleeps)\n",
-                self.completion.interrupts, self.completion.polls, self.completion.hybrid_sleeps
+                c.completion.interrupts, c.completion.polls, c.completion.hybrid_sleeps
             ));
         }
-        if self.fusion.any() {
+        if c.fusion.any() {
             out.push_str(&format!(
                 "fusion  : {} chains fused, {} defused, {} events elided\n",
-                self.fusion.fused_chains, self.fusion.defused_chains, self.fusion.elided_events
+                c.fusion.fused_chains, c.fusion.defused_chains, c.fusion.elided_events
             ));
         }
-        out.push_str(&format!(
-            "latency budget (probe: '{}' at {:.3}s x {} SSDs):\n",
-            self.probe_stage.label(),
-            self.probe_scale.runtime.as_secs_f64(),
-            self.probe_scale.ssds
-        ));
-        out.push_str(&format!(
-            "  {:<20} {:>12} {:>12}\n",
-            "cause", "total(ms)", "events"
-        ));
-        for &(cause, total, events) in self.budget.rows() {
+        if c.causes.iter().next().is_some() {
+            out.push_str("latency budget (the ledgers this run settled):\n");
             out.push_str(&format!(
-                "  {:<20} {:>12.2} {:>12}\n",
-                cause.label(),
-                total.as_micros_f64() / 1_000.0,
-                events
+                "  {:<20} {:>12} {:>12}\n",
+                "cause", "total(ms)", "events"
             ));
+            for (cause, total, events) in c.causes.iter() {
+                out.push_str(&format!(
+                    "  {:<20} {:>12.2} {:>12}\n",
+                    cause.label(),
+                    total.as_micros_f64() / 1_000.0,
+                    events
+                ));
+            }
         }
         out
     }
@@ -440,70 +403,8 @@ impl RunManifest {
     /// is the one non-deterministic field, and the JSON artifact must
     /// be byte-identical across same-seed runs.
     pub fn to_json(&self) -> Json {
-        let mut doc = self.base_json();
-        // Conditional so experiments that never touch the serving
-        // layer keep their pre-frontend byte-identical artifacts.
-        if self.frontend.any() {
-            let mut fe = Json::obj([
-                (
-                    "requests_admitted",
-                    Json::u64(self.frontend.requests_admitted),
-                ),
-                ("requests_shed", Json::u64(self.frontend.requests_shed)),
-                ("hedges_fired", Json::u64(self.frontend.hedges_fired)),
-                ("hedges_won", Json::u64(self.frontend.hedges_won)),
-            ]);
-            // Per-field conditional: the fleet experiment's slab/sketch
-            // counters appear only when they moved, so the tailscale
-            // artifacts keep their original four-key object.
-            if self.frontend.slab_peak_live > 0 {
-                fe.push("slab_peak_live", Json::u64(self.frontend.slab_peak_live));
-            }
-            if self.frontend.sketch_merges > 0 {
-                fe.push("sketch_merges", Json::u64(self.frontend.sketch_merges));
-            }
-            doc.push("frontend", fe);
-        }
-        // Gated on any_polled(), not any(): every interrupt-only
-        // golden predates this key and must keep its exact bytes.
-        if self.completion.any_polled() {
-            let mut cm = Json::obj([
-                ("interrupts", Json::u64(self.completion.interrupts)),
-                ("polls", Json::u64(self.completion.polls)),
-            ]);
-            if self.completion.hybrid_sleeps > 0 {
-                cm.push("hybrid_sleeps", Json::u64(self.completion.hybrid_sleeps));
-            }
-            doc.push("completion", cm);
-        }
-        // Only fleet experiments move these counters; everything else
-        // keeps its pre-fleet artifact bytes.
-        if self.fleet.any() {
-            doc.push(
-                "fleet",
-                Json::obj([
-                    ("arrays_failed", Json::u64(self.fleet.arrays_failed)),
-                    ("failovers", Json::u64(self.fleet.failovers)),
-                    ("retries", Json::u64(self.fleet.retries)),
-                    ("rereplication_ios", Json::u64(self.fleet.rereplication_ios)),
-                ]),
-            );
-        }
-        // `fusion` is deliberately absent: its counters depend on
-        // whether the fast path engaged, and the artifact must be
-        // byte-identical with fusion on or off.
-        doc
-    }
-
-    fn base_json(&self) -> Json {
-        let causes = Json::arr(self.budget.rows().iter().map(|&(cause, total, events)| {
-            Json::obj([
-                ("cause", Json::str(cause.label())),
-                ("total_us", Json::f64(total.as_micros_f64())),
-                ("events", Json::u64(events)),
-            ])
-        }));
-        Json::obj([
+        let c = &self.counters;
+        let mut doc = Json::obj([
             ("experiment", Json::str(self.experiment)),
             ("seed", Json::u64(self.scale.seed)),
             (
@@ -518,31 +419,76 @@ impl RunManifest {
             ),
             ("stage", stage_json(self.stage)),
             ("samples", Json::u64(self.samples)),
-            (
-                "clamped_past_schedules",
-                Json::u64(self.clamped_past_schedules),
-            ),
+            ("clamped_past_schedules", Json::u64(c.clamped_past)),
             ("wall_ms", Json::Null),
-            (
+        ]);
+        // A run that settles no ledger has nothing to attribute.
+        if c.causes.iter().next().is_some() {
+            let total: SimDuration = c.causes.iter().map(|(_, d, _)| d).sum();
+            let causes = Json::arr(c.causes.iter().map(|(cause, total, events)| {
+                Json::obj([
+                    ("cause", Json::str(cause.label())),
+                    ("total_us", Json::f64(total.as_micros_f64())),
+                    ("events", Json::u64(events)),
+                ])
+            }));
+            doc.push(
                 "budget",
                 Json::obj([
-                    (
-                        "probe",
-                        Json::obj([
-                            ("stage", Json::str(self.probe_stage.label())),
-                            (
-                                "runtime_ms",
-                                Json::f64(self.probe_scale.runtime.as_secs_f64() * 1e3),
-                            ),
-                            ("ssds", Json::u64(self.probe_scale.ssds as u64)),
-                            ("seed", Json::u64(self.probe_scale.seed)),
-                        ]),
-                    ),
-                    ("total_us", Json::f64(self.budget.total().as_micros_f64())),
+                    ("total_us", Json::f64(total.as_micros_f64())),
                     ("causes", causes),
                 ]),
-            ),
-        ])
+            );
+        }
+        // Conditional so experiments that never touch the serving
+        // layer keep their pre-frontend byte-identical artifacts.
+        if c.frontend.any() {
+            let mut fe = Json::obj([
+                ("requests_admitted", Json::u64(c.frontend.requests_admitted)),
+                ("requests_shed", Json::u64(c.frontend.requests_shed)),
+                ("hedges_fired", Json::u64(c.frontend.hedges_fired)),
+                ("hedges_won", Json::u64(c.frontend.hedges_won)),
+            ]);
+            // Per-field conditional: the fleet experiment's slab/sketch
+            // counters appear only when they moved, so the tailscale
+            // artifacts keep their original four-key object.
+            if c.frontend.slab_peak_live > 0 {
+                fe.push("slab_peak_live", Json::u64(c.frontend.slab_peak_live));
+            }
+            if c.frontend.sketch_merges > 0 {
+                fe.push("sketch_merges", Json::u64(c.frontend.sketch_merges));
+            }
+            doc.push("frontend", fe);
+        }
+        // Gated on any_polled(), not any(): every interrupt-only
+        // golden predates this key and must keep its exact bytes.
+        if c.completion.any_polled() {
+            let mut cm = Json::obj([
+                ("interrupts", Json::u64(c.completion.interrupts)),
+                ("polls", Json::u64(c.completion.polls)),
+            ]);
+            if c.completion.hybrid_sleeps > 0 {
+                cm.push("hybrid_sleeps", Json::u64(c.completion.hybrid_sleeps));
+            }
+            doc.push("completion", cm);
+        }
+        // Only fleet experiments move these counters; everything else
+        // keeps its pre-fleet artifact bytes.
+        if c.fleet.any() {
+            doc.push(
+                "fleet",
+                Json::obj([
+                    ("arrays_failed", Json::u64(c.fleet.arrays_failed)),
+                    ("failovers", Json::u64(c.fleet.failovers)),
+                    ("retries", Json::u64(c.fleet.retries)),
+                    ("rereplication_ios", Json::u64(c.fleet.rereplication_ios)),
+                ]),
+            );
+        }
+        // `fusion` is deliberately absent: its counters depend on
+        // whether the fast path engaged, and the artifact must be
+        // byte-identical with fusion on or off.
+        doc
     }
 }
 
@@ -571,59 +517,28 @@ impl ExperimentRun {
 
 /// Runs `def` at `scale` and attaches a [`RunManifest`].
 ///
-/// The manifest's counters are what the experiment
+/// The manifest's counters and latency budget are what the experiment
 /// [`flush`](afa_sim::metrics::flush)ed, on this thread and on the
 /// pool workers it fanned out to; they are passed on to the enclosing
-/// capture (or the process totals) afterwards. The per-cause latency
-/// budget comes from a separate deterministic *probe* run with
-/// attribution enabled, at the experiment's stage (or the fully tuned
-/// kernel for multi-stage experiments) and a reduced scale, so the
-/// budget is cheap and reproducible even for experiments that don't
-/// attribute causes themselves.
+/// capture (or the process totals) afterwards. The budget is the cause
+/// table of the ledgers the experiment itself settled, so nothing runs
+/// besides the experiment.
 pub fn run_experiment(def: &ExperimentDef, scale: ExperimentScale) -> ExperimentRun {
     let t0 = Instant::now();
     let (result, run) = metrics::capture(|| def.run(scale));
     let wall = t0.elapsed();
     let events_per_sec = run.events as f64 / wall.as_secs_f64().max(1e-9);
-
-    let probe_runtime = if scale.runtime > SimDuration::millis(250) {
-        SimDuration::millis(250)
-    } else {
-        scale.runtime
-    };
-    let probe_scale = ExperimentScale::new(probe_runtime, scale.ssds.min(8), scale.seed);
-    let probe_stage = def.stage.unwrap_or(TuningStage::IrqAffinity);
-    let probe = AfaSystem::run(
-        &AfaConfig::paper(probe_stage)
-            .with_ssds(probe_scale.ssds)
-            .with_runtime(probe_scale.runtime)
-            .with_seed(probe_scale.seed)
-            .with_cause_attribution(true),
-    );
-    let budget = probe.causes.expect("attribution enabled").budget();
-    // A past-time schedule anywhere in the run, experiment or probe,
-    // taints the artifact.
-    let clamped_past_schedules = run.clamped_past + probe.clamped_past_schedules;
     metrics::flush(run);
 
-    let samples = result.samples();
     ExperimentRun {
         manifest: RunManifest {
             experiment: def.name,
             scale,
             stage: def.stage,
-            samples,
+            samples: result.samples(),
             wall,
-            events_processed: run.events,
             events_per_sec,
-            clamped_past_schedules,
-            frontend: run.frontend,
-            completion: run.completion,
-            fleet: run.fleet,
-            fusion: run.fusion,
-            budget,
-            probe_scale,
-            probe_stage,
+            counters: run,
         },
         result,
     }
@@ -645,6 +560,7 @@ pub fn cause_rows_json(rows: &[(Cause, f64, u64, f64)]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afa_sim::trace::CauseAccumulator;
 
     #[test]
     fn registry_has_at_least_twenty_unique_names() {
@@ -684,8 +600,57 @@ mod tests {
         let rendered = manifest.to_string();
         assert!(rendered.contains("\"wall_ms\":null"), "{rendered}");
         assert!(rendered.contains("\"experiment\":\"table2\""));
-        assert!(!run.manifest.budget.is_empty(), "probe budget missing");
-        assert!(run.manifest.to_table().contains("latency budget"));
+        // table2 simulates nothing, so it has no latency to attribute.
+        assert!(!rendered.contains("\"budget\""), "{rendered}");
+    }
+
+    #[test]
+    fn runs_without_ledgers_carry_no_budget() {
+        let scale = ExperimentScale::new(SimDuration::millis(40), 4, 3);
+        for name in ["table2", "multihost", "fleet-arrival", "tailscale"] {
+            let run = run_experiment(find(name).expect("registered"), scale);
+            let rendered = run.manifest.to_json().to_string();
+            assert!(!rendered.contains("\"budget\""), "{name}: {rendered}");
+            assert!(!run.manifest.to_table().contains("latency budget"));
+        }
+    }
+
+    /// The budget is the run's own cause table: for fig06 the one
+    /// `AfaSystem::run` hands back with attribution on, for
+    /// tailscale-hedge the sum of its cells' tables.
+    #[test]
+    fn budget_is_the_runs_own_cause_table() {
+        let scale = ExperimentScale::quick();
+        let fig = run_experiment(find("fig06").expect("registered"), scale);
+        let config = crate::AfaConfig::paper(TuningStage::Default)
+            .with_ssds(scale.ssds)
+            .with_runtime(scale.runtime)
+            .with_seed(scale.seed)
+            .with_cause_attribution(true);
+        assert_eq!(
+            Some(fig.manifest.counters.causes),
+            crate::AfaSystem::run(&config).causes
+        );
+        assert!(fig.manifest.to_table().contains("latency budget"));
+
+        let scale = ExperimentScale::new(SimDuration::millis(60), 4, 11);
+        let hedge = run_experiment(find("tailscale-hedge").expect("registered"), scale);
+        let mut cells = CauseAccumulator::new();
+        for (cause, d) in experiment::tailscale_hedge(scale)
+            .cells
+            .iter()
+            .flat_map(|c| &c.causes)
+        {
+            cells.add(*cause, *d, 0);
+        }
+        for cause in Cause::ALL {
+            assert_eq!(
+                hedge.manifest.counters.causes.total(cause),
+                cells.total(cause),
+                "{cause}"
+            );
+        }
+        assert!(cells.total(Cause::FrontendQueue) > SimDuration::ZERO);
     }
 
     #[test]
@@ -693,7 +658,7 @@ mod tests {
         let def = find("fig06").expect("fig06 registered");
         let run = run_experiment(def, ExperimentScale::quick());
         assert_eq!(
-            run.manifest.clamped_past_schedules, 0,
+            run.manifest.counters.clamped_past, 0,
             "model scheduled into the past"
         );
         let rendered = run.manifest.to_json().to_string();
@@ -709,10 +674,10 @@ mod tests {
         let def = find("tailscale-hedge").expect("tailscale-hedge registered");
         let run = run_experiment(def, ExperimentScale::new(SimDuration::millis(60), 4, 11));
         assert!(
-            run.manifest.frontend.any(),
+            run.manifest.counters.frontend.any(),
             "serving layer must flush counters"
         );
-        assert!(run.manifest.frontend.requests_admitted > 0);
+        assert!(run.manifest.counters.frontend.requests_admitted > 0);
         let rendered = run.manifest.to_json().to_string();
         assert!(
             rendered.contains("\"frontend\":{\"requests_admitted\":"),
@@ -726,11 +691,11 @@ mod tests {
         let def = find("fleet-failover").expect("fleet-failover registered");
         let run = run_experiment(def, ExperimentScale::new(SimDuration::millis(60), 6, 11));
         assert!(
-            run.manifest.fleet.any(),
+            run.manifest.counters.fleet.any(),
             "fleet layer must flush fault counters"
         );
         assert_eq!(
-            run.manifest.fleet.arrays_failed,
+            run.manifest.counters.fleet.arrays_failed,
             TuningStage::ALL.len() as u64,
             "one kill per stage cell"
         );
@@ -740,14 +705,16 @@ mod tests {
             "{rendered}"
         );
         assert!(run.manifest.to_table().contains("fleet   : "));
+        // The fleet's request ledgers charge network time.
+        assert!(run.manifest.counters.causes.total(Cause::Network) > SimDuration::ZERO);
         // Secondary-array work is stitched into the completion totals
         // even though the manifest omits the interrupt-only key.
-        assert!(run.manifest.completion.interrupts > 0);
+        assert!(run.manifest.counters.completion.interrupts > 0);
 
         // A non-fleet experiment must not grow the key.
         let fig = find("fig06").expect("fig06 registered");
         let fig_run = run_experiment(fig, ExperimentScale::quick());
-        assert!(!fig_run.manifest.fleet.any());
+        assert!(!fig_run.manifest.counters.fleet.any());
         let fig_json = fig_run.manifest.to_json().to_string();
         assert!(!fig_json.contains("\"fleet\""), "{fig_json}");
     }
@@ -759,7 +726,7 @@ mod tests {
         let def = find("fig06").expect("fig06 registered");
         let run = run_experiment(def, ExperimentScale::quick());
         assert!(
-            run.manifest.events_processed > 0,
+            run.manifest.counters.events > 0,
             "no events counted for a simulation-backed experiment"
         );
         assert!(run.manifest.events_per_sec > 0.0);
@@ -783,11 +750,11 @@ mod tests {
         let def = find("ablate-poll").expect("ablate-poll registered");
         let run = run_experiment(def, ExperimentScale::quick());
         assert!(
-            run.manifest.fusion.fused_chains > 0,
+            run.manifest.counters.fusion.fused_chains > 0,
             "fusion never engaged on a polled QD1 run"
         );
         assert!(
-            run.manifest.fusion.elided_events > 0,
+            run.manifest.counters.fusion.elided_events > 0,
             "fused chains must elide per-stage events"
         );
         let table = run.manifest.to_table();

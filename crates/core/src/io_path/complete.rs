@@ -4,8 +4,8 @@
 //! Reaping runs inline on the woken (or spinning) thread. Once the
 //! reap instant is known, [`IoPathWorld::finish_io`] settles the
 //! ledger and derives every instrumentation view from it in one place:
-//! the run-wide cause budget, the blktrace stage trace, the optional
-//! ledger log, and the job's latency sample.
+//! the run's cause table (every I/O), the blktrace stage trace, the
+//! optional ledger log, and the job's latency sample.
 
 use afa_host::{CpuId, HostModel};
 use afa_sim::trace::Cause;
@@ -83,7 +83,7 @@ pub(crate) fn poll_reap(
 
 impl IoPathWorld {
     /// Retires one I/O: settles its parked ledger *in the slab* and
-    /// derives every instrumentation view from it — cause budget,
+    /// derives every instrumentation view from it — cause table,
     /// blktrace stamps, ledger log — then records the job's latency
     /// sample and recycles the slot. The only ledger copy the I/O
     /// ever pays is the optional ledger-log capture.
@@ -96,9 +96,7 @@ impl IoPathWorld {
     ) {
         let ledger = &mut self.ledger_slab[id as usize];
         ledger.settle();
-        if let Some(causes) = &mut self.causes {
-            ledger.flush_causes(causes);
-        }
+        ledger.flush_causes(&mut self.causes);
         let lp = self.job_lp[job];
         if let Some(tracers) = &mut self.tracers {
             ledger.flush_trace(&mut tracers[lp]);

@@ -3,10 +3,11 @@
 //!
 //! Every stage of the I/O path writes its timing contribution into the
 //! [`IoLedger`] it is handed — the ledger is the *only* instrumentation
-//! channel. Cause attribution ([`CauseAccumulator`]) and blktrace-style
-//! stage traces ([`TraceRecorder`]) are derived views flushed from a
-//! settled ledger at completion time; nothing on the hot path touches
-//! them directly.
+//! channel. At completion every settled ledger folds into the run's
+//! cause table (a [`CauseAccumulator`], flushed with the run's
+//! counters as its manifest budget), and blktrace-style stage traces
+//! ([`TraceRecorder`]) are flushed from it inside their capture
+//! window; nothing on the hot path touches either directly.
 //!
 //! The ledger is `Copy`, heap-free and slab-allocated (see the world's
 //! meta slab), so threading it through the path costs a fixed-size
@@ -157,12 +158,14 @@ impl IoLedger {
         })
     }
 
-    /// Folds the settled ledger into a run-wide cause budget.
+    /// Folds the settled ledger into the run's cause table. After
+    /// [`IoLedger::settle`] every cause with time has a credit, so the
+    /// fold is an element-wise add: a cause the I/O never touched adds
+    /// zero to both columns.
     pub(crate) fn flush_causes(&self, acc: &mut CauseAccumulator) {
-        for i in 0..Cause::COUNT {
-            if self.credits[i] > 0 {
-                acc.add(Cause::ALL[i], self.causes[i], u64::from(self.credits[i]));
-            }
+        for cause in Cause::ALL {
+            let i = cause.index();
+            acc.add(cause, self.causes[i], u64::from(self.credits[i]));
         }
     }
 
@@ -297,7 +300,6 @@ mod tests {
 
     #[test]
     fn flush_matches_equivalent_records() {
-        use afa_sim::trace::TraceSink;
         let mut ledger = IoLedger::begin(SimTime::ZERO);
         ledger.credit(Cause::CpuWork, SimDuration::nanos(1_800));
         ledger.accrue(Cause::Fabric, SimDuration::micros(1));
@@ -309,21 +311,14 @@ mod tests {
         let mut from_ledger = CauseAccumulator::new();
         ledger.flush_causes(&mut from_ledger);
 
-        // What the pre-ledger world recorded for the same I/O.
+        // The same I/O attributed one event at a time: each credit is
+        // an event, and the two accrued fabric legs settle into one.
         let mut reference = CauseAccumulator::new();
-        reference.record(SimTime::ZERO, 0, Cause::CpuWork, SimDuration::nanos(1_800));
-        reference.record(SimTime::ZERO, 0, Cause::CpuWork, SimDuration::nanos(1_300));
-        reference.record(SimTime::ZERO, 0, Cause::Fabric, SimDuration::micros(3));
-        reference.record(
-            SimTime::ZERO,
-            0,
-            Cause::DeviceService,
-            SimDuration::micros(25),
-        );
-        assert_eq!(
-            from_ledger.iter().collect::<Vec<_>>(),
-            reference.iter().collect::<Vec<_>>()
-        );
+        reference.add(Cause::CpuWork, SimDuration::nanos(1_800), 1);
+        reference.add(Cause::CpuWork, SimDuration::nanos(1_300), 1);
+        reference.add(Cause::Fabric, SimDuration::micros(3), 1);
+        reference.add(Cause::DeviceService, SimDuration::micros(25), 1);
+        assert_eq!(from_ledger, reference);
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! Every stage writes its timing contribution into the I/O's
 //! [`IoLedger`], parked in the *owning worker's* slab for the I/O's
 //! whole life (events carry only a `LedgerId`; cross events carry
-//! the scalar outcomes of remote stages). Cause attribution, blktrace
+//! the scalar outcomes of remote stages). The run's cause table, blktrace
 //! stage records and the optional ledger log all derive from the
 //! settled ledger in one place (`IoPathWorld::finish_io`), in
 //! place, with no per-I/O copies in or out of the slab.
@@ -69,7 +69,7 @@ use model::CompletionModel;
 use afa_host::{BgPlacement, CpuId, HostModel, IrqDelivery, IrqOutcome};
 use afa_pcie::{PcieFabric, SharedLegReservation};
 use afa_sim::metrics::{CompletionCounters, FusionCounters};
-use afa_sim::trace::Cause;
+use afa_sim::trace::{Cause, CauseAccumulator};
 use afa_sim::{ShardCtx, ShardWorld, SimDuration, SimTime};
 use afa_ssd::SsdDevice;
 use afa_workload::{JobState, Op};
@@ -290,7 +290,8 @@ pub(crate) struct IoPathWorld {
     pub(crate) fabric: PcieFabric,
     pub(crate) devices: Vec<SsdDevice>,
     pub(crate) jobs: Vec<JobState>,
-    pub(crate) causes: Option<afa_sim::trace::CauseAccumulator>,
+    /// The run's cause table: every settled ledger folds in.
+    pub(crate) causes: CauseAccumulator,
     /// Per-worker-LP blktrace windows. Capture caps apply *per LP*,
     /// so the set of recorded I/Os is a property of each LP's event
     /// stream.
@@ -362,7 +363,6 @@ impl IoPathWorld {
         jobs: Vec<JobState>,
         geometry: CpuSsdGeometry,
         horizon: SimTime,
-        causes: Option<afa_sim::trace::CauseAccumulator>,
         tracer: Option<crate::blktrace::TraceRecorder>,
         ledger_log: Option<LedgerLog>,
         coalescing: Option<IrqCoalescing>,
@@ -394,7 +394,7 @@ impl IoPathWorld {
             jobs,
             geometry,
             horizon,
-            causes,
+            causes: CauseAccumulator::new(),
             tracers: tracer.map(|t| vec![t; WORKER_LPS]),
             ledger_logs: ledger_log.map(|l| vec![l; WORKER_LPS]),
             completions: CompletionCounters::default(),

@@ -144,8 +144,8 @@ pub fn check_jobs(specs: &[JobSpec]) -> Result<(), String> {
 pub struct RunResult {
     /// Per-device job reports, indexed like the geometry.
     pub reports: Vec<JobReport>,
-    /// Per-cause latency attribution, when
-    /// [`AfaConfig::attribute_causes`] was set.
+    /// The run's cause table, when [`AfaConfig::attribute_causes`] was
+    /// set (every run [`flush`](afa_sim::metrics::flush)es it).
     pub causes: Option<afa_sim::trace::CauseAccumulator>,
     /// blktrace-style stage traces, when [`AfaConfig::trace_ios`] was
     /// non-zero.
@@ -308,9 +308,6 @@ impl AfaSystem {
             jobs,
             geometry,
             horizon,
-            config
-                .attribute_causes
-                .then(afa_sim::trace::CauseAccumulator::new),
             (config.trace_ios > 0).then(|| crate::blktrace::TraceRecorder::new(config.trace_ios)),
             (config.ledger_log > 0).then(|| LedgerLog::new(config.ledger_log)),
             config.irq_coalescing,
@@ -358,13 +355,14 @@ impl AfaSystem {
         metrics::flush(metrics::Counters {
             completion: world.completions,
             fusion: world.fusion,
+            causes: world.causes,
             ..Default::default()
         });
         // Capture windows are per worker LP (see `IoPathWorld`); merge
         // them into one run-wide window.
         RunResult {
             reports: world.jobs.into_iter().map(JobState::into_report).collect(),
-            causes: world.causes,
+            causes: config.attribute_causes.then_some(world.causes),
             traces: world
                 .tracers
                 .map(|parts| crate::blktrace::TraceRecorder::merged(config.trace_ios, parts)),

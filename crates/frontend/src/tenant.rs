@@ -66,12 +66,6 @@ impl TenantSpec {
         self.queue_cap = cap;
         self
     }
-
-    /// Sets the latency SLO target.
-    pub fn slo_target(mut self, slo: SloTarget) -> Self {
-        self.slo = slo;
-        self
-    }
 }
 
 #[cfg(test)]

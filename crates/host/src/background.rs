@@ -170,11 +170,6 @@ impl BackgroundConfig {
         }
         (idx, self.classes[idx].burst.sample(rng))
     }
-
-    /// Samples one burst length (class-agnostic convenience).
-    pub fn sample_burst_len(&self, rng: &mut SimRng) -> SimDuration {
-        self.sample_burst(rng).1
-    }
 }
 
 /// One background burst occupying a CPU, with its precomputed

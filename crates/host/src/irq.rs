@@ -93,11 +93,6 @@ impl VectorTable {
         self.designated[device]
     }
 
-    /// All designated CPUs, one per device (may repeat).
-    pub fn designated_cpus(&self) -> &[CpuId] {
-        &self.designated
-    }
-
     /// Times the balancer has reshuffled.
     pub fn rebalances(&self) -> u64 {
         self.rebalances

@@ -305,11 +305,6 @@ impl HostModel {
         &self.costs
     }
 
-    /// Overrides the cost constants (ablations).
-    pub fn set_costs(&mut self, costs: SchedCosts) {
-        self.costs = costs;
-    }
-
     /// Host-wide counters.
     pub fn stats(&self) -> &HostStats {
         &self.stats

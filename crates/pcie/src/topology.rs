@@ -187,11 +187,6 @@ impl PcieFabric {
         self.stats
     }
 
-    /// Usable bandwidth of one host uplink, bytes/second.
-    pub fn uplink_bandwidth(&self) -> f64 {
-        LinkSpec::gen3_x16().bytes_per_sec()
-    }
-
     fn leaf_index(&self, a: SlotAssignment) -> usize {
         a.leaf as usize * SPINES + a.spine as usize
     }

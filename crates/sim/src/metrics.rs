@@ -4,7 +4,8 @@
 //! finishes (batched, so the per-event hot path pays nothing): the
 //! [`ShardedSim`](crate::ShardedSim) engine its processed and clamped
 //! events, the experiment worlds their serving, completion, fleet and
-//! fusion tallies. A flush lands in the innermost [`capture`] open on
+//! fusion tallies and the cause table of the ledgers they settled. A
+//! flush lands in the innermost [`capture`] open on
 //! the calling thread, so a harness that wraps a run in `capture` gets
 //! exactly that run's [`Counters`] — whatever else runs in the process
 //! at the same time. A flush outside any capture adds to the process
@@ -18,11 +19,13 @@
 //!
 //! The event and fusion counts are engine throughput figures — keep
 //! rates derived from them out of byte-stable artifacts. The serving,
-//! completion and fleet counts are simulation-deterministic, so
-//! harnesses may serialize them.
+//! completion and fleet counts and the cause table are
+//! simulation-deterministic, so harnesses may serialize them.
 
 use std::cell::RefCell;
 use std::sync::{LazyLock, Mutex};
+
+use crate::trace::CauseAccumulator;
 
 /// Everything one run counts, flushed once when it finishes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -41,6 +44,9 @@ pub struct Counters {
     pub fleet: FleetCounters,
     /// Macro-event fusion counters.
     pub fusion: FusionCounters,
+    /// Per-cause latency and attribution events of every ledger the
+    /// run settled (empty for a run that keeps no ledger).
+    pub causes: CauseAccumulator,
 }
 
 impl Counters {
@@ -68,6 +74,7 @@ impl Counters {
         fu.fused_chains += o.fused_chains;
         fu.defused_chains += o.defused_chains;
         fu.elided_events += o.elided_events;
+        self.causes.merge(&other.causes);
     }
 }
 
@@ -280,10 +287,17 @@ pub fn fusion_totals() -> FusionCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Cause;
+    use crate::SimDuration;
 
     /// A value with a distinct multiple of `k` in every field, so a
     /// dropped or crossed field in [`Counters::add`] shows.
     fn every_field(k: u64) -> Counters {
+        let mut causes = CauseAccumulator::new();
+        for (i, cause) in Cause::ALL.into_iter().enumerate() {
+            let i = i as u64;
+            causes.add(cause, SimDuration::nanos((19 + i) * k), (35 + i) * k);
+        }
         Counters {
             events: k,
             clamped_past: 2 * k,
@@ -311,6 +325,7 @@ mod tests {
                 defused_chains: 17 * k,
                 elided_events: 18 * k,
             },
+            causes,
         }
     }
 

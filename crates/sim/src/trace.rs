@@ -1,14 +1,11 @@
-//! Cause-attribution trace hooks.
+//! Cause attribution.
 //!
-//! The paper root-causes tail-latency samples with LTTng. The simulated
-//! analogue is a [`TraceSink`] that components notify whenever a latency
-//! contribution is incurred, tagged with a [`Cause`]. Experiments
-//! fold settled ledgers into a [`CauseAccumulator`] to obtain a
-//! per-cause latency budget.
+//! The paper root-causes tail-latency samples with LTTng. In the
+//! simulation every slice of an I/O's latency is tagged with a
+//! [`Cause`] in that I/O's ledger, and the ledgers a run settles fold
+//! into one [`CauseAccumulator`]: the run's per-cause latency budget.
 
-use std::collections::BTreeMap;
-
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Why a slice of latency was incurred on an I/O's critical path.
 ///
@@ -119,31 +116,29 @@ impl std::fmt::Display for Cause {
     }
 }
 
-/// Receives latency attributions as the simulation runs.
-pub trait TraceSink {
-    /// Records that `amount` of latency attributed to `cause` was
-    /// incurred at `time` (e.g. by I/O tracked under `tag`).
-    fn record(&mut self, time: SimTime, tag: u64, cause: Cause, amount: SimDuration);
-}
-
-/// Accumulates total latency per cause — the simulated analogue of an
-/// LTTng post-processing pass.
+/// Total latency and attribution events per cause: the run's cause
+/// table, the simulated analogue of an LTTng post-processing pass.
+///
+/// A fixed, `Copy` table indexed by [`Cause::index`], so folding a
+/// settled ledger is one add per cell and runs merge element-wise;
+/// [`Counters::causes`](crate::metrics::Counters::causes) carries one
+/// per run.
 ///
 /// # Example
 ///
 /// ```
-/// use afa_sim::trace::{Cause, CauseAccumulator, TraceSink};
-/// use afa_sim::{SimDuration, SimTime};
+/// use afa_sim::trace::{Cause, CauseAccumulator};
+/// use afa_sim::SimDuration;
 ///
 /// let mut acc = CauseAccumulator::new();
-/// acc.record(SimTime::ZERO, 0, Cause::DeviceService, SimDuration::micros(20));
-/// acc.record(SimTime::ZERO, 0, Cause::SchedulerDelay, SimDuration::micros(900));
+/// acc.add(Cause::DeviceService, SimDuration::micros(20), 1);
+/// acc.add(Cause::SchedulerDelay, SimDuration::micros(900), 1);
 /// assert_eq!(acc.dominant(), Some(Cause::SchedulerDelay));
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CauseAccumulator {
-    totals: BTreeMap<Cause, SimDuration>,
-    counts: BTreeMap<Cause, u64>,
+    totals: [SimDuration; Cause::COUNT],
+    counts: [u64; Cause::COUNT],
 }
 
 impl CauseAccumulator {
@@ -154,88 +149,44 @@ impl CauseAccumulator {
 
     /// Total latency attributed to `cause` so far.
     pub fn total(&self, cause: Cause) -> SimDuration {
-        self.totals
-            .get(&cause)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
+        self.totals[cause.index()]
     }
 
-    /// Number of attributions recorded for `cause`.
+    /// Number of attribution events recorded for `cause`.
     pub fn count(&self, cause: Cause) -> u64 {
-        self.counts.get(&cause).copied().unwrap_or(0)
+        self.counts[cause.index()]
     }
 
-    /// The cause with the largest accumulated latency, if any.
+    /// The cause with the largest accumulated latency, if any (the
+    /// last in cause order on a tie).
     pub fn dominant(&self) -> Option<Cause> {
-        self.totals.iter().max_by_key(|&(_, d)| *d).map(|(&c, _)| c)
+        self.iter().max_by_key(|&(_, d, _)| d).map(|(c, _, _)| c)
     }
 
-    /// Iterates over `(cause, total, count)` triples in cause order.
+    /// Iterates over `(cause, total, count)` triples in cause order,
+    /// skipping causes nothing was attributed to.
     pub fn iter(&self) -> impl Iterator<Item = (Cause, SimDuration, u64)> + '_ {
-        self.totals
-            .iter()
-            .map(move |(&c, &d)| (c, d, self.count(c)))
+        Cause::ALL.iter().filter_map(move |&c| {
+            let (d, n) = (self.total(c), self.count(c));
+            (n > 0 || !d.is_zero()).then_some((c, d, n))
+        })
     }
 
-    /// Adds a pre-aggregated contribution: `total` latency over
-    /// `events` attribution events. This is how settled per-I/O
-    /// ledgers fold into the run-wide budget — equivalent to `events`
-    /// individual [`TraceSink::record`] calls summing to `total`.
+    /// Adds `total` latency over `events` attribution events to
+    /// `cause`. Adding zero to both changes nothing, so a settled
+    /// ledger folds in with one unconditional add per cause.
+    #[inline]
     pub fn add(&mut self, cause: Cause, total: SimDuration, events: u64) {
-        if events == 0 && total.is_zero() {
-            return;
-        }
-        *self.totals.entry(cause).or_insert(SimDuration::ZERO) += total;
-        *self.counts.entry(cause).or_insert(0) += events;
+        self.totals[cause.index()] += total;
+        self.counts[cause.index()] += events;
     }
 
     /// Folds another accumulator's attributions into this one (used to
-    /// aggregate budgets across parallel runs).
+    /// sum the cause tables of several runs).
     pub fn merge(&mut self, other: &CauseAccumulator) {
-        for (cause, total, count) in other.iter() {
-            *self.totals.entry(cause).or_insert(SimDuration::ZERO) += total;
-            *self.counts.entry(cause).or_insert(0) += count;
+        for cause in Cause::ALL {
+            self.add(cause, other.total(cause), other.count(cause));
         }
-    }
-
-    /// A frozen snapshot of the per-cause budget, for run manifests.
-    pub fn budget(&self) -> CauseBudget {
-        CauseBudget {
-            rows: self.iter().collect(),
-        }
-    }
-}
-
-/// An immutable per-cause latency budget captured from one run — the
-/// manifest-friendly snapshot of a [`CauseAccumulator`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CauseBudget {
-    rows: Vec<(Cause, SimDuration, u64)>,
-}
-
-impl CauseBudget {
-    /// `(cause, total, events)` rows in cause order.
-    pub fn rows(&self) -> &[(Cause, SimDuration, u64)] {
-        &self.rows
-    }
-
-    /// Total attributed latency across all causes.
-    pub fn total(&self) -> SimDuration {
-        self.rows
-            .iter()
-            .fold(SimDuration::ZERO, |acc, &(_, d, _)| acc + d)
-    }
-
-    /// Whether any attribution was captured.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-}
-
-impl TraceSink for CauseAccumulator {
-    fn record(&mut self, _time: SimTime, _tag: u64, cause: Cause, amount: SimDuration) {
-        *self.totals.entry(cause).or_insert(SimDuration::ZERO) += amount;
-        *self.counts.entry(cause).or_insert(0) += 1;
     }
 }
 
@@ -246,14 +197,9 @@ mod tests {
     #[test]
     fn accumulator_sums_and_counts() {
         let mut acc = CauseAccumulator::new();
-        acc.record(SimTime::ZERO, 1, Cause::Fabric, SimDuration::micros(2));
-        acc.record(SimTime::ZERO, 2, Cause::Fabric, SimDuration::micros(3));
-        acc.record(
-            SimTime::ZERO,
-            3,
-            Cause::Housekeeping,
-            SimDuration::micros(500),
-        );
+        acc.add(Cause::Fabric, SimDuration::micros(2), 1);
+        acc.add(Cause::Fabric, SimDuration::micros(3), 1);
+        acc.add(Cause::Housekeeping, SimDuration::micros(500), 1);
         assert_eq!(acc.total(Cause::Fabric), SimDuration::micros(5));
         assert_eq!(acc.count(Cause::Fabric), 2);
         assert_eq!(acc.total(Cause::CpuWork), SimDuration::ZERO);
@@ -274,11 +220,21 @@ mod tests {
     }
 
     #[test]
-    fn iter_lists_recorded_causes() {
+    fn iter_lists_only_attributed_causes() {
         let mut acc = CauseAccumulator::new();
-        acc.record(SimTime::ZERO, 0, Cause::CpuWork, SimDuration::micros(1));
+        acc.add(Cause::CpuWork, SimDuration::micros(1), 1);
+        // Zero time over zero events attributes nothing.
+        acc.add(Cause::Fabric, SimDuration::ZERO, 0);
+        // Zero time over one event still counts the event.
+        acc.add(Cause::Other, SimDuration::ZERO, 1);
         let items: Vec<_> = acc.iter().collect();
-        assert_eq!(items, vec![(Cause::CpuWork, SimDuration::micros(1), 1)]);
+        assert_eq!(
+            items,
+            vec![
+                (Cause::CpuWork, SimDuration::micros(1), 1),
+                (Cause::Other, SimDuration::ZERO, 1)
+            ]
+        );
     }
 
     #[test]
@@ -290,46 +246,15 @@ mod tests {
     }
 
     #[test]
-    fn add_is_equivalent_to_individual_records() {
-        let mut by_record = CauseAccumulator::new();
-        by_record.record(SimTime::ZERO, 0, Cause::Fabric, SimDuration::micros(2));
-        by_record.record(SimTime::ZERO, 1, Cause::Fabric, SimDuration::micros(3));
-        let mut by_add = CauseAccumulator::new();
-        by_add.add(Cause::Fabric, SimDuration::micros(5), 2);
-        by_add.add(Cause::CpuWork, SimDuration::ZERO, 0); // no-op
-        assert_eq!(
-            by_record.iter().collect::<Vec<_>>(),
-            by_add.iter().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn merge_sums_totals_and_counts() {
         let mut a = CauseAccumulator::new();
         let mut b = CauseAccumulator::new();
-        a.record(SimTime::ZERO, 0, Cause::Fabric, SimDuration::micros(2));
-        b.record(SimTime::ZERO, 1, Cause::Fabric, SimDuration::micros(3));
-        b.record(SimTime::ZERO, 2, Cause::CpuWork, SimDuration::micros(1));
+        a.add(Cause::Fabric, SimDuration::micros(2), 1);
+        b.add(Cause::Fabric, SimDuration::micros(3), 1);
+        b.add(Cause::CpuWork, SimDuration::micros(1), 1);
         a.merge(&b);
         assert_eq!(a.total(Cause::Fabric), SimDuration::micros(5));
         assert_eq!(a.count(Cause::Fabric), 2);
         assert_eq!(a.count(Cause::CpuWork), 1);
-    }
-
-    #[test]
-    fn budget_snapshot_matches_accumulator() {
-        let mut acc = CauseAccumulator::new();
-        acc.record(SimTime::ZERO, 0, Cause::Fabric, SimDuration::micros(2));
-        acc.record(
-            SimTime::ZERO,
-            1,
-            Cause::Housekeeping,
-            SimDuration::micros(7),
-        );
-        let budget = acc.budget();
-        assert_eq!(budget.rows().len(), 2);
-        assert_eq!(budget.total(), SimDuration::micros(9));
-        assert!(!budget.is_empty());
-        assert!(CauseBudget::default().is_empty());
     }
 }

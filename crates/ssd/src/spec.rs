@@ -44,8 +44,9 @@ pub struct SsdSpec {
 /// Which device class backs each SSD in the array.
 ///
 /// The profile is an explicit experiment axis: the paper's evaluation
-/// runs one Table-I device, but ROADMAP item 3 asks where each tuning
-/// stage stops mattering as the device gets faster, which needs a
+/// runs one Table-I device, but the `ull-crossover` sweep asks where
+/// each tuning stage stops mattering as the device gets faster (a
+/// question the paper leaves to its §VI future work), which needs a
 /// second, much faster class to sweep against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum DeviceProfile {

@@ -90,11 +90,6 @@ impl OnlineStats {
         self.population_variance().sqrt()
     }
 
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Smallest sample, or 0.0 if empty.
     pub fn min(&self) -> f64 {
         if self.count == 0 {

@@ -43,11 +43,19 @@ echo "==> golden artifact byte-compare (scaled fig06-fig13, serving, fleet, volu
 # schema shows up here as a diff.
 golden_tmp="$(mktemp -d)"
 trap 'rm -rf "$golden_tmp"' EXIT
+# An artifact from its first ',"data":' on is the experiment's result
+# (no manifest key contains that string); before it is the manifest.
+data_of() { grep -o ',"data":.*' "$1" || true; }
 for fig in fig06 fig07 fig08 fig09 fig10 fig11 fig12 fig13 tailscale-fanout tailscale-hedge fleet-arrival fleet-failover ull-crossover tailscale multihost; do
     ./target/release/afactl exp "$fig" --seconds 0.25 --ssds 8 --seed 42 \
         --json > "$golden_tmp/$fig.json"
     if ! cmp -s "tests/golden/$fig.json" "$golden_tmp/$fig.json"; then
         echo "golden mismatch: $fig artifact differs from tests/golden/$fig.json" >&2
+        if cmp -s <(data_of "tests/golden/$fig.json") <(data_of "$golden_tmp/$fig.json"); then
+            echo "only the manifest moved" >&2
+        else
+            echo "the data object moved" >&2
+        fi
         echo "(if the change is intentional, regenerate the fixture with:" >&2
         echo "  ./target/release/afactl exp $fig --seconds 0.25 --ssds 8 --seed 42 --json > tests/golden/$fig.json)" >&2
         exit 1

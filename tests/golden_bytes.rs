@@ -1,15 +1,19 @@
-//! Golden artifacts in the default test suite: seven of the committed
-//! fixtures under `tests/golden/`, regenerated at their scale
-//! (0.25 s × 8 SSDs, seed 42) and byte-compared. Besides two paper
-//! figures they cover every world that runs as a one-LP simulation
-//! (serving, fleet, striped volume, multi-host). `scripts/ci.sh`
-//! compares all fifteen through `afactl`.
+//! Golden artifacts in the default test suite: thirteen of the
+//! committed fixtures under `tests/golden/`, regenerated at their scale
+//! (0.25 s × 8 SSDs, seed 42) and byte-compared. They cover the paper
+//! figures fig06–fig12 and every world that runs as a one-LP
+//! simulation (serving, fleet, striped volume, multi-host).
+//! `scripts/ci.sh` compares all fifteen through `afactl`; `fig13` and
+//! `ull-crossover` are left to it because they would more than double
+//! this test's time.
 //!
-//! The seven runs build concurrently, one thread each. Each manifest's
-//! `frontend`, `completion` and `fleet` keys come from its own run's
-//! counters, so a sibling run in the same process must not move a
-//! byte: a counter that leaked between runs (a serving run's
-//! `frontend` key appearing in `fig06`, say) fails the compare.
+//! The thirteen runs build concurrently, one thread each. Each
+//! manifest's `frontend`, `completion` and `fleet` keys and its latency
+//! `budget` come from its own run's counters and cause table, so a
+//! sibling run in the same process must not move a byte: a counter or
+//! cause time that leaked between runs (a serving run's `frontend` key
+//! or `frontend_queue` time appearing in `fig06`, say) fails the
+//! compare.
 
 use afa::core::experiment::{self, ExperimentScale};
 use afa::sim::SimDuration;
@@ -17,11 +21,17 @@ use afa::sim::SimDuration;
 #[test]
 fn golden_artifacts_are_byte_identical() {
     let scale = ExperimentScale::new(SimDuration::from_secs_f64(0.25), 8, 42);
-    // Spawn all seven runs, then join them: they overlap in time.
+    // Spawn all thirteen runs, then join them: they overlap in time.
     let artifacts = std::thread::scope(|s| {
         [
             "fig06",
+            "fig07",
+            "fig08",
+            "fig09",
+            "fig10",
+            "fig11",
             "fig12",
+            "tailscale-fanout",
             "fleet-failover",
             "fleet-arrival",
             "tailscale-hedge",

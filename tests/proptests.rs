@@ -322,7 +322,9 @@ fn ledger_tiles_latency_for_every_completion_model() {
 /// chains fuse: for any scale and seed, a run with the fusion fast path
 /// forced on serializes to exactly the bytes of a run with every chain
 /// forced down the per-stage path — including the manifest's per-cause
-/// latency budget. Each case checks one drawn interrupt experiment
+/// latency budget, which is the run's own cause table, so `ablate-poll`'s
+/// polled runs put their fused chains' settled ledgers into the
+/// byte-compared bytes. Each case checks one drawn interrupt experiment
 /// (fig06–fig09, fig11), which must fuse nothing even with fusion
 /// forced on, and `ablate-poll`, whose busy-polled half must actually
 /// fuse (a gate that silently declines everything would pass the
@@ -346,7 +348,7 @@ fn fusion_on_and_off_produce_identical_artifacts() {
             let run = |fuse: bool| {
                 let _fusion = FusionOverride::set(fuse);
                 let run = afa::core::experiment::run_experiment(def, scale);
-                (run.to_json().to_string(), run.manifest.fusion)
+                (run.to_json().to_string(), run.manifest.counters.fusion)
             };
             let (fused_json, fused_tally) = run(true);
             let (unfused_json, unfused_tally) = run(false);

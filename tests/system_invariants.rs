@@ -47,6 +47,26 @@ fn interrupts_match_completions_under_libaio() {
     assert_eq!(r.fabric_stats.commands, completed);
 }
 
+/// The run's cause table is the fold of every ledger it settled, cause
+/// by cause, in time and in events (the ledger log holds every I/O).
+#[test]
+fn cause_table_is_the_fold_of_every_settled_ledger() {
+    let config = AfaConfig::paper(TuningStage::Default)
+        .with_ssds(2)
+        .with_runtime(SimDuration::millis(20))
+        .with_seed(42)
+        .with_ledger_log(1 << 16);
+    let (result, counts) = metrics::capture(|| AfaSystem::run(&config));
+    let log = result.ledgers.expect("ledger log enabled");
+    let completed: u64 = result.reports.iter().map(|rep| rep.completed()).sum();
+    assert_eq!(log.entries().len() as u64, completed, "log missed an I/O");
+    let mut folded = afa::sim::trace::CauseAccumulator::new();
+    for (cause, total, events) in log.entries().iter().flat_map(|io| io.ledger.rows()) {
+        folded.add(cause, total, events);
+    }
+    assert_eq!(counts.causes, folded);
+}
+
 #[test]
 fn fabric_conserves_bytes() {
     let r = quick(TuningStage::Chrt, 6, 80, 6);
