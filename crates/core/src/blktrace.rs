@@ -1,15 +1,20 @@
-//! blktrace-style per-I/O stage tracing.
+//! blktrace-style per-I/O stage traces.
 //!
 //! The paper's methodology family is fio + blktrace/LTTng-style
-//! instrumentation. This module records, for a window of I/Os, every
-//! stage timestamp on the completion path and renders them in a
+//! instrumentation. This module names the five stages on the
+//! completion path and renders one I/O's stage timestamps in a
 //! blkparse-like text format, so individual tail samples can be read
-//! end to end ("where did these 600 µs go?").
+//! end to end ("where did these 600 µs go?"). The capture itself is
+//! the run's ledger log (`AfaConfig::with_ledger_log`): each settled
+//! ledger carries the stamps, and
+//! [`CompletedIo::trace`](crate::io_path::CompletedIo::trace) renders
+//! its [`IoTrace`].
 
 use afa_sim::SimTime;
 
 /// Stages of one I/O's life, in path order (blkparse action letters
-/// in parentheses).
+/// in parentheses). A stage's discriminant is its slot in
+/// [`IoTrace::stamps`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IoStage {
     /// Submitted by the application thread (Q — queued).
@@ -26,6 +31,15 @@ pub enum IoStage {
 }
 
 impl IoStage {
+    /// Every stage, in path order.
+    pub const ALL: [IoStage; 5] = [
+        IoStage::Queue,
+        IoStage::Dispatch,
+        IoStage::DeviceComplete,
+        IoStage::IrqHandled,
+        IoStage::Reaped,
+    ];
+
     /// The blkparse-style action letter.
     pub fn letter(self) -> char {
         match self {
@@ -39,6 +53,20 @@ impl IoStage {
 }
 
 /// One traced I/O with its five stage timestamps.
+///
+/// # Example
+///
+/// ```
+/// use afa_core::blktrace::IoTrace;
+/// use afa_sim::SimTime;
+///
+/// let mut stamps = [SimTime::ZERO; 5];
+/// stamps[0] = SimTime::from_nanos(100);
+/// stamps[4] = SimTime::from_nanos(33_000);
+/// let trace = IoTrace { device: 0, lba: 42, stamps };
+/// assert_eq!(trace.total().as_nanos(), 32_900);
+/// assert!(trace.to_text(0).contains(" R lba 336 + 8"));
+/// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IoTrace {
     /// Device index.
@@ -59,18 +87,9 @@ impl IoTrace {
     /// Renders one blkparse-like line per reached stage.
     pub fn to_text(&self, seq: usize) -> String {
         let mut out = String::new();
-        for (i, stage) in [
-            IoStage::Queue,
-            IoStage::Dispatch,
-            IoStage::DeviceComplete,
-            IoStage::IrqHandled,
-            IoStage::Reaped,
-        ]
-        .iter()
-        .enumerate()
-        {
-            let t = self.stamps[i];
-            if t == SimTime::ZERO && i > 0 {
+        for stage in IoStage::ALL {
+            let t = self.stamps[stage as usize];
+            if t == SimTime::ZERO && stage != IoStage::Queue {
                 continue; // stage skipped
             }
             out.push_str(&format!(
@@ -86,100 +105,6 @@ impl IoTrace {
     }
 }
 
-/// Records stage timestamps for the first `capacity` I/Os of a run.
-///
-/// # Example
-///
-/// ```
-/// use afa_core::blktrace::{IoStage, TraceRecorder};
-/// use afa_sim::SimTime;
-///
-/// let mut rec = TraceRecorder::new(10);
-/// let id = rec.begin(0, 42, SimTime::from_nanos(100)).unwrap();
-/// rec.stamp(id, IoStage::Dispatch, SimTime::from_nanos(1_500));
-/// rec.stamp(id, IoStage::Reaped, SimTime::from_nanos(33_000));
-/// assert_eq!(rec.traces().len(), 1);
-/// assert_eq!(rec.traces()[0].total().as_nanos(), 32_900);
-/// ```
-#[derive(Clone, Debug)]
-pub struct TraceRecorder {
-    traces: Vec<IoTrace>,
-    capacity: usize,
-}
-
-impl TraceRecorder {
-    /// Creates a recorder that keeps at most `capacity` I/Os.
-    pub fn new(capacity: usize) -> Self {
-        TraceRecorder {
-            traces: Vec::with_capacity(capacity.min(1 << 20)),
-            capacity,
-        }
-    }
-
-    /// Starts tracing one I/O; returns its trace id, or `None` when
-    /// the window is full (callers then skip stamping).
-    pub fn begin(&mut self, device: usize, lba: u64, queued_at: SimTime) -> Option<usize> {
-        if self.traces.len() >= self.capacity {
-            return None;
-        }
-        let mut stamps = [SimTime::ZERO; 5];
-        stamps[0] = queued_at;
-        self.traces.push(IoTrace {
-            device,
-            lba,
-            stamps,
-        });
-        Some(self.traces.len() - 1)
-    }
-
-    /// Records a stage timestamp.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn stamp(&mut self, id: usize, stage: IoStage, at: SimTime) {
-        let idx = match stage {
-            IoStage::Queue => 0,
-            IoStage::Dispatch => 1,
-            IoStage::DeviceComplete => 2,
-            IoStage::IrqHandled => 3,
-            IoStage::Reaped => 4,
-        };
-        self.traces[id].stamps[idx] = at;
-    }
-
-    /// The recorded traces.
-    pub fn traces(&self) -> &[IoTrace] {
-        &self.traces
-    }
-
-    /// Stitches per-LP recorders into one run-wide window: every
-    /// worker LP traced its own first `capacity` I/Os, so the union is
-    /// a superset of the global window — sort by queue instant
-    /// (device, then LBA, as deterministic tie-breaks) and keep the
-    /// first `capacity`.
-    pub(crate) fn merged(capacity: usize, parts: Vec<TraceRecorder>) -> Self {
-        let mut traces: Vec<IoTrace> = parts.into_iter().flat_map(|p| p.traces).collect();
-        traces.sort_by_key(|t| (t.stamps[0], t.device, t.lba));
-        traces.truncate(capacity);
-        TraceRecorder { traces, capacity }
-    }
-
-    /// The slowest recorded I/O, if any.
-    pub fn slowest(&self) -> Option<&IoTrace> {
-        self.traces.iter().max_by_key(|t| t.total())
-    }
-
-    /// Renders all traces in blkparse-like text.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (seq, trace) in self.traces.iter().enumerate() {
-            out.push_str(&trace.to_text(seq));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,66 +115,27 @@ mod tests {
     }
 
     #[test]
-    fn records_and_caps() {
-        let mut rec = TraceRecorder::new(2);
-        assert!(rec.begin(0, 1, t_us(1)).is_some());
-        assert!(rec.begin(1, 2, t_us(2)).is_some());
-        assert!(rec.begin(2, 3, t_us(3)).is_none(), "window full");
-        assert_eq!(rec.traces().len(), 2);
-    }
-
-    #[test]
-    fn stamps_land_in_order_slots() {
-        let mut rec = TraceRecorder::new(1);
-        let id = rec.begin(5, 100, t_us(10)).unwrap();
-        rec.stamp(id, IoStage::Dispatch, t_us(12));
-        rec.stamp(id, IoStage::DeviceComplete, t_us(37));
-        rec.stamp(id, IoStage::IrqHandled, t_us(40));
-        rec.stamp(id, IoStage::Reaped, t_us(43));
-        let tr = rec.traces()[0];
-        assert_eq!(tr.stamps[0], t_us(10));
-        assert_eq!(tr.stamps[4], t_us(43));
-        assert_eq!(tr.total(), SimDuration::micros(33));
-    }
-
-    #[test]
-    fn slowest_finds_the_tail_sample() {
-        let mut rec = TraceRecorder::new(3);
-        for (i, lat) in [30u64, 600, 31].iter().enumerate() {
-            let id = rec.begin(i, i as u64, t_us(0)).unwrap();
-            rec.stamp(id, IoStage::Reaped, t_us(*lat));
-        }
-        assert_eq!(rec.slowest().unwrap().device, 1);
-    }
-
-    #[test]
     fn text_format_is_blkparse_like() {
-        let mut rec = TraceRecorder::new(1);
-        let id = rec.begin(0, 10, t_us(1)).unwrap();
-        rec.stamp(id, IoStage::Reaped, t_us(34));
-        let text = rec.to_text();
+        let mut stamps = [SimTime::ZERO; 5];
+        stamps[0] = t_us(1);
+        stamps[4] = t_us(34);
+        let text = IoTrace {
+            device: 0,
+            lba: 10,
+            stamps,
+        }
+        .to_text(0);
         assert!(text.contains("nvme0"));
         assert!(text.contains(" Q "));
         assert!(text.contains(" R "));
-        assert!(text.contains("lba 80")); // 10 pages × 8 sectors
-                                          // Skipped stages don't render.
+        // 10 pages × 8 sectors; skipped stages don't render.
+        assert!(text.contains("lba 80"));
         assert!(!text.contains(" D "));
     }
 
     #[test]
     fn stage_letters_unique() {
-        let letters = ['Q', 'D', 'C', 'I', 'R'];
-        for (i, s) in [
-            IoStage::Queue,
-            IoStage::Dispatch,
-            IoStage::DeviceComplete,
-            IoStage::IrqHandled,
-            IoStage::Reaped,
-        ]
-        .iter()
-        .enumerate()
-        {
-            assert_eq!(s.letter(), letters[i]);
-        }
+        let letters = IoStage::ALL.map(IoStage::letter);
+        assert_eq!(letters, ['Q', 'D', 'C', 'I', 'R']);
     }
 }

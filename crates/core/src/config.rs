@@ -47,8 +47,6 @@ pub struct AfaConfig {
     /// custom SMART policies); `None` uses the tuning stage's
     /// firmware.
     pub firmware_override: Option<afa_ssd::FirmwareProfile>,
-    /// Per-job issue-rate cap (fio's `rate_iops`); `None` = unpaced.
-    pub rate_iops: Option<u64>,
     /// Kernel-config replacement for the tuning stage's (the tick,
     /// C-state and RCU ablations, future-work prototypes).
     pub kernel_override: Option<afa_host::KernelConfig>,
@@ -60,15 +58,13 @@ pub struct AfaConfig {
     /// Each spec must target a distinct device; unpinned jobs get the
     /// paper's Fig. 5 CPU for their device.
     pub jobs_override: Option<Vec<JobSpec>>,
-    /// Record blktrace-style stage timestamps for the first N I/Os
-    /// (0 = off); results land in [`RunResult::traces`](crate::RunResult::traces).
-    pub trace_ios: usize,
     /// Hand the run's cause table (the simulated LTTng analysis of
     /// §IV-B/§IV-D, which every run flushes) back in
     /// [`RunResult::causes`](crate::RunResult::causes) too.
     pub attribute_causes: bool,
     /// Capture the settled [`IoLedger`](crate::io_path::IoLedger) of
-    /// the first N completed I/Os (0 = off); results land in
+    /// the run's first N reaps (0 = off), the run's one per-I/O
+    /// record: results, blktrace stamps included, land in
     /// [`RunResult::ledgers`](crate::RunResult::ledgers).
     pub ledger_log: usize,
     /// Device class for every SSD in the array (Table-I 25 µs default,
@@ -99,11 +95,9 @@ impl AfaConfig {
             block_size: 4096,
             iodepth: 1,
             firmware_override: None,
-            rate_iops: None,
             kernel_override: None,
             irq_coalescing: None,
             jobs_override: None,
-            trace_ios: 0,
             attribute_causes: false,
             ledger_log: 0,
             device_profile: DeviceProfile::Table1,
@@ -117,20 +111,8 @@ impl AfaConfig {
         SimDuration::nanos(nominal.as_nanos() * HYBRID_SLEEP_PERCENT / 100)
     }
 
-    /// Caps each job's issue rate (fio's `rate_iops`).
-    pub fn with_rate_iops(mut self, iops: u64) -> Self {
-        self.rate_iops = Some(iops);
-        self
-    }
-
-    /// Records blktrace-style stage timestamps for the first `n` I/Os.
-    pub fn with_io_tracing(mut self, n: usize) -> Self {
-        self.trace_ios = n;
-        self
-    }
-
-    /// Captures the settled per-I/O ledgers of the first `n`
-    /// completed I/Os.
+    /// Captures the settled per-I/O ledgers of the run's first `n`
+    /// reaps.
     pub fn with_ledger_log(mut self, n: usize) -> Self {
         self.ledger_log = n;
         self

@@ -15,6 +15,7 @@ use crate::config::AfaConfig;
 use crate::experiment::registry::ExperimentResult;
 use crate::experiment::{run_parallel, ExperimentScale};
 use crate::tuning::TuningStage;
+use crate::RunResult;
 
 /// One ablation's sweep: `(setting, mean µs, p99999 µs, max µs)` rows.
 #[derive(Clone, Debug)]
@@ -23,6 +24,8 @@ pub struct AblationResult {
     pub title: String,
     /// Sweep rows.
     pub rows: Vec<(String, f64, f64, f64)>,
+    /// I/Os the sweep's runs completed.
+    pub samples: u64,
 }
 
 impl ExperimentResult for AblationResult {
@@ -70,6 +73,10 @@ impl ExperimentResult for AblationResult {
         ])
     }
 
+    fn samples(&self) -> u64 {
+        self.samples
+    }
+
     fn headline_max_us(&self) -> Option<f64> {
         self.rows
             .iter()
@@ -78,7 +85,31 @@ impl ExperimentResult for AblationResult {
     }
 }
 
-fn worst_metrics(result: &crate::RunResult) -> (f64, f64, f64) {
+/// Runs one configuration per sweep setting (in parallel) and reports
+/// each run's worst metrics under the label `label` gives it (from the
+/// setting's index and the run).
+fn sweep(
+    title: &str,
+    configs: Vec<AfaConfig>,
+    label: impl Fn(usize, &RunResult) -> String,
+) -> AblationResult {
+    let results = run_parallel(configs);
+    let rows = results
+        .iter()
+        .enumerate()
+        .map(|(i, result)| {
+            let (mean, p5, max) = worst_metrics(result);
+            (label(i, result), mean, p5, max)
+        })
+        .collect();
+    AblationResult {
+        title: title.to_owned(),
+        rows,
+        samples: results.iter().map(RunResult::completed).sum(),
+    }
+}
+
+fn worst_metrics(result: &RunResult) -> (f64, f64, f64) {
     let mut mean = 0.0f64;
     let mut p5 = 0.0f64;
     let mut max = 0.0f64;
@@ -110,19 +141,11 @@ pub fn ablate_tick(scale: ExperimentScale) -> AblationResult {
             config
         })
         .collect();
-    let results = run_parallel(configs);
-    let rows = rates
-        .iter()
-        .zip(results.iter())
-        .map(|(&hz, result)| {
-            let (mean, p5, max) = worst_metrics(result);
-            (format!("CONFIG_HZ={hz}"), mean, p5, max)
-        })
-        .collect();
-    AblationResult {
-        title: "Ablation — timer tick rate vs. CFS wake-up tail (default config)".to_owned(),
-        rows,
-    }
+    sweep(
+        "Ablation — timer tick rate vs. CFS wake-up tail (default config)",
+        configs,
+        |i, _| format!("CONFIG_HZ={}", rates[i]),
+    )
 }
 
 /// C-state ablation: the `chrt` stage with different idle policies —
@@ -151,19 +174,11 @@ pub fn ablate_cstate(scale: ExperimentScale) -> AblationResult {
             config
         })
         .collect();
-    let results = run_parallel(configs);
-    let rows = policies
-        .iter()
-        .zip(results.iter())
-        .map(|(&(name, _), result)| {
-            let (mean, p5, max) = worst_metrics(result);
-            (name.to_owned(), mean, p5, max)
-        })
-        .collect();
-    AblationResult {
-        title: "Ablation — idle C-state policy vs. latency (chrt config)".to_owned(),
-        rows,
-    }
+    sweep(
+        "Ablation — idle C-state policy vs. latency (chrt config)",
+        configs,
+        |i, _| policies[i].0.to_owned(),
+    )
 }
 
 /// Housekeeping-protocol ablation (§V's "better housekeeping
@@ -211,19 +226,11 @@ pub fn ablate_smart_period(scale: ExperimentScale) -> AblationResult {
                 .with_firmware(fw.clone())
         })
         .collect();
-    let results = run_parallel(configs);
-    let rows = policies
-        .iter()
-        .zip(results.iter())
-        .map(|((name, _), result)| {
-            let (mean, p5, max) = worst_metrics(result);
-            (name.clone(), mean, p5, max)
-        })
-        .collect();
-    AblationResult {
-        title: "Ablation — SMART housekeeping protocol (irq config)".to_owned(),
-        rows,
-    }
+    sweep(
+        "Ablation — SMART housekeeping protocol (irq config)",
+        configs,
+        |i, _| policies[i].0.clone(),
+    )
 }
 
 /// Interrupt-vs-polling ablation (§V's open question): polling trades
@@ -244,29 +251,17 @@ pub fn ablate_poll(scale: ExperimentScale) -> AblationResult {
                 .with_engine(engine)
         })
         .collect();
-    let results = run_parallel(configs);
-    let rows = engines
-        .iter()
-        .zip(results.iter())
-        .map(|(&(name, _), result)| {
-            let (mean, p5, max) = worst_metrics(result);
+    sweep(
+        "Ablation — interrupt vs. polling completions (irq config)",
+        configs,
+        |i, result| {
             // Measured CPU cost per I/O from the host's charge
             // accounting: polling burns the whole latency spinning.
-            let completed: u64 = result.reports.iter().map(|r| r.completed()).sum();
             let cpu_us_per_io =
-                result.host.stats().io_cpu_busy_ns as f64 / 1e3 / completed.max(1) as f64;
-            (
-                format!("{name} ({cpu_us_per_io:.1}us CPU/io)"),
-                mean,
-                p5,
-                max,
-            )
-        })
-        .collect();
-    AblationResult {
-        title: "Ablation — interrupt vs. polling completions (irq config)".to_owned(),
-        rows,
-    }
+                result.host.stats().io_cpu_busy_ns as f64 / 1e3 / result.completed().max(1) as f64;
+            format!("{} ({cpu_us_per_io:.1}us CPU/io)", engines[i].0)
+        },
+    )
 }
 
 /// Interrupt-coalescing ablation (the §I "interrupt storm" concern):
@@ -312,21 +307,14 @@ pub fn ablate_coalescing(scale: ExperimentScale) -> AblationResult {
             config
         })
         .collect();
-    let results = run_parallel(configs);
-    let rows = settings
-        .iter()
-        .zip(results.iter())
-        .map(|((name, _), result)| {
-            let (mean, p5, max) = worst_metrics(result);
-            let completed: u64 = result.reports.iter().map(|r| r.completed()).sum();
-            let irq_per_io = result.host.stats().irqs as f64 / completed.max(1) as f64;
-            (format!("{name} ({irq_per_io:.2} irq/io)"), mean, p5, max)
-        })
-        .collect();
-    AblationResult {
-        title: "Ablation — NVMe interrupt coalescing at QD4 (exp firmware)".to_owned(),
-        rows,
-    }
+    sweep(
+        "Ablation — NVMe interrupt coalescing at QD4 (exp firmware)",
+        configs,
+        |i, result| {
+            let irq_per_io = result.host.stats().irqs as f64 / result.completed().max(1) as f64;
+            format!("{} ({irq_per_io:.2} irq/io)", settings[i].0)
+        },
+    )
 }
 
 /// RCU-offload ablation: the §IV-C boot line sets `rcu_nocbs` along
@@ -353,20 +341,14 @@ pub fn ablate_rcu(scale: ExperimentScale) -> AblationResult {
             config
         })
         .collect();
-    let results = run_parallel(configs);
-    let rows = variants
-        .iter()
-        .zip(results.iter())
-        .map(|(&(name, _), result)| {
-            let (mean, p5, max) = worst_metrics(result);
+    sweep(
+        "Ablation — rcu_nocbs callback offloading (irq config)",
+        configs,
+        |i, result| {
             let hits = result.host.stats().rcu_softirq_hits;
-            (format!("{name} ({hits} softirq hits)"), mean, p5, max)
-        })
-        .collect();
-    AblationResult {
-        title: "Ablation — rcu_nocbs callback offloading (irq config)".to_owned(),
-        rows,
-    }
+            format!("{} ({hits} softirq hits)", variants[i].0)
+        },
+    )
 }
 
 /// NUMA ablation (the paper's §VI future work: "exploring all-flash
@@ -393,19 +375,11 @@ pub fn ablate_numa(scale: ExperimentScale) -> AblationResult {
                 .with_seed(scale.seed)
         })
         .collect();
-    let results = run_parallel(configs);
-    let rows = placements
-        .iter()
-        .zip(results.iter())
-        .map(|((name, _), result)| {
-            let (mean, p5, max) = worst_metrics(result);
-            (name.to_string(), mean, p5, max)
-        })
-        .collect();
-    AblationResult {
-        title: "Ablation — NUMA placement of fio threads (irq config)".to_owned(),
-        rows,
-    }
+    sweep(
+        "Ablation — NUMA placement of fio threads (irq config)",
+        configs,
+        |i, _| placements[i].0.to_string(),
+    )
 }
 
 /// Results of the GC (non-FOB) ablation.

@@ -1,6 +1,5 @@
 //! Runners for Fig. 6 – Fig. 14.
 
-use afa_sim::SimDuration;
 use afa_stats::series::{median_spike_gap, LogPoint};
 use afa_stats::{Json, LatencyProfile, NinesPoint, OnlineStats, ProfileSummary};
 
@@ -277,6 +276,8 @@ pub fn fig10(scale: ExperimentScale) -> Fig10Scatter {
 pub struct Fig12Comparison {
     /// `(stage, summary)` per kernel configuration, in ladder order.
     pub stages: Vec<(TuningStage, ProfileSummary)>,
+    /// I/Os the four runs completed.
+    pub samples: u64,
 }
 
 impl Fig12Comparison {
@@ -396,6 +397,10 @@ impl ExperimentResult for Fig12Comparison {
         ])
     }
 
+    fn samples(&self) -> u64 {
+        self.samples
+    }
+
     fn headline_max_us(&self) -> Option<f64> {
         Some(self.mean_max_us(TuningStage::Default))
     }
@@ -423,7 +428,10 @@ pub fn fig12(scale: ExperimentScale) -> Fig12Comparison {
             (stage, ProfileSummary::from_profiles(&profiles))
         })
         .collect();
-    Fig12Comparison { stages }
+    Fig12Comparison {
+        stages,
+        samples: results.iter().map(RunResult::completed).sum(),
+    }
 }
 
 /// Results of the Fig. 13 sweep (and the data Fig. 14 aggregates).
@@ -513,6 +521,8 @@ impl ExperimentResult for Fig13Results {
 pub struct Fig14Result {
     /// `(row, summary)` per configuration.
     pub summaries: Vec<(Table2Row, ProfileSummary)>,
+    /// Latency samples behind the summaries (the Fig. 13 runs').
+    pub samples: u64,
 }
 
 impl ExperimentResult for Fig14Result {
@@ -544,6 +554,10 @@ impl ExperimentResult for Fig14Result {
                 ("summary", summary.to_json()),
             ])
         }))
+    }
+
+    fn samples(&self) -> u64 {
+        self.samples
     }
 }
 
@@ -587,16 +601,13 @@ pub fn fig13(scale: ExperimentScale) -> Fig13Results {
     }
 }
 
-/// Fig. 13 and Fig. 14 share the same runs; this returns both views.
-pub fn fig13_and_14(scale: ExperimentScale) -> (Fig13Results, Vec<(Table2Row, ProfileSummary)>) {
-    let results = fig13(scale);
-    let summaries = results.summaries();
-    (results, summaries)
-}
-
 /// Fig. 14: mean and std of each metric for the Fig. 13 setups.
-pub fn fig14(scale: ExperimentScale) -> Vec<(Table2Row, ProfileSummary)> {
-    fig13(scale).summaries()
+pub fn fig14(scale: ExperimentScale) -> Fig14Result {
+    let runs = fig13(scale);
+    Fig14Result {
+        summaries: runs.summaries(),
+        samples: runs.samples(),
+    }
 }
 
 /// Renders the Fig. 14 charts as a table.
@@ -622,16 +633,10 @@ pub fn render_fig14(summaries: &[(Table2Row, ProfileSummary)]) -> String {
     out
 }
 
-// Keep the scale-dependent runtime accessible for fig13's fraction of
-// a second logic if needed later.
-#[allow(dead_code)]
-fn min_runtime() -> SimDuration {
-    SimDuration::millis(10)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afa_sim::SimDuration;
 
     fn quick() -> ExperimentScale {
         ExperimentScale::quick()

@@ -33,7 +33,7 @@ use afa_fleet::{
     heal_jobs, place_among, ArrayInstance, ArrayPath, HealJob, HopSpec, NetHop, ReadPolicy,
     RetryPolicy,
 };
-use afa_frontend::{HedgePolicy, RequestBook, RequestLedger, SubCompletion};
+use afa_frontend::{Handle, HedgePolicy, RequestBook, RequestLedger, SubCompletion};
 use afa_host::{CpuId, SchedPolicy};
 use afa_sim::metrics::{self, CompletionCounters, FleetCounters, FrontendCounters};
 use afa_sim::trace::{Cause, CauseAccumulator};
@@ -867,7 +867,7 @@ impl FleetWorld {
     }
 
     fn route(&self, request: u64) -> Option<&RouteState> {
-        let slot = (request & 0xffff_ffff) as usize;
+        let slot = Handle::from_raw(request).index();
         self.routes
             .get(slot)?
             .as_ref()
@@ -875,7 +875,7 @@ impl FleetWorld {
     }
 
     fn route_mut(&mut self, request: u64) -> Option<&mut RouteState> {
-        let slot = (request & 0xffff_ffff) as usize;
+        let slot = Handle::from_raw(request).index();
         self.routes
             .get_mut(slot)?
             .as_mut()
@@ -946,7 +946,7 @@ impl FleetWorld {
                 }
             }
             SubCompletion::Finished(fin) => {
-                let slot = (request & 0xffff_ffff) as usize;
+                let slot = Handle::from_raw(request).index();
                 let mut route = self.routes[slot]
                     .take()
                     .expect("route for finished request");
@@ -1087,7 +1087,7 @@ impl ShardWorld for FleetWorld {
                 let submit_end = now + CLIENT_SUBMIT;
                 let id = self.book.begin(0, now, now, &subs);
                 self.admitted += 1;
-                let slot = (id & 0xffff_ffff) as usize;
+                let slot = Handle::from_raw(id).index();
                 if slot >= self.routes.len() {
                     self.routes.resize_with(slot + 1, || None);
                 }

@@ -33,8 +33,8 @@ use std::convert::Infallible;
 
 use afa_fleet::{ArrayInstance, ArrayPath};
 use afa_frontend::{
-    AdmissionQueue, ArrivalGen, HedgePolicy, RequestBook, RequestLedger, SloReport, SloTracker,
-    SubCompletion, TenantSpec, TokenBucket, WeightedScheduler,
+    AdmissionQueue, ArrivalGen, Handle, HedgePolicy, RequestBook, RequestLedger, SloReport,
+    SloTracker, SubCompletion, TenantSpec, TokenBucket, WeightedScheduler,
 };
 use afa_host::{CpuId, SchedPolicy};
 use afa_sim::metrics::{self, CompletionCounters, FrontendCounters};
@@ -537,7 +537,7 @@ struct FrontendWorld {
 impl FrontendWorld {
     /// The settle state of open request `request`.
     fn settle(&mut self, request: u64) -> &mut Settle {
-        &mut self.settles[(request & 0xffff_ffff) as usize]
+        &mut self.settles[Handle::from_raw(request).index()]
     }
 
     /// Keeps, per open request, the path of the sub-I/O with the
@@ -643,7 +643,7 @@ impl ShardWorld for FrontendWorld {
                 let submit_cost = SUBMIT_BASE + SUBMIT_PER_SUB * subs.len() as u64;
                 let submit_end = self.array.charge(cpu, now, submit_cost);
                 let request = self.book.begin(tenant, item.arrived_at, now, &subs);
-                let slot = (request & 0xffff_ffff) as usize;
+                let slot = Handle::from_raw(request).index();
                 if slot >= self.settles.len() {
                     self.settles.resize(slot + 1, Settle::default());
                 }

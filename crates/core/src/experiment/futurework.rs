@@ -16,6 +16,7 @@ use crate::config::AfaConfig;
 use crate::experiment::registry::ExperimentResult;
 use crate::experiment::{run_parallel, ExperimentScale};
 use crate::tuning::TuningStage;
+use crate::RunResult;
 
 /// One compared kernel.
 #[derive(Clone, Debug)]
@@ -35,6 +36,8 @@ pub struct FutureWorkRow {
 pub struct FutureWorkResult {
     /// Stock / manual / prototype rows.
     pub rows: Vec<FutureWorkRow>,
+    /// I/Os the three runs completed.
+    pub samples: u64,
 }
 
 impl FutureWorkResult {
@@ -108,6 +111,10 @@ impl ExperimentResult for FutureWorkResult {
         ])
     }
 
+    fn samples(&self) -> u64 {
+        self.samples
+    }
+
     fn headline_max_us(&self) -> Option<f64> {
         self.rows.last().map(|r| r.max_us)
     }
@@ -160,7 +167,10 @@ pub fn future_schedulers(scale: ExperimentScale) -> FutureWorkResult {
             }
         })
         .collect();
-    FutureWorkResult { rows }
+    FutureWorkResult {
+        rows,
+        samples: results.iter().map(RunResult::completed).sum(),
+    }
 }
 
 #[cfg(test)]

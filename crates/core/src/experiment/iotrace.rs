@@ -1,5 +1,6 @@
-//! The blktrace experiment: per-I/O stage timestamps for a window of
-//! I/Os under the fully tuned kernel, rendered blkparse-style.
+//! The blktrace experiment: per-I/O stage timestamps for the first
+//! I/Os a run reaps under the fully tuned kernel, read off the run's
+//! ledger log and rendered blkparse-style.
 
 use afa_stats::Json;
 
@@ -7,10 +8,11 @@ use crate::blktrace::IoTrace;
 use crate::config::AfaConfig;
 use crate::experiment::registry::ExperimentResult;
 use crate::experiment::ExperimentScale;
+use crate::io_path::CompletedIo;
 use crate::system::AfaSystem;
 use crate::tuning::TuningStage;
 
-/// How many I/Os the trace window keeps.
+/// How many I/Os the ledger log keeps.
 const TRACE_WINDOW: usize = 200_000;
 
 /// Result of the blktrace experiment.
@@ -26,15 +28,6 @@ impl IoTraceResult {
     /// The slowest captured I/O.
     pub fn slowest(&self) -> Option<&IoTrace> {
         self.traces.iter().max_by_key(|t| t.total())
-    }
-
-    /// Full blkparse-style text dump.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (seq, trace) in self.traces.iter().enumerate() {
-            out.push_str(&trace.to_text(seq));
-        }
-        out
     }
 
     fn delta_ns(trace: &IoTrace, from: usize, to: usize) -> u64 {
@@ -112,17 +105,17 @@ impl ExperimentResult for IoTraceResult {
     }
 }
 
-/// Runs the tuned configuration with stage tracing enabled.
+/// Runs the tuned configuration with a ledger log and renders each
+/// logged I/O's stage trace.
 pub fn io_trace(scale: ExperimentScale) -> IoTraceResult {
     let config = AfaConfig::paper(TuningStage::IrqAffinity)
         .with_ssds(scale.ssds)
         .with_runtime(scale.runtime)
         .with_seed(scale.seed)
-        .with_io_tracing(TRACE_WINDOW);
-    let result = AfaSystem::run(&config);
-    let recorder = result.traces.expect("tracing enabled");
+        .with_ledger_log(TRACE_WINDOW);
+    let log = AfaSystem::run(&config).ledgers.expect("ledger log enabled");
     IoTraceResult {
-        traces: recorder.traces().to_vec(),
+        traces: log.entries().iter().map(CompletedIo::trace).collect(),
         stage: TuningStage::IrqAffinity,
     }
 }
@@ -140,9 +133,9 @@ mod tests {
             "only {} traces",
             result.traces.len()
         );
-        assert!(result.slowest().is_some());
-        assert!(result.to_table().contains("slowest"));
-        assert!(result.to_text().contains("nvme0"));
+        let longest = result.traces.iter().map(IoTrace::total).max();
+        assert_eq!(result.slowest().map(IoTrace::total), longest);
+        assert!(result.to_table().contains("slowest: nvme"));
         let csv = result.to_csv();
         assert_eq!(csv.lines().count(), result.traces.len() + 1);
         let json = result.to_json().to_string();

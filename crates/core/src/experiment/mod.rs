@@ -34,8 +34,8 @@ pub use ablations::{
 };
 pub use characterize::{qd_sweep, QdPoint, QdSweepResult};
 pub use figures::{
-    fig10, fig11, fig12, fig13, fig13_and_14, fig14, fig6, fig7, fig8, fig9, render_fig14,
-    run_stage, Fig10Scatter, Fig12Comparison, Fig13Results, Fig14Result, FigureDistributions,
+    fig10, fig11, fig12, fig13, fig14, fig6, fig7, fig8, fig9, render_fig14, run_stage,
+    Fig10Scatter, Fig12Comparison, Fig13Results, Fig14Result, FigureDistributions,
 };
 pub use fleet::{fleet_arrival, FleetArrivalResult, FleetCell};
 pub use fleet_failover::{

@@ -127,11 +127,7 @@ static REGISTRY: [ExperimentDef; 33] = [
         name: "fig14",
         description: "Fig. 14: mean/std aggregation of the Fig. 13 sweep",
         stage: Some(TuningStage::IrqAffinity),
-        runner: |s| {
-            Box::new(experiment::Fig14Result {
-                summaries: experiment::fig14(s),
-            })
-        },
+        runner: |s| Box::new(experiment::fig14(s)),
     },
     ExperimentDef {
         name: "table1",
@@ -651,6 +647,23 @@ mod tests {
             );
         }
         assert!(cells.total(Cause::FrontendQueue) > SimDuration::ZERO);
+    }
+
+    /// An experiment that runs the array reports one sample per I/O
+    /// it completed: each settles one ledger, which charges one
+    /// `device_service` event to the budget.
+    #[test]
+    fn array_runs_count_one_sample_per_settled_ledger() {
+        let scale = ExperimentScale::new(SimDuration::millis(20), 2, 5);
+        for name in ["fig12", "ablate-poll"] {
+            let run = run_experiment(find(name).expect("registered"), scale);
+            assert!(run.manifest.samples > 0, "{name} reports no samples");
+            assert_eq!(
+                run.manifest.samples,
+                run.manifest.counters.causes.count(Cause::DeviceService),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -27,6 +27,8 @@ pub struct SaturationResult {
     /// Aggregate 4 KiB QD1 random-read throughput, GB/s (the §IV-G
     /// 8.3 GB/s figure).
     pub qd1_rand_gbps: f64,
+    /// I/Os the two runs completed.
+    pub samples: u64,
 }
 
 impl SaturationResult {
@@ -65,6 +67,10 @@ impl ExperimentResult for SaturationResult {
             ("seq_utilization", Json::f64(self.seq_utilization())),
         ])
     }
+
+    fn samples(&self) -> u64 {
+        self.samples
+    }
 }
 
 /// Runs both workloads at the given scale.
@@ -95,6 +101,7 @@ pub fn uplink_saturation(scale: ExperimentScale) -> SaturationResult {
         seq_read_gbps: seq.aggregate_gbps(runtime),
         uplink_gbps: 15.75,
         qd1_rand_gbps: rand.aggregate_gbps(runtime),
+        samples: seq.completed() + rand.completed(),
     }
 }
 

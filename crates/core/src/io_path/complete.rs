@@ -4,8 +4,9 @@
 //! Reaping runs inline on the woken (or spinning) thread. Once the
 //! reap instant is known, [`IoPathWorld::finish_io`] settles the
 //! ledger and derives every instrumentation view from it in one place:
-//! the run's cause table (every I/O), the blktrace stage trace, the
-//! optional ledger log, and the job's latency sample.
+//! the run's cause table (every I/O), the optional ledger log (the
+//! run's first N reaps, blktrace stamps included), and the job's
+//! latency sample.
 
 use afa_host::{CpuId, HostModel};
 use afa_sim::trace::Cause;
@@ -83,10 +84,10 @@ pub(crate) fn poll_reap(
 
 impl IoPathWorld {
     /// Retires one I/O: settles its parked ledger *in the slab* and
-    /// derives every instrumentation view from it — cause table,
-    /// blktrace stamps, ledger log — then records the job's latency
-    /// sample and recycles the slot. The only ledger copy the I/O
-    /// ever pays is the optional ledger-log capture.
+    /// derives every instrumentation view from it — cause table and
+    /// ledger log — then records the job's latency sample and
+    /// recycles the slot. The only ledger copy the I/O ever pays is
+    /// the optional ledger-log capture.
     pub(crate) fn finish_io(
         &mut self,
         job: usize,
@@ -97,12 +98,8 @@ impl IoPathWorld {
         let ledger = &mut self.ledger_slab[id as usize];
         ledger.settle();
         ledger.flush_causes(&mut self.causes);
-        let lp = self.job_lp[job];
-        if let Some(tracers) = &mut self.tracers {
-            ledger.flush_trace(&mut tracers[lp]);
-        }
-        if let Some(logs) = &mut self.ledger_logs {
-            logs[lp].push(CompletedIo {
+        if let Some(log) = &mut self.ledger_log {
+            log.push(CompletedIo {
                 job,
                 device: self.jobs[job].spec().device(),
                 issued_at,

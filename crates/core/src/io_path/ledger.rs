@@ -5,9 +5,10 @@
 //! [`IoLedger`] it is handed — the ledger is the *only* instrumentation
 //! channel. At completion every settled ledger folds into the run's
 //! cause table (a [`CauseAccumulator`], flushed with the run's
-//! counters as its manifest budget), and blktrace-style stage traces
-//! ([`TraceRecorder`]) are flushed from it inside their capture
-//! window; nothing on the hot path touches either directly.
+//! counters as its manifest budget), and the run's [`LedgerLog`], when
+//! one is asked for, copies the first N settled ledgers whole. The log
+//! is the only per-I/O capture: the blktrace view of an I/O
+//! ([`CompletedIo::trace`]) is rendered from its entry's stamps.
 //!
 //! The ledger is `Copy`, heap-free and slab-allocated (see the world's
 //! meta slab), so threading it through the path costs a fixed-size
@@ -16,21 +17,7 @@
 use afa_sim::trace::{Cause, CauseAccumulator};
 use afa_sim::{SimDuration, SimTime};
 
-use crate::blktrace::{IoStage, TraceRecorder};
-
-/// Sentinel for "not inside the blktrace window".
-const NO_TRACE: u32 = u32::MAX;
-
-/// Slot of a stage in the stamps array ([`IoStage`] path order).
-const fn stage_slot(stage: IoStage) -> usize {
-    match stage {
-        IoStage::Queue => 0,
-        IoStage::Dispatch => 1,
-        IoStage::DeviceComplete => 2,
-        IoStage::IrqHandled => 3,
-        IoStage::Reaped => 4,
-    }
-}
+use crate::blktrace::{IoStage, IoTrace};
 
 /// Per-I/O timing account: a fixed per-[`Cause`] table plus the five
 /// [`IoStage`] timestamps.
@@ -57,32 +44,27 @@ pub struct IoLedger {
     /// clock started (the submit syscall runs before the doorbell
     /// ring that `issued_at` marks).
     pre_issue: SimDuration,
-    trace_id: u32,
+    /// Starting LBA of the I/O (4 KiB units), for its blktrace line.
+    lba: u64,
 }
 
 impl IoLedger {
     /// Opens a ledger for an I/O queued at `queued_at`.
     pub fn begin(queued_at: SimTime) -> Self {
+        Self::for_lba(queued_at, 0)
+    }
+
+    /// Opens a ledger for the I/O at `lba`, queued at `queued_at`.
+    pub(crate) fn for_lba(queued_at: SimTime, lba: u64) -> Self {
         let mut stamps = [SimTime::ZERO; 5];
-        stamps[stage_slot(IoStage::Queue)] = queued_at;
+        stamps[IoStage::Queue as usize] = queued_at;
         IoLedger {
             causes: [SimDuration::ZERO; Cause::COUNT],
             credits: [0; Cause::COUNT],
             stamps,
             pre_issue: SimDuration::ZERO,
-            trace_id: NO_TRACE,
+            lba,
         }
-    }
-
-    /// Links this I/O to a [`TraceRecorder`] slot (when inside the
-    /// blktrace window).
-    pub(crate) fn set_trace(&mut self, id: Option<usize>) {
-        self.trace_id = id.map_or(NO_TRACE, |id| id as u32);
-    }
-
-    /// The linked trace slot, if any.
-    pub(crate) fn trace_id(&self) -> Option<usize> {
-        (self.trace_id != NO_TRACE).then_some(self.trace_id as usize)
     }
 
     /// Adds a closed contribution: one attribution event when
@@ -137,12 +119,12 @@ impl IoLedger {
 
     /// Records a stage timestamp.
     pub fn stamp(&mut self, stage: IoStage, at: SimTime) {
-        self.stamps[stage_slot(stage)] = at;
+        self.stamps[stage as usize] = at;
     }
 
     /// The recorded timestamp for `stage` (zero when not reached).
     pub fn stamp_at(&self, stage: IoStage) -> SimTime {
-        self.stamps[stage_slot(stage)]
+        self.stamps[stage as usize]
     }
 
     /// `(cause, total, events)` rows of the settled ledger, in cause
@@ -168,27 +150,6 @@ impl IoLedger {
             acc.add(cause, self.causes[i], u64::from(self.credits[i]));
         }
     }
-
-    /// Writes the recorded stage timestamps to the I/O's trace slot
-    /// (no-op outside the blktrace window). The Queue stamp was
-    /// recorded by [`TraceRecorder::begin`]; skipped stages (zero
-    /// stamps, e.g. the IRQ stage under polling) stay unset.
-    pub(crate) fn flush_trace(&self, recorder: &mut TraceRecorder) {
-        let Some(id) = self.trace_id() else {
-            return;
-        };
-        for stage in [
-            IoStage::Dispatch,
-            IoStage::DeviceComplete,
-            IoStage::IrqHandled,
-            IoStage::Reaped,
-        ] {
-            let at = self.stamp_at(stage);
-            if at != SimTime::ZERO {
-                recorder.stamp(id, stage, at);
-            }
-        }
-    }
 }
 
 /// One completed I/O captured by a [`LedgerLog`].
@@ -212,10 +173,22 @@ impl CompletedIo {
     pub fn latency(&self) -> SimDuration {
         self.reaped_at.saturating_since(self.issued_at)
     }
+
+    /// The I/O's blkparse-style stage trace: its device, its LBA and
+    /// the ledger's five stamps (zero where a stage was skipped).
+    pub fn trace(&self) -> IoTrace {
+        IoTrace {
+            device: self.device,
+            lba: self.ledger.lba,
+            stamps: self.ledger.stamps,
+        }
+    }
 }
 
-/// Captures the settled ledgers of the first `capacity` completed
-/// I/Os of a run (enabled via `AfaConfig::with_ledger_log`).
+/// Captures the settled ledgers of the first `capacity` I/Os a run
+/// completes, in reap order (enabled via `AfaConfig::with_ledger_log`).
+/// One window per run: the single event wheel reaps in a deterministic
+/// order, so the same run always logs the same I/Os.
 #[derive(Clone, Debug)]
 pub struct LedgerLog {
     entries: Vec<CompletedIo>,
@@ -238,21 +211,9 @@ impl LedgerLog {
         }
     }
 
-    /// The captured I/Os, in completion order.
+    /// The captured I/Os, in reap order.
     pub fn entries(&self) -> &[CompletedIo] {
         &self.entries
-    }
-
-    /// Stitches per-LP logs into one run-wide window: every worker LP
-    /// captured its own first `capacity` completions, so the union is
-    /// a superset of the global window — sort by completion instant
-    /// (device as a deterministic tie-break) and keep the first
-    /// `capacity`.
-    pub(crate) fn merged(capacity: usize, parts: Vec<LedgerLog>) -> Self {
-        let mut entries: Vec<CompletedIo> = parts.into_iter().flat_map(|p| p.entries).collect();
-        entries.sort_by_key(|e| (e.reaped_at, e.device));
-        entries.truncate(capacity);
-        LedgerLog { entries, capacity }
     }
 }
 
@@ -322,20 +283,33 @@ mod tests {
     }
 
     #[test]
-    fn stamps_round_trip_through_a_recorder() {
-        let mut recorder = TraceRecorder::new(4);
-        let mut ledger = IoLedger::begin(SimTime::from_nanos(100));
-        ledger.set_trace(recorder.begin(3, 7, SimTime::from_nanos(100)));
+    fn completed_io_renders_its_trace() {
+        let mut ledger = IoLedger::for_lba(SimTime::from_nanos(100), 7);
         ledger.stamp(IoStage::Dispatch, SimTime::from_nanos(1_500));
         ledger.stamp(IoStage::DeviceComplete, SimTime::from_nanos(26_000));
         ledger.stamp(IoStage::Reaped, SimTime::from_nanos(33_000));
-        ledger.flush_trace(&mut recorder);
-        let trace = recorder.traces()[0];
+        let io = CompletedIo {
+            job: 3,
+            device: 3,
+            issued_at: SimTime::from_nanos(100),
+            reaped_at: SimTime::from_nanos(33_000),
+            ledger,
+        };
+        let trace = io.trace();
+        assert_eq!((trace.device, trace.lba), (3, 7));
         assert_eq!(trace.stamps[0], SimTime::from_nanos(100));
         assert_eq!(trace.stamps[1], SimTime::from_nanos(1_500));
         // Skipped IRQ stage stays zero (polling semantics).
         assert_eq!(trace.stamps[3], SimTime::ZERO);
-        assert_eq!(trace.total().as_nanos(), 32_900);
+        assert_eq!(trace.total(), io.latency());
+    }
+
+    #[test]
+    fn ledger_is_200_bytes() {
+        // The slab entry every in-flight I/O parks: 16 cause totals,
+        // 16 credit counts, 5 stamps, the pre-issue time and the LBA,
+        // with no padding.
+        assert_eq!(std::mem::size_of::<IoLedger>(), 200);
     }
 
     #[test]

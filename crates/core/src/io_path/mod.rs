@@ -47,10 +47,11 @@
 //! Every stage writes its timing contribution into the I/O's
 //! [`IoLedger`], parked in the *owning worker's* slab for the I/O's
 //! whole life (events carry only a `LedgerId`; cross events carry
-//! the scalar outcomes of remote stages). The run's cause table, blktrace
-//! stage records and the optional ledger log all derive from the
-//! settled ledger in one place (`IoPathWorld::finish_io`), in
-//! place, with no per-I/O copies in or out of the slab.
+//! the scalar outcomes of remote stages). The run's cause table and
+//! the optional ledger log (the run's one per-I/O capture, blktrace
+//! stamps included) both derive from the settled ledger in one place
+//! (`IoPathWorld::finish_io`), in place; only a logged I/O's ledger
+//! is copied out of the slab.
 
 mod complete;
 mod device;
@@ -292,12 +293,9 @@ pub(crate) struct IoPathWorld {
     pub(crate) jobs: Vec<JobState>,
     /// The run's cause table: every settled ledger folds in.
     pub(crate) causes: CauseAccumulator,
-    /// Per-worker-LP blktrace windows. Capture caps apply *per LP*,
-    /// so the set of recorded I/Os is a property of each LP's event
-    /// stream.
-    pub(crate) tracers: Option<Vec<crate::blktrace::TraceRecorder>>,
-    /// Per-worker-LP ledger-log windows (same invariance argument).
-    pub(crate) ledger_logs: Option<Vec<LedgerLog>>,
+    /// The run's ledger log: the settled ledgers of its first N
+    /// reaps, in reap order.
+    pub(crate) ledger_log: Option<LedgerLog>,
     /// Completion-model tally of the run (interrupt reaps, poll
     /// reaps, hybrid oversleeps).
     pub(crate) completions: CompletionCounters,
@@ -363,7 +361,6 @@ impl IoPathWorld {
         jobs: Vec<JobState>,
         geometry: CpuSsdGeometry,
         horizon: SimTime,
-        tracer: Option<crate::blktrace::TraceRecorder>,
         ledger_log: Option<LedgerLog>,
         coalescing: Option<IrqCoalescing>,
         hybrid_sleep: SimDuration,
@@ -395,8 +392,7 @@ impl IoPathWorld {
             geometry,
             horizon,
             causes: CauseAccumulator::new(),
-            tracers: tracer.map(|t| vec![t; WORKER_LPS]),
-            ledger_logs: ledger_log.map(|l| vec![l; WORKER_LPS]),
+            ledger_log,
             completions: CompletionCounters::default(),
             job_lp,
             job_of_device,
@@ -444,17 +440,17 @@ impl IoPathWorld {
         CompletionModel::resolve(self.jobs[job].spec().engine(), self.hybrid_sleep)
     }
 
-    /// Parks a fresh ledger in the slab, reusing a settled slot when
-    /// one is free. The slot is written exactly once here; every
-    /// stage mutates it in place through the slab.
-    fn alloc_ledger(&mut self, queued_at: SimTime) -> LedgerId {
+    /// Parks a fresh ledger for the I/O at `lba` in the slab, reusing
+    /// a settled slot when one is free. The slot is written exactly
+    /// once here; every stage mutates it in place through the slab.
+    fn alloc_ledger(&mut self, queued_at: SimTime, lba: u64) -> LedgerId {
         match self.ledger_free.pop() {
             Some(id) => {
-                self.ledger_slab[id as usize] = IoLedger::begin(queued_at);
+                self.ledger_slab[id as usize] = IoLedger::for_lba(queued_at, lba);
                 id
             }
             None => {
-                self.ledger_slab.push(IoLedger::begin(queued_at));
+                self.ledger_slab.push(IoLedger::for_lba(queued_at, lba));
                 (self.ledger_slab.len() - 1) as LedgerId
             }
         }
@@ -478,16 +474,11 @@ impl IoPathWorld {
             if !issue_gap.is_zero() {
                 self.next_allowed[job] = now + issue_gap;
             }
-            let device = self.jobs[job].spec().device();
             let op = self.jobs[job].issue(now);
-            let id = self.alloc_ledger(now);
+            let id = self.alloc_ledger(now, op.lba);
             let ledger = &mut self.ledger_slab[id as usize];
             let submit_end = submit::run(&mut self.host, cpu, now, ledger);
             busy_until = Some(submit_end);
-            if let Some(tracers) = &mut self.tracers {
-                let lp = self.job_lp[job];
-                ledger.set_trace(tracers[lp].begin(device, op.lba, now));
-            }
             // The doorbell slot on the shared down-legs is claimed
             // the moment the thread is *woken* (the driver's
             // submission pipeline commits its arbitration slot at CQ
@@ -801,10 +792,11 @@ impl IoPathWorld {
             && self.model_of(job).parks_thread()
             // Coalescing batches completions across I/Os on the hub.
             && self.coalescing.is_none()
-            // Capture windows admit by per-LP arrival order, which a
-            // macro-event would skew.
-            && self.tracers.is_none()
-            && self.ledger_logs.is_none()
+            // The ledger log admits in reap order: a fused chain
+            // settles on a plain event where the per-stage path reaps
+            // on a keyed one, so same-instant reaps could enter the
+            // log in a different order.
+            && self.ledger_log.is_none()
             // QD1: no sibling I/O of the same job can interleave with
             // the frozen timeline.
             && self.jobs[job].spec().iodepth() == 1

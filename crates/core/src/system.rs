@@ -147,11 +147,10 @@ pub struct RunResult {
     /// The run's cause table, when [`AfaConfig::attribute_causes`] was
     /// set (every run [`flush`](afa_sim::metrics::flush)es it).
     pub causes: Option<afa_sim::trace::CauseAccumulator>,
-    /// blktrace-style stage traces, when [`AfaConfig::trace_ios`] was
-    /// non-zero.
-    pub traces: Option<crate::blktrace::TraceRecorder>,
-    /// Settled per-I/O ledgers, when [`AfaConfig::ledger_log`] was
-    /// non-zero.
+    /// The settled ledgers of the run's first [`AfaConfig::ledger_log`]
+    /// reaps, in reap order, when that was non-zero. Each entry also
+    /// renders the I/O's blktrace-style stage trace
+    /// ([`CompletedIo::trace`](crate::io_path::CompletedIo::trace)).
     pub ledgers: Option<LedgerLog>,
     /// Simulated time at which the last completion landed.
     pub elapsed: SimTime,
@@ -176,13 +175,18 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// I/Os completed across all devices (one settled ledger each).
+    pub fn completed(&self) -> u64 {
+        self.reports.iter().map(JobReport::completed).sum()
+    }
+
     /// Aggregate IOPS across all devices.
     pub fn aggregate_iops(&self, runtime: SimDuration) -> f64 {
         let secs = runtime.as_secs_f64();
         if secs <= 0.0 {
             return 0.0;
         }
-        self.reports.iter().map(|r| r.completed()).sum::<u64>() as f64 / secs
+        self.completed() as f64 / secs
     }
 
     /// Aggregate read throughput in GB/s across all devices.
@@ -264,7 +268,7 @@ impl AfaSystem {
             Some(specs) => specs.clone(),
             None => (0..n)
                 .map(|d| {
-                    let mut spec = JobSpec::paper_default(d)
+                    JobSpec::paper_default(d)
                         .rw(config.rw)
                         .block_size_bytes(config.block_size)
                         .iodepth_n(config.iodepth)
@@ -272,11 +276,7 @@ impl AfaSystem {
                         .cpus_allowed(geometry.cpu_of_ssd(d))
                         .sched(policy)
                         .ioengine(config.engine)
-                        .log_latency(config.log_latency);
-                    if let Some(iops) = config.rate_iops {
-                        spec = spec.rate_iops_cap(iops);
-                    }
-                    spec
+                        .log_latency(config.log_latency)
                 })
                 .collect(),
         };
@@ -308,7 +308,6 @@ impl AfaSystem {
             jobs,
             geometry,
             horizon,
-            (config.trace_ios > 0).then(|| crate::blktrace::TraceRecorder::new(config.trace_ios)),
             (config.ledger_log > 0).then(|| LedgerLog::new(config.ledger_log)),
             config.irq_coalescing,
             config.hybrid_sleep(),
@@ -358,17 +357,10 @@ impl AfaSystem {
             causes: world.causes,
             ..Default::default()
         });
-        // Capture windows are per worker LP (see `IoPathWorld`); merge
-        // them into one run-wide window.
         RunResult {
             reports: world.jobs.into_iter().map(JobState::into_report).collect(),
             causes: config.attribute_causes.then_some(world.causes),
-            traces: world
-                .tracers
-                .map(|parts| crate::blktrace::TraceRecorder::merged(config.trace_ios, parts)),
-            ledgers: world
-                .ledger_logs
-                .map(|parts| LedgerLog::merged(config.ledger_log, parts)),
+            ledgers: world.ledger_log,
             elapsed,
             events_processed,
             clamped_past_schedules,

@@ -5,7 +5,7 @@
 use afa_core::{AfaConfig, AfaSystem, IrqCoalescing, RunResult, TuningStage};
 use afa_sim::SimDuration;
 use afa_stats::NinesPoint;
-use afa_workload::IoEngine;
+use afa_workload::{IoEngine, JobSpec};
 
 fn quick(stage: TuningStage, ssds: usize, ms: u64) -> RunResult {
     let config = AfaConfig::paper(stage)
@@ -158,11 +158,19 @@ fn coalescing_timeout_adds_qd1_latency() {
 
 #[test]
 fn rate_cap_paces_issues() {
-    let config = AfaConfig::paper(TuningStage::ExperimentalFirmware)
-        .with_ssds(2)
-        .with_runtime(SimDuration::millis(100))
-        .with_rate_iops(5_000);
-    let r = AfaSystem::run(&config);
+    // Each job carries its own cap (fio's `rate_iops`), as a jobfile
+    // sets it; pinning and `chrt` class are the stage's own.
+    let base = AfaConfig::paper(TuningStage::ExperimentalFirmware).with_ssds(2);
+    let jobs = (0..2)
+        .map(|d| {
+            JobSpec::paper_default(d)
+                .runtime(SimDuration::millis(100))
+                .cpus_allowed(base.geometry.cpu_of_ssd(d))
+                .sched(base.tuning.fio_policy())
+                .rate_iops_cap(5_000)
+        })
+        .collect();
+    let r = AfaSystem::run(&base.with_jobs(jobs));
     for report in &r.reports {
         let iops = report.completed() as f64 / 0.1;
         assert!(

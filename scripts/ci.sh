@@ -34,11 +34,10 @@ if [ "$count" -lt 20 ]; then
 fi
 echo "afactl list: $count experiments registered"
 
-echo "==> golden artifact byte-compare (scaled fig06-fig13, serving, fleet, volume, multi-host)"
-# Doubles as the experiment smoke test: regenerates the figure
-# artifacts (plus the serving, fleet, striped-volume and multi-host
-# experiments) at a reduced scale and byte-compares them against the
-# committed fixtures.
+echo "==> golden artifact byte-compare (every fixture in tests/golden/)"
+# Doubles as the experiment smoke test: regenerates the artifact of
+# every committed fixture (tests/golden/<experiment>.json) at a reduced
+# scale and byte-compares it, so no fixture can go unchecked.
 # Any change in event ordering, RNG streams, model behaviour or JSON
 # schema shows up here as a diff.
 golden_tmp="$(mktemp -d)"
@@ -46,7 +45,8 @@ trap 'rm -rf "$golden_tmp"' EXIT
 # An artifact from its first ',"data":' on is the experiment's result
 # (no manifest key contains that string); before it is the manifest.
 data_of() { grep -o ',"data":.*' "$1" || true; }
-for fig in fig06 fig07 fig08 fig09 fig10 fig11 fig12 fig13 tailscale-fanout tailscale-hedge fleet-arrival fleet-failover ull-crossover tailscale multihost; do
+for golden in tests/golden/*.json; do
+    fig="$(basename "$golden" .json)"
     ./target/release/afactl exp "$fig" --seconds 0.25 --ssds 8 --seed 42 \
         --json > "$golden_tmp/$fig.json"
     if ! cmp -s "tests/golden/$fig.json" "$golden_tmp/$fig.json"; then

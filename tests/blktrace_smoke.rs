@@ -1,21 +1,29 @@
-//! End-to-end smoke test of the blktrace-style I/O tracer.
+//! End-to-end smoke test of the blktrace-style stage traces, read off
+//! the run's ledger log.
 
-use afa::core::blktrace::IoStage;
+use afa::core::blktrace::{IoStage, IoTrace};
+use afa::core::io_path::CompletedIo;
 use afa::core::{AfaConfig, AfaSystem, TuningStage};
 use afa::sim::{SimDuration, SimTime};
 
+/// The stage traces of the run's logged I/Os, in reap order.
+fn traces(config: &AfaConfig) -> Vec<IoTrace> {
+    let log = AfaSystem::run(config).ledgers.expect("ledger log enabled");
+    log.entries().iter().map(CompletedIo::trace).collect()
+}
+
 #[test]
 fn traces_cover_the_full_path_in_order() {
-    let result = AfaSystem::run(
+    let traces = traces(
         &AfaConfig::paper(TuningStage::IrqAffinity)
             .with_ssds(4)
             .with_runtime(SimDuration::millis(30))
             .with_seed(5)
-            .with_io_tracing(100),
+            .with_ledger_log(100),
     );
-    let traces = result.traces.expect("tracing enabled");
-    assert_eq!(traces.traces().len(), 100);
-    for trace in traces.traces() {
+    assert_eq!(traces.len(), 100);
+    let mut text = String::new();
+    for (seq, trace) in traces.iter().enumerate() {
         // Q ≤ D ≤ C ≤ I ≤ R, all reached under libaio.
         for w in trace.stamps.windows(2) {
             assert!(w[0] <= w[1], "stages out of order: {trace:?}");
@@ -23,25 +31,24 @@ fn traces_cover_the_full_path_in_order() {
         assert!(trace.stamps[4] > SimTime::ZERO, "reap missing");
         let total_us = trace.total().as_micros_f64();
         assert!((25.0..5_000.0).contains(&total_us), "total {total_us}");
+        text.push_str(&trace.to_text(seq));
     }
-    let text = traces.to_text();
     assert!(text.contains(" Q "));
     assert!(text.contains(" R "));
 }
 
 #[test]
 fn polling_traces_skip_the_irq_stage() {
-    let result = AfaSystem::run(
+    let traces = traces(
         &AfaConfig::paper(TuningStage::ExperimentalFirmware)
             .with_ssds(1)
             .with_runtime(SimDuration::millis(10))
             .with_seed(6)
             .with_engine(afa::workload::IoEngine::Polling)
-            .with_io_tracing(20),
+            .with_ledger_log(20),
     );
-    let traces = result.traces.expect("tracing enabled");
-    assert!(!traces.traces().is_empty());
-    for trace in traces.traces() {
+    assert!(!traces.is_empty());
+    for trace in &traces {
         assert_eq!(trace.stamps[3], SimTime::ZERO, "polling must not IRQ");
         assert!(trace.stamps[4] > SimTime::ZERO);
     }
@@ -49,16 +56,15 @@ fn polling_traces_skip_the_irq_stage() {
 
 #[test]
 fn slowest_trace_explains_a_tail_sample() {
-    let result = AfaSystem::run(
+    let traces = traces(
         &AfaConfig::paper(TuningStage::Default)
             .with_ssds(8)
             .with_runtime(SimDuration::millis(100))
             .with_seed(7)
-            .with_io_tracing(50_000),
+            .with_ledger_log(50_000),
     );
-    let traces = result.traces.expect("tracing enabled");
-    let slowest = traces.slowest().expect("non-empty");
-    // The tracer must let us decompose the slowest I/O: the dominant
+    let slowest = traces.iter().max_by_key(|t| t.total()).expect("non-empty");
+    // The trace must let us decompose the slowest I/O: the dominant
     // gap sits between device-complete and reap (host-side) or inside
     // the device, never in the untraced void.
     let d = slowest.stamps;

@@ -67,6 +67,35 @@ fn cause_table_is_the_fold_of_every_settled_ledger() {
     assert_eq!(counts.causes, folded);
 }
 
+/// The ledger log is one window per run: a short log holds exactly the
+/// first entries of a log long enough for every reap, in reap order,
+/// and logging moves nothing the run reports (a logged polled run
+/// does not fuse, an unlogged one does). The twin of afabench's
+/// traced-run check, on one interrupt stage and one polled engine.
+#[test]
+fn ledger_log_is_the_runs_first_reaps_and_moves_nothing() {
+    let entry = |io: &afa::core::io_path::CompletedIo| {
+        let rows: Vec<_> = io.ledger.rows().collect();
+        (io.job, io.issued_at, io.reaped_at, io.trace(), rows)
+    };
+    for config in [bench_array(TuningStage::Default, 16), ull_poll_8()] {
+        let plain = AfaSystem::run(&config);
+        let short = AfaSystem::run(&config.clone().with_ledger_log(1_000));
+        let long = AfaSystem::run(&config.clone().with_ledger_log(1 << 16));
+        let short_log = short.ledgers.as_ref().expect("ledger log enabled");
+        let long_log = long.ledgers.as_ref().expect("ledger log enabled");
+        assert_eq!(short_log.entries().len(), 1_000);
+        assert_eq!(long_log.entries().len() as u64, plain.completed());
+        for (a, b) in short_log.entries().iter().zip(long_log.entries()) {
+            assert_eq!(entry(a), entry(b), "the short log is not a prefix");
+        }
+        for logged in [&short, &long] {
+            assert_eq!(run_fingerprint(logged), run_fingerprint(&plain));
+            assert_eq!(logged.device_stats, plain.device_stats);
+        }
+    }
+}
+
 #[test]
 fn fabric_conserves_bytes() {
     let r = quick(TuningStage::Chrt, 6, 80, 6);
