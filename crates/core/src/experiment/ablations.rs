@@ -76,13 +76,6 @@ impl ExperimentResult for AblationResult {
     fn samples(&self) -> u64 {
         self.samples
     }
-
-    fn headline_max_us(&self) -> Option<f64> {
-        self.rows
-            .iter()
-            .map(|&(_, _, _, max)| max)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
 }
 
 /// Runs one configuration per sweep setting (in parallel) and reports
@@ -465,10 +458,6 @@ impl ExperimentResult for GcAblationResult {
 
     fn samples(&self) -> u64 {
         self.fob.count() + self.aged.count()
-    }
-
-    fn headline_max_us(&self) -> Option<f64> {
-        Some(self.aged.max() as f64 / 1e3)
     }
 }
 

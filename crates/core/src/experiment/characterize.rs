@@ -6,9 +6,10 @@
 //! device, from the 25 µs QD1 floor to the 160 K IOPS saturation wall.
 
 use afa_sim::{SimDuration, SimTime};
-use afa_ssd::{FirmwareProfile, NvmeCommand, SsdDevice, SsdSpec};
+use afa_ssd::NvmeCommand;
 use afa_stats::{Json, LatencyHistogram};
 
+use super::tables::{closed_loop, fresh_device};
 use crate::experiment::registry::ExperimentResult;
 
 /// One queue-depth point.
@@ -100,24 +101,14 @@ pub fn qd_sweep(seed: u64) -> QdSweepResult {
     let points = [1u32, 2, 4, 8, 16, 32, 64]
         .into_iter()
         .map(|depth| {
-            let mut dev = SsdDevice::new(SsdSpec::table1(), FirmwareProfile::experimental(), seed);
             let mut hist = LatencyHistogram::new();
-            let mut inflight = vec![SimTime::ZERO; depth as usize];
-            let mut lba = 0u64;
-            loop {
-                let (idx, &now) = inflight
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, t)| *t)
-                    .expect("non-empty");
-                if now >= horizon {
-                    break;
-                }
-                lba = (lba + 7_919) % 10_000_000;
-                let info = dev.submit(now, NvmeCommand::read(lba, 4096));
-                hist.record(info.latency_since(now).as_nanos());
-                inflight[idx] = info.completes_at;
-            }
+            closed_loop(
+                &mut fresh_device(seed),
+                depth as usize,
+                horizon,
+                |n| NvmeCommand::read((n + 1) * 7_919 % 10_000_000, 4096),
+                |latency| hist.record(latency.as_nanos()),
+            );
             QdPoint {
                 depth,
                 iops: hist.count() as f64 / 0.2,

@@ -100,10 +100,6 @@ impl ExperimentResult for FigureDistributions {
     fn samples(&self) -> u64 {
         self.total_samples()
     }
-
-    fn headline_max_us(&self) -> Option<f64> {
-        Some(self.worst_max_us())
-    }
 }
 
 /// Runs one tuning stage at the given scale and returns its
@@ -400,10 +396,6 @@ impl ExperimentResult for Fig12Comparison {
     fn samples(&self) -> u64 {
         self.samples
     }
-
-    fn headline_max_us(&self) -> Option<f64> {
-        Some(self.mean_max_us(TuningStage::Default))
-    }
 }
 
 /// Fig. 12: runs the four kernel-configuration stages (in parallel)
@@ -505,13 +497,6 @@ impl ExperimentResult for Fig13Results {
 
     fn samples(&self) -> u64 {
         self.rows.iter().map(|(_, fig)| fig.total_samples()).sum()
-    }
-
-    fn headline_max_us(&self) -> Option<f64> {
-        self.rows
-            .iter()
-            .map(|(_, fig)| fig.worst_max_us())
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
 }
 

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use afa_frontend::{ArrivalEntry, ArrivalWheel, RequestBook, SloTarget, SloTracker, SubCompletion};
 use afa_sim::metrics::{self, FrontendCounters};
 use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
-use afa_stats::{Json, LatencyHistogram, LatencyProfile, NinesPoint};
+use afa_stats::{Json, LatencyHistogram, LatencyProfile};
 use afa_volume::SubIo;
 
 use crate::experiment::registry::ExperimentResult;
@@ -296,13 +296,6 @@ impl ExperimentResult for FleetArrivalResult {
 
     fn samples(&self) -> u64 {
         self.cells.iter().map(|c| c.finished).sum()
-    }
-
-    fn headline_max_us(&self) -> Option<f64> {
-        self.cells
-            .iter()
-            .map(|c| c.client.get_micros(NinesPoint::Max))
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
 }
 

@@ -279,14 +279,6 @@ impl ExperimentResult for FleetFailoverResult {
             .map(|c| c.before.samples() + c.during.samples() + c.after.samples())
             .sum()
     }
-
-    fn headline_max_us(&self) -> Option<f64> {
-        self.cells
-            .iter()
-            .flat_map(|c| [&c.before, &c.during, &c.after])
-            .map(|p| p.get_micros(NinesPoint::Max))
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
 }
 
 /// One `(r, policy)` cell of the `fleet-replication` grid.
@@ -422,13 +414,6 @@ impl ExperimentResult for FleetReplicationResult {
 
     fn samples(&self) -> u64 {
         self.cells.iter().map(|c| c.client.samples()).sum()
-    }
-
-    fn headline_max_us(&self) -> Option<f64> {
-        self.cells
-            .iter()
-            .map(|c| c.client.get_micros(NinesPoint::Max))
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
 }
 

@@ -250,13 +250,6 @@ impl ExperimentResult for FrontendServeResult {
     fn samples(&self) -> u64 {
         self.cells.iter().map(|c| c.client.samples()).sum()
     }
-
-    fn headline_max_us(&self) -> Option<f64> {
-        self.cells
-            .iter()
-            .map(|c| c.client.get_micros(NinesPoint::Max))
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
 }
 
 /// The fan-out widths a scale supports: the paper-style 1→64 ladder

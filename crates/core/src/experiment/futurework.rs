@@ -114,10 +114,6 @@ impl ExperimentResult for FutureWorkResult {
     fn samples(&self) -> u64 {
         self.samples
     }
-
-    fn headline_max_us(&self) -> Option<f64> {
-        self.rows.last().map(|r| r.max_us)
-    }
 }
 
 /// Runs stock default, the paper's manual tuning, and the automatic

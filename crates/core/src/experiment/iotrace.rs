@@ -99,10 +99,6 @@ impl ExperimentResult for IoTraceResult {
     fn samples(&self) -> u64 {
         self.traces.len() as u64
     }
-
-    fn headline_max_us(&self) -> Option<f64> {
-        self.slowest().map(|t| t.total().as_micros_f64())
-    }
 }
 
 /// Runs the tuned configuration with a ledger log and renders each

@@ -103,10 +103,6 @@ impl ExperimentResult for MultiHostResult {
     fn samples(&self) -> u64 {
         self.quiet.samples() + self.noisy.samples()
     }
-
-    fn headline_max_us(&self) -> Option<f64> {
-        Some(self.noisy.get_micros(NinesPoint::Max))
-    }
 }
 
 /// One I/O stream: a closed loop against one device through one host's

@@ -49,10 +49,6 @@ pub trait ExperimentResult {
     fn samples(&self) -> u64 {
         0
     }
-    /// Headline worst-case latency in µs, when the experiment has one.
-    fn headline_max_us(&self) -> Option<f64> {
-        None
-    }
 }
 
 /// A registry entry: a name, a description and a runner fn.
@@ -373,8 +369,8 @@ impl RunManifest {
         }
         if c.fusion.any() {
             out.push_str(&format!(
-                "fusion  : {} chains fused, {} defused, {} events elided\n",
-                c.fusion.fused_chains, c.fusion.defused_chains, c.fusion.elided_events
+                "fusion  : {} chains fused, {} events elided\n",
+                c.fusion.fused_chains, c.fusion.elided_events
             ));
         }
         if c.causes.iter().next().is_some() {
@@ -755,8 +751,8 @@ mod tests {
 
     #[test]
     fn fusion_counters_are_table_only() {
-        // ablate-poll's busy-polled half at quick scale runs one job
-        // per LP, so the fusion fast path must engage — and its
+        // ablate-poll at quick scale runs one QD1 job per LP, so its
+        // chains must run their device legs inline — and the fusion
         // counters must stay out of the byte-stable JSON, because the
         // fusion contract is that artifacts are identical with fusion
         // on or off (a `fusion` key would differ between the two).
@@ -764,11 +760,11 @@ mod tests {
         let run = run_experiment(def, ExperimentScale::quick());
         assert!(
             run.manifest.counters.fusion.fused_chains > 0,
-            "fusion never engaged on a polled QD1 run"
+            "no chain of a private QD1 run ran its legs inline"
         );
         assert!(
             run.manifest.counters.fusion.elided_events > 0,
-            "fused chains must elide per-stage events"
+            "inline chains must elide per-stage events"
         );
         let table = run.manifest.to_table();
         assert!(table.contains("fusion  :"), "{table}");

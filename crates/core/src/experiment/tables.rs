@@ -63,20 +63,24 @@ impl ExperimentResult for Table1Result {
     }
 }
 
-fn fresh_device(seed: u64) -> SsdDevice {
+/// A Table I device with the experimental firmware.
+pub(super) fn fresh_device(seed: u64) -> SsdDevice {
     SsdDevice::new(SsdSpec::table1(), FirmwareProfile::experimental(), seed)
 }
 
-/// Closed-loop driver: keeps `depth` commands outstanding for
-/// `horizon` of simulated time; returns completions.
-fn closed_loop<F: FnMut(u64) -> NvmeCommand>(
+/// Device-only closed loop: keeps `depth` commands outstanding for
+/// `horizon` of simulated time, issuing `next_cmd(n)` as the `n`-th
+/// command the moment the earliest outstanding one completes, and
+/// hands each command's latency to `on_done`. Returns the commands
+/// issued.
+pub(super) fn closed_loop(
     device: &mut SsdDevice,
     depth: usize,
     horizon: SimTime,
-    mut next_cmd: F,
+    mut next_cmd: impl FnMut(u64) -> NvmeCommand,
+    mut on_done: impl FnMut(SimDuration),
 ) -> u64 {
     let mut inflight = vec![SimTime::ZERO; depth];
-    let mut completed = 0u64;
     let mut n = 0u64;
     loop {
         let (idx, &now) = inflight
@@ -85,12 +89,12 @@ fn closed_loop<F: FnMut(u64) -> NvmeCommand>(
             .min_by_key(|&(_, t)| *t)
             .expect("non-empty");
         if now >= horizon {
-            return completed;
+            return n;
         }
         let info = device.submit(now, next_cmd(n));
+        on_done(info.latency_since(now));
         n += 1;
         inflight[idx] = info.completes_at;
-        completed += 1;
     }
 }
 
@@ -124,9 +128,13 @@ pub fn table1(seed: u64) -> Table1Result {
     {
         let mut dev = fresh_device(seed + 1);
         let horizon = SimTime::ZERO + SimDuration::millis(250);
-        let done = closed_loop(&mut dev, 32, horizon, |n| {
-            NvmeCommand::read((n * 7_919) % 10_000_000, 4096)
-        });
+        let done = closed_loop(
+            &mut dev,
+            32,
+            horizon,
+            |n| NvmeCommand::read((n * 7_919) % 10_000_000, 4096),
+            |_| {},
+        );
         rows.push((
             "random read (IOPS)".to_owned(),
             spec.random_read_iops as f64,
@@ -138,9 +146,13 @@ pub fn table1(seed: u64) -> Table1Result {
     {
         let mut dev = fresh_device(seed + 2);
         let horizon = SimTime::ZERO + SimDuration::millis(400);
-        let done = closed_loop(&mut dev, 4, horizon, |n| {
-            NvmeCommand::write((n * 104_729) % 10_000_000, 4096)
-        });
+        let done = closed_loop(
+            &mut dev,
+            4,
+            horizon,
+            |n| NvmeCommand::write((n * 104_729) % 10_000_000, 4096),
+            |_| {},
+        );
         rows.push((
             "random write (IOPS)".to_owned(),
             spec.random_write_iops as f64,
@@ -152,9 +164,13 @@ pub fn table1(seed: u64) -> Table1Result {
     {
         let mut dev = fresh_device(seed + 3);
         let horizon = SimTime::ZERO + SimDuration::millis(250);
-        let done = closed_loop(&mut dev, 8, horizon, |n| {
-            NvmeCommand::read(n * 32 % 10_000_000, 131_072)
-        });
+        let done = closed_loop(
+            &mut dev,
+            8,
+            horizon,
+            |n| NvmeCommand::read(n * 32 % 10_000_000, 131_072),
+            |_| {},
+        );
         rows.push((
             "sequential read (MB/s)".to_owned(),
             spec.seq_read_mbps as f64,
@@ -166,9 +182,13 @@ pub fn table1(seed: u64) -> Table1Result {
     {
         let mut dev = fresh_device(seed + 4);
         let horizon = SimTime::ZERO + SimDuration::millis(250);
-        let done = closed_loop(&mut dev, 8, horizon, |n| {
-            NvmeCommand::write(n * 32 % 10_000_000, 131_072)
-        });
+        let done = closed_loop(
+            &mut dev,
+            8,
+            horizon,
+            |n| NvmeCommand::write(n * 32 % 10_000_000, 131_072),
+            |_| {},
+        );
         rows.push((
             "sequential write (MB/s)".to_owned(),
             spec.seq_write_mbps as f64,

@@ -118,13 +118,6 @@ impl ExperimentResult for TailScaleResult {
     fn samples(&self) -> u64 {
         self.cells.iter().map(|c| c.client.samples()).sum()
     }
-
-    fn headline_max_us(&self) -> Option<f64> {
-        self.cells
-            .iter()
-            .map(|c| c.client.get_micros(NinesPoint::Max))
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
 }
 
 /// Runs the sweep: stripe widths 1/4/8/16 (clamped to the scale's

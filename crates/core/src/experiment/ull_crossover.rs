@@ -163,13 +163,6 @@ impl ExperimentResult for UllCrossoverResult {
     fn samples(&self) -> u64 {
         self.cells.iter().map(|c| c.completed).sum()
     }
-
-    fn headline_max_us(&self) -> Option<f64> {
-        self.cells
-            .iter()
-            .map(|c| c.max_us)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
 }
 
 /// Runs the 2 × 5 × 3 grid: both device classes, the whole tuning

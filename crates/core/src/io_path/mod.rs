@@ -43,6 +43,9 @@
 //! Inter-LP hops ride `Cross` events under per-LP lookahead bounds
 //! (the smaller of a fabric hop and interrupt entry + handler for
 //! workers, hop + MSI latency for the hub), asserted on every send.
+//! A QD1 job alone on its device and on its worker LP skips two of
+//! them: the hub runs its device legs inline at `SubmitDown`
+//! (`IoPathWorld::run_device_legs`, DESIGN.md §6.2).
 //!
 //! Every stage writes its timing contribution into the I/O's
 //! [`IoLedger`], parked in the *owning worker's* slab for the I/O's
@@ -68,7 +71,7 @@ use complete::COMPLETE_COST;
 use model::CompletionModel;
 
 use afa_host::{BgPlacement, CpuId, HostModel, IrqDelivery, IrqOutcome};
-use afa_pcie::{PcieFabric, SharedLegReservation};
+use afa_pcie::PcieFabric;
 use afa_sim::metrics::{CompletionCounters, FusionCounters};
 use afa_sim::trace::{Cause, CauseAccumulator};
 use afa_sim::{ShardCtx, ShardWorld, SimDuration, SimTime};
@@ -137,10 +140,6 @@ pub(crate) enum Local {
     Msi { device: usize },
     /// Background workload arrival (hub).
     BgArrival,
-    /// Settle a fused macro-event: replay the job's precomputed
-    /// polled completion — commit, reap, next issue — in one shot
-    /// (worker; see [`IoPathWorld::fuse_submit`]).
-    Settle { job: usize },
 }
 
 /// One completion riding an interrupt batch. The ledger stays in the
@@ -251,38 +250,6 @@ pub(crate) enum Cross {
     BgPlace { placement: BgPlacement },
 }
 
-/// One speculative macro-event: a polled I/O whose entire
-/// submit→fabric→device→poll→complete timeline was precomputed at
-/// submit time because every resource it touches is provably
-/// uncontended over its horizon. The private device-side legs already
-/// ran eagerly; the shared-leg reservation is frozen here until the
-/// single `Local::Settle` event replays the reap — or contention
-/// de-fuses the chain back into per-stage events at the point of
-/// divergence.
-#[derive(Debug)]
-struct FusedChain {
-    /// The instant the real `PollComplete` would fire. A chain flushed
-    /// early by hook A or de-fused by hook B leaves its `Settle` event
-    /// behind; an instant-match guard skips it.
-    settle_at: SimTime,
-    issued_at: SimTime,
-    ledger: LedgerId,
-    /// When the completion payload reaches the leaf switch — the
-    /// instant the chain's real `FabricUp` would fire, and the replay
-    /// point for every de-fuse.
-    t_leaf: SimTime,
-    /// When the CQE lands host-side.
-    at_host: SimTime,
-    fabric_shared: SimDuration,
-    model: CompletionModel,
-    cross_socket: bool,
-    /// The previewed shared-leg busy windows; committed lazily — by
-    /// hook B the moment a later arrival must queue behind them, or at
-    /// settlement, whichever comes first.
-    reservation: SharedLegReservation,
-    committed: bool,
-}
-
 /// The whole-array world: jobs × host × fabric × devices, driven by
 /// [`Local`]/[`Cross`] events through the staged I/O path. One value
 /// serves every LP; each event mutates only its LP's slice.
@@ -324,27 +291,13 @@ pub(crate) struct IoPathWorld {
     /// ledger.
     ledger_slab: Vec<IoLedger>,
     ledger_free: Vec<LedgerId>,
-    /// Speculative stage-fusion fast path (see
-    /// [`fuse_submit`](Self::fuse_submit)); resolved per run from
-    /// `AFA_NO_FUSION` / `FusionOverride`. Results are byte-identical
-    /// either way — fusion only changes how many events the engine
-    /// pops per I/O.
-    fusion_enabled: bool,
-    /// In-flight fused chains, one slot per job (QD1 is a fuse gate).
-    fused: Vec<Option<FusedChain>>,
-    /// Live chain count — the hooks' short-circuit.
-    fused_live: usize,
-    /// Fusion tally of the run: fused and de-fused chains, and the
-    /// per-stage events settled chains replaced (3 per chain:
-    /// `CommandAtDevice`, `DeviceDone` and `FabricUp` collapse with
-    /// `PollComplete` into one `Settle`).
+    /// Per job: its chains run their device legs inline at
+    /// `SubmitDown` (see [`run_device_legs`](Self::run_device_legs)).
+    /// Fixed for the run; results are byte-identical either way.
+    inline_legs: Vec<bool>,
+    /// Fusion tally of the run: the chains that ran their device legs
+    /// inline, and the per-stage events they skipped (2 per chain).
     pub(crate) fusion: FusionCounters,
-    /// Jobs targeting each device (fusion requires a private device).
-    device_job_count: Vec<u32>,
-    /// Jobs owned by each worker LP (fusion requires a private LP:
-    /// no foreign job's wake or reap can interleave with the
-    /// settlement on the reaping core pair).
-    lp_job_count: [u32; WORKER_LPS],
 }
 
 /// The scheduling context every handler receives.
@@ -352,7 +305,8 @@ type Ctx<'a> = ShardCtx<'a, Local, Cross>;
 
 impl IoPathWorld {
     /// Assembles a world from its parts (see `AfaSystem::run` for the
-    /// construction of each).
+    /// construction of each). `fusion` lets private chains run their
+    /// device legs inline.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         host: HostModel,
@@ -365,6 +319,7 @@ impl IoPathWorld {
         coalescing: Option<IrqCoalescing>,
         hybrid_sleep: SimDuration,
         per_cpu_queues: bool,
+        fusion: bool,
     ) -> Self {
         let n = devices.len();
         let job_lp: Vec<usize> = jobs
@@ -372,18 +327,26 @@ impl IoPathWorld {
             .map(|j| lp_of_cpu(geometry.cpu_of_ssd(j.spec().device())))
             .collect();
         let mut job_of_device = vec![usize::MAX; n];
+        let mut device_jobs = vec![0u32; n];
+        let mut lp_jobs = [0u32; WORKER_LPS];
         for (j, job) in jobs.iter().enumerate() {
             job_of_device[job.spec().device()] = j;
+            device_jobs[job.spec().device()] += 1;
+            lp_jobs[job_lp[j]] += 1;
         }
+        // The one fusion rule (DESIGN.md §6.2): a QD1 job alone on its
+        // device and alone on its worker LP.
+        let inline_legs = jobs
+            .iter()
+            .zip(&job_lp)
+            .map(|(job, &lp)| {
+                fusion
+                    && job.spec().iodepth() == 1
+                    && device_jobs[job.spec().device()] == 1
+                    && lp_jobs[lp] == 1
+            })
+            .collect();
         let jobs_len = jobs.len();
-        let mut device_job_count = vec![0u32; n];
-        for job in &jobs {
-            device_job_count[job.spec().device()] += 1;
-        }
-        let mut lp_job_count = [0u32; WORKER_LPS];
-        for &lp in &job_lp {
-            lp_job_count[lp] += 1;
-        }
         IoPathWorld {
             host,
             fabric,
@@ -403,19 +366,9 @@ impl IoPathWorld {
             pending_cq: vec![Vec::new(); n],
             ledger_slab: Vec::with_capacity(2 * n),
             ledger_free: Vec::with_capacity(2 * n),
-            fusion_enabled: false,
-            fused: (0..jobs_len).map(|_| None).collect(),
-            fused_live: 0,
+            inline_legs,
             fusion: FusionCounters::default(),
-            device_job_count,
-            lp_job_count,
         }
-    }
-
-    /// Enables the fusion fast path (the run driver resolves the knob
-    /// once per run).
-    pub(crate) fn set_fusion(&mut self, enabled: bool) {
-        self.fusion_enabled = enabled;
     }
 
     /// Worker lookahead: the minimum delay any worker send adds — a
@@ -534,40 +487,61 @@ impl IoPathWorld {
         }
     }
 
-    /// The device posted a completion: reserve the device-side up-leg
-    /// locally and hand the payload to the hub at the instant it
-    /// reaches the leaf switch (one fabric hop of lookahead).
-    fn on_device_done(&mut self, job: usize, issued_at: SimTime, id: LedgerId, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
+    /// The command reached the leaf egress at `at_entry`: reserve the
+    /// device's down-link and start device service; returns when the
+    /// device posts the completion. Runs on the device's worker at
+    /// `CommandAtDevice`, or on the hub for an inline chain.
+    fn serve_command(
+        &mut self,
+        job: usize,
+        op: Op,
+        id: LedgerId,
+        issued_at: SimTime,
+        at_entry: SimTime,
+    ) -> SimTime {
+        let device = self.jobs[job].spec().device();
+        let bytes = self.jobs[job].spec().block_size();
+        let led = &mut self.ledger_slab[id as usize];
+        let at_device =
+            fabric::downstream_device_leg(&mut self.fabric, device, issued_at, at_entry, led);
+        device::serve(&mut self.devices[device], at_device, op, bytes, led)
+    }
+
+    /// The device posted a completion at `done`: reserve the
+    /// device-side up-leg and return the [`Cross::FabricUp`] that hands
+    /// the payload to the hub, with the instant it reaches the leaf
+    /// switch (one fabric hop of lookahead). Runs on the device's
+    /// worker at `DeviceDone`, or on the hub for an inline chain.
+    fn device_up_leg(
+        &mut self,
+        job: usize,
+        issued_at: SimTime,
+        id: LedgerId,
+        done: SimTime,
+    ) -> (SimTime, Cross) {
         let device = self.jobs[job].spec().device();
         let cpu = self.geometry.cpu_of_ssd(device);
         let bytes = self.jobs[job].spec().block_size() as u64;
-        let cross_socket = self.host.topology().socket_of(cpu) != AFA_SOCKET;
         let model = self.model_of(job);
         let ledger = &mut self.ledger_slab[id as usize];
-        ledger.stamp(IoStage::DeviceComplete, now);
-        let t_leaf = fabric::device_leg(&mut self.fabric, device, now, bytes, model, ledger);
-        ctx.send(
-            HUB_LP,
-            t_leaf,
-            Cross::FabricUp {
-                job,
-                issued_at,
-                ledger: id,
-                cross_socket,
-                model,
-            },
-        );
+        ledger.stamp(IoStage::DeviceComplete, done);
+        let t_leaf = fabric::device_leg(&mut self.fabric, device, done, bytes, model, ledger);
+        let up = Cross::FabricUp {
+            job,
+            issued_at,
+            ledger: id,
+            cross_socket: self.host.topology().socket_of(cpu) != AFA_SOCKET,
+            model,
+        };
+        (t_leaf, up)
     }
 
     /// Hub: the payload reached the leaf switch. Reserve the shared
     /// legs in arrival order (they are FIFO resources — this is why
     /// the hub owns them), then route the interrupt — immediately, or
     /// held by the MSI coalescer.
-    #[allow(clippy::too_many_arguments)]
     fn on_fabric_up(
         &mut self,
-        src: usize,
         job: usize,
         issued_at: SimTime,
         id: LedgerId,
@@ -576,23 +550,11 @@ impl IoPathWorld {
         ctx: &mut Ctx<'_>,
     ) {
         let t_leaf = ctx.now();
-        // Hook B, pre-claim: settle the ordering between this arrival
-        // and every pending fused reservation before touching the
-        // legs.
-        if self.fused_live > 0 {
-            self.sync_fused_before_claim(src, t_leaf, ctx);
-        }
         let device = self.jobs[job].spec().device();
-
         let bytes = self.jobs[job].spec().block_size() as u64;
         let at_host =
             fabric::shared_legs(&mut self.fabric, device, t_leaf, bytes, cross_socket, model);
         let fabric_shared = at_host.saturating_since(t_leaf);
-        // Hook B, post-claim: de-fuse any pending reservation this
-        // claim just stomped.
-        if self.fused_live > 0 {
-            self.defuse_stomped_after_claim(t_leaf, ctx);
-        }
         if model.parks_thread() {
             // Without the MSI's trailing latency a tiny payload can
             // clear the shared legs inside the hub lookahead; the
@@ -777,55 +739,21 @@ impl IoPathWorld {
     }
 
     // ------------------------------------------------------------------
-    // Macro-event fusion of polled chains (see DESIGN.md §6.2)
+    // Inline device legs of private chains (see DESIGN.md §6.2)
     // ------------------------------------------------------------------
 
-    /// The cheap, declinable half of the fusion gate: conditions under
-    /// which `job`'s new I/O *might* fuse, checkable before any state
-    /// beyond the (already claimed) shared down-legs is touched.
-    /// Failing any of these takes the plain per-stage path.
-    fn fusion_candidate(&self, job: usize, device: usize) -> bool {
-        self.fusion_enabled
-            // Polled and hybrid chains only: fusing an interrupt chain
-            // would mean freezing its MSI-X route and handler timing,
-            // and no measured workload paid for that (DESIGN.md §6.2).
-            && self.model_of(job).parks_thread()
-            // Coalescing batches completions across I/Os on the hub.
-            && self.coalescing.is_none()
-            // The ledger log admits in reap order: a fused chain
-            // settles on a plain event where the per-stage path reaps
-            // on a keyed one, so same-instant reaps could enter the
-            // log in a different order.
-            && self.ledger_log.is_none()
-            // QD1: no sibling I/O of the same job can interleave with
-            // the frozen timeline.
-            && self.jobs[job].spec().iodepth() == 1
-            // Private device: its FIFO order and RNG stream are this
-            // chain's alone.
-            && self.device_job_count[device] == 1
-            // Private worker LP: no foreign job's submit/wake/reap can
-            // interleave with the reaping CPU's state.
-            && self.lp_job_count[self.job_lp[job]] == 1
-            && self.fused[job].is_none()
-    }
-
-    /// The speculative fast path (hub, at `SubmitDown` time, after the
-    /// real shared down-leg claim): run the private device-side legs
-    /// eagerly, then — if the completion side is provably uncontended —
-    /// freeze the rest of the polled timeline into a [`FusedChain`] and
-    /// book one [`Local::Settle`] macro-event in place of the 3
-    /// per-stage events.
+    /// Hub, at `SubmitDown`, for a job flagged in `inline_legs`: run
+    /// the device-side legs (device down-link, device service, device
+    /// up-leg) now instead of on `CommandAtDevice` and `DeviceDone`,
+    /// and send the chain's real `FabricUp` as the job's LP would have.
+    /// Everything from the leaf switch on runs on its real events.
     ///
-    /// The private legs are exact regardless of what the completion
-    /// side decides: the device, its links and the parked ledger are
-    /// this I/O's alone (QD1 + private device), and the full event
-    /// drain guarantees the chain completes in every run. A
-    /// completion-side decline therefore cannot back out — it falls
-    /// back *partially*, replaying the real [`Cross::FabricUp`] at the
-    /// leaf-arrival instant with the job's own channel sequence (the
-    /// same relative order the un-fused send would have had), eliding
-    /// just the two device-side events.
-    fn fuse_submit(
+    /// Exact: the private device and its links see the same calls in
+    /// the same order; at QD1 no sibling I/O can complete first; and
+    /// on a private LP no other send takes the job-LP → hub channel
+    /// before the `FabricUp`, so it draws the per-stage sequence
+    /// number and lands at the same instant and merge key.
+    fn run_device_legs(
         &mut self,
         job: usize,
         op: Op,
@@ -834,259 +762,11 @@ impl IoPathWorld {
         at_entry: SimTime,
         ctx: &mut Ctx<'_>,
     ) {
-        let device = self.jobs[job].spec().device();
-        let job_lp = self.job_lp[job];
-        let cpu = self.geometry.cpu_of_ssd(device);
-        let bytes = self.jobs[job].spec().block_size();
-        let model = self.model_of(job);
-        // Eager private legs — verbatim the CommandAtDevice and
-        // DeviceDone handler bodies, minus the two events.
-        let led = &mut self.ledger_slab[id as usize];
-        let at_device =
-            fabric::downstream_device_leg(&mut self.fabric, device, start, at_entry, led);
-        let completes_at = device::serve(&mut self.devices[device], at_device, op, bytes, led);
-        led.stamp(IoStage::DeviceComplete, completes_at);
-        let t_leaf = fabric::device_leg(
-            &mut self.fabric,
-            device,
-            completes_at,
-            bytes as u64,
-            model,
-            led,
-        );
-        let cross_socket = self.host.topology().socket_of(cpu) != AFA_SOCKET;
-        // Completion-side gate: every check is against state frozen
-        // until the settlement by construction (the gates themselves
-        // plus hooks A and B), so a pass makes the precomputed
-        // timeline exact.
-        let fused = 'gate: {
-            let Some(r) = self
-                .fabric
-                .preview_completion_shared_legs(device, t_leaf, bytes as u64)
-            else {
-                break 'gate None;
-            };
-            // The shared up-legs must also clear every *pending*
-            // reservation (their windows reach `free_at` only when
-            // they commit). Busy windows may touch at a boundary but
-            // not intersect.
-            for other in self.fused.iter().flatten() {
-                let o = &other.reservation;
-                if (o.leaf == r.leaf
-                    && o.leaf_start < r.leaf_busy_end
-                    && r.leaf_start < o.leaf_busy_end)
-                    || (o.spine == r.spine
-                        && o.up_start < r.up_busy_end
-                        && r.up_start < o.up_busy_end)
-                {
-                    break 'gate None;
-                }
-            }
-            let mut at_host = r.at_host;
-            if cross_socket {
-                at_host += fabric::NUMA_CROSS_SOCKET;
-            }
-            let fabric_shared = at_host.saturating_since(t_leaf);
-            let Some(vt) = self.host.vectors() else {
-                break 'gate None;
-            };
-            // No interrupt-driven device may point its effective
-            // vector at the reap core pair: a foreign handler there is
-            // a keyed cross event, so at the settlement instant it
-            // would always run before the plain `Settle` event, while
-            // the real keyed `PollComplete` could sort ahead of it —
-            // the reaping CPU's state would diverge.
-            let sib_c = self.host.topology().sibling_of(cpu);
-            for d2 in 0..self.devices.len() {
-                if d2 == device {
-                    continue;
-                }
-                let j2 = self.job_of_device[d2];
-                if j2 == usize::MAX || !self.model_of(j2).uses_irq_path() {
-                    continue;
-                }
-                let eff = vt.effective(d2);
-                if eff == cpu || eff == sib_c {
-                    break 'gate None;
-                }
-            }
-            Some(FusedChain {
-                // The instant the real `PollComplete` event would
-                // fire (its handler works off the carried `at_host`).
-                settle_at: at_host.max(t_leaf + self.hub_lookahead()),
-                issued_at: start,
-                ledger: id,
-                t_leaf,
-                at_host,
-                fabric_shared,
-                model,
-                cross_socket,
-                reservation: r,
-                committed: false,
-            })
-        };
-        match fused {
-            Some(chain) => {
-                let settle_at = chain.settle_at;
-                self.fused[job] = Some(chain);
-                self.fused_live += 1;
-                self.fusion.fused_chains += 1;
-                ctx.at_lp(job_lp, settle_at, Local::Settle { job });
-            }
-            None => {
-                // Partial fallback: re-enter the plain path at the
-                // leaf switch, exactly where the real `FabricUp`
-                // would fire.
-                ctx.send_from(
-                    job_lp,
-                    HUB_LP,
-                    t_leaf,
-                    Cross::FabricUp {
-                        job,
-                        issued_at: start,
-                        ledger: id,
-                        cross_socket,
-                        model,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Worker: a settlement macro-event fired. The instant guard
-    /// drops stale pops — a background install flushed the chain
-    /// early, or contention de-fused it.
-    fn on_settle(&mut self, job: usize, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        if self.fused[job].as_ref().is_none_or(|c| c.settle_at != now) {
-            return;
-        }
-        self.settle_fused(job, ctx);
-    }
-
-    /// Replays a fused chain's completion side in one shot: commit the
-    /// shared legs (if hook B hasn't already), then run the verbatim
-    /// poll-reap handler.
-    fn settle_fused(&mut self, job: usize, ctx: &mut Ctx<'_>) {
-        let chain = self.fused[job].take().expect("settling job has a chain");
-        self.fused_live -= 1;
-        if !chain.committed {
-            self.fabric
-                .commit_completion_shared_legs(&chain.reservation);
-        }
-        self.fusion.elided_events += 3;
-        self.on_poll_complete(
-            job,
-            chain.issued_at,
-            chain.ledger,
-            chain.fabric_shared,
-            chain.at_host,
-            chain.model,
-            ctx,
-        );
-    }
-
-    /// Tears a pending chain back into per-stage events at the point
-    /// of divergence: drop its (uncommitted) reservation and replay
-    /// the real `FabricUp` at the leaf-arrival instant, on the job's
-    /// own channel. The stale `Settle` pop is skipped by the instant
-    /// guard.
-    fn defuse(&mut self, job: usize, ctx: &mut Ctx<'_>) {
-        let c = self.fused[job].take().expect("de-fusing a live chain");
-        debug_assert!(!c.committed, "cannot de-fuse a committed chain");
-        self.fused_live -= 1;
-        self.fusion.defused_chains += 1;
-        ctx.send_from(
-            self.job_lp[job],
-            HUB_LP,
-            c.t_leaf,
-            Cross::FabricUp {
-                job,
-                issued_at: c.issued_at,
-                ledger: c.ledger,
-                cross_socket: c.cross_socket,
-                model: c.model,
-            },
-        );
-    }
-
-    /// Hook B, pre-claim: every pending reservation whose window opens
-    /// before this arrival was — in real time order — claimed first,
-    /// so commit it and let the incoming claim queue behind it. A tie
-    /// at the same leaf instant resolves by the merge key's source LP;
-    /// a tie the chain loses de-fuses it (the replay, sent here with a
-    /// later per-channel sequence, sorts exactly where the real event
-    /// would).
-    fn sync_fused_before_claim(&mut self, src: usize, now: SimTime, ctx: &mut Ctx<'_>) {
-        let mut defuse: Vec<usize> = Vec::new();
-        for (job, chain) in self.fused.iter_mut().enumerate() {
-            let Some(c) = chain else { continue };
-            if c.committed {
-                continue;
-            }
-            if c.t_leaf < now || (c.t_leaf == now && self.job_lp[job] < src) {
-                self.fabric.commit_completion_shared_legs(&c.reservation);
-                c.committed = true;
-            } else if c.t_leaf == now {
-                defuse.push(job);
-            }
-        }
-        for job in defuse {
-            self.defuse(job, ctx);
-        }
-    }
-
-    /// Hook B, post-claim: the claim just made may have pushed a
-    /// shared leg's free instant into a pending reservation's window,
-    /// invalidating the preview. De-fuse those chains — their replayed
-    /// `FabricUp` re-queues through the real path. Because every claim
-    /// runs this probe, surviving reservations are always valid.
-    fn defuse_stomped_after_claim(&mut self, now: SimTime, ctx: &mut Ctx<'_>) {
-        let mut stomped: Vec<usize> = Vec::new();
-        for (job, chain) in self.fused.iter().enumerate() {
-            let Some(c) = chain else { continue };
-            if c.committed {
-                continue;
-            }
-            debug_assert!(c.t_leaf > now, "pre-claim sync left a stale window");
-            let r = &c.reservation;
-            let (leaf_free, up_free) = self.fabric.shared_leg_free_at(r.leaf, r.spine);
-            if leaf_free > r.leaf_start || up_free > r.up_start {
-                stomped.push(job);
-            }
-        }
-        for job in stomped {
-            self.defuse(job, ctx);
-        }
-    }
-
-    /// Hook A, pre-install: a background burst is about to land on a
-    /// CPU owned by `p_lp`. Chains settling at exactly this instant
-    /// whose real `PollComplete` precedes the keyed `BgPlace` in the
-    /// merge order are settled now, acting as their owning LP. Both
-    /// events are sent by the hub, so the real completion precedes the
-    /// install iff its destination LP is lower, or — same channel — iff
-    /// it was sent (at `t_leaf`) no later than the `BgPlace`.
-    fn flush_fused_before_install(&mut self, p_lp: usize, now: SimTime, ctx: &mut Ctx<'_>) {
-        let mut flush: Vec<(usize, usize)> = Vec::new();
-        for (job, chain) in self.fused.iter().enumerate() {
-            let Some(c) = chain else { continue };
-            if c.settle_at != now {
-                continue;
-            }
-            let dst = self.job_lp[job];
-            if dst < p_lp || (dst == p_lp && c.t_leaf + BG_PLACE_LATENCY <= now) {
-                flush.push((dst, job));
-            }
-        }
-        // One fused job per LP (the private-LP gate): destination
-        // order is the hub channels' merge order.
-        flush.sort_unstable();
-        for (dst, job) in flush {
-            let prev = ctx.set_acting_lp(dst);
-            self.settle_fused(job, ctx);
-            ctx.set_acting_lp(prev);
-        }
+        let done = self.serve_command(job, op, id, start, at_entry);
+        let (t_leaf, up) = self.device_up_leg(job, start, id, done);
+        ctx.send_from(self.job_lp[job], HUB_LP, t_leaf, up);
+        self.fusion.fused_chains += 1;
+        self.fusion.elided_events += 2;
     }
 }
 
@@ -1105,13 +785,11 @@ impl ShardWorld for IoPathWorld {
                 issued_at,
                 ledger,
             } => {
-                self.on_device_done(job, issued_at, ledger, ctx);
+                let (t_leaf, up) = self.device_up_leg(job, issued_at, ledger, ctx.now());
+                ctx.send(HUB_LP, t_leaf, up);
             }
             Local::Msi { device } => {
                 self.on_msi(device, ctx);
-            }
-            Local::Settle { job } => {
-                self.on_settle(job, ctx);
             }
             Local::BgArrival => {
                 let now = ctx.now();
@@ -1136,7 +814,7 @@ impl ShardWorld for IoPathWorld {
         }
     }
 
-    fn handle_cross(&mut self, src: usize, event: Cross, ctx: &mut Ctx<'_>) {
+    fn handle_cross(&mut self, _src: usize, event: Cross, ctx: &mut Ctx<'_>) {
         match event {
             Cross::SubmitDown {
                 job,
@@ -1146,8 +824,8 @@ impl ShardWorld for IoPathWorld {
             } => {
                 let device = self.jobs[job].spec().device();
                 let at_entry = fabric::downstream_shared(&mut self.fabric, device, start);
-                if self.fusion_candidate(job, device) {
-                    self.fuse_submit(job, op, ledger, start, at_entry, ctx);
+                if self.inline_legs[job] {
+                    self.run_device_legs(job, op, ledger, start, at_entry, ctx);
                     return;
                 }
                 let at = at_entry.max(ctx.now() + self.hub_lookahead());
@@ -1170,18 +848,7 @@ impl ShardWorld for IoPathWorld {
                 issued_at,
                 at_entry,
             } => {
-                let device = self.jobs[job].spec().device();
-                let bytes = self.jobs[job].spec().block_size();
-                let led = &mut self.ledger_slab[ledger as usize];
-                let at_device = fabric::downstream_device_leg(
-                    &mut self.fabric,
-                    device,
-                    issued_at,
-                    at_entry,
-                    led,
-                );
-                let completes_at =
-                    device::serve(&mut self.devices[device], at_device, op, bytes, led);
+                let completes_at = self.serve_command(job, op, ledger, issued_at, at_entry);
                 ctx.at(
                     completes_at,
                     Local::DeviceDone {
@@ -1198,7 +865,7 @@ impl ShardWorld for IoPathWorld {
                 cross_socket,
                 model,
             } => {
-                self.on_fabric_up(src, job, issued_at, ledger, cross_socket, model, ctx);
+                self.on_fabric_up(job, issued_at, ledger, cross_socket, model, ctx);
             }
             Cross::IrqDeliver {
                 job,
@@ -1227,13 +894,7 @@ impl ShardWorld for IoPathWorld {
                 self.on_wake_reap(job, irq, at_host, batch, ctx);
             }
             Cross::BgPlace { placement } => {
-                let now = ctx.now();
-                // Hook A: settle what the real order puts before the
-                // install.
-                if self.fused_live > 0 {
-                    self.flush_fused_before_install(lp_of_cpu(placement.cpu), now, ctx);
-                }
-                self.host.install_background(placement, now);
+                self.host.install_background(placement, ctx.now());
             }
         }
     }

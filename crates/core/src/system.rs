@@ -29,10 +29,11 @@ thread_local! {
     static FUSION_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
 }
 
-/// RAII scope pinning the macro-event fusion fast path on or off for
-/// runs on the current thread, taking precedence over `AFA_NO_FUSION`.
-/// The experiment pool forwards the pin to its workers, so a sweep
-/// runs as its caller set it; runs on other threads are unaffected.
+/// RAII scope pinning fusion (private QD1 chains run their device legs
+/// inline) on or off for runs on the current thread, taking precedence
+/// over `AFA_NO_FUSION`. The experiment pool forwards the pin to its
+/// workers, so a sweep runs as its caller set it; runs on other
+/// threads are unaffected.
 /// Results are byte-identical with fusion on or off — the pin changes
 /// only how many events the engine pops.
 pub struct FusionOverride {
@@ -70,9 +71,10 @@ impl Drop for FusionOverride {
     }
 }
 
-/// Resolves whether a run fuses stage chains: this thread's
-/// [`FusionOverride`] wins, then `AFA_NO_FUSION` (any non-empty value
-/// other than `0` disables), then the default (on).
+/// Resolves whether a run's private chains run their device legs
+/// inline: this thread's [`FusionOverride`] wins, then `AFA_NO_FUSION`
+/// (any non-empty value other than `0` disables), then the default
+/// (on).
 fn fusion_enabled() -> bool {
     FusionOverride::current().unwrap_or_else(|| {
         !std::env::var("AFA_NO_FUSION")
@@ -155,8 +157,8 @@ pub struct RunResult {
     /// Simulated time at which the last completion landed.
     pub elapsed: SimTime,
     /// Simulation events processed by the run: 6.00 per I/O on the
-    /// paper's 64-SSD setup, and 2.21 when macro-event fusion engages
-    /// (8 busy-polled ULL SSDs).
+    /// paper's 64-SSD setup, and 3.00 on 8 busy-polled ULL SSDs, whose
+    /// private QD1 chains run their device legs inline (fusion).
     pub events_processed: u64,
     /// Events that were scheduled into the past and clamped (0 for a
     /// healthy model; see [`afa_sim::ShardedSim::clamped_past_schedules`]).
@@ -301,7 +303,7 @@ impl AfaSystem {
             .iter()
             .map(|j| lp_of_cpu(geometry.cpu_of_ssd(j.spec().device())))
             .collect();
-        let mut world = IoPathWorld::new(
+        let world = IoPathWorld::new(
             host,
             fabric,
             devices,
@@ -312,13 +314,11 @@ impl AfaSystem {
             config.irq_coalescing,
             config.hybrid_sleep(),
             config.device_profile.per_cpu_queue_pairs(),
+            // Fusion is byte-exact (a QD1 job alone on its device and
+            // worker LP runs its device legs inline), so the knob only
+            // exists to check the two paths against each other.
+            fusion_enabled(),
         );
-        // Macro-event fusion: on unless `AFA_NO_FUSION` / a
-        // `FusionOverride` says otherwise. The fast path additionally
-        // gates itself per submit (polled QD1, uncontended resources — see
-        // `IoPathWorld::fusion_candidate`), and is byte-exact, so the
-        // knob only exists for A/B verification.
-        world.set_fusion(fusion_enabled());
 
         // Each LP's sends are held to its own latency floor.
         let mut lookaheads = vec![world.worker_lookahead(); LP_COUNT];
@@ -348,9 +348,9 @@ impl AfaSystem {
             .iter()
             .map(|d| (d.stats(), d.ftl_stats()))
             .collect();
-        // The elided fusion events keep the *logical* event total
+        // The elided fusion events keep the per-stage event total
         // comparable across fusion settings: popped events + elided =
-        // the un-fused count.
+        // the count with fusion off.
         metrics::flush(metrics::Counters {
             completion: world.completions,
             fusion: world.fusion,

@@ -125,12 +125,6 @@ impl VectorTable {
             polluted: now < self.polluted_until[device],
         }
     }
-
-    /// The current effective (routed-to) CPU of a device, without
-    /// advancing the balancer.
-    pub fn effective(&self, device: usize) -> CpuId {
-        self.effective[device]
-    }
 }
 
 #[cfg(test)]

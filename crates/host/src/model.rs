@@ -310,11 +310,6 @@ impl HostModel {
         &self.stats
     }
 
-    /// The vector table, if installed.
-    pub fn vectors(&self) -> Option<&VectorTable> {
-        self.vectors.as_ref()
-    }
-
     // ------------------------------------------------------------------
     // Background workload
     // ------------------------------------------------------------------

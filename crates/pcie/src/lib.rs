@@ -35,4 +35,4 @@ mod topology;
 
 pub use budget::{FabricBudget, SwitchBudget, SwitchUtilization};
 pub use link::{Link, LinkSpec, PcieGeneration};
-pub use topology::{FabricStats, PcieFabric, SharedLegReservation, SlotAssignment};
+pub use topology::{FabricStats, PcieFabric, SlotAssignment};

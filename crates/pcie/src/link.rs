@@ -147,25 +147,6 @@ impl Link {
         self.free_at + self.propagation
     }
 
-    /// Commits a transfer whose busy window was already validated
-    /// against this link (see `PcieFabric::preview_completion_shared_legs`):
-    /// advances `free_at` to at least `busy_end` and books the
-    /// accounting, without re-running the [`reserve`](Self::reserve)
-    /// queueing rule. The max-ratchet makes out-of-order commits of
-    /// *disjoint* validated windows exact — each window's end is the
-    /// `free_at` the link would have had after serving it in time
-    /// order.
-    pub fn commit(&mut self, busy_end: SimTime, bytes: u64) {
-        self.free_at = self.free_at.max(busy_end);
-        self.bytes_carried += bytes;
-        self.transfers += 1;
-    }
-
-    /// One-way propagation delay.
-    pub fn propagation(&self) -> SimDuration {
-        self.propagation
-    }
-
     /// Total payload bytes carried.
     pub fn bytes_carried(&self) -> u64 {
         self.bytes_carried

@@ -47,36 +47,6 @@ pub struct FabricStats {
     pub commands: u64,
 }
 
-/// A validated-but-unbooked claim on the shared upstream legs for a
-/// polled completion, produced by
-/// [`PcieFabric::preview_completion_shared_legs`] and booked by
-/// [`PcieFabric::commit_completion_shared_legs`]. The busy windows are
-/// exact — the preview only succeeds when both links are idle at the
-/// arrival instants — so any later real reservation that overlaps them
-/// invalidates the reservation (the fusion path then de-fuses).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SharedLegReservation {
-    /// The completing device.
-    pub device: usize,
-    /// Bytes on the wire (data + CQE; a polled completion carries no
-    /// MSI).
-    pub payload: u64,
-    /// Index into the leaf→spine link array (`leaf * SPINES + spine`).
-    pub leaf: usize,
-    /// Spine switch / host uplink index.
-    pub spine: usize,
-    /// When the payload starts serializing on the leaf→spine link.
-    pub leaf_start: SimTime,
-    /// When the leaf→spine link goes idle again.
-    pub leaf_busy_end: SimTime,
-    /// When the payload starts serializing on the spine→host uplink.
-    pub up_start: SimTime,
-    /// When the uplink goes idle again.
-    pub up_busy_end: SimTime,
-    /// When the CQE DMA write lands at the host.
-    pub at_host: SimTime,
-}
-
 /// The switch fabric connecting one or more hosts to the SSDs.
 ///
 /// Links are directional resources: the downstream direction carries
@@ -325,75 +295,6 @@ impl PcieFabric {
         }
     }
 
-    /// Previews the shared legs of a *polled* completion **without
-    /// mutating** the fabric: the speculative half of the fusion fast
-    /// path, which [`poll_completion_shared_legs`](Self::poll_completion_shared_legs)
-    /// would reserve for real. Returns `None` unless both shared links
-    /// are idle at the instants the payload would reach them — i.e.
-    /// the chain would experience *zero* queueing — because only then
-    /// is the precomputed timeline guaranteed exact until someone else
-    /// claims a leg inside the reserved windows. On success the
-    /// returned reservation carries both busy windows and the
-    /// host-arrival instant;
-    /// [`commit_completion_shared_legs`](Self::commit_completion_shared_legs)
-    /// later books it, and the windows let the caller detect
-    /// conflicting claims in between.
-    pub fn preview_completion_shared_legs(
-        &self,
-        device: usize,
-        t_leaf: SimTime,
-        bytes: u64,
-    ) -> Option<SharedLegReservation> {
-        let a = self.assignments[device];
-        let li = self.leaf_index(a);
-        let payload = bytes + CQE_BYTES;
-        let leaf = &self.leaf_up[li];
-        if leaf.free_at() > t_leaf {
-            return None;
-        }
-        let leaf_busy_end = t_leaf + leaf.spec().serialization(payload);
-        let up_start = leaf_busy_end + leaf.propagation() + self.hop_latency;
-        let up = &self.uplink_up[a.spine as usize];
-        if up.free_at() > up_start {
-            return None;
-        }
-        let up_busy_end = up_start + up.spec().serialization(payload);
-        Some(SharedLegReservation {
-            device,
-            payload,
-            leaf: li,
-            spine: a.spine as usize,
-            leaf_start: t_leaf,
-            leaf_busy_end,
-            up_start,
-            up_busy_end,
-            at_host: up_busy_end + up.propagation(),
-        })
-    }
-
-    /// Books a previously previewed reservation: ratchets both shared
-    /// links' `free_at` over the validated busy windows and applies
-    /// exactly the accounting [`poll_completion_shared_legs`](Self::poll_completion_shared_legs)
-    /// would have. Commit order may differ from window order — the
-    /// caller guarantees the windows were conflict-free, and
-    /// [`Link::commit`] is a max-ratchet, so the end state is
-    /// identical to in-order reserves.
-    pub fn commit_completion_shared_legs(&mut self, r: &SharedLegReservation) {
-        self.stats.uplink_bytes += r.payload;
-        self.leaf_up[r.leaf].commit(r.leaf_busy_end, r.payload);
-        self.uplink_up[r.spine].commit(r.up_busy_end, r.payload);
-    }
-
-    /// Current `free_at` of the shared upstream pair `(leaf index,
-    /// spine)` — the conflict probe the fusion path runs after a real
-    /// claim to find pending reservations it just invalidated.
-    pub fn shared_leg_free_at(&self, leaf: usize, spine: usize) -> (SimTime, SimTime) {
-        (
-            self.leaf_up[leaf].free_at(),
-            self.uplink_up[spine].free_at(),
-        )
-    }
-
     /// Per-switch store-and-forward latency — the minimum gap any
     /// upstream leg adds, used to derive LP lookahead bounds.
     pub fn hop_latency(&self) -> SimDuration {
@@ -566,29 +467,6 @@ mod tests {
             "gap {} below msi latency",
             a.saturating_since(b)
         );
-    }
-
-    #[test]
-    fn preview_commit_matches_reserve_exactly() {
-        let mut real = PcieFabric::paper_single_host(8);
-        let mut fused = PcieFabric::paper_single_host(8);
-        let t_leaf = SimTime::from_nanos(5_000);
-        let r = fused
-            .preview_completion_shared_legs(3, t_leaf, 4096)
-            .expect("idle fabric previews");
-        let at_host = real.poll_completion_shared_legs(3, t_leaf, 4096);
-        assert_eq!(r.at_host, at_host, "preview must predict the real path");
-        fused.commit_completion_shared_legs(&r);
-        assert_eq!(real.stats(), fused.stats());
-        assert_eq!(
-            real.shared_leg_free_at(r.leaf, r.spine),
-            fused.shared_leg_free_at(r.leaf, r.spine)
-        );
-        // The just-committed window makes the legs busy, so a second
-        // preview at the same instant must decline.
-        assert!(fused
-            .preview_completion_shared_legs(3, t_leaf, 4096)
-            .is_none());
     }
 
     #[test]

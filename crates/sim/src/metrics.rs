@@ -244,21 +244,20 @@ impl FleetCounters {
     }
 }
 
-/// Macro-event fusion counters: how many I/O stage chains the fusion
-/// fast path collapsed into a single settlement event, and how many
-/// had to be de-fused back into per-stage events after a shared
-/// resource was claimed under them. Simulation-deterministic for a
-/// given fusion setting.
+/// Fusion counters: how many I/O chains ran their device-side legs
+/// inline at submit instead of on per-stage events, and how many
+/// events that saved. Simulation-deterministic for a given fusion
+/// setting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FusionCounters {
-    /// Stage chains fused into one settlement macro-event at submit.
+    /// Chains that ran their device legs inline.
     pub fused_chains: u64,
-    /// Fused chains torn back into per-stage events after another I/O
-    /// claimed a shared fabric leg inside their precomputed window.
+    /// Always 0: the inline rule is exact, so nothing is ever undone.
+    /// Kept because afabench reads it (`io_path.defused_per_fused`).
     pub defused_chains: u64,
-    /// Per-stage events the settled macro-events replaced (3 per
-    /// chain; only polled chains fuse) — the gap between logical and
-    /// popped event counts a harness must add back.
+    /// Per-stage events the inline chains skipped (2 per chain:
+    /// `CommandAtDevice` and `DeviceDone`) — the gap between the
+    /// per-stage and the popped event counts.
     pub elided_events: u64,
 }
 

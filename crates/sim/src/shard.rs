@@ -141,29 +141,10 @@ impl<L, C> ShardCtx<'_, L, C> {
     /// model bug that would otherwise hide as silently reordered
     /// events.
     pub fn at(&mut self, time: SimTime, event: L) {
-        self.at_lp(self.lp, time, event);
-    }
-
-    /// Schedules a local event for an **explicit** LP at an absolute
-    /// time. Used by the fusion fast path, where the hub schedules the
-    /// settlement event directly on the job's worker LP.
-    pub fn at_lp(&mut self, lp: usize, time: SimTime, event: L) {
         if time < self.now {
             self.wheel.clamped += 1;
         }
-        self.wheel.push_local(lp, time.max(self.now), event);
-    }
-
-    /// Re-brands the context as acting for `lp` — subsequent
-    /// [`at`](Self::at)/[`send`](Self::send) calls schedule, draw
-    /// per-channel sequence numbers and check lookahead as that LP —
-    /// and returns the previous LP so the caller can restore it. Used
-    /// by the fusion fast path when it settles a macro-event
-    /// synchronously from inside another LP's handler: the settlement
-    /// must emit exactly the events (and sequence draws) the real
-    /// completion handler on the owning LP would have.
-    pub fn set_acting_lp(&mut self, lp: usize) -> usize {
-        std::mem::replace(&mut self.lp, lp)
+        self.wheel.push_local(self.lp, time.max(self.now), event);
     }
 
     /// Sends a cross event to LP `dst` (self-sends are allowed and
@@ -186,14 +167,13 @@ impl<L, C> ShardCtx<'_, L, C> {
         self.wheel.push_cross(self.lp, dst, time, event);
     }
 
-    /// Re-emits a cross event **as if** LP `src` had sent it — the
-    /// de-fuse escape hatch of the fusion fast path. The send draws
-    /// `src`'s per-channel sequence number, so a replayed event lands
-    /// in exactly the merge-key position the elided original would
-    /// have occupied. Unlike [`ShardCtx::send`] there is no lookahead
-    /// floor: the replayed event may be scheduled at the current
-    /// instant (it pops after the running handler, in key order among
-    /// same-time entries).
+    /// Sends a cross event **as if** LP `src` had sent it: the send
+    /// draws the `(src, dst)` channel's sequence number, so the event
+    /// takes the merge-key position `src`'s own send would have. The
+    /// I/O path's inline device legs use it to send a chain's
+    /// completion from the hub on the job LP's channel. Unlike
+    /// [`ShardCtx::send`] it is checked only against the clock, not
+    /// against a lookahead.
     ///
     /// # Panics
     ///

@@ -70,16 +70,18 @@ for golden in tests/golden/*.json; do
     echo "golden OK: $fig"
 done
 
-echo "==> fusion on/off byte-compare (ull-crossover)"
-# The macro-event fusion fast path must be invisible in the artifacts:
-# AFA_NO_FUSION=1 forces every chain down the per-stage path, and the
-# JSON must not move by a byte. Only polled and hybrid chains fuse, and
-# ull-crossover runs both; interrupt-only experiments such as fig06
-# never fuse, so comparing them here would check nothing.
-for exp in ull-crossover; do
+echo "==> fusion on/off byte-compare (every golden)"
+# Fusion must be invisible in the artifacts: AFA_NO_FUSION=1 forces
+# every chain down the per-stage path, and no golden may move by a
+# byte. At golden scale (8 SSDs) every QD1 job is alone on its worker
+# LP, so the goldens above ran those chains' device legs inline under
+# every completion model; the serving and fleet fixtures run no I/O
+# path and must match too.
+for golden in tests/golden/*.json; do
+    exp="$(basename "$golden" .json)"
     AFA_NO_FUSION=1 ./target/release/afactl exp "$exp" --seconds 0.25 --ssds 8 --seed 42 \
         --json > "$golden_tmp/$exp-nofusion.json"
-    if ! cmp -s "tests/golden/$exp.json" "$golden_tmp/$exp-nofusion.json"; then
+    if ! cmp -s "$golden" "$golden_tmp/$exp-nofusion.json"; then
         echo "fusion mismatch: $exp under AFA_NO_FUSION=1 differs from the golden" >&2
         exit 1
     fi

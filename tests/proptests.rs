@@ -318,23 +318,23 @@ fn ledger_tiles_latency_for_every_completion_model() {
     });
 }
 
-/// Macro-event fusion is invisible in the artifacts, and only polled
-/// chains fuse: for any scale and seed, a run with the fusion fast path
-/// forced on serializes to exactly the bytes of a run with every chain
-/// forced down the per-stage path — including the manifest's per-cause
-/// latency budget, which is the run's own cause table, so `ablate-poll`'s
-/// polled runs put their fused chains' settled ledgers into the
-/// byte-compared bytes. Each case checks one drawn interrupt experiment
-/// (fig06–fig09, fig11), which must fuse nothing even with fusion
-/// forced on, and `ablate-poll`, whose busy-polled half must actually
-/// fuse (a gate that silently declines everything would pass the
-/// byte-compare vacuously). With fusion forced off nothing fuses.
+/// Fusion is invisible in the artifacts: for any scale and seed, a run
+/// with fusion forced on serializes to exactly the bytes of a run with
+/// every chain forced down the per-stage path — including the
+/// manifest's per-cause latency budget, which is the run's own cause
+/// table, so the settled ledgers of chains that ran their device legs
+/// inline are in the byte-compared bytes. Each case checks one drawn
+/// interrupt experiment (fig06–fig09, fig11) and `ablate-poll`. Both
+/// run QD1 jobs alone on their worker LPs, so both must run legs inline
+/// when forced on (a flag that silently declines everything would pass
+/// the byte-compare vacuously). With fusion forced off nothing runs
+/// inline.
 #[test]
 fn fusion_on_and_off_produce_identical_artifacts() {
     // QD1 experiments at ≤ 6 SSDs: one job per worker LP, so every
-    // gate but the completion model passes. (ablate-coalescing would
-    // decline by design — QD4 with coalescing on — and is covered by
-    // the golden matrix instead.)
+    // chain runs its legs inline. (ablate-coalescing runs at QD4, so
+    // none of its chains would, and it is covered by the golden
+    // matrix instead.)
     let interrupt = ["fig06", "fig07", "fig08", "fig09", "fig11"];
     run_cases("fusion_on_and_off_produce_identical_artifacts", 6, |g| {
         let figure = interrupt[g.usize_in(0, interrupt.len() - 1)];
@@ -356,36 +356,37 @@ fn fusion_on_and_off_produce_identical_artifacts() {
                 fused_json, unfused_json,
                 "{name} artifact diverged between fusion on and off"
             );
-            if name == "ablate-poll" {
-                assert!(
-                    fused_tally.fused_chains > 0,
-                    "{name}: run fused no chains — the polled fast path is dead"
-                );
-            } else {
-                assert_eq!(
-                    fused_tally.fused_chains, 0,
-                    "{name}: an interrupt chain fused"
-                );
-            }
+            assert!(
+                fused_tally.fused_chains > 0,
+                "{name}: no chain ran its device legs inline"
+            );
             assert_eq!(
                 unfused_tally.fused_chains, 0,
-                "{name}: FusionOverride(false) still fused chains"
+                "{name}: FusionOverride(false) still ran legs inline"
             );
         }
     });
 }
 
-/// Per-I/O ledgers are fusion-invariant, entry by entry: with the
-/// ledger log enabled, runs with fusion forced on and off produce the
-/// identical sequence of completed I/Os — same device, same issue
-/// instant, same latency, and the same per-cause sums to the
-/// nanosecond. Today the ledger-log gate routes both runs down the
-/// per-stage path, so equality is structural; if that gate is ever
-/// relaxed to let logged runs fuse, this becomes the test that the
-/// eagerly-stamped fused ledger matches the per-stage one exactly.
+/// Per-I/O ledgers are fusion-invariant, entry by entry, under every
+/// completion model: with the ledger log enabled, runs with fusion
+/// forced on and off produce the identical sequence of completed I/Os
+/// — same device, same issue instant, same latency, and the same
+/// per-cause sums to the nanosecond. At ≤ 6 SSDs every QD1 job is
+/// alone on its worker LP, so the forced-on runs take the inline path
+/// (asserted), and this is the test that a ledger whose device legs
+/// ran at `SubmitDown` matches the per-stage one exactly, and enters
+/// the log at the same place.
 #[test]
 fn fusion_preserves_per_cause_ledger_sums() {
+    use afa::ssd::DeviceProfile;
+    use afa::workload::IoEngine;
     run_cases("fusion_preserves_per_cause_ledger_sums", 8, |g| {
+        let engine = [IoEngine::Libaio, IoEngine::Polling, IoEngine::HybridPoll][g.usize_in(0, 2)];
+        let profile = match engine {
+            IoEngine::Libaio => DeviceProfile::Table1,
+            _ => DeviceProfile::UltraLowLatency,
+        };
         let stage = [
             TuningStage::Default,
             TuningStage::Chrt,
@@ -396,15 +397,20 @@ fn fusion_preserves_per_cause_ledger_sums() {
         let ssds = g.usize_in(1, 6);
         let ledgers = |fuse: bool| {
             let _fusion = FusionOverride::set(fuse);
-            let result = AfaSystem::run(
-                &AfaConfig::paper(stage)
-                    .with_ssds(ssds)
-                    .with_runtime(SimDuration::millis(40))
-                    .with_seed(seed)
-                    .with_ledger_log(512),
-            );
+            let (result, counts) = afa::sim::metrics::capture(|| {
+                AfaSystem::run(
+                    &AfaConfig::paper(stage)
+                        .with_ssds(ssds)
+                        .with_engine(engine)
+                        .with_device_profile(profile)
+                        .with_runtime(SimDuration::millis(40))
+                        .with_seed(seed)
+                        .with_ledger_log(512),
+                )
+            });
             let log = result.ledgers.expect("ledger log enabled");
-            log.entries()
+            let rows = log
+                .entries()
                 .iter()
                 .map(|io| {
                     (
@@ -414,14 +420,20 @@ fn fusion_preserves_per_cause_ledger_sums() {
                         io.ledger.rows().collect::<Vec<_>>(),
                     )
                 })
-                .collect::<Vec<_>>()
+                .collect::<Vec<_>>();
+            (rows, counts.fusion.fused_chains)
         };
-        let fused = ledgers(true);
-        let unfused = ledgers(false);
+        let (fused, inline) = ledgers(true);
+        let (unfused, per_stage_inline) = ledgers(false);
         assert!(!fused.is_empty(), "no completed I/Os logged");
+        assert!(
+            inline > 0,
+            "{engine:?}: no logged chain ran its legs inline"
+        );
+        assert_eq!(per_stage_inline, 0, "{engine:?}: FusionOverride(false)");
         assert_eq!(
             fused, unfused,
-            "per-cause ledger sums diverged between fusion on and off"
+            "{engine:?}: per-cause ledger sums diverged between fusion on and off"
         );
     });
 }

@@ -254,7 +254,7 @@ fn serving_work<R: ExperimentResult>(run: impl FnOnce(ExperimentScale) -> R, ssd
 /// any host. The goldens leave event counts out (fusion moves them), so
 /// a change that moves a count updates its pin here and says why.
 /// `ull-poll-8`'s event totals are pinned by
-/// [`polled_chains_fuse_and_interrupt_chains_do_not`].
+/// [`private_chains_run_device_legs_inline`].
 #[test]
 fn benchmark_workloads_do_pinned_work() {
     let mut mixed =
@@ -285,41 +285,49 @@ fn benchmark_workloads_do_pinned_work() {
     }
 }
 
-/// The engine's event budget per completed I/O, with fusion forced on
-/// and off. Busy-polled QD1 chains on private worker LPs fuse into one
-/// settlement event (2 events per I/O instead of 5); interrupt chains
-/// never fuse, so a libaio run pops the same events either way.
-/// [`FusionOverride`] pins only this test's thread, and the counts
-/// come from each run's own [`RunResult::events_processed`], so
-/// sibling tests can neither flip fusion mid-run nor skew the counts.
+/// The one fusion rule, with fusion forced on and off: a QD1 job alone
+/// on its device and on its worker LP runs its device legs inline at
+/// `SubmitDown`, under every completion model. Each such chain pops two
+/// events fewer (`CommandAtDevice` and `DeviceDone`): 3 instead of 5
+/// per busy-polled I/O, 4 instead of 6 per interrupt I/O. The rule is
+/// exact, so the reports match either way. [`FusionOverride`] pins
+/// only this test's thread, and the counts come from each run's own
+/// [`metrics::capture`], so sibling tests can neither flip fusion
+/// mid-run nor skew the counts.
 ///
 /// [`FusionOverride`]: afa::core::FusionOverride
-/// [`RunResult::events_processed`]: afa::core::RunResult::events_processed
 #[test]
-fn polled_chains_fuse_and_interrupt_chains_do_not() {
+fn private_chains_run_device_legs_inline() {
     let run = |config: &AfaConfig, fuse: bool| {
         let _fusion = afa::core::FusionOverride::set(fuse);
-        AfaSystem::run(config)
+        metrics::capture(|| AfaSystem::run(config))
     };
-
-    let (fused, unfused) = (run(&ull_poll_8(), true), run(&ull_poll_8(), false));
-    let ios: u64 = fused.reports.iter().map(|rep| rep.completed()).sum();
-    assert_eq!(ios, 22_444);
-    assert_eq!(
-        (fused.events_processed, unfused.events_processed),
-        (49_956, 112_256),
-        "polled events (fused, unfused) for 22,444 I/Os"
-    );
-    assert_eq!(run_fingerprint(&fused), run_fingerprint(&unfused));
-
-    // libaio at 8 SSDs: one job per worker LP, so every other gate
-    // passes and only the completion model keeps the chains unfused.
-    let libaio = bench_array(TuningStage::IrqAffinity, 8);
-    let (on, off) = (run(&libaio, true), run(&libaio, false));
-    assert_eq!(
-        (on.events_processed, off.events_processed),
-        (65_328, 65_328),
-        "interrupt events (fusion on, off)"
-    );
-    assert_eq!(run_fingerprint(&on), run_fingerprint(&off));
+    let libaio_8 = bench_array(TuningStage::IrqAffinity, 8);
+    for (name, config, ios, events) in [
+        ("ull-poll-8", ull_poll_8(), 22_444, (67_368, 112_256)),
+        ("libaio-8", libaio_8, 10_882, (43_564, 65_328)),
+    ] {
+        let ((on, on_counts), (off, off_counts)) = (run(&config, true), run(&config, false));
+        assert_eq!(on.completed(), ios, "{name}: completed I/Os");
+        assert_eq!(
+            (on.events_processed, off.events_processed),
+            events,
+            "{name}: events (fusion on, off)"
+        );
+        assert_eq!(
+            on_counts.events + on_counts.fusion.elided_events,
+            off_counts.events,
+            "{name}: popped + elided events must be the per-stage count"
+        );
+        assert_eq!(
+            on_counts.fusion.fused_chains, ios,
+            "{name}: every chain runs its device legs inline"
+        );
+        assert_eq!(
+            off_counts.fusion,
+            metrics::FusionCounters::default(),
+            "{name}: FusionOverride(false) still ran legs inline"
+        );
+        assert_eq!(run_fingerprint(&on), run_fingerprint(&off), "{name}");
+    }
 }
