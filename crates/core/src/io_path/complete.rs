@@ -15,7 +15,7 @@ use afa_sim::{SimDuration, SimTime};
 use crate::blktrace::IoStage;
 
 use super::model::CompletionModel;
-use super::{CompletedIo, IoLedger, IoPathWorld, LedgerId};
+use super::{CompletedIo, IoId, IoLedger, IoPathWorld};
 
 /// CPU cost of the completion path (reap + io_getevents return).
 pub(crate) const COMPLETE_COST: SimDuration = SimDuration::nanos(1_300);
@@ -83,31 +83,26 @@ pub(crate) fn poll_reap(
 }
 
 impl IoPathWorld {
-    /// Retires one I/O: settles its parked ledger *in the slab* and
-    /// derives every instrumentation view from it — cause table and
-    /// ledger log — then records the job's latency sample and
+    /// Retires one I/O reaped at `done`: settles its ledger *in the
+    /// slab* and derives every instrumentation view from it — cause
+    /// table and ledger log — then records the job's latency sample and
     /// recycles the slot. The only ledger copy the I/O ever pays is
     /// the optional ledger-log capture.
-    pub(crate) fn finish_io(
-        &mut self,
-        job: usize,
-        issued_at: SimTime,
-        done: SimTime,
-        id: LedgerId,
-    ) {
-        let ledger = &mut self.ledger_slab[id as usize];
-        ledger.settle();
-        ledger.flush_causes(&mut self.causes);
+    pub(crate) fn finish_io(&mut self, id: IoId, done: SimTime) {
+        let io = &mut self.inflight[id as usize];
+        io.ledger.settle();
+        io.ledger.flush_causes(&mut self.causes);
+        let (job, issued_at) = (io.job, io.issued_at);
         if let Some(log) = &mut self.ledger_log {
             log.push(CompletedIo {
                 job,
                 device: self.jobs[job].spec().device(),
                 issued_at,
                 reaped_at: done,
-                ledger: self.ledger_slab[id as usize],
+                ledger: io.ledger,
             });
         }
-        self.ledger_free.push(id);
+        self.free.push(id);
         self.jobs[job].complete(done.saturating_since(issued_at).as_nanos());
     }
 }

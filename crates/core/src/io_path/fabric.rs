@@ -4,11 +4,10 @@
 //! device after the doorbell ring. Upstream (stage 4): the 4 KiB data,
 //! CQE and MSI cross back once the device posts the completion — split
 //! at the LP boundary into the device-owned up-leg (reserved by the
-//! owning worker) and the shared leaf/uplink legs (reserved by the
-//! hub, which owns them). All legs accrue to [`Cause::Fabric`] on the
-//! ledger — open legs that settle into the single fabric attribution
-//! the I/O ends up with; the hub returns its leg as a scalar for the
-//! owner to accrue, since the ledger belongs to the owning worker LP.
+//! device's worker) and the shared leaf/uplink legs (reserved by the
+//! hub, which owns them). Each leg accrues to [`Cause::Fabric`] on the
+//! I/O's ledger where it is reserved — open legs that settle into the
+//! single fabric attribution the I/O ends up with.
 
 use afa_pcie::PcieFabric;
 use afa_sim::trace::Cause;
@@ -36,8 +35,9 @@ pub(crate) fn downstream_shared(fabric: &mut PcieFabric, device: usize, start: S
 
 /// Reserves the device's private down-link from the leaf-egress
 /// timestamp, accrues the whole downstream crossing and returns when
-/// the command is visible to the device. Runs on the owning worker
-/// (the per-device link and the ledger are its resources).
+/// the command is visible to the device. Runs on the device's worker
+/// (the per-device link is its resource), or on the hub for an inline
+/// chain.
 pub(crate) fn downstream_device_leg(
     fabric: &mut PcieFabric,
     device: usize,
@@ -53,7 +53,8 @@ pub(crate) fn downstream_device_leg(
 
 /// Reserves the device-owned up-leg at the instant the device posts
 /// the completion; returns when the payload reaches the leaf switch.
-/// Runs on the owning worker (the per-device link is its resource).
+/// Runs on the device's worker (the per-device link is its resource),
+/// or on the hub for an inline chain.
 /// The completion model decides the payload: only
 /// [`CompletionModel::pays_msi`] completions carry the 4-byte MSI-X
 /// message — a polled CQ is discovered by reading it.
@@ -75,14 +76,12 @@ pub(crate) fn device_leg(
 }
 
 /// Reserves the shared leaf + uplink legs from the leaf-arrival
-/// instant; returns when the interrupt reaches the host. Runs on the
-/// hub (shared links are FIFO resources, so this must run in global
-/// leaf-arrival order). `cross_socket` adds the NUMA penalty for fio
-/// threads living on the socket the AFA's uplink does not attach to.
-/// The elapsed time is returned to the owning worker as
-/// `fabric_shared` and accrued there — the ledger stays parked in the
-/// owner's slab. [`CompletionModel::pays_msi`] completions end with
-/// the MSI-X vector delivery (and its latency + interrupt count);
+/// instant and accrues them; returns when the interrupt reaches the
+/// host. Runs on the hub (shared links are FIFO resources, so this
+/// must run in global leaf-arrival order). `cross_socket` adds the
+/// NUMA penalty for fio threads living on the socket the AFA's uplink
+/// does not attach to. [`CompletionModel::pays_msi`] completions end
+/// with the MSI-X vector delivery (and its latency + interrupt count);
 /// polled completions end when the CQE DMA write lands.
 pub(crate) fn shared_legs(
     fabric: &mut PcieFabric,
@@ -91,6 +90,7 @@ pub(crate) fn shared_legs(
     bytes: u64,
     cross_socket: bool,
     model: CompletionModel,
+    ledger: &mut IoLedger,
 ) -> SimTime {
     let mut at_host = if model.pays_msi() {
         fabric.deliver_completion_shared_legs(device, t_leaf, bytes)
@@ -100,5 +100,6 @@ pub(crate) fn shared_legs(
     if cross_socket {
         at_host += NUMA_CROSS_SOCKET;
     }
+    ledger.accrue(Cause::Fabric, at_host.saturating_since(t_leaf));
     at_host
 }

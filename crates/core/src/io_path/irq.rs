@@ -3,11 +3,10 @@
 //!
 //! Routing runs on the hub (it owns the vector table and balancer);
 //! the handler executes on the worker owning the effective vector CPU
-//! (`HostModel::deliver_irq_routed`); and the scalar
-//! [`IrqOutcome`] travels to the I/O's owning worker, where this
-//! module books it onto the parked ledger. The handler slice and the
-//! remote-completion slice are both closed amounts, so they credit
-//! the ledger directly.
+//! (`HostModel::deliver_irq_routed`), and that same event books the
+//! [`IrqOutcome`] onto the ledger of the first I/O the interrupt
+//! serves. The handler slice and the remote-completion slice are both
+//! closed amounts, so they credit the ledger directly.
 
 use afa_host::IrqOutcome;
 use afa_sim::trace::Cause;
@@ -17,7 +16,7 @@ use crate::blktrace::IoStage;
 
 use super::IoLedger;
 
-/// Books a remotely-executed interrupt onto the I/O's ledger.
+/// Books an executed interrupt onto the I/O's ledger.
 /// `at_host` is when the MSI reached the host (the handler slice runs
 /// from there to `handler_done`; wake-ready beyond that is the remote
 /// IPI).

@@ -10,9 +10,9 @@
 //! is the only per-I/O capture: the blktrace view of an I/O
 //! ([`CompletedIo::trace`]) is rendered from its entry's stamps.
 //!
-//! The ledger is `Copy`, heap-free and slab-allocated (see the world's
-//! meta slab), so threading it through the path costs a fixed-size
-//! write per stage and no allocation per I/O.
+//! The ledger is `Copy`, heap-free and parked in the I/O's slot of the
+//! world's in-flight slab, so each stage writes it in place at a fixed
+//! cost and no I/O allocates.
 
 use afa_sim::trace::{Cause, CauseAccumulator};
 use afa_sim::{SimDuration, SimTime};
@@ -306,7 +306,7 @@ mod tests {
 
     #[test]
     fn ledger_is_200_bytes() {
-        // The slab entry every in-flight I/O parks: 16 cause totals,
+        // The ledger every in-flight I/O parks: 16 cause totals,
         // 16 credit counts, 5 stamps, the pre-issue time and the LBA,
         // with no padding.
         assert_eq!(std::mem::size_of::<IoLedger>(), 200);

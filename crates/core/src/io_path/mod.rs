@@ -32,13 +32,14 @@
 //! owns everything shared: the upstream leaf/uplink links, the MSI-X
 //! vector table and IRQ balancer, interrupt coalescing, and
 //! background-daemon placement. The split is part of the model, not an
-//! execution detail: the hub reserves the shared down-legs in the
-//! order its `SubmitDown` arrivals merge (the FIFO behind Fig. 12's
-//! convoys), and background placement sees CPU business through a
-//! view that is one worker lookahead stale: workers log their busy
-//! reports on the host ([`HostModel::note_io_busy`]) and the hub folds
-//! the ones visible at each placement decision, so the view costs no
-//! event.
+//! execution detail: an event's LP names its merge key and bounds its
+//! send by that LP's lookahead, so the split decides event order. The
+//! hub reserves the shared down-legs in the order its `SubmitDown`
+//! arrivals merge (the FIFO behind Fig. 12's convoys), and background
+//! placement sees CPU business through a view that is one worker
+//! lookahead stale: workers log their busy reports on the host
+//! ([`HostModel::note_io_busy`]) and the hub folds the ones visible at
+//! each placement decision, so the view costs no event.
 //!
 //! Inter-LP hops ride `Cross` events under per-LP lookahead bounds
 //! (the smaller of a fabric hop and interrupt entry + handler for
@@ -47,14 +48,21 @@
 //! them: the hub runs its device legs inline at `SubmitDown`
 //! (`IoPathWorld::run_device_legs`, DESIGN.md §6.2).
 //!
-//! Every stage writes its timing contribution into the I/O's
-//! [`IoLedger`], parked in the *owning worker's* slab for the I/O's
-//! whole life (events carry only a `LedgerId`; cross events carry
-//! the scalar outcomes of remote stages). The run's cause table and
-//! the optional ledger log (the run's one per-I/O capture, blktrace
-//! stamps included) both derive from the settled ledger in one place
-//! (`IoPathWorld::finish_io`), in place; only a logged I/O's ledger
-//! is copied out of the slab.
+//! # One record per in-flight I/O
+//!
+//! No LP owns an I/O's data. Each in-flight I/O is one slot of the
+//! world's slab (`InFlight`): its [`IoLedger`], its job and op, its
+//! doorbell instant and the two instants a later event reads back.
+//! Every I/O-path event carries only the slot's id (`IoId`), and each
+//! stage writes its outcome into the ledger at the event that computes
+//! it, on whichever LP runs it: the hub accrues the shared-leg fabric
+//! time at `FabricUp`, the vector CPU's worker books the handler's
+//! slices at `IrqDeliver`. Per-job facts (the completion model, the
+//! submitting CPU's socket) are read from the job where they are used.
+//! The run's cause table and the optional ledger log (the run's one
+//! per-I/O capture, blktrace stamps included) both derive from the
+//! settled ledger in one place (`IoPathWorld::finish_io`), in place;
+//! only a logged I/O's ledger is copied out of the slab.
 
 mod complete;
 mod device;
@@ -70,10 +78,10 @@ pub use ledger::{CompletedIo, IoLedger, LedgerLog};
 use complete::COMPLETE_COST;
 use model::CompletionModel;
 
-use afa_host::{BgPlacement, CpuId, HostModel, IrqDelivery, IrqOutcome};
+use afa_host::{BgPlacement, CpuId, HostModel, IrqDelivery};
 use afa_pcie::PcieFabric;
 use afa_sim::metrics::{CompletionCounters, FusionCounters};
-use afa_sim::trace::{Cause, CauseAccumulator};
+use afa_sim::trace::CauseAccumulator;
 use afa_sim::{ShardCtx, ShardWorld, SimDuration, SimTime};
 use afa_ssd::SsdDevice;
 use afa_workload::{JobState, Op};
@@ -115,14 +123,33 @@ pub(crate) fn lp_of_cpu(cpu: CpuId) -> usize {
     (cpu.0 as usize % CORES_PER_SOCKET_PAIR) % WORKER_LPS
 }
 
-/// Slab handle for an I/O's in-flight [`IoLedger`] (see
-/// [`IoPathWorld::ledger_slab`]).
-pub(crate) type LedgerId = u32;
+/// Slab handle of an in-flight I/O (see `InFlight`): the one payload
+/// the I/O path's events carry.
+pub(crate) type IoId = u32;
 
-/// LP-local events. Kept small (32 bytes): the event queue parks every
-/// event once in a slab slot sized for the largest one, so the cold
-/// per-I/O ledger lives in an indexed slab on the world and events
-/// carry only a [`LedgerId`].
+/// The whole in-flight record of one I/O, parked in one slab slot from
+/// issue to reap. Stages write their outcomes into `ledger` where they
+/// run; the instants are the ones a later event reads back.
+struct InFlight {
+    ledger: IoLedger,
+    job: usize,
+    op: Op,
+    /// Doorbell ring: the I/O's latency clock starts here.
+    issued_at: SimTime,
+    /// When the command reached the leaf egress (written at
+    /// `SubmitDown`; `CommandAtDevice` may land later, clamped up to
+    /// the hub lookahead).
+    at_entry: SimTime,
+    /// When a polled completion's CQE landed in host memory (written at
+    /// `FabricUp`; `PollComplete` may land later, clamped up to the hub
+    /// lookahead — without an MSI the shared legs can finish inside the
+    /// lookahead window for tiny payloads).
+    at_host: SimTime,
+}
+
+/// LP-local events. Kept at 16 bytes: the event queue parks every
+/// event once in a slab slot sized for the largest one, so events
+/// carry an [`IoId`], never the record.
 #[derive(Debug)]
 pub(crate) enum Local {
     /// Job's thread is running and ready to issue (worker).
@@ -130,11 +157,7 @@ pub(crate) enum Local {
     /// The device posts the completion; the device-side up-leg is
     /// reserved *now* so per-device FIFOs are used in time order
     /// (worker).
-    DeviceDone {
-        job: usize,
-        issued_at: SimTime,
-        ledger: LedgerId,
-    },
+    DeviceDone { io: IoId },
     /// A coalescing timeout fires for the device's pending
     /// completions (hub).
     Msi { device: usize },
@@ -142,117 +165,62 @@ pub(crate) enum Local {
     BgArrival,
 }
 
-/// One completion riding an interrupt batch. The ledger stays in the
-/// origin worker's slab; the entry carries the hub-computed shared-leg
-/// fabric time so the owner can accrue it on receipt.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct CqEntry {
-    issued_at: SimTime,
-    ledger: LedgerId,
-    /// Shared-leg time (leaf + uplink serialization, MSI, NUMA
-    /// penalty) accrued to [`Cause::Fabric`] by the owning worker.
-    fabric_shared: SimDuration,
-}
-
-/// The completions served by one interrupt. The common un-coalesced
-/// path is a single inline entry (no allocation); only the coalescing
-/// ablation builds real batches.
+/// The completions served by one interrupt, all from one device (so
+/// one job). The common un-coalesced path is a single inline id (no
+/// allocation); only the coalescing ablation builds real batches.
 #[derive(Debug)]
 pub(crate) enum CqBatch {
-    One(CqEntry),
-    Many(Vec<CqEntry>),
+    One(IoId),
+    Many(Vec<IoId>),
 }
 
 impl CqBatch {
-    fn as_slice(&self) -> &[CqEntry] {
+    fn as_slice(&self) -> &[IoId] {
         match self {
-            CqBatch::One(entry) => std::slice::from_ref(entry),
-            CqBatch::Many(entries) => entries,
+            CqBatch::One(io) => std::slice::from_ref(io),
+            CqBatch::Many(ios) => ios,
         }
-    }
-
-    fn first(&self) -> CqEntry {
-        self.as_slice()[0]
     }
 }
 
 /// Inter-LP events. Each hop's timestamp respects the sender's
-/// lookahead bound (asserted by [`ShardCtx::send`]); payloads are the
-/// scalar outcomes of remotely-executed stages, never the ledger
-/// itself.
+/// lookahead bound (asserted by [`ShardCtx::send`]); an I/O's events
+/// carry its [`IoId`], never a stage's outcome or a per-job fact.
 #[derive(Debug)]
 pub(crate) enum Cross {
-    /// Worker → hub: a command left the host at `start`; the hub
-    /// reserves the shared down-legs in global submit order (the FIFO
-    /// ordering phase-couples the submitting threads — the coupling
-    /// behind the paper's shared-fabric convoys).
-    SubmitDown {
-        job: usize,
-        op: Op,
-        ledger: LedgerId,
-        start: SimTime,
-    },
-    /// Hub → device-owner worker: the command reached the leaf egress
-    /// at `at_entry`; the owner reserves the device's down-link and
-    /// starts device service.
-    CommandAtDevice {
-        job: usize,
-        op: Op,
-        ledger: LedgerId,
-        issued_at: SimTime,
-        at_entry: SimTime,
-    },
+    /// Worker → hub: a command left the host at its doorbell instant;
+    /// the hub reserves the shared down-legs in global submit order
+    /// (the FIFO ordering phase-couples the submitting threads — the
+    /// coupling behind the paper's shared-fabric convoys).
+    SubmitDown { io: IoId },
+    /// Hub → device-owner worker: the command reached the leaf egress;
+    /// the worker reserves the device's down-link and starts device
+    /// service.
+    CommandAtDevice { io: IoId },
     /// Worker → hub: the completion payload reached the leaf switch;
     /// the hub reserves the shared legs and routes the interrupt.
-    FabricUp {
-        job: usize,
-        issued_at: SimTime,
-        ledger: LedgerId,
-        /// The submitting CPU lives on the socket the AFA's uplink
-        /// does not attach to (NUMA penalty on the shared legs).
-        cross_socket: bool,
-        /// How this I/O's completion is discovered; polled models
-        /// carry no MSI on the shared legs and skip the IRQ path.
-        model: CompletionModel,
-    },
-    /// Hub → vector-CPU worker: run the interrupt handler.
+    FabricUp { io: IoId },
+    /// Hub → vector-CPU worker: run the interrupt handler for `batch`.
     IrqDeliver {
-        job: usize,
         delivery: IrqDelivery,
         designated: CpuId,
         batch: CqBatch,
     },
     /// Hub → origin worker: a polled completion's data is host-side;
-    /// the spinning (or sleeping) thread reaps it directly. Carries
-    /// `at_host` explicitly because the event's own timestamp may be
-    /// clamped up to the hub lookahead — without an MSI the shared
-    /// legs can finish inside the lookahead window for tiny payloads.
-    PollComplete {
-        job: usize,
-        issued_at: SimTime,
-        ledger: LedgerId,
-        fabric_shared: SimDuration,
-        /// When the CQE DMA write landed in host memory.
-        at_host: SimTime,
-        model: CompletionModel,
-    },
-    /// Vector worker → origin worker: the handler outcome; the owner
-    /// applies the IRQ slices to the ledger, wakes the thread and
-    /// reaps.
-    WakeReap {
-        job: usize,
-        irq: IrqOutcome,
-        /// When the interrupt reached the host (handler slice base).
-        at_host: SimTime,
-        batch: CqBatch,
-    },
-    /// Hub → CPU-owner worker: install a background burst.
-    BgPlace { placement: BgPlacement },
+    /// the spinning (or sleeping) thread reaps it directly.
+    PollComplete { io: IoId },
+    /// Vector worker → origin worker, at the wake-ready instant: wake
+    /// the fio thread and reap the batch.
+    WakeReap { batch: CqBatch },
+    /// Hub → CPU-owner worker: install a background burst (boxed, so
+    /// a burst's sections do not size every event's slot).
+    BgPlace { placement: Box<BgPlacement> },
 }
 
 /// The whole-array world: jobs × host × fabric × devices, driven by
 /// [`Local`]/[`Cross`] events through the staged I/O path. One value
-/// serves every LP; each event mutates only its LP's slice.
+/// serves every LP; each event mutates only its LP's slice and the
+/// records of the I/Os it carries.
 pub(crate) struct IoPathWorld {
     pub(crate) host: HostModel,
     pub(crate) fabric: PcieFabric,
@@ -270,8 +238,6 @@ pub(crate) struct IoPathWorld {
     horizon: SimTime,
     /// Owning worker LP of each job (by its device's pinned CPU).
     job_lp: Vec<usize>,
-    /// Inverse of `jobs[j].spec().device()` (hub-side batch routing).
-    job_of_device: Vec<usize>,
     /// Per-job earliest next issue instant (fio's `rate_iops` pacing).
     next_allowed: Vec<SimTime>,
     coalescing: Option<IrqCoalescing>,
@@ -284,13 +250,12 @@ pub(crate) struct IoPathWorld {
     /// payload-ready order instead of doorbell (wake) order.
     per_cpu_queues: bool,
     /// Per-device completions awaiting a coalesced MSI (hub only).
-    pending_cq: Vec<Vec<CqEntry>>,
-    /// In-flight [`IoLedger`]s, indexed by [`LedgerId`]; slots recycle
-    /// through `ledger_free` and every stage writes the parked entry
-    /// in place, so the per-I/O path neither allocates nor copies the
-    /// ledger.
-    ledger_slab: Vec<IoLedger>,
-    ledger_free: Vec<LedgerId>,
+    pending_cq: Vec<Vec<IoId>>,
+    /// In-flight I/Os, indexed by [`IoId`]; slots recycle through
+    /// `free` and every stage writes the parked record in place, so
+    /// the per-I/O path neither allocates nor copies it.
+    inflight: Vec<InFlight>,
+    free: Vec<IoId>,
     /// Per job: its chains run their device legs inline at
     /// `SubmitDown` (see [`run_device_legs`](Self::run_device_legs)).
     /// Fixed for the run; results are byte-identical either way.
@@ -326,13 +291,11 @@ impl IoPathWorld {
             .iter()
             .map(|j| lp_of_cpu(geometry.cpu_of_ssd(j.spec().device())))
             .collect();
-        let mut job_of_device = vec![usize::MAX; n];
         let mut device_jobs = vec![0u32; n];
         let mut lp_jobs = [0u32; WORKER_LPS];
-        for (j, job) in jobs.iter().enumerate() {
-            job_of_device[job.spec().device()] = j;
+        for (job, &lp) in jobs.iter().zip(&job_lp) {
             device_jobs[job.spec().device()] += 1;
-            lp_jobs[job_lp[j]] += 1;
+            lp_jobs[lp] += 1;
         }
         // The one fusion rule (DESIGN.md §6.2): a QD1 job alone on its
         // device and alone on its worker LP.
@@ -358,14 +321,13 @@ impl IoPathWorld {
             ledger_log,
             completions: CompletionCounters::default(),
             job_lp,
-            job_of_device,
             next_allowed: vec![SimTime::ZERO; jobs_len],
             coalescing,
             hybrid_sleep,
             per_cpu_queues,
             pending_cq: vec![Vec::new(); n],
-            ledger_slab: Vec::with_capacity(2 * n),
-            ledger_free: Vec::with_capacity(2 * n),
+            inflight: Vec::with_capacity(2 * n),
+            free: Vec::with_capacity(2 * n),
             inline_legs,
             fusion: FusionCounters::default(),
         }
@@ -393,26 +355,34 @@ impl IoPathWorld {
         CompletionModel::resolve(self.jobs[job].spec().engine(), self.hybrid_sleep)
     }
 
-    /// Parks a fresh ledger for the I/O at `lba` in the slab, reusing
-    /// a settled slot when one is free. The slot is written exactly
-    /// once here; every stage mutates it in place through the slab.
-    fn alloc_ledger(&mut self, queued_at: SimTime, lba: u64) -> LedgerId {
-        match self.ledger_free.pop() {
+    /// Parks a fresh record for `job`'s `op`, queued at `queued_at`,
+    /// reusing a settled slot when one is free. The slot is written
+    /// whole exactly once here; every stage mutates it in place.
+    fn alloc_io(&mut self, job: usize, op: Op, queued_at: SimTime) -> IoId {
+        let io = InFlight {
+            ledger: IoLedger::for_lba(queued_at, op.lba),
+            job,
+            op,
+            issued_at: queued_at,
+            at_entry: SimTime::ZERO,
+            at_host: SimTime::ZERO,
+        };
+        match self.free.pop() {
             Some(id) => {
-                self.ledger_slab[id as usize] = IoLedger::for_lba(queued_at, lba);
+                self.inflight[id as usize] = io;
                 id
             }
             None => {
-                self.ledger_slab.push(IoLedger::for_lba(queued_at, lba));
-                (self.ledger_slab.len() - 1) as LedgerId
+                self.inflight.push(io);
+                (self.inflight.len() - 1) as IoId
             }
         }
     }
 
     /// Issues as many operations as the queue depth allows, starting
     /// with the thread running on its CPU at `now`. Each issue runs
-    /// stages 1–3 inline and schedules the [`Local::DeviceDone`] that
-    /// resumes the path. Runs only on the job's owning worker.
+    /// the submit stage inline and sends the [`Cross::SubmitDown`]
+    /// that resumes the path. Runs only on the job's owning worker.
     fn issue_burst(&mut self, job: usize, mut now: SimTime, ctx: &mut Ctx<'_>) {
         let cpu = self.geometry.cpu_of_ssd(self.jobs[job].spec().device());
         let issue_gap = self.jobs[job].spec().min_issue_gap();
@@ -428,9 +398,10 @@ impl IoPathWorld {
                 self.next_allowed[job] = now + issue_gap;
             }
             let op = self.jobs[job].issue(now);
-            let id = self.alloc_ledger(now, op.lba);
-            let ledger = &mut self.ledger_slab[id as usize];
-            let submit_end = submit::run(&mut self.host, cpu, now, ledger);
+            let id = self.alloc_io(job, op, now);
+            let io = &mut self.inflight[id as usize];
+            let submit_end = submit::run(&mut self.host, cpu, now, &mut io.ledger);
+            io.issued_at = submit_end;
             busy_until = Some(submit_end);
             // The doorbell slot on the shared down-legs is claimed
             // the moment the thread is *woken* (the driver's
@@ -457,16 +428,7 @@ impl IoPathWorld {
             } else {
                 ctx.now() + self.worker_lookahead()
             };
-            ctx.send(
-                HUB_LP,
-                t_send,
-                Cross::SubmitDown {
-                    job,
-                    op,
-                    ledger: id,
-                    start: submit_end,
-                },
-            );
+            ctx.send(HUB_LP, t_send, Cross::SubmitDown { io: id });
             if self.model_of(job).parks_thread() {
                 // The thread parks on the CQ (spinning, or sleeping
                 // then spinning) until the completion chain reaps it;
@@ -487,109 +449,105 @@ impl IoPathWorld {
         }
     }
 
-    /// The command reached the leaf egress at `at_entry`: reserve the
-    /// device's down-link and start device service; returns when the
-    /// device posts the completion. Runs on the device's worker at
-    /// `CommandAtDevice`, or on the hub for an inline chain.
-    fn serve_command(
-        &mut self,
-        job: usize,
-        op: Op,
-        id: LedgerId,
-        issued_at: SimTime,
-        at_entry: SimTime,
-    ) -> SimTime {
+    /// Hub: the command left the host at its doorbell instant. Reserve
+    /// the shared down-legs in arrival order (they are FIFO resources),
+    /// then run the device legs inline for a private chain, or hand the
+    /// command to the device's worker when it reaches the leaf egress.
+    fn on_submit_down(&mut self, id: IoId, ctx: &mut Ctx<'_>) {
+        let io = &mut self.inflight[id as usize];
+        let job = io.job;
         let device = self.jobs[job].spec().device();
-        let bytes = self.jobs[job].spec().block_size();
-        let led = &mut self.ledger_slab[id as usize];
-        let at_device =
-            fabric::downstream_device_leg(&mut self.fabric, device, issued_at, at_entry, led);
-        device::serve(&mut self.devices[device], at_device, op, bytes, led)
+        let at_entry = fabric::downstream_shared(&mut self.fabric, device, io.issued_at);
+        io.at_entry = at_entry;
+        if self.inline_legs[job] {
+            self.run_device_legs(id, ctx);
+            return;
+        }
+        let at = at_entry.max(ctx.now() + self.hub_lookahead());
+        ctx.send(self.job_lp[job], at, Cross::CommandAtDevice { io: id });
+    }
+
+    /// The command reached the leaf egress: reserve the device's
+    /// down-link and start device service; returns when the device
+    /// posts the completion. Runs on the device's worker at
+    /// `CommandAtDevice`, or on the hub for an inline chain.
+    fn serve_command(&mut self, id: IoId) -> SimTime {
+        let io = &mut self.inflight[id as usize];
+        let spec = self.jobs[io.job].spec();
+        let device = spec.device();
+        let at_device = fabric::downstream_device_leg(
+            &mut self.fabric,
+            device,
+            io.issued_at,
+            io.at_entry,
+            &mut io.ledger,
+        );
+        let bytes = spec.block_size();
+        device::serve(
+            &mut self.devices[device],
+            at_device,
+            io.op,
+            bytes,
+            &mut io.ledger,
+        )
     }
 
     /// The device posted a completion at `done`: reserve the
-    /// device-side up-leg and return the [`Cross::FabricUp`] that hands
-    /// the payload to the hub, with the instant it reaches the leaf
-    /// switch (one fabric hop of lookahead). Runs on the device's
-    /// worker at `DeviceDone`, or on the hub for an inline chain.
-    fn device_up_leg(
-        &mut self,
-        job: usize,
-        issued_at: SimTime,
-        id: LedgerId,
-        done: SimTime,
-    ) -> (SimTime, Cross) {
-        let device = self.jobs[job].spec().device();
-        let cpu = self.geometry.cpu_of_ssd(device);
-        let bytes = self.jobs[job].spec().block_size() as u64;
+    /// device-side up-leg; returns when the payload reaches the leaf
+    /// switch (one fabric hop of lookahead), the instant of the
+    /// I/O's [`Cross::FabricUp`]. Runs on the device's worker at
+    /// `DeviceDone`, or on the hub for an inline chain.
+    fn device_up_leg(&mut self, id: IoId, done: SimTime) -> SimTime {
+        let job = self.inflight[id as usize].job;
         let model = self.model_of(job);
-        let ledger = &mut self.ledger_slab[id as usize];
+        let spec = self.jobs[job].spec();
+        let ledger = &mut self.inflight[id as usize].ledger;
         ledger.stamp(IoStage::DeviceComplete, done);
-        let t_leaf = fabric::device_leg(&mut self.fabric, device, done, bytes, model, ledger);
-        let up = Cross::FabricUp {
-            job,
-            issued_at,
-            ledger: id,
-            cross_socket: self.host.topology().socket_of(cpu) != AFA_SOCKET,
-            model,
-        };
-        (t_leaf, up)
+        let bytes = spec.block_size() as u64;
+        fabric::device_leg(&mut self.fabric, spec.device(), done, bytes, model, ledger)
     }
 
     /// Hub: the payload reached the leaf switch. Reserve the shared
     /// legs in arrival order (they are FIFO resources — this is why
-    /// the hub owns them), then route the interrupt — immediately, or
-    /// held by the MSI coalescer.
-    fn on_fabric_up(
-        &mut self,
-        job: usize,
-        issued_at: SimTime,
-        id: LedgerId,
-        cross_socket: bool,
-        model: CompletionModel,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let t_leaf = ctx.now();
-        let device = self.jobs[job].spec().device();
-        let bytes = self.jobs[job].spec().block_size() as u64;
-        let at_host =
-            fabric::shared_legs(&mut self.fabric, device, t_leaf, bytes, cross_socket, model);
-        let fabric_shared = at_host.saturating_since(t_leaf);
+    /// the hub owns them) and accrue them, then route the interrupt —
+    /// immediately, or held by the MSI coalescer.
+    fn on_fabric_up(&mut self, id: IoId, ctx: &mut Ctx<'_>) {
+        let job = self.inflight[id as usize].job;
+        let model = self.model_of(job);
+        let spec = self.jobs[job].spec();
+        let device = spec.device();
+        let cpu = self.geometry.cpu_of_ssd(device);
+        let cross_socket = self.host.topology().socket_of(cpu) != AFA_SOCKET;
+        let io = &mut self.inflight[id as usize];
+        let at_host = fabric::shared_legs(
+            &mut self.fabric,
+            device,
+            ctx.now(),
+            spec.block_size() as u64,
+            cross_socket,
+            model,
+            &mut io.ledger,
+        );
         if model.parks_thread() {
             // Without the MSI's trailing latency a tiny payload can
             // clear the shared legs inside the hub lookahead; the
             // event timestamp is clamped but the reap works off the
-            // carried `at_host`.
+            // recorded `at_host`.
+            io.at_host = at_host;
             let at = at_host.max(ctx.now() + self.hub_lookahead());
-            ctx.send(
-                self.job_lp[job],
-                at,
-                Cross::PollComplete {
-                    job,
-                    issued_at,
-                    ledger: id,
-                    fabric_shared,
-                    at_host,
-                    model,
-                },
-            );
+            ctx.send(self.job_lp[job], at, Cross::PollComplete { io: id });
             return;
         }
-        let entry = CqEntry {
-            issued_at,
-            ledger: id,
-            fabric_shared,
-        };
         match self.coalescing {
-            None => self.fire_irq(job, device, at_host, CqBatch::One(entry), ctx),
+            None => self.fire_irq(device, at_host, CqBatch::One(id), ctx),
             Some(c) => {
                 // Hold the CQE; the MSI fires on batch-full or timeout
                 // from the first pending completion.
-                self.pending_cq[device].push(entry);
+                self.pending_cq[device].push(id);
                 let len = self.pending_cq[device].len();
                 if len as u32 >= c.max_batch {
                     let batch = std::mem::take(&mut self.pending_cq[device]);
-                    self.fire_irq(job, device, at_host, CqBatch::Many(batch), ctx);
+                    self.fire_irq(device, at_host, CqBatch::Many(batch), ctx);
                 } else if len == 1 {
                     ctx.at(at_host + c.timeout, Local::Msi { device });
                 }
@@ -599,20 +557,12 @@ impl IoPathWorld {
 
     /// Hub: routes one interrupt through the vector table and hands
     /// the batch to the worker owning the effective vector CPU.
-    fn fire_irq(
-        &mut self,
-        job: usize,
-        device: usize,
-        at: SimTime,
-        batch: CqBatch,
-        ctx: &mut Ctx<'_>,
-    ) {
+    fn fire_irq(&mut self, device: usize, at: SimTime, batch: CqBatch, ctx: &mut Ctx<'_>) {
         let (delivery, designated) = self.host.route_irq(device, at);
         ctx.send(
             lp_of_cpu(delivery.vector_cpu),
             at,
             Cross::IrqDeliver {
-                job,
                 delivery,
                 designated,
                 batch,
@@ -629,79 +579,58 @@ impl IoPathWorld {
             return;
         }
         let batch = std::mem::take(&mut self.pending_cq[device]);
-        let job = self.job_of_device[device];
         let at = ctx.now() + self.hub_lookahead();
-        self.fire_irq(job, device, at, CqBatch::Many(batch), ctx);
+        self.fire_irq(device, at, CqBatch::Many(batch), ctx);
     }
 
     /// Vector-CPU worker: execute the handler on the effective vector
-    /// CPU (this LP owns its state) and hand the outcome to the
-    /// origin worker at the wake-ready instant (≥ interrupt entry +
-    /// handler floor of lookahead).
+    /// CPU (this LP owns its state) and book it: the handler and
+    /// remote-completion slices credit the batch's first ledger (that
+    /// I/O is the one whose critical path they sit on), and the rest
+    /// share its handler instant (one MSI served them all). The batch
+    /// then goes to the origin worker at the wake-ready instant (≥
+    /// interrupt entry + handler floor of lookahead).
     fn on_irq_deliver(
         &mut self,
-        job: usize,
         delivery: IrqDelivery,
         designated: CpuId,
         batch: CqBatch,
         ctx: &mut Ctx<'_>,
     ) {
-        let at_host = ctx.now();
-        let irq = self.host.deliver_irq_routed(delivery, designated, at_host);
-        ctx.send(
-            self.job_lp[job],
-            irq.wake_ready,
-            Cross::WakeReap {
-                job,
-                irq,
-                at_host,
-                batch,
-            },
-        );
+        let irq = self
+            .host
+            .deliver_irq_routed(delivery, designated, ctx.now());
+        let (&first, rest) = batch.as_slice().split_first().expect("empty batch");
+        irq::apply(&irq, ctx.now(), &mut self.inflight[first as usize].ledger);
+        for &id in rest {
+            let ledger = &mut self.inflight[id as usize].ledger;
+            ledger.stamp(IoStage::IrqHandled, irq.handler_done);
+        }
+        let job_lp = self.job_lp[self.inflight[first as usize].job];
+        ctx.send(job_lp, irq.wake_ready, Cross::WakeReap { batch });
     }
 
-    /// Origin worker: the handler ran remotely; apply its slices to
-    /// the parked ledgers, wake the fio thread and reap the batch.
-    /// The shared IRQ + wake slices credit the first entry's ledger
-    /// (that I/O is the one whose critical path they sit on); each
-    /// entry then pays its own reap slice.
-    fn on_wake_reap(
-        &mut self,
-        job: usize,
-        irq: IrqOutcome,
-        at_host: SimTime,
-        batch: CqBatch,
-        ctx: &mut Ctx<'_>,
-    ) {
+    /// Origin worker, at the wake-ready instant: wake the fio thread
+    /// and reap the batch. The wake slices credit the first I/O's
+    /// ledger; each I/O then pays its own reap slice.
+    fn on_wake_reap(&mut self, batch: CqBatch, ctx: &mut Ctx<'_>) {
+        let ids = batch.as_slice();
+        let job = self.inflight[ids[0] as usize].job;
         debug_assert!(
             self.model_of(job).uses_irq_path(),
             "interrupt batch for a polled job"
         );
-        let device = self.jobs[job].spec().device();
-        let cpu = self.geometry.cpu_of_ssd(device);
-        let policy = self.jobs[job].spec().policy();
-        let work = COMPLETE_COST + self.jobs[job].spec().logging_cpu_overhead();
-        self.completions.interrupts += batch.as_slice().len() as u64;
-        let first = batch.first();
-        let run_start = {
-            let led = &mut self.ledger_slab[first.ledger as usize];
-            led.accrue(Cause::Fabric, first.fabric_shared);
-            irq::apply(&irq, at_host, led);
-            wake::run(&mut self.host, cpu, irq.wake_ready, policy, led)
-        };
-        let mut t = run_start;
-        for (i, entry) in batch.as_slice().iter().enumerate() {
-            {
-                let led = &mut self.ledger_slab[entry.ledger as usize];
-                if i > 0 {
-                    // Later batch entries share the first I/O's
-                    // handler instant (one MSI served them all).
-                    led.accrue(Cause::Fabric, entry.fabric_shared);
-                    led.stamp(IoStage::IrqHandled, irq.handler_done);
-                }
-                t = complete::reap(&mut self.host, cpu, t, work, led);
-            }
-            self.finish_io(job, entry.issued_at, t, entry.ledger);
+        let spec = self.jobs[job].spec();
+        let cpu = self.geometry.cpu_of_ssd(spec.device());
+        let policy = spec.policy();
+        let work = COMPLETE_COST + spec.logging_cpu_overhead();
+        self.completions.interrupts += ids.len() as u64;
+        let first = &mut self.inflight[ids[0] as usize].ledger;
+        let mut t = wake::run(&mut self.host, cpu, ctx.now(), policy, first);
+        for &id in ids {
+            let ledger = &mut self.inflight[id as usize].ledger;
+            t = complete::reap(&mut self.host, cpu, t, work, ledger);
+            self.finish_io(id, t);
         }
         self.issue_burst(job, t, ctx);
     }
@@ -709,32 +638,27 @@ impl IoPathWorld {
     /// Origin worker: a polled completion's data is host-side; the
     /// parked thread (spinning, or sleeping then spinning) reaps it
     /// directly and keeps going.
-    #[allow(clippy::too_many_arguments)]
-    fn on_poll_complete(
-        &mut self,
-        job: usize,
-        issued_at: SimTime,
-        id: LedgerId,
-        fabric_shared: SimDuration,
-        at_host: SimTime,
-        model: CompletionModel,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let device = self.jobs[job].spec().device();
-        let cpu = self.geometry.cpu_of_ssd(device);
-        let work = COMPLETE_COST + self.jobs[job].spec().logging_cpu_overhead();
-        let done = {
-            let led = &mut self.ledger_slab[id as usize];
-            led.accrue(Cause::Fabric, fabric_shared);
-            complete::poll_reap(&mut self.host, cpu, model, issued_at, at_host, work, led)
-        };
+    fn on_poll_complete(&mut self, id: IoId, ctx: &mut Ctx<'_>) {
+        let InFlight {
+            job,
+            issued_at,
+            at_host,
+            ..
+        } = self.inflight[id as usize];
+        let model = self.model_of(job);
+        let spec = self.jobs[job].spec();
+        let cpu = self.geometry.cpu_of_ssd(spec.device());
+        let work = COMPLETE_COST + spec.logging_cpu_overhead();
+        let ledger = &mut self.inflight[id as usize].ledger;
+        let done =
+            complete::poll_reap(&mut self.host, cpu, model, issued_at, at_host, work, ledger);
         self.completions.polls += 1;
         if let CompletionModel::Hybrid { sleep } = model {
             if issued_at + sleep > at_host {
                 self.completions.hybrid_sleeps += 1;
             }
         }
-        self.finish_io(job, issued_at, done, id);
+        self.finish_io(id, done);
         self.issue_burst(job, done, ctx);
     }
 
@@ -753,18 +677,11 @@ impl IoPathWorld {
     /// on a private LP no other send takes the job-LP → hub channel
     /// before the `FabricUp`, so it draws the per-stage sequence
     /// number and lands at the same instant and merge key.
-    fn run_device_legs(
-        &mut self,
-        job: usize,
-        op: Op,
-        id: LedgerId,
-        start: SimTime,
-        at_entry: SimTime,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let done = self.serve_command(job, op, id, start, at_entry);
-        let (t_leaf, up) = self.device_up_leg(job, start, id, done);
-        ctx.send_from(self.job_lp[job], HUB_LP, t_leaf, up);
+    fn run_device_legs(&mut self, id: IoId, ctx: &mut Ctx<'_>) {
+        let done = self.serve_command(id);
+        let t_leaf = self.device_up_leg(id, done);
+        let job_lp = self.job_lp[self.inflight[id as usize].job];
+        ctx.send_from(job_lp, HUB_LP, t_leaf, Cross::FabricUp { io: id });
         self.fusion.fused_chains += 1;
         self.fusion.elided_events += 2;
     }
@@ -780,13 +697,9 @@ impl ShardWorld for IoPathWorld {
                 let now = ctx.now();
                 self.issue_burst(job, now, ctx);
             }
-            Local::DeviceDone {
-                job,
-                issued_at,
-                ledger,
-            } => {
-                let (t_leaf, up) = self.device_up_leg(job, issued_at, ledger, ctx.now());
-                ctx.send(HUB_LP, t_leaf, up);
+            Local::DeviceDone { io } => {
+                let t_leaf = self.device_up_leg(io, ctx.now());
+                ctx.send(HUB_LP, t_leaf, Cross::FabricUp { io });
             }
             Local::Msi { device } => {
                 self.on_msi(device, ctx);
@@ -803,7 +716,9 @@ impl ShardWorld for IoPathWorld {
                     ctx.send(
                         lp_of_cpu(placement.cpu),
                         start,
-                        Cross::BgPlace { placement },
+                        Cross::BgPlace {
+                            placement: Box::new(placement),
+                        },
                     );
                 }
                 let next = self.host.next_background_arrival(now);
@@ -816,85 +731,21 @@ impl ShardWorld for IoPathWorld {
 
     fn handle_cross(&mut self, _src: usize, event: Cross, ctx: &mut Ctx<'_>) {
         match event {
-            Cross::SubmitDown {
-                job,
-                op,
-                ledger,
-                start,
-            } => {
-                let device = self.jobs[job].spec().device();
-                let at_entry = fabric::downstream_shared(&mut self.fabric, device, start);
-                if self.inline_legs[job] {
-                    self.run_device_legs(job, op, ledger, start, at_entry, ctx);
-                    return;
-                }
-                let at = at_entry.max(ctx.now() + self.hub_lookahead());
-                ctx.send(
-                    self.job_lp[job],
-                    at,
-                    Cross::CommandAtDevice {
-                        job,
-                        op,
-                        ledger,
-                        issued_at: start,
-                        at_entry,
-                    },
-                );
+            Cross::SubmitDown { io } => self.on_submit_down(io, ctx),
+            Cross::CommandAtDevice { io } => {
+                let completes_at = self.serve_command(io);
+                ctx.at(completes_at, Local::DeviceDone { io });
             }
-            Cross::CommandAtDevice {
-                job,
-                op,
-                ledger,
-                issued_at,
-                at_entry,
-            } => {
-                let completes_at = self.serve_command(job, op, ledger, issued_at, at_entry);
-                ctx.at(
-                    completes_at,
-                    Local::DeviceDone {
-                        job,
-                        issued_at,
-                        ledger,
-                    },
-                );
-            }
-            Cross::FabricUp {
-                job,
-                issued_at,
-                ledger,
-                cross_socket,
-                model,
-            } => {
-                self.on_fabric_up(job, issued_at, ledger, cross_socket, model, ctx);
-            }
+            Cross::FabricUp { io } => self.on_fabric_up(io, ctx),
             Cross::IrqDeliver {
-                job,
                 delivery,
                 designated,
                 batch,
-            } => {
-                self.on_irq_deliver(job, delivery, designated, batch, ctx);
-            }
-            Cross::PollComplete {
-                job,
-                issued_at,
-                ledger,
-                fabric_shared,
-                at_host,
-                model,
-            } => {
-                self.on_poll_complete(job, issued_at, ledger, fabric_shared, at_host, model, ctx);
-            }
-            Cross::WakeReap {
-                job,
-                irq,
-                at_host,
-                batch,
-            } => {
-                self.on_wake_reap(job, irq, at_host, batch, ctx);
-            }
+            } => self.on_irq_deliver(delivery, designated, batch, ctx),
+            Cross::PollComplete { io } => self.on_poll_complete(io, ctx),
+            Cross::WakeReap { batch } => self.on_wake_reap(batch, ctx),
             Cross::BgPlace { placement } => {
-                self.host.install_background(placement, ctx.now());
+                self.host.install_background(*placement, ctx.now());
             }
         }
     }
@@ -908,10 +759,11 @@ mod tests {
     fn local_events_stay_small() {
         // The wheel moves 16-byte handles; each event is parked once,
         // in a queue slab slot as large as the larger of `Local` and
-        // `Cross`. The cold IoLedger payload must stay in the world's
-        // ledger slab, not the event, or it would size that slot.
+        // `Cross`. An I/O's event carries its slot id, so a stage
+        // outcome carried in an event (an instant, a leg's time, the
+        // op) grows `Local` past this bound and fails here.
         assert!(
-            std::mem::size_of::<Local>() <= 32,
+            std::mem::size_of::<Local>() <= 16,
             "Local grew to {} bytes",
             std::mem::size_of::<Local>()
         );
@@ -920,11 +772,12 @@ mod tests {
     #[test]
     fn cross_events_stay_bounded() {
         // `Cross` sets the size of every slab slot the queue parks an
-        // event in. Each event is parked once, so the budget is looser
-        // than `Local`'s — but a regression to a by-value ledger
-        // (~250 bytes) must still fail loudly.
+        // event in. Its largest variant is an interrupt's routed
+        // decision plus its batch of slot ids; re-adding a carried
+        // outcome (the handler's `IrqOutcome`, a shared-leg time, an
+        // unboxed background burst) fails here.
         assert!(
-            std::mem::size_of::<Cross>() <= 112,
+            std::mem::size_of::<Cross>() <= 32,
             "Cross grew to {} bytes",
             std::mem::size_of::<Cross>()
         );

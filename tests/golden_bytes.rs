@@ -1,13 +1,15 @@
-//! Golden artifacts in the default test suite: fourteen of the
+//! Golden artifacts in the default test suite: fifteen of the
 //! committed fixtures under `tests/golden/`, regenerated at their scale
 //! (0.25 s × 8 SSDs, seed 42) and byte-compared. They cover the paper
 //! figures fig06–fig12, the blktrace window read off the ledger log,
-//! and every world that runs as a one-LP simulation (serving, fleet,
-//! striped volume, multi-host). `scripts/ci.sh` compares every fixture
-//! through `afactl`; `fig13` and `ull-crossover` are left to it because
-//! they would more than double this test's time.
+//! interrupt coalescing (the only fixture whose interrupts serve
+//! batches of completions), and every world that runs as a one-LP
+//! simulation (serving, fleet, striped volume, multi-host).
+//! `scripts/ci.sh` compares every fixture through `afactl`; `fig13` and
+//! `ull-crossover` are left to it because they would more than double
+//! this test's time.
 //!
-//! The fourteen runs build concurrently, one thread each. Each
+//! The fifteen runs build concurrently, one thread each. Each
 //! manifest's `frontend`, `completion` and `fleet` keys and its latency
 //! `budget` come from its own run's counters and cause table, so a
 //! sibling run in the same process must not move a byte: a counter or
@@ -21,7 +23,7 @@ use afa::sim::SimDuration;
 #[test]
 fn golden_artifacts_are_byte_identical() {
     let scale = ExperimentScale::new(SimDuration::from_secs_f64(0.25), 8, 42);
-    // Spawn all fourteen runs, then join them: they overlap in time.
+    // Spawn all fifteen runs, then join them: they overlap in time.
     let artifacts = std::thread::scope(|s| {
         [
             "fig06",
@@ -32,6 +34,7 @@ fn golden_artifacts_are_byte_identical() {
             "fig11",
             "fig12",
             "blktrace",
+            "ablate-coalescing",
             "tailscale-fanout",
             "fleet-failover",
             "fleet-arrival",

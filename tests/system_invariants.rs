@@ -1,5 +1,6 @@
 //! Cross-crate invariants of the whole-array simulation.
 
+use afa::core::blktrace::IoStage;
 use afa::core::experiment::{self, ExperimentResult, ExperimentScale};
 use afa::core::{AfaConfig, AfaSystem, TuningStage};
 use afa::host::CpuId;
@@ -92,6 +93,60 @@ fn ledger_log_is_the_runs_first_reaps_and_moves_nothing() {
         for logged in [&short, &long] {
             assert_eq!(run_fingerprint(logged), run_fingerprint(&plain));
             assert_eq!(logged.device_stats, plain.device_stats);
+        }
+    }
+}
+
+/// Little's law per closed-loop job: a job keeps `iodepth` I/Os in
+/// flight, so the residences of its I/Os (`Reaped` minus `Queue`
+/// stamp) sum to the slot time it held over its span (first queue to
+/// last reap). At QD1 each I/O is queued the instant the previous one
+/// is reaped, so the sum is the span exactly. At QD8 the slots fill
+/// one submit at a time and drain after the deadline, so the sum may
+/// fall short of `iodepth × span` by at most `iodepth` times the job's
+/// longest residence. The ledger log holds every I/O of the run.
+#[test]
+fn littles_law_holds_per_closed_loop_job() {
+    let mut mixed =
+        bench_array(TuningStage::IrqAffinity, 16).with_rw(RwPattern::RandRw { read_pct: 70 });
+    mixed.iodepth = 8;
+    for (name, config) in [
+        ("libaio-default-8", bench_array(TuningStage::Default, 8)),
+        ("ull-poll-8", ull_poll_8()),
+        ("mixed-qd8-16", mixed),
+    ] {
+        let depth = u64::from(config.iodepth);
+        let r = AfaSystem::run(&config.with_ledger_log(1 << 16));
+        let log = r.ledgers.as_ref().expect("ledger log enabled");
+        assert_eq!(
+            log.entries().len() as u64,
+            r.completed(),
+            "{name}: log missed an I/O"
+        );
+        for job in 0..r.reports.len() {
+            let (mut held, mut longest) = (0, 0);
+            let (mut first_queue, mut last_reap) = (u64::MAX, 0);
+            for io in log.entries().iter().filter(|io| io.job == job) {
+                let queued = io.ledger.stamp_at(IoStage::Queue).as_nanos();
+                let reaped = io.ledger.stamp_at(IoStage::Reaped).as_nanos();
+                held += reaped - queued;
+                longest = longest.max(reaped - queued);
+                first_queue = first_queue.min(queued);
+                last_reap = last_reap.max(reaped);
+            }
+            let slots = depth * (last_reap - first_queue);
+            if depth == 1 {
+                assert_eq!(
+                    held, slots,
+                    "{name} job {job}: QD1 residences must tile the span"
+                );
+            } else {
+                assert!(
+                    held <= slots && held + depth * longest >= slots,
+                    "{name} job {job}: {held} ns held of {slots} ns of slots \
+                     (longest residence {longest} ns)"
+                );
+            }
         }
     }
 }
