@@ -6,7 +6,7 @@ use afa_ssd::DeviceProfile;
 use afa_workload::{IoEngine, JobSpec, RwPattern};
 
 use crate::geometry::CpuSsdGeometry;
-use crate::tuning::{Tuning, TuningStage};
+use crate::tuning::TuningStage;
 
 /// NVMe interrupt-coalescing parameters (the standard mitigation for
 /// the §I "interrupt storm" concern): the device holds completions
@@ -26,7 +26,7 @@ pub struct AfaConfig {
     /// CPU↔SSD mapping.
     pub geometry: CpuSsdGeometry,
     /// Tuning stage (kernel config + fio class + firmware).
-    pub tuning: Tuning,
+    pub tuning: TuningStage,
     /// Background daemon workload.
     pub background: BackgroundConfig,
     /// Per-job run time.
@@ -85,7 +85,7 @@ impl AfaConfig {
     pub fn paper(stage: TuningStage) -> Self {
         AfaConfig {
             geometry: CpuSsdGeometry::paper(64),
-            tuning: Tuning::new(stage),
+            tuning: stage,
             background: BackgroundConfig::centos7_desktop(),
             runtime: SimDuration::secs(120),
             seed: 42,

@@ -91,8 +91,12 @@ fn sweep(
         .iter()
         .enumerate()
         .map(|(i, result)| {
-            let (mean, p5, max) = worst_metrics(result);
-            (label(i, result), mean, p5, max)
+            (
+                label(i, result),
+                result.mean_us(NinesPoint::Average),
+                result.worst_us(NinesPoint::Nines5),
+                result.worst_us(NinesPoint::Max),
+            )
         })
         .collect();
     AblationResult {
@@ -100,19 +104,6 @@ fn sweep(
         rows,
         samples: results.iter().map(RunResult::completed).sum(),
     }
-}
-
-fn worst_metrics(result: &RunResult) -> (f64, f64, f64) {
-    let mut mean = 0.0f64;
-    let mut p5 = 0.0f64;
-    let mut max = 0.0f64;
-    for report in &result.reports {
-        let profile = report.profile();
-        mean += profile.get_micros(NinesPoint::Average);
-        p5 = p5.max(profile.get_micros(NinesPoint::Nines5));
-        max = max.max(profile.get_micros(NinesPoint::Max));
-    }
-    (mean / result.reports.len() as f64, p5, max)
 }
 
 /// Tick-rate ablation: under the *default* configuration, CFS wake-up
@@ -123,10 +114,7 @@ pub fn ablate_tick(scale: ExperimentScale) -> AblationResult {
     let configs: Vec<AfaConfig> = rates
         .iter()
         .map(|&hz| {
-            let mut config = AfaConfig::paper(TuningStage::Default)
-                .with_ssds(scale.ssds)
-                .with_runtime(scale.runtime)
-                .with_seed(scale.seed);
+            let mut config = scale.config(TuningStage::Default);
             // Patch the stage kernel's tick rate.
             let mut kernel = config.tuning.kernel_config(config.geometry.io_cpu_set());
             kernel.tick_hz = hz;
@@ -157,10 +145,7 @@ pub fn ablate_cstate(scale: ExperimentScale) -> AblationResult {
     let configs: Vec<AfaConfig> = policies
         .iter()
         .map(|&(_, idle)| {
-            let mut config = AfaConfig::paper(TuningStage::Chrt)
-                .with_ssds(scale.ssds)
-                .with_runtime(scale.runtime)
-                .with_seed(scale.seed);
+            let mut config = scale.config(TuningStage::Chrt);
             let mut kernel = config.tuning.kernel_config(config.geometry.io_cpu_set());
             kernel.idle = idle;
             config.kernel_override = Some(kernel);
@@ -212,10 +197,8 @@ pub fn ablate_smart_period(scale: ExperimentScale) -> AblationResult {
     let configs: Vec<AfaConfig> = policies
         .iter()
         .map(|(_, fw)| {
-            AfaConfig::paper(TuningStage::IrqAffinity)
-                .with_ssds(scale.ssds)
-                .with_runtime(scale.runtime)
-                .with_seed(scale.seed)
+            scale
+                .config(TuningStage::IrqAffinity)
                 .with_firmware(fw.clone())
         })
         .collect();
@@ -236,13 +219,7 @@ pub fn ablate_poll(scale: ExperimentScale) -> AblationResult {
     ];
     let configs: Vec<AfaConfig> = engines
         .iter()
-        .map(|&(_, engine)| {
-            AfaConfig::paper(TuningStage::IrqAffinity)
-                .with_ssds(scale.ssds)
-                .with_runtime(scale.runtime)
-                .with_seed(scale.seed)
-                .with_engine(engine)
-        })
+        .map(|&(_, engine)| scale.config(TuningStage::IrqAffinity).with_engine(engine))
         .collect();
     sweep(
         "Ablation — interrupt vs. polling completions (irq config)",
@@ -291,10 +268,7 @@ pub fn ablate_coalescing(scale: ExperimentScale) -> AblationResult {
     let configs: Vec<AfaConfig> = settings
         .iter()
         .map(|(_, coalescing)| {
-            let mut config = AfaConfig::paper(TuningStage::ExperimentalFirmware)
-                .with_ssds(scale.ssds)
-                .with_runtime(scale.runtime)
-                .with_seed(scale.seed);
+            let mut config = scale.config(TuningStage::ExperimentalFirmware);
             config.iodepth = 4;
             config.irq_coalescing = *coalescing;
             config
@@ -320,10 +294,7 @@ pub fn ablate_rcu(scale: ExperimentScale) -> AblationResult {
     let configs: Vec<AfaConfig> = variants
         .iter()
         .map(|&(_, offload)| {
-            let mut config = AfaConfig::paper(TuningStage::IrqAffinity)
-                .with_ssds(scale.ssds)
-                .with_runtime(scale.runtime)
-                .with_seed(scale.seed);
+            let mut config = scale.config(TuningStage::IrqAffinity);
             if !offload {
                 // Leave isolcpus/nohz/idle as tuned, but keep RCU
                 // callbacks on the fio CPUs.

@@ -1,7 +1,7 @@
 //! Runners for Fig. 6 – Fig. 14.
 
 use afa_stats::series::{median_spike_gap, LogPoint};
-use afa_stats::{Json, LatencyProfile, NinesPoint, OnlineStats, ProfileSummary};
+use afa_stats::{Json, LatencyProfile, MetricSummary, NinesPoint, OnlineStats, ProfileSummary};
 
 use crate::config::AfaConfig;
 use crate::experiment::registry::ExperimentResult;
@@ -105,12 +105,7 @@ impl ExperimentResult for FigureDistributions {
 /// Runs one tuning stage at the given scale and returns its
 /// distribution figure.
 pub fn run_stage(stage: TuningStage, scale: ExperimentScale) -> FigureDistributions {
-    let config = AfaConfig::paper(stage)
-        .with_ssds(scale.ssds)
-        .with_runtime(scale.runtime)
-        .with_seed(scale.seed);
-    let result = AfaSystem::run(&config);
-    figure_from_result(format!("{stage}"), &result)
+    figure_from_result(format!("{stage}"), &AfaSystem::run(&scale.config(stage)))
 }
 
 fn figure_from_result(label: String, result: &RunResult) -> FigureDistributions {
@@ -236,10 +231,9 @@ impl ExperimentResult for Fig10Scatter {
 /// the Fig. 9 kernel and production firmware.
 pub fn fig10(scale: ExperimentScale) -> Fig10Scatter {
     let ssds = scale.ssds.min(32);
-    let config = AfaConfig::paper(TuningStage::IrqAffinity)
+    let config = scale
+        .config(TuningStage::IrqAffinity)
         .with_ssds(ssds)
-        .with_runtime(scale.runtime)
-        .with_seed(scale.seed)
         .with_logging(true);
     let result = AfaSystem::run(&config);
 
@@ -277,74 +271,69 @@ pub struct Fig12Comparison {
 }
 
 impl Fig12Comparison {
-    /// Mean of the per-device max for `stage`, µs.
-    pub fn mean_max_us(&self, stage: TuningStage) -> f64 {
+    /// Cross-device summary of the per-device max for `stage`.
+    fn max_of(&self, stage: TuningStage) -> Option<MetricSummary> {
         self.stages
             .iter()
             .find(|(s, _)| *s == stage)
-            .map(|(_, sum)| sum.get(NinesPoint::Max).mean_us)
-            .unwrap_or(0.0)
+            .map(|(_, sum)| sum.get(NinesPoint::Max))
+    }
+
+    /// Mean of the per-device max for `stage`, µs.
+    pub fn mean_max_us(&self, stage: TuningStage) -> f64 {
+        self.max_of(stage).map_or(0.0, |m| m.mean_us)
     }
 
     /// Std of the per-device max for `stage`, µs.
     pub fn std_max_us(&self, stage: TuningStage) -> f64 {
+        self.max_of(stage).map_or(0.0, |m| m.std_us)
+    }
+
+    /// The kernel configurations as labeled chart columns.
+    fn columns(&self) -> Vec<(&'static str, &ProfileSummary)> {
         self.stages
             .iter()
-            .find(|(s, _)| *s == stage)
-            .map(|(_, sum)| sum.get(NinesPoint::Max).std_us)
-            .unwrap_or(0.0)
+            .map(|(s, sum)| (s.label(), sum))
+            .collect()
     }
 
     /// The abstract's headline: improvement of mean(max) from default
     /// to the fully tuned kernel (paper: ×8).
     pub fn mean_max_improvement(&self) -> f64 {
-        let base = self.mean_max_us(TuningStage::Default);
-        let tuned = self.mean_max_us(TuningStage::IrqAffinity);
-        if tuned <= 0.0 {
-            0.0
-        } else {
-            base / tuned
-        }
+        improvement(
+            self.mean_max_us(TuningStage::Default),
+            self.mean_max_us(TuningStage::IrqAffinity),
+        )
     }
 
     /// The abstract's headline: improvement of std(max) (paper: ×400,
     /// 1 644 → 4).
     pub fn std_max_improvement(&self) -> f64 {
-        let base = self.std_max_us(TuningStage::Default);
-        let tuned = self.std_max_us(TuningStage::IrqAffinity);
-        if tuned <= 0.0 {
-            0.0
-        } else {
-            base / tuned
-        }
+        improvement(
+            self.std_max_us(TuningStage::Default),
+            self.std_max_us(TuningStage::IrqAffinity),
+        )
+    }
+}
+
+/// How many times `tuned` is below `base` (0.0 when `tuned` is not
+/// positive).
+fn improvement(base: f64, tuned: f64) -> f64 {
+    if tuned <= 0.0 {
+        0.0
+    } else {
+        base / tuned
     }
 }
 
 impl ExperimentResult for Fig12Comparison {
-    /// Renders the two Fig. 12 charts (average and standard deviation
-    /// per metric, one column per configuration) as tables.
+    /// Renders the two Fig. 12 charts as tables, plus the headline
+    /// improvement factors.
     fn to_table(&self) -> String {
-        let mut out = String::from("Fig. 12 — comparison of four system configurations\n\n");
-        for (title, pick) in [
-            ("average (us)", 0usize),
-            ("standard deviation (us)", 1usize),
-        ] {
-            out.push_str(&format!("{title}:\n{:<10}", "metric"));
-            for (stage, _) in &self.stages {
-                out.push_str(&format!(" {:>12}", stage.label()));
-            }
-            out.push('\n');
-            for point in NinesPoint::ALL {
-                out.push_str(&format!("{:<10}", point.label()));
-                for (_, summary) in &self.stages {
-                    let m = summary.get(point);
-                    let v = if pick == 0 { m.mean_us } else { m.std_us };
-                    out.push_str(&format!(" {v:>12.1}"));
-                }
-                out.push('\n');
-            }
-            out.push('\n');
-        }
+        let mut out = mean_std_table(
+            "Fig. 12 — comparison of four system configurations",
+            &self.columns(),
+        );
         out.push_str(&format!(
             "mean(max) improvement default→irq : x{:.1} (paper: x8)\n",
             self.mean_max_improvement()
@@ -358,20 +347,7 @@ impl ExperimentResult for Fig12Comparison {
 
     /// One CSV row per `(stage, metric)`: cross-device mean and std.
     fn to_csv(&self) -> String {
-        let mut out = String::from("stage,metric,mean_us,std_us\n");
-        for (stage, summary) in &self.stages {
-            for point in NinesPoint::ALL {
-                let m = summary.get(point);
-                out.push_str(&format!(
-                    "{},{},{:.3},{:.3}\n",
-                    stage.label(),
-                    point.key(),
-                    m.mean_us,
-                    m.std_us
-                ));
-            }
-        }
-        out
+        mean_std_csv("stage", &self.columns())
     }
 
     fn to_json(&self) -> Json {
@@ -403,12 +379,7 @@ impl ExperimentResult for Fig12Comparison {
 pub fn fig12(scale: ExperimentScale) -> Fig12Comparison {
     let configs: Vec<AfaConfig> = TuningStage::KERNEL_LADDER
         .iter()
-        .map(|&stage| {
-            AfaConfig::paper(stage)
-                .with_ssds(scale.ssds)
-                .with_runtime(scale.runtime)
-                .with_seed(scale.seed)
-        })
+        .map(|&stage| scale.config(stage))
         .collect();
     let results = run_parallel(configs);
     let stages = TuningStage::KERNEL_LADDER
@@ -510,26 +481,28 @@ pub struct Fig14Result {
     pub samples: u64,
 }
 
+impl Fig14Result {
+    /// The Table II rows as labeled chart columns.
+    fn columns(&self) -> Vec<(&'static str, &ProfileSummary)> {
+        self.summaries
+            .iter()
+            .map(|(r, sum)| (r.label(), sum))
+            .collect()
+    }
+}
+
 impl ExperimentResult for Fig14Result {
+    /// Renders the two Fig. 14 charts as tables.
     fn to_table(&self) -> String {
-        render_fig14(&self.summaries)
+        mean_std_table(
+            "Fig. 14 — comparison of SSDs-per-core setups",
+            &self.columns(),
+        )
     }
 
+    /// One CSV row per `(row, metric)`: cross-device mean and std.
     fn to_csv(&self) -> String {
-        let mut out = String::from("row,metric,mean_us,std_us\n");
-        for (row, summary) in &self.summaries {
-            for point in NinesPoint::ALL {
-                let m = summary.get(point);
-                out.push_str(&format!(
-                    "{},{},{:.3},{:.3}\n",
-                    row.label(),
-                    point.key(),
-                    m.mean_us,
-                    m.std_us
-                ));
-            }
-        }
-        out
+        mean_std_csv("row", &self.columns())
     }
 
     fn to_json(&self) -> Json {
@@ -595,25 +568,46 @@ pub fn fig14(scale: ExperimentScale) -> Fig14Result {
     }
 }
 
-/// Renders the Fig. 14 charts as a table.
-pub fn render_fig14(summaries: &[(Table2Row, ProfileSummary)]) -> String {
-    let mut out = String::from("Fig. 14 — comparison of SSDs-per-core setups\n\n");
-    for (title, pick) in [("average (us)", 0usize), ("standard deviation (us)", 1)] {
-        out.push_str(&format!("{title}:\n{:<10}", "metric"));
-        for (row, _) in summaries {
-            out.push_str(&format!(" {:>12}", row.label()));
+/// Renders a comparison chart pair (Fig. 12, Fig. 14) as tables under
+/// `title`: the cross-device average, then the standard deviation, of
+/// each metric, one column per labeled configuration.
+fn mean_std_table(title: &str, columns: &[(&str, &ProfileSummary)]) -> String {
+    let mut out = format!("{title}\n\n");
+    for (chart, std) in [("average (us)", false), ("standard deviation (us)", true)] {
+        out.push_str(&format!("{chart}:\n{:<10}", "metric"));
+        for (label, _) in columns {
+            out.push_str(&format!(" {label:>12}"));
         }
         out.push('\n');
         for point in NinesPoint::ALL {
             out.push_str(&format!("{:<10}", point.label()));
-            for (_, summary) in summaries {
+            for (_, summary) in columns {
                 let m = summary.get(point);
-                let v = if pick == 0 { m.mean_us } else { m.std_us };
+                let v = if std { m.std_us } else { m.mean_us };
                 out.push_str(&format!(" {v:>12.1}"));
             }
             out.push('\n');
         }
         out.push('\n');
+    }
+    out
+}
+
+/// One CSV row per `(configuration, metric)` of a comparison chart
+/// pair: the cross-device mean and std, the configuration's label in
+/// the `key` column.
+fn mean_std_csv(key: &str, columns: &[(&str, &ProfileSummary)]) -> String {
+    let mut out = format!("{key},metric,mean_us,std_us\n");
+    for (label, summary) in columns {
+        for point in NinesPoint::ALL {
+            let m = summary.get(point);
+            out.push_str(&format!(
+                "{label},{},{:.3},{:.3}\n",
+                point.key(),
+                m.mean_us,
+                m.std_us
+            ));
+        }
     }
     out
 }

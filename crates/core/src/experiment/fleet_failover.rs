@@ -33,19 +33,19 @@ use afa_fleet::{
     heal_jobs, place_among, ArrayInstance, ArrayPath, HealJob, HopSpec, NetHop, ReadPolicy,
     RetryPolicy,
 };
-use afa_frontend::{Handle, HedgePolicy, RequestBook, RequestLedger, SubCompletion};
+use afa_frontend::{Handle, HedgePolicy, RequestBook, SubCompletion};
 use afa_host::{CpuId, SchedPolicy};
 use afa_sim::metrics::{self, CompletionCounters, FleetCounters, FrontendCounters};
-use afa_sim::trace::{Cause, CauseAccumulator};
+use afa_sim::trace::Cause;
 use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
 use afa_ssd::NvmeCommand;
 use afa_stats::{Json, LatencyHistogram, LatencyProfile, NinesPoint, SketchRollup};
 use afa_volume::SubIo;
 
 use crate::experiment::registry::ExperimentResult;
-use crate::experiment::{pool, ExperimentScale};
+use crate::experiment::{causes_json, pool, ExperimentScale, RequestCauses};
 use crate::geometry::CpuSsdGeometry;
-use crate::tuning::{Tuning, TuningStage};
+use crate::tuning::TuningStage;
 
 /// Client-side submit cost per request (frontend CPU).
 const CLIENT_SUBMIT: SimDuration = SimDuration::nanos(1_500);
@@ -176,15 +176,7 @@ impl FailoverCell {
                     ("stale_drops", Json::u64(self.stale_drops)),
                 ]),
             ),
-            (
-                "causes",
-                Json::Obj(
-                    self.causes
-                        .iter()
-                        .map(|&(c, d)| (c.label().to_owned(), Json::u64(d.as_nanos())))
-                        .collect(),
-                ),
-            ),
+            ("causes", causes_json(&self.causes)),
             ("ledger_mismatches", Json::u64(self.ledger_mismatches)),
         ])
     }
@@ -318,15 +310,7 @@ impl ReplicationCell {
             ("admitted", Json::u64(self.admitted)),
             ("hedges_fired", Json::u64(self.hedges_fired)),
             ("hedges_won", Json::u64(self.hedges_won)),
-            (
-                "causes",
-                Json::Obj(
-                    self.causes
-                        .iter()
-                        .map(|&(c, d)| (c.label().to_owned(), Json::u64(d.as_nanos())))
-                        .collect(),
-                ),
-            ),
+            ("causes", causes_json(&self.causes)),
             ("ledger_mismatches", Json::u64(self.ledger_mismatches)),
         ])
     }
@@ -421,7 +405,7 @@ impl ExperimentResult for FleetReplicationResult {
 /// one array killed at t=50 %.
 pub fn fleet_failover(scale: ExperimentScale) -> FleetFailoverResult {
     let cells = pool::map_bounded(TuningStage::ALL.to_vec(), |stage| {
-        let (cell, _) = run_cell(
+        let world = run_cell(
             FleetConfig {
                 stage,
                 r: 2,
@@ -431,7 +415,38 @@ pub fn fleet_failover(scale: ExperimentScale) -> FleetFailoverResult {
             },
             scale,
         );
-        cell
+        FailoverCell {
+            stage,
+            arrays: world.arrays.len(),
+            r: world.r,
+            before: world.before.profile(),
+            during: world.during.profile(),
+            after: world.after.profile(),
+            time_to_recovery: match (world.kill_at, world.recovered_at) {
+                (Some(kill), Some(healed)) => Some(healed.saturating_since(kill)),
+                _ => None,
+            },
+            recovered_within_run: world
+                .recovered_at
+                .is_some_and(|healed| healed <= world.deadline + SimDuration::millis(50)),
+            per_array: world
+                .arrays
+                .iter()
+                .enumerate()
+                .map(|(a, array)| {
+                    (
+                        array.interrupts(),
+                        world.rollup.array(a).value_at_percentile(99.9) as f64 / 1_000.0,
+                    )
+                })
+                .collect(),
+            fleet: world.fleet_counters(),
+            admitted: world.admitted,
+            shed: world.shed,
+            stale_drops: world.stale_drops,
+            causes: world.causes.totals(),
+            ledger_mismatches: world.causes.mismatches,
+        }
     });
     FleetFailoverResult { cells }
 }
@@ -450,7 +465,7 @@ pub fn fleet_replication(scale: ExperimentScale) -> FleetReplicationResult {
         }
     }
     let cells = pool::map_bounded(jobs, |(r, policy)| {
-        let (cell, extras) = run_cell(
+        let world = run_cell(
             FleetConfig {
                 stage: TuningStage::IrqAffinity,
                 r,
@@ -463,14 +478,14 @@ pub fn fleet_replication(scale: ExperimentScale) -> FleetReplicationResult {
         ReplicationCell {
             r,
             policy,
-            median_us: extras.median_us,
-            write_median_us: extras.write_median_us,
-            client: extras.client,
-            admitted: cell.admitted,
-            hedges_fired: extras.hedges_fired,
-            hedges_won: extras.hedges_won,
-            causes: cell.causes,
-            ledger_mismatches: cell.ledger_mismatches,
+            median_us: world.hist.value_at_percentile(50.0) as f64 / 1_000.0,
+            write_median_us: world.write_hist.value_at_percentile(50.0) as f64 / 1_000.0,
+            client: world.hist.profile(),
+            admitted: world.admitted,
+            hedges_fired: world.hedges_fired,
+            hedges_won: world.hedges_won,
+            causes: world.causes.totals(),
+            ledger_mismatches: world.causes.mismatches,
         }
     });
     FleetReplicationResult { cells }
@@ -501,7 +516,7 @@ pub struct FleetProbeOutcome {
 /// `ledger_mismatches`.
 pub fn fleet_failover_probe(seed: u64, kill_frac: f64) -> FleetProbeOutcome {
     let scale = ExperimentScale::new(SimDuration::millis(40), 6, seed);
-    let (cell, extras) = run_cell(
+    let world = run_cell(
         FleetConfig {
             stage: TuningStage::IrqAffinity,
             r: 2,
@@ -512,30 +527,20 @@ pub fn fleet_failover_probe(seed: u64, kill_frac: f64) -> FleetProbeOutcome {
         scale,
     );
     FleetProbeOutcome {
-        admitted: cell.admitted,
-        settled: extras.settled,
-        shed: cell.shed,
-        stale_drops: cell.stale_drops,
-        ledger_mismatches: cell.ledger_mismatches,
-        in_flight_at_end: extras.in_flight_at_end,
+        admitted: world.admitted,
+        settled: world.settled,
+        shed: world.shed,
+        stale_drops: world.stale_drops,
+        ledger_mismatches: world.causes.mismatches,
+        in_flight_at_end: world.book.in_flight() as u64,
     }
 }
 
-/// Extra outcome figures surfaced by [`run_cell`] alongside the cell.
-struct RunExtras {
-    median_us: f64,
-    write_median_us: f64,
-    client: LatencyProfile,
-    hedges_fired: u64,
-    hedges_won: u64,
-    settled: u64,
-    in_flight_at_end: u64,
-}
-
-fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtras) {
+/// Runs one fleet cell to its end, flushes its counters, and returns
+/// the drained world for the caller to read its outcome from.
+fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> FleetWorld {
     let arrays_n = fleet_arrays(scale);
     let devices_per = devices_per_array(scale);
-    let tuning = Tuning::new(cfg.stage);
     let geometry = CpuSsdGeometry::paper(devices_per);
 
     let arrays: Vec<ArrayInstance> = (0..arrays_n)
@@ -543,7 +548,7 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
             let array_seed = scale
                 .seed
                 .wrapping_add((a as u64 + 1).wrapping_mul(0xA11A_D00D_9E37_79B9));
-            super::paper_array(&tuning, &geometry, devices_per, array_seed, array_seed)
+            super::paper_array(cfg.stage, &geometry, devices_per, array_seed, array_seed)
         })
         .collect();
     let hops = (0..arrays_n)
@@ -572,7 +577,7 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
         rng_write: SimRng::from_seed_and_stream(scale.seed, 0xF1EE_7A03),
         hedge: (cfg.policy == ReadPolicy::HedgedSecondary && cfg.r > 1)
             .then(|| HedgePolicy::at_percentile(HEDGE_PERCENTILE)),
-        sched_policy: tuning.fio_policy(),
+        sched_policy: cfg.stage.fio_policy(),
         rotate: 0,
         kill_array: 0,
         dead: None,
@@ -585,8 +590,7 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
         during: LatencyHistogram::new(),
         after: LatencyHistogram::new(),
         rollup: SketchRollup::new(arrays_n),
-        causes: CauseAccumulator::new(),
-        ledger_mismatches: 0,
+        causes: RequestCauses::default(),
         admitted: 0,
         settled: 0,
         shed: 0,
@@ -597,6 +601,7 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
         rereplication_ios: 0,
         hedges_fired: 0,
         hedges_won: 0,
+        kill_at,
         deadline,
         horizon: deadline + SimDuration::millis(50),
     };
@@ -612,14 +617,8 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
     let world = sim.into_world();
 
     let (_merged, sketch_merges) = world.rollup.merged();
-    let fleet = FleetCounters {
-        arrays_failed: world.arrays_failed,
-        failovers: world.failovers,
-        retries: world.retries,
-        rereplication_ios: world.rereplication_ios,
-    };
     metrics::flush(metrics::Counters {
-        fleet,
+        fleet: world.fleet_counters(),
         frontend: FrontendCounters {
             requests_admitted: world.admitted,
             requests_shed: world.shed,
@@ -634,48 +633,10 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> (FailoverCell, RunExtra
             interrupts: world.arrays.iter().map(ArrayInstance::interrupts).sum(),
             ..CompletionCounters::default()
         },
-        causes: world.causes,
+        causes: world.causes.table,
         ..Default::default()
     });
-    let cell = FailoverCell {
-        stage: cfg.stage,
-        arrays: arrays_n,
-        r: cfg.r,
-        before: world.before.profile(),
-        during: world.during.profile(),
-        after: world.after.profile(),
-        time_to_recovery: match (kill_at, world.recovered_at) {
-            (Some(kill), Some(healed)) => Some(healed.saturating_since(kill)),
-            _ => None,
-        },
-        recovered_within_run: world
-            .recovered_at
-            .is_some_and(|healed| healed <= world.deadline + SimDuration::millis(50)),
-        per_array: (0..arrays_n)
-            .map(|a| {
-                (
-                    world.arrays[a].interrupts(),
-                    world.rollup.array(a).value_at_percentile(99.9) as f64 / 1_000.0,
-                )
-            })
-            .collect(),
-        fleet,
-        admitted: world.admitted,
-        shed: world.shed,
-        stale_drops: world.stale_drops,
-        causes: world.causes.iter().map(|(c, d, _)| (c, d)).collect(),
-        ledger_mismatches: world.ledger_mismatches,
-    };
-    let extras = RunExtras {
-        median_us: world.hist.value_at_percentile(50.0) as f64 / 1_000.0,
-        write_median_us: world.write_hist.value_at_percentile(50.0) as f64 / 1_000.0,
-        client: world.hist.profile(),
-        hedges_fired: world.hedges_fired,
-        hedges_won: world.hedges_won,
-        settled: world.settled,
-        in_flight_at_end: world.book.in_flight() as u64,
-    };
-    (cell, extras)
+    world
 }
 
 /// Per-sub routing state for one open request.
@@ -824,8 +785,7 @@ struct FleetWorld {
     rollup: SketchRollup,
     /// Run-wide cause table: each finished request adds one event to
     /// every cause its ledger charged.
-    causes: CauseAccumulator,
-    ledger_mismatches: u64,
+    causes: RequestCauses,
     admitted: u64,
     settled: u64,
     shed: u64,
@@ -836,11 +796,23 @@ struct FleetWorld {
     rereplication_ios: u64,
     hedges_fired: u64,
     hedges_won: u64,
+    /// When the fault plan kills an array, if it does.
+    kill_at: Option<SimTime>,
     deadline: SimTime,
     horizon: SimTime,
 }
 
 impl FleetWorld {
+    /// The run's fleet fault counters.
+    fn fleet_counters(&self) -> FleetCounters {
+        FleetCounters {
+            arrays_failed: self.arrays_failed,
+            failovers: self.failovers,
+            retries: self.retries,
+            rereplication_ios: self.rereplication_ios,
+        }
+    }
+
     fn alive_ids(&self) -> Vec<usize> {
         (0..self.arrays.len())
             .filter(|&a| self.arrays[a].is_alive())
@@ -918,85 +890,71 @@ impl FleetWorld {
                 policy.observe(settle_end.saturating_since(dispatched));
             }
         }
-        match self.book.complete_sub(request, sub, settle_end, from_hedge) {
-            SubCompletion::Duplicate => {}
-            SubCompletion::Pending => {
-                let route = self.route_mut(request).expect("book says request is live");
-                route.subs[sub].done = true;
-                if let Some(t) = timeline {
-                    match &mut route.best {
-                        Some(best) if best.client_rx >= t.client_rx => {}
-                        slot => *slot = Some(t),
-                    }
-                }
-            }
-            SubCompletion::Finished(fin) => {
-                let slot = Handle::from_raw(request).index();
-                let mut route = self.routes[slot]
-                    .take()
-                    .expect("route for finished request");
-                debug_assert_eq!(route.id, request);
-                route.subs[sub].done = true;
-                if let Some(t) = timeline {
-                    match &mut route.best {
-                        Some(best) if best.client_rx >= t.client_rx => {}
-                        slot => *slot = Some(t),
-                    }
-                }
-                if fin.hedge_won {
-                    self.hedges_won += 1;
-                }
-                if route.shed {
-                    self.shed += 1;
-                    return;
-                }
-                self.settled += 1;
-                let best = route.best.expect("finished request has a timeline");
-                let latency = fin.latency();
-                self.hist.record(latency.as_nanos());
-                if route.write {
-                    self.write_hist.record(latency.as_nanos());
-                }
-                self.rollup.record(best.array, latency.as_nanos());
-                let phase = match self.dead {
-                    None => &mut self.before,
-                    Some(_) if self.heal_outstanding > 0 || self.recovered_at.is_none() => {
-                        &mut self.during
-                    }
-                    Some(_) => &mut self.after,
-                };
-                phase.record(latency.as_nanos());
-                // Exact attribution: every segment between adjacent
-                // timestamps of the winning sub's timeline, client
-                // clock to client clock. Telescopes to `latency`.
-                let [to_device, service, to_host, irq, wake, reap] = best.path.stamps();
-                let ledger = RequestLedger::tile(
-                    route.arrived_at,
-                    &[
-                        (Cause::CpuWork, route.submit_end),
-                        // Backoff / hedge wait between client submit
-                        // and the winning attempt's network send.
-                        (Cause::Other, best.sent_at),
-                        (Cause::Network, best.at_array),
-                        (Cause::CpuWork, best.submit_end),
-                        to_device,
-                        service,
-                        to_host,
-                        irq,
-                        wake,
-                        reap,
-                        (Cause::Network, best.client_rx),
-                        (Cause::CpuWork, best.client_rx + CLIENT_REAP),
-                    ],
-                );
-                if ledger.total() != latency {
-                    self.ledger_mismatches += 1;
-                }
-                for (cause, d) in ledger.iter() {
-                    self.causes.add(cause, d, 1);
-                }
+        let fin = match self.book.complete_sub(request, sub, settle_end, from_hedge) {
+            SubCompletion::Duplicate => return,
+            SubCompletion::Pending => None,
+            SubCompletion::Finished(fin) => Some(fin),
+        };
+        let route = self.route_mut(request).expect("book says request is live");
+        route.subs[sub].done = true;
+        // Keep the latest-landing attempt: the request's latency is
+        // attributed along its timeline.
+        if let Some(t) = timeline {
+            match &mut route.best {
+                Some(best) if best.client_rx >= t.client_rx => {}
+                slot => *slot = Some(t),
             }
         }
+        let Some(fin) = fin else { return };
+        let slot = Handle::from_raw(request).index();
+        let route = self.routes[slot]
+            .take()
+            .expect("route for finished request");
+        if fin.hedge_won {
+            self.hedges_won += 1;
+        }
+        if route.shed {
+            self.shed += 1;
+            return;
+        }
+        self.settled += 1;
+        let best = route.best.expect("finished request has a timeline");
+        let latency = fin.latency();
+        self.hist.record(latency.as_nanos());
+        if route.write {
+            self.write_hist.record(latency.as_nanos());
+        }
+        self.rollup.record(best.array, latency.as_nanos());
+        let phase = match self.dead {
+            None => &mut self.before,
+            Some(_) if self.heal_outstanding > 0 || self.recovered_at.is_none() => &mut self.during,
+            Some(_) => &mut self.after,
+        };
+        phase.record(latency.as_nanos());
+        // Exact attribution: every segment between adjacent timestamps
+        // of the winning sub's timeline, client clock to client clock.
+        // Telescopes to `latency`.
+        let [to_device, service, to_host, irq, wake, reap] = best.path.stamps();
+        self.causes.settle(
+            route.arrived_at,
+            &[
+                (Cause::CpuWork, route.submit_end),
+                // Backoff / hedge wait between client submit and the
+                // winning attempt's network send.
+                (Cause::Other, best.sent_at),
+                (Cause::Network, best.at_array),
+                (Cause::CpuWork, best.submit_end),
+                to_device,
+                service,
+                to_host,
+                irq,
+                wake,
+                reap,
+                (Cause::Network, best.client_rx),
+                (Cause::CpuWork, best.client_rx + CLIENT_REAP),
+            ],
+            latency,
+        );
     }
 
     /// Settles a sub as shed: the request still completes exactly

@@ -33,12 +33,12 @@ use std::convert::Infallible;
 
 use afa_fleet::{ArrayInstance, ArrayPath};
 use afa_frontend::{
-    AdmissionQueue, ArrivalGen, Handle, HedgePolicy, RequestBook, RequestLedger, SloReport,
-    SloTracker, SubCompletion, TenantSpec, TokenBucket, WeightedScheduler,
+    AdmissionQueue, ArrivalGen, Handle, HedgePolicy, RequestBook, SloReport, SloTracker,
+    SubCompletion, TenantSpec, TokenBucket, WeightedScheduler,
 };
 use afa_host::{CpuId, SchedPolicy};
 use afa_sim::metrics::{self, CompletionCounters, FrontendCounters};
-use afa_sim::trace::{Cause, CauseAccumulator};
+use afa_sim::trace::Cause;
 use afa_sim::{ShardCtx, ShardWorld, ShardedSim, SimDuration, SimRng, SimTime};
 use afa_ssd::NvmeCommand;
 use afa_stats::{Json, LatencyHistogram, LatencyProfile, NinesPoint};
@@ -46,14 +46,10 @@ use afa_volume::{StripeConfig, StripedVolume};
 use afa_workload::ArrivalProcess;
 
 use crate::experiment::registry::ExperimentResult;
-use crate::experiment::{pool, ExperimentScale};
+use crate::experiment::{causes_json, pool, ExperimentScale, RequestCauses};
 use crate::geometry::CpuSsdGeometry;
-use crate::tuning::{Tuning, TuningStage};
+use crate::tuning::TuningStage;
 
-/// Dispatch workers pulling requests off the admission queues. A
-/// single submission reactor (SPDK-target style): dispatch serializes,
-/// so admission queueing is real and WDRR arbitration matters.
-const WORKERS: usize = 1;
 /// io_submit batch cost: base + per-sub-I/O increment.
 const SUBMIT_BASE: SimDuration = SimDuration::nanos(1_500);
 const SUBMIT_PER_SUB: SimDuration = SimDuration::nanos(500);
@@ -149,15 +145,7 @@ impl ServeCell {
                     ("hedges_won", Json::u64(self.counters.hedges_won)),
                 ]),
             ),
-            (
-                "causes",
-                Json::Obj(
-                    self.causes
-                        .iter()
-                        .map(|&(c, d)| (c.label().to_owned(), Json::u64(d.as_nanos())))
-                        .collect(),
-                ),
-            ),
+            ("causes", causes_json(&self.causes)),
             ("ledger_mismatches", Json::u64(self.ledger_mismatches)),
         ])
     }
@@ -322,19 +310,12 @@ fn run_cell(
     writes: MixedWrites,
     scale: ExperimentScale,
 ) -> ServeCell {
-    let tuning = Tuning::new(stage);
-    let geometry = CpuSsdGeometry::paper(width.max(WORKERS));
+    let geometry = CpuSsdGeometry::paper(width);
     let specs = tenant_mix();
     let weights: Vec<u32> = specs.iter().map(|t| t.weight).collect();
 
     let world = FrontendWorld {
-        array: super::paper_array(
-            &tuning,
-            &geometry,
-            width,
-            scale.seed ^ 0xF30_47E0,
-            scale.seed,
-        ),
+        array: super::paper_array(stage, &geometry, width, scale.seed ^ 0xF30_47E0, scale.seed),
         volume: StripedVolume::new((0..width).collect(), StripeConfig::new(SUB_BYTES)),
         book: RequestBook::new(),
         arrivals: specs
@@ -365,15 +346,14 @@ fn run_cell(
             )
         }),
         write_rng: SimRng::from_seed_and_stream(scale.seed, 0x0B01),
-        worker_busy: vec![false; WORKERS],
-        worker_cpus: (0..WORKERS).map(|w| geometry.io_cpus()[w]).collect(),
+        dispatching: false,
+        cpu: geometry.io_cpus()[0],
         settles: Vec::new(),
         has_work: Vec::with_capacity(specs.len()),
         sub_scratch: Vec::new(),
-        policy: tuning.fio_policy(),
+        policy: stage.fio_policy(),
         hist: LatencyHistogram::new(),
-        causes: CauseAccumulator::new(),
-        ledger_mismatches: 0,
+        causes: RequestCauses::default(),
         hedges_fired: 0,
         hedges_won: 0,
         placement: (0..specs.len())
@@ -410,7 +390,7 @@ fn run_cell(
             interrupts: world.array.interrupts(),
             ..CompletionCounters::default()
         },
-        causes: world.causes,
+        causes: world.causes.table,
         ..Default::default()
     });
     ServeCell {
@@ -427,8 +407,8 @@ fn run_cell(
             })
             .collect(),
         counters,
-        causes: world.causes.iter().map(|(c, d, _)| (c, d)).collect(),
-        ledger_mismatches: world.ledger_mismatches,
+        causes: world.causes.totals(),
+        ledger_mismatches: world.causes.mismatches,
     }
 }
 
@@ -438,8 +418,8 @@ enum FeEvent {
     FirstArrival { tenant: usize },
     /// One open-loop request arrives for `tenant`.
     Arrival { tenant: usize },
-    /// A dispatch worker looks for queued work.
-    TryDispatch { worker: usize },
+    /// The dispatch worker looks for queued work.
+    TryDispatch,
     /// A sub-I/O finished inside its device; the completion crosses
     /// the fabric next. Its path rides along so the finishing sub can
     /// be attributed exactly (`u16` indices keep the event at 64 B).
@@ -501,8 +481,14 @@ struct FrontendWorld {
     hedge: Option<HedgePolicy>,
     write_gaps: Option<ArrivalGen>,
     write_rng: SimRng,
-    worker_busy: Vec<bool>,
-    worker_cpus: Vec<CpuId>,
+    /// Whether the dispatch worker is running. One submission reactor
+    /// (SPDK-target style) pulls requests off the admission queues:
+    /// dispatch serializes, so admission queueing is real and WDRR
+    /// arbitration matters.
+    dispatching: bool,
+    /// The reactor's CPU: it submits every request and reaps every
+    /// sub-I/O.
+    cpu: CpuId,
     /// Settle state per open request, shadow-indexed by the request
     /// handle's dense slot index ([`afa_frontend::Handle::index`]) —
     /// slots recycle with the book's slab, so this never rehashes or
@@ -517,8 +503,7 @@ struct FrontendWorld {
     hist: LatencyHistogram,
     /// Run-wide cause table: each finished request adds one event to
     /// every cause its ledger charged.
-    causes: CauseAccumulator,
-    ledger_mismatches: u64,
+    causes: RequestCauses,
     hedges_fired: u64,
     hedges_won: u64,
     placement: Vec<SimRng>,
@@ -548,11 +533,11 @@ impl FrontendWorld {
         }
     }
 
-    /// Wakes an idle dispatch worker, if any.
+    /// Wakes the dispatch worker if it is idle.
     fn kick_worker(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(worker) = self.worker_busy.iter().position(|&b| !b) {
-            self.worker_busy[worker] = true;
-            ctx.at(ctx.now(), FeEvent::TryDispatch { worker });
+        if !self.dispatching {
+            self.dispatching = true;
+            ctx.at(ctx.now(), FeEvent::TryDispatch);
         }
     }
 
@@ -619,22 +604,21 @@ impl ShardWorld for FrontendWorld {
                     self.kick_worker(ctx);
                 }
             }
-            FeEvent::TryDispatch { worker } => {
+            FeEvent::TryDispatch => {
                 let now = ctx.now();
                 self.has_work.clear();
                 self.has_work
                     .extend(self.queues.iter().map(|q| !q.is_empty()));
                 let Some(tenant) = self.wdrr.pick(&self.has_work) else {
-                    self.worker_busy[worker] = false;
+                    self.dispatching = false;
                     return;
                 };
                 let item = self.queues[tenant].pop().expect("picked tenant has work");
                 let bytes = SUB_BYTES * self.volume.width() as u32;
                 let mut subs = std::mem::take(&mut self.sub_scratch);
                 self.volume.map_read_into(item.page, bytes, &mut subs);
-                let cpu = self.worker_cpus[worker];
                 let submit_cost = SUBMIT_BASE + SUBMIT_PER_SUB * subs.len() as u64;
-                let submit_end = self.array.charge(cpu, now, submit_cost);
+                let submit_end = self.array.charge(self.cpu, now, submit_cost);
                 let request = self.book.begin(tenant, item.arrived_at, now, &subs);
                 let slot = Handle::from_raw(request).index();
                 if slot >= self.settles.len() {
@@ -653,7 +637,7 @@ impl ShardWorld for FrontendWorld {
                 }
                 // The worker stays busy until the submit batch retires,
                 // then looks for more work.
-                ctx.at(submit_end, FeEvent::TryDispatch { worker });
+                ctx.at(submit_end, FeEvent::TryDispatch);
             }
             FeEvent::SubDeviceDone {
                 request,
@@ -685,13 +669,13 @@ impl ShardWorld for FrontendWorld {
                 let now = ctx.now();
                 self.array.interrupt(device as usize, &mut path);
                 let dispatched = self.book.dispatched_at(request);
-                // Every sub completion wakes the serving task on its
-                // worker's CPU (libaio-style: one io_getevents wake
+                // Every sub completion wakes the serving task on the
+                // reactor's CPU (libaio-style: one io_getevents wake
                 // per CQE), so per-sub scheduler noise — the paper's
                 // default-stage tail — is part of the settle time the
                 // max-of-width amplifies.
-                let cpu = self.worker_cpus[(request % WORKERS as u64) as usize];
-                self.array.reap(cpu, self.policy, COMPLETE_COST, &mut path);
+                self.array
+                    .reap(self.cpu, self.policy, COMPLETE_COST, &mut path);
                 let reap_end = path.reap_end;
                 match self
                     .book
@@ -735,7 +719,7 @@ impl ShardWorld for FrontendWorld {
                         // sub-I/O's path — the charges tile `latency`
                         // to the nanosecond.
                         let [to_device, service, to_host, irq, wake, reap] = best.path.stamps();
-                        let ledger = RequestLedger::tile(
+                        self.causes.settle(
                             fin.arrived_at,
                             &[
                                 (Cause::FrontendQueue, fin.dispatched_at),
@@ -750,13 +734,8 @@ impl ShardWorld for FrontendWorld {
                                 wake,
                                 reap,
                             ],
+                            latency,
                         );
-                        if ledger.total() != latency {
-                            self.ledger_mismatches += 1;
-                        }
-                        for (cause, d) in ledger.iter() {
-                            self.causes.add(cause, d, 1);
-                        }
                     }
                 }
             }

@@ -12,7 +12,6 @@
 use afa_host::KernelConfig;
 use afa_stats::{Json, NinesPoint};
 
-use crate::config::AfaConfig;
 use crate::experiment::registry::ExperimentResult;
 use crate::experiment::{run_parallel, ExperimentScale};
 use crate::tuning::TuningStage;
@@ -119,20 +118,11 @@ impl ExperimentResult for FutureWorkResult {
 /// Runs stock default, the paper's manual tuning, and the automatic
 /// prototype side by side.
 pub fn future_schedulers(scale: ExperimentScale) -> FutureWorkResult {
-    let stock = AfaConfig::paper(TuningStage::Default)
-        .with_ssds(scale.ssds)
-        .with_runtime(scale.runtime)
-        .with_seed(scale.seed);
-    let manual = AfaConfig::paper(TuningStage::IrqAffinity)
-        .with_ssds(scale.ssds)
-        .with_runtime(scale.runtime)
-        .with_seed(scale.seed);
+    let stock = scale.config(TuningStage::Default);
+    let manual = scale.config(TuningStage::IrqAffinity);
     // The prototype: stock userspace (CFS fio, no isolation, default
     // C-states) on the future-work kernel.
-    let mut prototype = AfaConfig::paper(TuningStage::Default)
-        .with_ssds(scale.ssds)
-        .with_runtime(scale.runtime)
-        .with_seed(scale.seed);
+    let mut prototype = scale.config(TuningStage::Default);
     prototype.kernel_override = Some(KernelConfig::prototype());
 
     let names = [
@@ -144,23 +134,11 @@ pub fn future_schedulers(scale: ExperimentScale) -> FutureWorkResult {
     let rows = names
         .iter()
         .zip(results.iter())
-        .map(|(&name, result)| {
-            let mut avg = 0.0;
-            let mut p999 = 0.0f64;
-            let mut max = 0.0f64;
-            for report in &result.reports {
-                let profile = report.profile();
-                avg += profile.get_micros(NinesPoint::Average);
-                p999 = p999.max(profile.get_micros(NinesPoint::Nines3));
-                max = max.max(profile.get_micros(NinesPoint::Max));
-            }
-            avg /= result.reports.len() as f64;
-            FutureWorkRow {
-                name: name.to_owned(),
-                avg_us: avg,
-                p999_us: p999,
-                max_us: max,
-            }
+        .map(|(&name, result)| FutureWorkRow {
+            name: name.to_owned(),
+            avg_us: result.mean_us(NinesPoint::Average),
+            p999_us: result.worst_us(NinesPoint::Nines3),
+            max_us: result.worst_us(NinesPoint::Max),
         })
         .collect();
     FutureWorkResult {

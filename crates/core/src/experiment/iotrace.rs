@@ -5,7 +5,6 @@
 use afa_stats::Json;
 
 use crate::blktrace::IoTrace;
-use crate::config::AfaConfig;
 use crate::experiment::registry::ExperimentResult;
 use crate::experiment::ExperimentScale;
 use crate::io_path::CompletedIo;
@@ -104,10 +103,8 @@ impl ExperimentResult for IoTraceResult {
 /// Runs the tuned configuration with a ledger log and renders each
 /// logged I/O's stage trace.
 pub fn io_trace(scale: ExperimentScale) -> IoTraceResult {
-    let config = AfaConfig::paper(TuningStage::IrqAffinity)
-        .with_ssds(scale.ssds)
-        .with_runtime(scale.runtime)
-        .with_seed(scale.seed)
+    let config = scale
+        .config(TuningStage::IrqAffinity)
         .with_ledger_log(TRACE_WINDOW);
     let log = AfaSystem::run(&config).ledgers.expect("ledger log enabled");
     IoTraceResult {

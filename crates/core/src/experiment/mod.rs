@@ -34,8 +34,8 @@ pub use ablations::{
 };
 pub use characterize::{qd_sweep, QdPoint, QdSweepResult};
 pub use figures::{
-    fig10, fig11, fig12, fig13, fig14, fig6, fig7, fig8, fig9, render_fig14, run_stage,
-    Fig10Scatter, Fig12Comparison, Fig13Results, Fig14Result, FigureDistributions,
+    fig10, fig11, fig12, fig13, fig14, fig6, fig7, fig8, fig9, run_stage, Fig10Scatter,
+    Fig12Comparison, Fig13Results, Fig14Result, FigureDistributions,
 };
 pub use fleet::{fleet_arrival, FleetArrivalResult, FleetCell};
 pub use fleet_failover::{
@@ -66,14 +66,14 @@ pub use ull_crossover::{ull_crossover, UllCrossoverCell, UllCrossoverResult};
 const ONE_LP_LOOKAHEAD: afa_sim::SimDuration = afa_sim::SimDuration::nanos(1);
 
 /// The paper's single-host array serving the first `width` SSDs of
-/// `geometry`: the dual-socket Xeon host under `tuning`'s kernel (its
+/// `geometry`: the dual-socket Xeon host under `stage`'s kernel (its
 /// isolated set is `geometry`'s fio CPUs) with CentOS-7 background
 /// noise and each device's MSI-X vector designated to its Fig. 5 CPU,
-/// the single-host PCIe fabric, and Table-I SSDs with `tuning`'s
+/// the single-host PCIe fabric, and Table-I SSDs with `stage`'s
 /// firmware. `host_seed` seeds the host; device `d` is seeded
 /// `device_seed ^ d * 0x61C8_8646`.
 pub(crate) fn paper_array(
-    tuning: &crate::Tuning,
+    stage: crate::TuningStage,
     geometry: &crate::CpuSsdGeometry,
     width: usize,
     host_seed: u64,
@@ -81,7 +81,7 @@ pub(crate) fn paper_array(
 ) -> afa_fleet::ArrayInstance {
     let mut host = afa_host::HostModel::new(
         afa_host::CpuTopology::xeon_e5_2690_v2_dual(),
-        tuning.kernel_config(geometry.io_cpu_set()),
+        stage.kernel_config(geometry.io_cpu_set()),
         afa_host::BackgroundConfig::centos7_desktop(),
         host_seed,
     );
@@ -93,7 +93,7 @@ pub(crate) fn paper_array(
         .map(|d| {
             afa_ssd::SsdDevice::new(
                 afa_ssd::SsdSpec::table1(),
-                tuning.firmware(),
+                stage.firmware(),
                 device_seed ^ (d as u64).wrapping_mul(0x61C8_8646),
             )
         })
@@ -102,6 +102,55 @@ pub(crate) fn paper_array(
         host,
         afa_pcie::PcieFabric::paper_single_host(width),
         devices,
+    )
+}
+
+/// A serving world's cause table: every finished request's ledger
+/// folds in at settle.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct RequestCauses {
+    /// Per-cause totals, one event per request that charged the cause.
+    pub(crate) table: afa_sim::trace::CauseAccumulator,
+    /// Finished requests whose ledger did not tile the measured
+    /// latency exactly. Always zero — a non-zero value is a model bug.
+    pub(crate) mismatches: u64,
+}
+
+impl RequestCauses {
+    /// Settles one finished request of `latency`: tiles the time from
+    /// `arrived_at` through `stamps` into its ledger, counts a mismatch
+    /// unless the ledger sums to `latency`, and folds it into the table.
+    pub(crate) fn settle(
+        &mut self,
+        arrived_at: afa_sim::SimTime,
+        stamps: &[(afa_sim::trace::Cause, afa_sim::SimTime)],
+        latency: afa_sim::SimDuration,
+    ) {
+        let ledger = afa_frontend::RequestLedger::tile(arrived_at, stamps);
+        if ledger.total() != latency {
+            self.mismatches += 1;
+        }
+        for (cause, d) in ledger.iter() {
+            self.table.add(cause, d, 1);
+        }
+    }
+
+    /// The table's non-zero totals, in cause order.
+    pub(crate) fn totals(&self) -> Vec<(afa_sim::trace::Cause, afa_sim::SimDuration)> {
+        self.table.iter().map(|(c, d, _)| (c, d)).collect()
+    }
+}
+
+/// Renders a cell's per-cause totals as one JSON object, ns per cause
+/// label.
+pub(crate) fn causes_json(
+    causes: &[(afa_sim::trace::Cause, afa_sim::SimDuration)],
+) -> afa_stats::Json {
+    afa_stats::Json::Obj(
+        causes
+            .iter()
+            .map(|&(c, d)| (c.label().to_owned(), afa_stats::Json::u64(d.as_nanos())))
+            .collect(),
     )
 }
 

@@ -614,10 +614,8 @@ mod tests {
     fn budget_is_the_runs_own_cause_table() {
         let scale = ExperimentScale::quick();
         let fig = run_experiment(find("fig06").expect("registered"), scale);
-        let config = crate::AfaConfig::paper(TuningStage::Default)
-            .with_ssds(scale.ssds)
-            .with_runtime(scale.runtime)
-            .with_seed(scale.seed)
+        let config = scale
+            .config(TuningStage::Default)
             .with_cause_attribution(true);
         assert_eq!(
             Some(fig.manifest.counters.causes),

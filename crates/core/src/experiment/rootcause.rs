@@ -10,7 +10,6 @@
 use afa_sim::trace::Cause;
 use afa_stats::Json;
 
-use crate::config::AfaConfig;
 use crate::experiment::registry::{cause_rows_json, ExperimentResult};
 use crate::experiment::{pool, ExperimentScale};
 use crate::system::AfaSystem;
@@ -142,11 +141,7 @@ pub fn root_cause_ladder(scale: ExperimentScale) -> RootCauseLadder {
 
 /// Runs `stage` with cause attribution on and reports the budget.
 pub fn root_cause(stage: TuningStage, scale: ExperimentScale) -> RootCauseReport {
-    let config = AfaConfig::paper(stage)
-        .with_ssds(scale.ssds)
-        .with_runtime(scale.runtime)
-        .with_seed(scale.seed)
-        .with_cause_attribution(true);
+    let config = scale.config(stage).with_cause_attribution(true);
     let result = AfaSystem::run(&config);
     let completed: u64 = result.reports.iter().map(|r| r.completed()).sum();
     let causes = result.causes.expect("attribution enabled");

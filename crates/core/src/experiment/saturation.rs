@@ -11,7 +11,6 @@ use afa_sim::SimDuration;
 use afa_stats::Json;
 use afa_workload::RwPattern;
 
-use crate::config::AfaConfig;
 use crate::experiment::registry::ExperimentResult;
 use crate::experiment::ExperimentScale;
 use crate::system::AfaSystem;
@@ -80,10 +79,9 @@ pub fn uplink_saturation(scale: ExperimentScale) -> SaturationResult {
     // the uplink several times over.
     let runtime = scale.runtime.min(SimDuration::secs(2));
     let seq_config = {
-        let mut config = AfaConfig::paper(TuningStage::IrqAffinity)
-            .with_ssds(scale.ssds)
+        let mut config = scale
+            .config(TuningStage::IrqAffinity)
             .with_runtime(runtime)
-            .with_seed(scale.seed)
             .with_rw(RwPattern::SeqRead);
         config.block_size = 131_072;
         config.iodepth = 8;
@@ -91,10 +89,7 @@ pub fn uplink_saturation(scale: ExperimentScale) -> SaturationResult {
     };
     let seq = AfaSystem::run(&seq_config);
 
-    let rand_config = AfaConfig::paper(TuningStage::IrqAffinity)
-        .with_ssds(scale.ssds)
-        .with_runtime(runtime)
-        .with_seed(scale.seed);
+    let rand_config = scale.config(TuningStage::IrqAffinity).with_runtime(runtime);
     let rand = AfaSystem::run(&rand_config);
 
     SaturationResult {

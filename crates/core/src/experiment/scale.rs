@@ -2,6 +2,9 @@
 
 use afa_sim::SimDuration;
 
+use crate::config::AfaConfig;
+use crate::tuning::TuningStage;
+
 /// How big to run the experiments.
 ///
 /// The paper runs 120 s per configuration; a full-fidelity
@@ -37,6 +40,15 @@ impl ExperimentScale {
             ssds,
             seed,
         }
+    }
+
+    /// The paper's setup at `stage` ([`AfaConfig::paper`]) over this
+    /// scale's SSDs, run time and seed.
+    pub fn config(&self, stage: TuningStage) -> AfaConfig {
+        AfaConfig::paper(stage)
+            .with_ssds(self.ssds)
+            .with_runtime(self.runtime)
+            .with_seed(self.seed)
     }
 }
 

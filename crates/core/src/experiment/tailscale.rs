@@ -24,7 +24,7 @@ use afa_volume::{StripeConfig, StripedVolume};
 use crate::experiment::registry::ExperimentResult;
 use crate::experiment::{pool, ExperimentScale};
 use crate::geometry::CpuSsdGeometry;
-use crate::tuning::{Tuning, TuningStage};
+use crate::tuning::TuningStage;
 
 /// Client threads driving the volume.
 const CLIENTS: usize = 4;
@@ -123,32 +123,52 @@ impl ExperimentResult for TailScaleResult {
 /// Runs the sweep: stripe widths 1/4/8/16 (clamped to the scale's
 /// device budget) under the default and fully tuned kernels.
 pub fn tail_at_scale(scale: ExperimentScale) -> TailScaleResult {
-    let widths: Vec<usize> = [1usize, 4, 8, 16]
-        .into_iter()
-        .filter(|&w| w <= scale.ssds.max(1))
-        .collect();
-    let stages = [TuningStage::Default, TuningStage::IrqAffinity];
-    let mut jobs = Vec::new();
-    for &width in &widths {
-        for &stage in &stages {
-            jobs.push((stage, width));
+    let cells = pool::map_bounded(sweep(scale), |(stage, width)| {
+        let world = run_cell(stage, width, scale);
+        TailScaleCell {
+            stage,
+            width,
+            client: world.hist.profile(),
         }
-    }
-    let cells: Vec<TailScaleCell> =
-        pool::map_bounded(jobs, |(stage, width)| run_cell(stage, width, scale));
+    });
     TailScaleResult { cells }
 }
 
-fn run_cell(stage: TuningStage, width: usize, scale: ExperimentScale) -> TailScaleCell {
-    let tuning = Tuning::new(stage);
+/// The sweep's `(stage, width)` cells, in artifact order.
+fn sweep(scale: ExperimentScale) -> Vec<(TuningStage, usize)> {
+    let mut cells = Vec::new();
+    for width in [1usize, 4, 8, 16] {
+        if width <= scale.ssds.max(1) {
+            for stage in [TuningStage::Default, TuningStage::IrqAffinity] {
+                cells.push((stage, width));
+            }
+        }
+    }
+    cells
+}
+
+/// When `client` issues its first request.
+fn first_issue(client: usize) -> SimTime {
+    SimTime::ZERO + SimDuration::micros(client as u64 * 17)
+}
+
+/// Runs one cell to its end, flushes its counters, and returns the
+/// drained world.
+fn run_cell(stage: TuningStage, width: usize, scale: ExperimentScale) -> VolumeWorld {
     let geometry = CpuSsdGeometry::paper(width.max(CLIENTS));
     let world = VolumeWorld {
-        array: super::paper_array(&tuning, &geometry, width, scale.seed ^ 0xA11CE, scale.seed),
+        array: super::paper_array(stage, &geometry, width, scale.seed ^ 0xA11CE, scale.seed),
         volume: StripedVolume::new((0..width).collect(), StripeConfig::new(4096)),
         book: RequestBook::new(),
         // Client CPUs: the first CLIENTS io CPUs.
-        client_cpus: (0..CLIENTS).map(|c| geometry.io_cpus()[c]).collect(),
-        policy: tuning.fio_policy(),
+        clients: (0..CLIENTS)
+            .map(|c| Client {
+                cpu: geometry.io_cpus()[c],
+                submitting: SimDuration::ZERO,
+                last_reap: SimTime::ZERO,
+            })
+            .collect(),
+        policy: stage.fio_policy(),
         hist: LatencyHistogram::new(),
         rng: SimRng::from_seed_and_stream(scale.seed, 0x7A11),
         deadline: SimTime::ZERO + scale.runtime,
@@ -157,11 +177,7 @@ fn run_cell(stage: TuningStage, width: usize, scale: ExperimentScale) -> TailSca
     };
     let mut sim = ShardedSim::new(world, vec![super::ONE_LP_LOOKAHEAD]);
     for client in 0..CLIENTS {
-        sim.schedule(
-            0,
-            SimTime::ZERO + SimDuration::micros(client as u64 * 17),
-            VolEvent::Issue { client },
-        );
+        sim.schedule(0, first_issue(client), VolEvent::Issue { client });
     }
     sim.schedule(0, SimTime::ZERO, VolEvent::BgArrival);
     sim.run();
@@ -173,11 +189,7 @@ fn run_cell(stage: TuningStage, width: usize, scale: ExperimentScale) -> TailSca
         },
         ..Default::default()
     });
-    TailScaleCell {
-        stage,
-        width,
-        client: world.hist.profile(),
-    }
+    world
 }
 
 #[derive(Debug)]
@@ -201,11 +213,21 @@ enum VolEvent {
 
 type Ctx<'a> = ShardCtx<'a, VolEvent, Infallible>;
 
+/// One closed-loop client thread: it alternates a submit charge with
+/// one outstanding request.
+struct Client {
+    cpu: CpuId,
+    /// Submit charges paid so far.
+    submitting: SimDuration,
+    /// When its latest reap ended.
+    last_reap: SimTime,
+}
+
 struct VolumeWorld {
     array: ArrayInstance,
     volume: StripedVolume,
     book: RequestBook,
-    client_cpus: Vec<CpuId>,
+    clients: Vec<Client>,
     policy: SchedPolicy,
     hist: LatencyHistogram,
     rng: SimRng,
@@ -221,13 +243,14 @@ impl VolumeWorld {
         if now >= self.deadline {
             return;
         }
-        let cpu = self.client_cpus[client];
+        let cpu = self.clients[client].cpu;
         let width = self.volume.width();
         let bytes = 4096 * width as u32;
         let volume_page = self.rng.below(self.request_pages / width as u64) * width as u64;
         let subs = self.volume.map_read(volume_page, bytes);
         let submit_cost = SUBMIT_BASE + SUBMIT_PER_SUB * subs.len() as u64;
         let submit_end = self.array.charge(cpu, now, submit_cost);
+        self.clients[client].submitting += submit_end.saturating_since(now);
         let request = self.book.begin(client, submit_end, submit_end, &subs);
         for (i, sub) in subs.iter().enumerate() {
             let device = self.volume.member_device(sub.member);
@@ -297,8 +320,9 @@ impl ShardWorld for VolumeWorld {
                     // Last sub-I/O: wake the client, reap all events,
                     // record, issue the next request.
                     let reap = COMPLETE_COST + SUBMIT_PER_SUB * self.volume.width() as u64;
-                    let cpu = self.client_cpus[done.tenant];
-                    self.array.reap(cpu, self.policy, reap, &mut path);
+                    let client = &mut self.clients[done.tenant];
+                    self.array.reap(client.cpu, self.policy, reap, &mut path);
+                    client.last_reap = path.reap_end;
                     self.hist
                         .record(path.reap_end.saturating_since(done.arrived_at).as_nanos());
                     self.issue(done.tenant, path.reap_end, ctx);
@@ -381,6 +405,38 @@ mod tests {
             (135_188, 1_107_478, 553_568),
             "(requests, events, interrupt reaps)"
         );
+    }
+
+    /// Little's law for the closed client loop: each client alternates
+    /// a submit charge with one outstanding request and issues the
+    /// next at its reap, so its submit charges plus the latencies it
+    /// recorded tile its loop from its first issue to its last reap,
+    /// to the nanosecond. Summed over the clients, `clients × span =
+    /// Σ(latency + submit)` with each span's window edges exact.
+    #[test]
+    fn littles_law_holds_for_the_client_loop() {
+        let scale = ExperimentScale::new(SimDuration::millis(250), 8, 42);
+        for (stage, width) in sweep(scale) {
+            let world = run_cell(stage, width, scale);
+            let span: u64 = (0..CLIENTS)
+                .map(|c| {
+                    let last = world.clients[c].last_reap;
+                    assert!(last >= world.deadline, "client {c} stopped early");
+                    last.saturating_since(first_issue(c)).as_nanos()
+                })
+                .sum();
+            let submitting: u64 = world.clients.iter().map(|c| c.submitting.as_nanos()).sum();
+            // The histogram sums integer samples far below 2^53 exactly;
+            // mean × count recovers that sum to well within ½ ns.
+            let latency = (world.hist.mean() * world.hist.count() as f64).round() as u64;
+            assert_eq!(
+                latency + submitting,
+                span,
+                "{stage}/{width}: {} requests held the loop for {latency} + \
+                 {submitting} ns of {span} ns",
+                world.hist.count()
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,6 @@ use afa_ssd::DeviceProfile;
 use afa_stats::{Json, NinesPoint};
 use afa_workload::IoEngine;
 
-use crate::config::AfaConfig;
 use crate::experiment::registry::ExperimentResult;
 use crate::experiment::{run_parallel, ExperimentScale};
 use crate::tuning::TuningStage;
@@ -175,10 +174,8 @@ pub fn ull_crossover(scale: ExperimentScale) -> UllCrossoverResult {
             for (label, engine) in MODELS {
                 coords.push((profile, stage, label));
                 configs.push(
-                    AfaConfig::paper(stage)
-                        .with_ssds(scale.ssds)
-                        .with_runtime(scale.runtime)
-                        .with_seed(scale.seed)
+                    scale
+                        .config(stage)
                         .with_device_profile(profile)
                         .with_engine(engine),
                 );
@@ -190,26 +187,15 @@ pub fn ull_crossover(scale: ExperimentScale) -> UllCrossoverResult {
         .into_iter()
         .zip(results.iter())
         .map(|((profile, stage, model), result)| {
-            let mut mean = 0.0f64;
-            let mut p99 = 0.0f64;
-            let mut p99999 = 0.0f64;
-            let mut max = 0.0f64;
-            for report in &result.reports {
-                let prof = report.profile();
-                mean += prof.get_micros(NinesPoint::Average);
-                p99 = p99.max(prof.get_micros(NinesPoint::Nines2));
-                p99999 = p99999.max(prof.get_micros(NinesPoint::Nines5));
-                max = max.max(prof.get_micros(NinesPoint::Max));
-            }
-            let completed: u64 = result.reports.iter().map(|r| r.completed()).sum();
+            let completed = result.completed();
             UllCrossoverCell {
                 profile: profile.label(),
                 stage,
                 model,
-                mean_us: mean / result.reports.len() as f64,
-                p99_us: p99,
-                p99999_us: p99999,
-                max_us: max,
+                mean_us: result.mean_us(NinesPoint::Average),
+                p99_us: result.worst_us(NinesPoint::Nines2),
+                p99999_us: result.worst_us(NinesPoint::Nines5),
+                max_us: result.worst_us(NinesPoint::Max),
                 cpu_us_per_io: result.host.stats().io_cpu_busy_ns as f64
                     / 1e3
                     / completed.max(1) as f64,

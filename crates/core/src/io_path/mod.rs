@@ -44,9 +44,9 @@
 //! Inter-LP hops ride `Cross` events under per-LP lookahead bounds
 //! (the smaller of a fabric hop and interrupt entry + handler for
 //! workers, hop + MSI latency for the hub), asserted on every send.
-//! A QD1 job alone on its device and on its worker LP skips two of
-//! them: the hub runs its device legs inline at `SubmitDown`
-//! (`IoPathWorld::run_device_legs`, DESIGN.md §6.2).
+//! A QD1 job alone on its worker LP skips two of them (one job per
+//! device is asserted at run): the hub runs its device legs inline at
+//! `SubmitDown` (`IoPathWorld::run_device_legs`, DESIGN.md §6.2).
 //!
 //! # One record per in-flight I/O
 //!
@@ -140,10 +140,12 @@ struct InFlight {
     /// `SubmitDown`; `CommandAtDevice` may land later, clamped up to
     /// the hub lookahead).
     at_entry: SimTime,
-    /// When a polled completion's CQE landed in host memory (written at
-    /// `FabricUp`; `PollComplete` may land later, clamped up to the hub
-    /// lookahead — without an MSI the shared legs can finish inside the
-    /// lookahead window for tiny payloads).
+    /// When the completion's CQE landed in host memory (written at
+    /// `FabricUp`). A polled reap works off it (`PollComplete` may land
+    /// later, clamped up to the hub lookahead — without an MSI the
+    /// shared legs can finish inside the lookahead window for tiny
+    /// payloads); the MSI coalescer times a batch from its first
+    /// completion's.
     at_host: SimTime,
 }
 
@@ -291,23 +293,16 @@ impl IoPathWorld {
             .iter()
             .map(|j| lp_of_cpu(geometry.cpu_of_ssd(j.spec().device())))
             .collect();
-        let mut device_jobs = vec![0u32; n];
         let mut lp_jobs = [0u32; WORKER_LPS];
-        for (job, &lp) in jobs.iter().zip(&job_lp) {
-            device_jobs[job.spec().device()] += 1;
+        for &lp in &job_lp {
             lp_jobs[lp] += 1;
         }
         // The one fusion rule (DESIGN.md §6.2): a QD1 job alone on its
-        // device and alone on its worker LP.
+        // worker LP. (`AfaSystem::run` asserts one job per device.)
         let inline_legs = jobs
             .iter()
             .zip(&job_lp)
-            .map(|(job, &lp)| {
-                fusion
-                    && job.spec().iodepth() == 1
-                    && device_jobs[job.spec().device()] == 1
-                    && lp_jobs[lp] == 1
-            })
+            .map(|(job, &lp)| fusion && job.spec().iodepth() == 1 && lp_jobs[lp] == 1)
             .collect();
         let jobs_len = jobs.len();
         IoPathWorld {
@@ -528,12 +523,12 @@ impl IoPathWorld {
             model,
             &mut io.ledger,
         );
+        io.at_host = at_host;
         if model.parks_thread() {
             // Without the MSI's trailing latency a tiny payload can
             // clear the shared legs inside the hub lookahead; the
             // event timestamp is clamped but the reap works off the
             // recorded `at_host`.
-            io.at_host = at_host;
             let at = at_host.max(ctx.now() + self.hub_lookahead());
             ctx.send(self.job_lp[job], at, Cross::PollComplete { io: id });
             return;
@@ -570,12 +565,17 @@ impl IoPathWorld {
         );
     }
 
-    /// Hub: a coalescing timeout fired. Stale timers (the batch
-    /// already fired full) find the queue empty and do nothing. The
-    /// interrupt itself lands one hub-lookahead later — the MSI still
-    /// has to cross the fabric to the host.
+    /// Hub: a coalescing timeout fired. It fires the pending batch only
+    /// if that batch armed it, i.e. its first completion reached the
+    /// host exactly one timeout ago. A stale timer (armed by a batch
+    /// that already fired full) finds the queue empty or holding a
+    /// younger batch, whose own timer is still to come, and does
+    /// nothing. The interrupt itself lands one hub-lookahead later —
+    /// the MSI still has to cross the fabric to the host.
     fn on_msi(&mut self, device: usize, ctx: &mut Ctx<'_>) {
-        if self.pending_cq[device].is_empty() {
+        let timeout = self.coalescing.expect("coalescing timer").timeout;
+        let armed_by = |&id: &IoId| self.inflight[id as usize].at_host + timeout;
+        if self.pending_cq[device].first().map(armed_by) != Some(ctx.now()) {
             return;
         }
         let batch = std::mem::take(&mut self.pending_cq[device]);

@@ -8,9 +8,9 @@
 //! * [`CpuSsdGeometry`] — the Fig. 5 CPU↔SSD mapping (64 SSDs on 32
 //!   logical CPUs, two fio threads per logical core) and the Table II
 //!   run matrix,
-//! * [`Tuning`] / [`TuningStage`] — the paper's cumulative tuning
-//!   ladder: default → `chrt` → `isolcpus` → IRQ pinning →
-//!   experimental firmware,
+//! * [`TuningStage`] — the paper's cumulative tuning ladder: default →
+//!   `chrt` → `isolcpus` → IRQ pinning → experimental firmware, and
+//!   what each stage configures,
 //! * [`AfaSystem`] — the whole-array discrete-event simulation,
 //! * [`experiment`] — one runner per table and figure of the paper's
 //!   evaluation (Fig. 6–14, Table I, Table II) plus the ablations
@@ -49,4 +49,4 @@ mod tuning;
 pub use config::{AfaConfig, IrqCoalescing};
 pub use geometry::{CpuSsdGeometry, Table2Row};
 pub use system::{check_jobs, AfaSystem, FusionOverride, RunResult};
-pub use tuning::{Tuning, TuningStage};
+pub use tuning::TuningStage;

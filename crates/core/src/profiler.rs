@@ -11,7 +11,7 @@
 use afa_sim::SimDuration;
 use afa_stats::{LatencyProfile, NinesPoint};
 
-use crate::config::AfaConfig;
+use crate::experiment::ExperimentScale;
 use crate::system::AfaSystem;
 use crate::tuning::TuningStage;
 
@@ -22,8 +22,8 @@ pub struct DeviceVerdict {
     pub device: usize,
     /// The measured profile.
     pub profile: LatencyProfile,
-    /// Which metrics deviated more than the threshold from the fleet
-    /// mean (empty = healthy).
+    /// Which metrics deviated more than the threshold above the fleet
+    /// median (empty = healthy).
     pub outlier_metrics: Vec<NinesPoint>,
 }
 
@@ -82,12 +82,12 @@ impl ProfileBatch {
 /// Configuration for a profiling batch.
 #[derive(Clone, Debug)]
 pub struct ParallelProfiler {
-    devices: usize,
-    runtime: SimDuration,
-    seed: u64,
+    scale: ExperimentScale,
     /// A metric is an outlier if it exceeds
-    /// `fleet mean + threshold_sigmas × fleet std` (and is at least
-    /// 10 % above the mean, to avoid flagging a zero-variance fleet).
+    /// `fleet median + threshold_sigmas × robust σ`, where robust σ is
+    /// 1.4826 × the fleet's median absolute deviation, and is also
+    /// more than 20 % above the median (so a zero-spread fleet flags
+    /// nothing).
     threshold_sigmas: f64,
 }
 
@@ -100,15 +100,13 @@ impl ParallelProfiler {
     pub fn new(devices: usize, runtime: SimDuration, seed: u64) -> Self {
         assert!((1..=64).contains(&devices), "1..=64 devices");
         ParallelProfiler {
-            devices,
-            runtime,
-            seed,
+            scale: ExperimentScale::new(runtime, devices, seed),
             threshold_sigmas: 3.0,
         }
     }
 
-    /// Adjusts the outlier threshold (standard deviations above the
-    /// fleet mean).
+    /// Adjusts the outlier threshold (robust standard deviations above
+    /// the fleet median).
     pub fn threshold_sigmas(mut self, sigmas: f64) -> Self {
         self.threshold_sigmas = sigmas;
         self
@@ -117,11 +115,7 @@ impl ParallelProfiler {
     /// Runs the batch under the fully tuned kernel (the configuration
     /// the paper validates for parallel profiling in §IV-G).
     pub fn run(&self) -> ProfileBatch {
-        let config = AfaConfig::paper(TuningStage::IrqAffinity)
-            .with_ssds(self.devices)
-            .with_runtime(self.runtime)
-            .with_seed(self.seed);
-        let result = AfaSystem::run(&config);
+        let result = AfaSystem::run(&self.scale.config(TuningStage::IrqAffinity));
         let profiles: Vec<LatencyProfile> = result.reports.iter().map(|r| r.profile()).collect();
         self.judge(profiles)
     }
@@ -168,7 +162,7 @@ impl ParallelProfiler {
             .collect();
         ProfileBatch {
             verdicts,
-            speedup: self.devices as f64,
+            speedup: self.scale.ssds as f64,
         }
     }
 }

@@ -17,6 +17,7 @@ use afa_pcie::{FabricStats, PcieFabric};
 use afa_sim::metrics::{self, CompletionCounters};
 use afa_sim::{ShardedSim, SimDuration, SimRng, SimTime};
 use afa_ssd::{DeviceProfile, DeviceStats, FtlStats, SsdDevice};
+use afa_stats::NinesPoint;
 use afa_workload::{JobReport, JobSpec, JobState};
 
 use crate::config::AfaConfig;
@@ -182,6 +183,23 @@ impl RunResult {
         self.reports.iter().map(JobReport::completed).sum()
     }
 
+    /// Mean of `point` across devices, µs: the per-device values
+    /// summed from 0.0 in device order, over the device count.
+    pub fn mean_us(&self, point: NinesPoint) -> f64 {
+        let sum = self
+            .reports
+            .iter()
+            .fold(0.0, |sum, r| sum + r.profile().get_micros(point));
+        sum / self.reports.len() as f64
+    }
+
+    /// Worst `point` across devices, µs (0.0 without devices).
+    pub fn worst_us(&self, point: NinesPoint) -> f64 {
+        self.reports.iter().fold(0.0, |worst: f64, r| {
+            worst.max(r.profile().get_micros(point))
+        })
+    }
+
     /// Aggregate IOPS across all devices.
     pub fn aggregate_iops(&self, runtime: SimDuration) -> f64 {
         let secs = runtime.as_secs_f64();
@@ -314,9 +332,10 @@ impl AfaSystem {
             config.irq_coalescing,
             config.hybrid_sleep(),
             config.device_profile.per_cpu_queue_pairs(),
-            // Fusion is byte-exact (a QD1 job alone on its device and
-            // worker LP runs its device legs inline), so the knob only
-            // exists to check the two paths against each other.
+            // Fusion is byte-exact (a QD1 job alone on its worker LP
+            // runs its device legs inline; one job per device is
+            // asserted above), so the knob only exists to check the two
+            // paths against each other.
             fusion_enabled(),
         );
 

@@ -51,35 +51,11 @@ impl TuningStage {
             TuningStage::ExperimentalFirmware => "exp-firmware",
         }
     }
-}
-
-impl std::fmt::Display for TuningStage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// A resolved tuning: what to configure where for a given stage.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Tuning {
-    stage: TuningStage,
-}
-
-impl Tuning {
-    /// Wraps a stage.
-    pub fn new(stage: TuningStage) -> Self {
-        Tuning { stage }
-    }
-
-    /// The wrapped stage.
-    pub fn stage(&self) -> TuningStage {
-        self.stage
-    }
 
     /// The kernel configuration for this stage, given the fio CPU set
     /// (needed from [`TuningStage::Isolcpus`] on).
-    pub fn kernel_config(&self, io_cpus: CpuSet) -> KernelConfig {
-        match self.stage {
+    pub fn kernel_config(self, io_cpus: CpuSet) -> KernelConfig {
+        match self {
             TuningStage::Default | TuningStage::Chrt => KernelConfig::stock(),
             TuningStage::Isolcpus => KernelConfig::isolated(io_cpus),
             TuningStage::IrqAffinity | TuningStage::ExperimentalFirmware => {
@@ -89,25 +65,25 @@ impl Tuning {
     }
 
     /// The scheduling class fio runs under.
-    pub fn fio_policy(&self) -> SchedPolicy {
-        match self.stage {
+    pub fn fio_policy(self) -> SchedPolicy {
+        match self {
             TuningStage::Default => SchedPolicy::default_fair(),
             _ => SchedPolicy::chrt_fifo_99(),
         }
     }
 
     /// The SSD firmware installed.
-    pub fn firmware(&self) -> FirmwareProfile {
-        match self.stage {
+    pub fn firmware(self) -> FirmwareProfile {
+        match self {
             TuningStage::ExperimentalFirmware => FirmwareProfile::experimental(),
             _ => FirmwareProfile::production(),
         }
     }
 }
 
-impl From<TuningStage> for Tuning {
-    fn from(stage: TuningStage) -> Self {
-        Tuning::new(stage)
+impl std::fmt::Display for TuningStage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -123,19 +99,19 @@ mod tests {
     #[test]
     fn stages_are_cumulative() {
         // Default: everything stock.
-        let t = Tuning::new(TuningStage::Default);
+        let t = TuningStage::Default;
         assert_eq!(t.kernel_config(io()), KernelConfig::stock());
         assert!(!t.fio_policy().is_realtime());
         assert!(t.firmware().smart_enabled());
 
         // Chrt: only the policy changes.
-        let t = Tuning::new(TuningStage::Chrt);
+        let t = TuningStage::Chrt;
         assert_eq!(t.kernel_config(io()), KernelConfig::stock());
         assert!(t.fio_policy().is_realtime());
         assert!(t.firmware().smart_enabled());
 
         // Isolcpus: isolation added, IRQs still balanced.
-        let t = Tuning::new(TuningStage::Isolcpus);
+        let t = TuningStage::Isolcpus;
         let k = t.kernel_config(io());
         assert!(k.isolcpus.contains(CpuId(4)));
         assert_eq!(k.idle, IdlePolicy::Poll);
@@ -143,12 +119,12 @@ mod tests {
         assert!(t.fio_policy().is_realtime());
 
         // IrqAffinity: vectors pinned.
-        let t = Tuning::new(TuningStage::IrqAffinity);
+        let t = TuningStage::IrqAffinity;
         assert_eq!(t.kernel_config(io()).irq_mode, IrqMode::Pinned);
         assert!(t.firmware().smart_enabled());
 
         // ExperimentalFirmware: SMART off, kernel unchanged.
-        let t = Tuning::new(TuningStage::ExperimentalFirmware);
+        let t = TuningStage::ExperimentalFirmware;
         assert_eq!(t.kernel_config(io()).irq_mode, IrqMode::Pinned);
         assert!(!t.firmware().smart_enabled());
     }

@@ -21,7 +21,7 @@ fn main() {
         "running {} SSDs for {:.1}s simulated under '{}' tuning...\n",
         config.geometry.ssds(),
         config.runtime.as_secs_f64(),
-        config.tuning.stage()
+        config.tuning
     );
     let result = AfaSystem::run(&config);
 

@@ -7,7 +7,8 @@
 //! cargo run --release --example tuning_ladder
 //! ```
 
-use afa::core::{AfaConfig, AfaSystem, TuningStage};
+use afa::core::experiment::ExperimentScale;
+use afa::core::{AfaSystem, TuningStage};
 use afa::sim::SimDuration;
 use afa::stats::NinesPoint;
 
@@ -16,30 +17,18 @@ fn main() {
         "{:<14} {:>10} {:>10} {:>12} {:>10}",
         "stage", "avg(us)", "p99.9(us)", "p99.999(us)", "max(us)"
     );
+    let scale = ExperimentScale::new(SimDuration::secs(2), 16, 42);
     for stage in TuningStage::ALL {
-        let config = AfaConfig::paper(stage)
-            .with_ssds(16)
-            .with_runtime(SimDuration::secs(2))
-            .with_seed(42);
-        let result = AfaSystem::run(&config);
-
+        let result = AfaSystem::run(&scale.config(stage));
         // Worst device decides the array's responsiveness (§I: one
         // slow SSD delays the whole striped request).
-        let mut avg = 0.0;
-        let mut p999 = 0.0f64;
-        let mut p5 = 0.0f64;
-        let mut max = 0.0f64;
-        for report in &result.reports {
-            let profile = report.profile();
-            avg += profile.get_micros(NinesPoint::Average);
-            p999 = p999.max(profile.get_micros(NinesPoint::Nines3));
-            p5 = p5.max(profile.get_micros(NinesPoint::Nines5));
-            max = max.max(profile.get_micros(NinesPoint::Max));
-        }
-        avg /= result.reports.len() as f64;
         println!(
-            "{:<14} {avg:>10.1} {p999:>10.1} {p5:>12.1} {max:>10.1}",
-            stage.label()
+            "{:<14} {:>10.1} {:>10.1} {:>12.1} {:>10.1}",
+            stage.label(),
+            result.mean_us(NinesPoint::Average),
+            result.worst_us(NinesPoint::Nines3),
+            result.worst_us(NinesPoint::Nines5),
+            result.worst_us(NinesPoint::Max)
         );
     }
     println!("\npaper: default max ~5000us, chrt ~600us, exp firmware ~90us");

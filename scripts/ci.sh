@@ -88,6 +88,36 @@ for golden in tests/golden/*.json; do
     echo "fusion OK: $exp (AFA_NO_FUSION=1 == golden)"
 done
 
+echo "==> afactl exp --out (table, CSV and JSON files)"
+# The goldens above read stdout only; --out is the one path to the table
+# and CSV renderers (fig12 and fig14 share one mean/std renderer). Each
+# run must write all three files, its .json must be stdout (which ends
+# in println's newline), and its .csv a header plus at least one row.
+out_dir="$golden_tmp/out"
+for exp in fig12 fig14 ablate-coalescing; do
+    ./target/release/afactl exp "$exp" --seconds 0.05 --ssds 8 --seed 42 --json \
+        --out "$out_dir" > "$golden_tmp/$exp-stdout.json" 2>/dev/null
+    for ext in txt csv json; do
+        if [ ! -f "$out_dir/$exp.$ext" ]; then
+            echo "afactl exp $exp --out wrote no $exp.$ext" >&2
+            exit 1
+        fi
+    done
+    if ! cmp -s <(cat "$out_dir/$exp.json"; echo) "$golden_tmp/$exp-stdout.json"; then
+        echo "afactl exp $exp: $exp.json differs from --json stdout" >&2
+        exit 1
+    fi
+    if [ "$(wc -l < "$out_dir/$exp.csv")" -lt 2 ]; then
+        echo "afactl exp $exp: $exp.csv has no rows under its header" >&2
+        exit 1
+    fi
+    echo "out OK: $exp"
+done
+if command -v python3 >/dev/null; then
+    PYTHONPYCACHEPREFIX="$golden_tmp/pycache" python3 -m py_compile scripts/plot_figures.py
+    echo "plot script compiles"
+fi
+
 echo "==> afabench tests"
 cargo test --locked -q --manifest-path afabench/Cargo.toml
 

@@ -7,8 +7,10 @@ Usage:
 Produces, for whichever inputs exist:
   * fig06/07/08/09/11 — per-device latency-distribution line plots
     (one line per SSD, log-y), the visual form of the paper's figures,
+  * fig13a–fig13d — the same plot for each Table II row of fig13.csv,
   * fig10 — the latency scatter with its periodic SMART spikes,
-  * fig12 — grouped bars of mean and std per metric per configuration.
+  * fig12, fig14 — grouped bars of mean and std per metric per
+    configuration (kernel stage, Table II row).
 
 Requires matplotlib; degrades to a message if it is missing.
 """
@@ -52,11 +54,11 @@ def plot_scatter(plt, rows, out):
     print(f"wrote {out}")
 
 
-def plot_fig12(plt, rows, out):
+def plot_mean_std(plt, rows, key, out):
     stages = []
     for r in rows:
-        if r["stage"] not in stages:
-            stages.append(r["stage"])
+        if r[key] not in stages:
+            stages.append(r[key])
     metrics = []
     for r in rows:
         if r["metric"] not in metrics:
@@ -66,7 +68,7 @@ def plot_fig12(plt, rows, out):
                              (axes[1], "std_us", "standard deviation (us)")):
         width = 0.8 / max(len(stages), 1)
         for i, stage in enumerate(stages):
-            vals = [float(r[field]) for r in rows if r["stage"] == stage]
+            vals = [float(r[field]) for r in rows if r[key] == stage]
             xs = [j + i * width for j in range(len(metrics))]
             ax.bar(xs, [max(v, 0.01) for v in vals], width=width, label=stage)
         ax.set_yscale("log")
@@ -98,20 +100,33 @@ def main():
         "fig08": "Fig. 8 — +isolcpus",
         "fig09": "Fig. 9 — +IRQ affinity",
         "fig11": "Fig. 11 — experimental firmware",
-        "fig13a": "Fig. 13(a)", "fig13b": "Fig. 13(b)",
-        "fig13c": "Fig. 13(c)", "fig13d": "Fig. 13(d)",
     }
     for name, title in titles.items():
         path = os.path.join(src, f"{name}.csv")
         if os.path.exists(path):
             plot_distributions(plt, load_rows(path), title,
                                os.path.join(out_dir, f"{name}.png"))
+    # fig13.csv holds every Table II row, labelled "Fig. 13(a)" to
+    # "Fig. 13(d)" in its `row` column: one plot per row.
+    p13 = os.path.join(src, "fig13.csv")
+    if os.path.exists(p13):
+        rows = load_rows(p13)
+        labels = []
+        for r in rows:
+            if r["row"] not in labels:
+                labels.append(r["row"])
+        for label in labels:
+            letter = label[label.index("(") + 1:label.index(")")]
+            plot_distributions(plt, [r for r in rows if r["row"] == label],
+                               label, os.path.join(out_dir, f"fig13{letter}.png"))
     p10 = os.path.join(src, "fig10.csv")
     if os.path.exists(p10):
         plot_scatter(plt, load_rows(p10), os.path.join(out_dir, "fig10.png"))
-    p12 = os.path.join(src, "fig12.csv")
-    if os.path.exists(p12):
-        plot_fig12(plt, load_rows(p12), os.path.join(out_dir, "fig12.png"))
+    for name, key in (("fig12", "stage"), ("fig14", "row")):
+        path = os.path.join(src, f"{name}.csv")
+        if os.path.exists(path):
+            plot_mean_std(plt, load_rows(path), key,
+                          os.path.join(out_dir, f"{name}.png"))
     return 0
 
 

@@ -119,16 +119,16 @@ fn usage() {
     );
 }
 
-fn config(opts: &Options) -> AfaConfig {
-    AfaConfig::paper(opts.stage)
-        .with_ssds(opts.ssds)
-        .with_runtime(SimDuration::from_secs_f64(opts.seconds))
-        .with_seed(opts.seed)
-        .with_engine(opts.engine)
+fn scale(opts: &Options) -> ExperimentScale {
+    ExperimentScale::new(
+        SimDuration::from_secs_f64(opts.seconds),
+        opts.ssds,
+        opts.seed,
+    )
 }
 
 fn cmd_run(opts: &Options) {
-    let config = config(opts);
+    let config = scale(opts).config(opts.stage).with_engine(opts.engine);
     let result = AfaSystem::run(&config);
     for (d, report) in result.reports.iter().enumerate() {
         println!("{}", report.to_fio_style(&format!("nvme{d}")));
@@ -148,22 +148,14 @@ fn cmd_ladder(opts: &Options) {
         "stage", "avg(us)", "p99.999(us)", "max(us)"
     );
     for stage in TuningStage::ALL {
-        let config = AfaConfig::paper(stage)
-            .with_ssds(opts.ssds)
-            .with_runtime(SimDuration::from_secs_f64(opts.seconds))
-            .with_seed(opts.seed);
-        let result = AfaSystem::run(&config);
-        let mut avg = 0.0;
-        let mut p5 = 0.0f64;
-        let mut max = 0.0f64;
-        for report in &result.reports {
-            let p = report.profile();
-            avg += p.get_micros(NinesPoint::Average);
-            p5 = p5.max(p.get_micros(NinesPoint::Nines5));
-            max = max.max(p.get_micros(NinesPoint::Max));
-        }
-        avg /= result.reports.len() as f64;
-        println!("{:<14} {avg:>10.1} {p5:>12.1} {max:>10.1}", stage.label());
+        let result = AfaSystem::run(&scale(opts).config(stage));
+        println!(
+            "{:<14} {:>10.1} {:>12.1} {:>10.1}",
+            stage.label(),
+            result.mean_us(NinesPoint::Average),
+            result.worst_us(NinesPoint::Nines5),
+            result.worst_us(NinesPoint::Max)
+        );
     }
 }
 
@@ -180,12 +172,7 @@ fn cmd_profile(opts: &Options) {
 }
 
 fn cmd_causes(opts: &Options) {
-    let scale = ExperimentScale::new(
-        SimDuration::from_secs_f64(opts.seconds),
-        opts.ssds,
-        opts.seed,
-    );
-    println!("{}", root_cause(opts.stage, scale).to_table());
+    println!("{}", root_cause(opts.stage, scale(opts)).to_table());
 }
 
 fn cmd_list() {
@@ -205,12 +192,7 @@ fn cmd_exp(name: &str, opts: &Options) -> ExitCode {
         eprintln!("afactl: unknown experiment '{name}' (see `afactl list`)");
         return ExitCode::FAILURE;
     };
-    let scale = ExperimentScale::new(
-        SimDuration::from_secs_f64(opts.seconds),
-        opts.ssds,
-        opts.seed,
-    );
-    let run = experiment::run_experiment(def, scale);
+    let run = experiment::run_experiment(def, scale(opts));
     if opts.json {
         println!("{}", run.to_json());
     } else {

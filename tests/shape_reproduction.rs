@@ -8,23 +8,6 @@ use afa::sim::SimDuration;
 use afa::ssd::{FirmwareProfile, SmartPolicy};
 use afa::stats::NinesPoint;
 
-fn worst_max_us(result: &afa::core::RunResult) -> f64 {
-    result
-        .reports
-        .iter()
-        .map(|r| r.profile().get_micros(NinesPoint::Max))
-        .fold(0.0, f64::max)
-}
-
-fn mean_avg_us(result: &afa::core::RunResult) -> f64 {
-    let sum: f64 = result
-        .reports
-        .iter()
-        .map(|r| r.profile().get_micros(NinesPoint::Average))
-        .sum();
-    sum / result.reports.len() as f64
-}
-
 fn run(stage: TuningStage, ms: u64) -> afa::core::RunResult {
     AfaSystem::run(
         &AfaConfig::paper(stage)
@@ -55,9 +38,9 @@ fn default_tail_is_milliseconds_and_tuning_collapses_it() {
     let chrt = run(TuningStage::Chrt, 400);
     let tuned = run(TuningStage::ExperimentalFirmware, 400);
 
-    let max_default = worst_max_us(&default);
-    let max_chrt = worst_max_us(&chrt);
-    let max_tuned = worst_max_us(&tuned);
+    let max_default = default.worst_us(NinesPoint::Max);
+    let max_chrt = chrt.worst_us(NinesPoint::Max);
+    let max_tuned = tuned.worst_us(NinesPoint::Max);
 
     // Paper: ~5000 µs → ~600 µs → ~90 µs.
     assert!(max_default > 800.0, "default max only {max_default} us");
@@ -87,10 +70,10 @@ fn run_wide(stage: TuningStage, ms: u64) -> afa::core::RunResult {
 fn chrt_gives_the_biggest_average_win() {
     // Fig. 12: "adjustment of the FIO process priority yields the most
     // impact on the average latency."
-    let default = mean_avg_us(&run_wide(TuningStage::Default, 250));
-    let chrt = mean_avg_us(&run_wide(TuningStage::Chrt, 250));
-    let isol = mean_avg_us(&run_wide(TuningStage::Isolcpus, 250));
-    let irq = mean_avg_us(&run_wide(TuningStage::IrqAffinity, 250));
+    let default = run_wide(TuningStage::Default, 250).mean_us(NinesPoint::Average);
+    let chrt = run_wide(TuningStage::Chrt, 250).mean_us(NinesPoint::Average);
+    let isol = run_wide(TuningStage::Isolcpus, 250).mean_us(NinesPoint::Average);
+    let irq = run_wide(TuningStage::IrqAffinity, 250).mean_us(NinesPoint::Average);
 
     let steps = [default - chrt, chrt - isol, isol - irq];
     assert!(
@@ -118,8 +101,8 @@ fn smart_housekeeping_sets_the_tuned_tail() {
             .with_runtime(SimDuration::millis(250))
             .with_seed(3),
     );
-    let max_smart = worst_max_us(&with_smart);
-    let max_clean = worst_max_us(&without);
+    let max_smart = with_smart.worst_us(NinesPoint::Max);
+    let max_clean = without.worst_us(NinesPoint::Max);
     assert!(
         (450.0..900.0).contains(&max_smart),
         "SMART-dominated max should be ~600 us, got {max_smart}"

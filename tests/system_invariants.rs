@@ -2,7 +2,7 @@
 
 use afa::core::blktrace::IoStage;
 use afa::core::experiment::{self, ExperimentResult, ExperimentScale};
-use afa::core::{AfaConfig, AfaSystem, TuningStage};
+use afa::core::{AfaConfig, AfaSystem, IrqCoalescing, TuningStage};
 use afa::host::CpuId;
 use afa::sim::{metrics, SimDuration};
 use afa::ssd::DeviceProfile;
@@ -148,6 +148,55 @@ fn littles_law_holds_per_closed_loop_job() {
                 );
             }
         }
+    }
+}
+
+/// A coalesced interrupt that serves fewer than `max_batch`
+/// completions fired on its batch's timeout, so it is handled no
+/// earlier than the batch's first device completion plus the timeout.
+/// At QD6 over batches of 4 most batches fire full, and each leaves a
+/// timer behind that must not fire the device's next batch. The
+/// ledger log holds every I/O; an interrupt's batch is the I/Os of one
+/// job sharing its handler instant.
+#[test]
+fn coalescing_timers_fire_only_their_own_batch() {
+    let coalescing = IrqCoalescing {
+        max_batch: 4,
+        timeout: SimDuration::micros(100),
+    };
+    let mut config = AfaConfig::paper(TuningStage::ExperimentalFirmware)
+        .with_ssds(2)
+        .with_runtime(SimDuration::millis(20))
+        .with_seed(42)
+        .with_irq_coalescing(coalescing)
+        .with_ledger_log(1 << 16);
+    config.iodepth = 6;
+    let r = AfaSystem::run(&config);
+    let log = r.ledgers.as_ref().expect("ledger log enabled");
+    assert_eq!(
+        log.entries().len() as u64,
+        r.completed(),
+        "log missed an I/O"
+    );
+    let mut batches = std::collections::BTreeMap::new();
+    for io in log.entries() {
+        let handled = io.ledger.stamp_at(IoStage::IrqHandled);
+        let done = io.ledger.stamp_at(IoStage::DeviceComplete);
+        let (size, first) = batches.entry((io.job, handled)).or_insert((0u32, done));
+        *size += 1;
+        *first = (*first).min(done);
+    }
+    let timed: Vec<_> = batches
+        .iter()
+        .filter(|(_, &(size, _))| size < coalescing.max_batch)
+        .collect();
+    assert!(!timed.is_empty(), "no batch fired on its timeout");
+    for (&(job, handled), &(size, first)) in timed {
+        assert!(
+            handled >= first + coalescing.timeout,
+            "job {job}: a batch of {size} was handled at {handled:?}, \
+             before its first completion at {first:?} plus the timeout"
+        );
     }
 }
 
