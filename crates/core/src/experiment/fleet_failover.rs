@@ -555,6 +555,8 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> FleetWorld {
         .map(|a| NetHop::new(HopSpec::datacenter(), scale.seed ^ 0x0F1E_E700, a as u64))
         .collect();
 
+    let all: Vec<usize> = (0..arrays_n).collect();
+    let placement = PlacementTable::new(&all, cfg.r);
     let kill_at = cfg.kill_frac.map(|frac| {
         SimTime::ZERO + SimDuration::nanos((scale.runtime.as_nanos() as f64 * frac) as u64)
     });
@@ -569,6 +571,9 @@ fn run_cell(cfg: FleetConfig, scale: ExperimentScale) -> FleetWorld {
         write_percent: cfg.write_percent,
         book: RequestBook::new(),
         routes: Vec::new(),
+        sub_scratch: Vec::new(),
+        live: placement.clone(),
+        pre_kill: placement,
         retry: RetryPolicy::fleet_default(),
         heal_plan: Vec::new(),
         rng_arrival: SimRng::from_seed_and_stream(scale.seed, 0xF1EE_7A00),
@@ -666,10 +671,13 @@ struct FleetTimeline {
     client_rx: SimTime,
 }
 
-/// One open request's fleet-side state, shadow-indexed by the book's
-/// dense slot index.
-#[derive(Clone, Debug)]
+/// One request's fleet-side state, shadow-indexed by the book's dense
+/// slot index. A finished request's route stays in its slot, closed,
+/// so the next request there reuses its `subs` buffer.
+#[derive(Clone, Debug, Default)]
 struct RouteState {
+    /// Whether a request is open in this slot.
+    open: bool,
     /// Full generation-checked id — a recycled slot with a different
     /// id means this route is stale.
     id: u64,
@@ -682,6 +690,46 @@ struct RouteState {
     shed: bool,
     subs: Vec<SubRoute>,
     best: Option<FleetTimeline>,
+}
+
+/// Rendezvous placement of every volume among one alive set: each
+/// volume's replicas, primary first, computed once per set.
+#[derive(Clone, Debug)]
+struct PlacementTable {
+    /// Replicas per volume: `r`, or every alive array if fewer.
+    width: usize,
+    /// `width` arrays per volume, volume by volume.
+    arrays: Vec<usize>,
+}
+
+impl PlacementTable {
+    fn new(alive: &[usize], r: usize) -> Self {
+        PlacementTable {
+            width: r.min(alive.len()),
+            arrays: (0..VOLUMES)
+                .flat_map(|volume| place_among(volume, alive, r))
+                .collect(),
+        }
+    }
+
+    /// `volume`'s replicas, primary first; empty once no array is
+    /// alive.
+    fn of(&self, volume: u64) -> &[usize] {
+        let at = volume as usize * self.width;
+        &self.arrays[at..at + self.width]
+    }
+}
+
+/// The replica a read goes to: the primary, or the next replica of the
+/// read-any rotation.
+fn read_target(policy: ReadPolicy, rotate: &mut u64, replicas: &[usize]) -> usize {
+    match policy {
+        ReadPolicy::Primary | ReadPolicy::HedgedSecondary => replicas[0],
+        ReadPolicy::ReadAny => {
+            *rotate += 1;
+            replicas[(*rotate % replicas.len() as u64) as usize]
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -756,9 +804,17 @@ struct FleetWorld {
     policy: ReadPolicy,
     write_percent: u64,
     book: RequestBook,
-    /// Open-route state, shadow-indexed by the request handle's dense
-    /// slot index (slots recycle with the book's slab).
-    routes: Vec<Option<RouteState>>,
+    /// Route state, shadow-indexed by the request handle's dense slot
+    /// index (slots recycle with the book's slab).
+    routes: Vec<RouteState>,
+    /// An arrival's sub-I/Os, reused from one arrival to the next.
+    sub_scratch: Vec<SubIo>,
+    /// Each volume's replicas among the alive arrays. The alive set
+    /// changes only when an array dies, and the kill rebuilds it.
+    live: PlacementTable,
+    /// Each volume's replicas among all arrays: the placement map the
+    /// frontend routes by until it learns of a kill.
+    pre_kill: PlacementTable,
     retry: RetryPolicy,
     heal_plan: Vec<HealJob>,
     rng_arrival: SimRng,
@@ -813,12 +869,6 @@ impl FleetWorld {
         }
     }
 
-    fn alive_ids(&self) -> Vec<usize> {
-        (0..self.arrays.len())
-            .filter(|&a| self.arrays[a].is_alive())
-            .collect()
-    }
-
     fn device_of(&self, volume: u64) -> usize {
         (volume % self.devices_per as u64) as usize
     }
@@ -826,17 +876,15 @@ impl FleetWorld {
     fn route(&self, request: u64) -> Option<&RouteState> {
         let slot = Handle::from_raw(request).index();
         self.routes
-            .get(slot)?
-            .as_ref()
-            .filter(|route| route.id == request)
+            .get(slot)
+            .filter(|route| route.open && route.id == request)
     }
 
     fn route_mut(&mut self, request: u64) -> Option<&mut RouteState> {
         let slot = Handle::from_raw(request).index();
         self.routes
-            .get_mut(slot)?
-            .as_mut()
-            .filter(|route| route.id == request)
+            .get_mut(slot)
+            .filter(|route| route.open && route.id == request)
     }
 
     /// Sends one sub-I/O attempt across the network to its array.
@@ -906,22 +954,26 @@ impl FleetWorld {
             }
         }
         let Some(fin) = fin else { return };
-        let slot = Handle::from_raw(request).index();
-        let route = self.routes[slot]
-            .take()
-            .expect("route for finished request");
+        route.open = false;
+        let (shed, write, arrived_at, submit_end, best) = (
+            route.shed,
+            route.write,
+            route.arrived_at,
+            route.submit_end,
+            route.best,
+        );
         if fin.hedge_won {
             self.hedges_won += 1;
         }
-        if route.shed {
+        if shed {
             self.shed += 1;
             return;
         }
         self.settled += 1;
-        let best = route.best.expect("finished request has a timeline");
+        let best = best.expect("finished request has a timeline");
         let latency = fin.latency();
         self.hist.record(latency.as_nanos());
-        if route.write {
+        if write {
             self.write_hist.record(latency.as_nanos());
         }
         self.rollup.record(best.array, latency.as_nanos());
@@ -936,9 +988,9 @@ impl FleetWorld {
         // Telescopes to `latency`.
         let [to_device, service, to_host, irq, wake, reap] = best.path.stamps();
         self.causes.settle(
-            route.arrived_at,
+            arrived_at,
             &[
-                (Cause::CpuWork, route.submit_end),
+                (Cause::CpuWork, submit_end),
                 // Backoff / hedge wait between client submit and the
                 // winning attempt's network send.
                 (Cause::Other, best.sent_at),
@@ -984,75 +1036,62 @@ impl ShardWorld for FleetWorld {
                 let write =
                     self.write_percent > 0 && self.rng_write.below(100) < self.write_percent;
                 let lba = self.rng_lba.below(LBA_SPACE);
-                let alive = self.alive_ids();
-                let placement = place_among(volume, &alive, self.r);
-                // While the routing map is stale (just after a kill),
-                // reads still dispatch by the pre-kill placement; one
-                // aimed at the dead primary burns the RPC timeout and
-                // fails over through the retry path.
+                let mut subs = std::mem::take(&mut self.sub_scratch);
+                subs.clear();
                 let mut dead_dispatch = false;
-                let targets: Vec<usize> = if write {
-                    placement
-                } else {
-                    let stale = match (self.dead, self.routing_stale_until) {
-                        (Some(dead), Some(until)) if now < until => {
-                            let all: Vec<usize> = (0..self.arrays.len()).collect();
-                            let pre = place_among(volume, &all, self.r);
-                            let target = match self.policy {
-                                ReadPolicy::Primary | ReadPolicy::HedgedSecondary => pre[0],
-                                ReadPolicy::ReadAny => {
-                                    self.rotate += 1;
-                                    pre[(self.rotate % pre.len() as u64) as usize]
-                                }
-                            };
-                            dead_dispatch = target == dead;
-                            Some(target)
-                        }
-                        _ => None,
-                    };
-                    let target = stale.unwrap_or_else(|| match self.policy {
-                        ReadPolicy::Primary | ReadPolicy::HedgedSecondary => placement[0],
-                        ReadPolicy::ReadAny => {
-                            self.rotate += 1;
-                            placement[(self.rotate % placement.len() as u64) as usize]
-                        }
-                    });
-                    vec![target]
-                };
-                let subs: Vec<SubIo> = targets
-                    .iter()
-                    .map(|&array| SubIo {
-                        member: array,
+                if write {
+                    subs.extend(self.live.of(volume).iter().map(|&member| SubIo {
+                        member,
                         lba,
                         bytes: DATA_BYTES,
-                    })
-                    .collect();
+                    }));
+                } else {
+                    // While the routing map is stale (just after a
+                    // kill), reads still dispatch by the pre-kill
+                    // placement; one aimed at the dead primary burns
+                    // the RPC timeout and fails over through the retry
+                    // path.
+                    let stale = self.routing_stale_until.is_some_and(|until| now < until);
+                    let replicas = if stale {
+                        self.pre_kill.of(volume)
+                    } else {
+                        self.live.of(volume)
+                    };
+                    let member = read_target(self.policy, &mut self.rotate, replicas);
+                    dead_dispatch = stale && self.dead == Some(member);
+                    subs.push(SubIo {
+                        member,
+                        lba,
+                        bytes: DATA_BYTES,
+                    });
+                }
                 let submit_end = now + CLIENT_SUBMIT;
                 let id = self.book.begin(0, now, now, &subs);
                 self.admitted += 1;
                 let slot = Handle::from_raw(id).index();
                 if slot >= self.routes.len() {
-                    self.routes.resize_with(slot + 1, || None);
+                    self.routes.resize_with(slot + 1, RouteState::default);
                 }
                 let attempt = if dead_dispatch { 2 } else { 1 };
-                self.routes[slot] = Some(RouteState {
+                let mut sub_routes = std::mem::take(&mut self.routes[slot].subs);
+                sub_routes.clear();
+                sub_routes.extend(subs.iter().map(|io| SubRoute {
+                    array: io.member,
+                    attempt,
+                    lba,
+                    done: false,
+                }));
+                self.routes[slot] = RouteState {
+                    open: true,
                     id,
                     volume,
                     write,
                     arrived_at: now,
                     submit_end,
                     shed: false,
-                    subs: targets
-                        .iter()
-                        .map(|&array| SubRoute {
-                            array,
-                            attempt,
-                            lba,
-                            done: false,
-                        })
-                        .collect(),
+                    subs: sub_routes,
                     best: None,
-                });
+                };
                 if dead_dispatch {
                     // The dispatch went to a corpse: nothing was sent,
                     // the client waits out the RPC timeout and retries
@@ -1068,12 +1107,13 @@ impl ShardWorld for FleetWorld {
                         },
                     );
                 } else {
-                    for (i, &array) in targets.iter().enumerate() {
-                        self.send_sub(id, i, 1, array, write, false, submit_end, ctx);
+                    for (i, io) in subs.iter().enumerate() {
+                        self.send_sub(id, i, 1, io.member, write, false, submit_end, ctx);
                     }
                 }
+                self.sub_scratch = subs;
                 if !write && self.policy == ReadPolicy::HedgedSecondary {
-                    if let Some(delay) = self.hedge.as_ref().and_then(HedgePolicy::delay) {
+                    if let Some(delay) = self.hedge.as_mut().and_then(HedgePolicy::delay) {
                         ctx.at(submit_end + delay, FlEvent::HedgeFire { request: id });
                     }
                 }
@@ -1224,9 +1264,7 @@ impl ShardWorld for FleetWorld {
                     route.subs[sub].array,
                     route.write,
                 );
-                let alive = self.alive_ids();
-                let placement = place_among(volume, &alive, self.r);
-                let Some(&secondary) = placement.iter().find(|&&a| a != primary) else {
+                let Some(&secondary) = self.live.of(volume).iter().find(|&&a| a != primary) else {
                     return;
                 };
                 self.hedges_fired += 1;
@@ -1246,13 +1284,11 @@ impl ShardWorld for FleetWorld {
                 }
                 let route = self.route(request).expect("attempt_live checked");
                 let (volume, write) = (route.volume, route.write);
-                let alive = self.alive_ids();
-                if alive.is_empty() {
+                let Some(&target) = self.live.of(volume).first() else {
+                    // No array is alive.
                     self.shed_sub(request, sub, now);
                     return;
-                }
-                let placement = place_among(volume, &alive, self.r);
-                let target = placement[0];
+                };
                 self.retries += 1;
                 let route = self.route_mut(request).expect("attempt_live checked");
                 route.subs[sub].array = target;
@@ -1262,13 +1298,17 @@ impl ShardWorld for FleetWorld {
                 let now = ctx.now();
                 let dead = self.kill_array;
                 self.arrays[dead].kill();
+                let alive: Vec<usize> = (0..self.arrays.len())
+                    .filter(|&a| self.arrays[a].is_alive())
+                    .collect();
+                self.live = PlacementTable::new(&alive, self.r);
                 self.arrays_failed += 1;
                 self.dead = Some(dead);
                 self.routing_stale_until = Some(now + ROUTING_STALE);
                 // Fail open attempts over: bump the attempt fence and
                 // schedule backed-off retries on the survivors.
                 let mut sweeps = Vec::new();
-                for route in self.routes.iter_mut().flatten() {
+                for route in self.routes.iter_mut().filter(|route| route.open) {
                     for (i, s) in route.subs.iter_mut().enumerate() {
                         if !s.done && s.array == dead {
                             s.attempt += 1;

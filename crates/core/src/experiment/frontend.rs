@@ -632,7 +632,7 @@ impl ShardWorld for FrontendWorld {
                     self.submit_sub(request, i, io, submit_end, false, ctx);
                 }
                 self.sub_scratch = subs;
-                if let Some(delay) = self.hedge.as_ref().and_then(HedgePolicy::delay) {
+                if let Some(delay) = self.hedge.as_mut().and_then(HedgePolicy::delay) {
                     ctx.at(submit_end + delay, FeEvent::HedgeFire { request });
                 }
                 // The worker stays busy until the submit batch retires,
@@ -694,7 +694,7 @@ impl ShardWorld for FrontendWorld {
                         // the policy delay past submit, or now if that
                         // has already passed.
                         if self.book.outstanding(request) == 1 {
-                            if let Some(delay) = self.hedge.as_ref().and_then(HedgePolicy::delay) {
+                            if let Some(delay) = self.hedge.as_mut().and_then(HedgePolicy::delay) {
                                 let submit_end = self.settle(request).submit_end;
                                 ctx.at(
                                     (submit_end + delay).max(now),

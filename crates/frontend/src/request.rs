@@ -17,11 +17,9 @@
 //! worth of traffic on a book whose footprint is the *concurrency*
 //! high-water mark, not the tenant count.
 
-use std::cell::Cell;
-
 use afa_sim::trace::Cause;
 use afa_sim::{SimDuration, SimTime};
-use afa_stats::LatencyHistogram;
+use afa_stats::PercentileCursor;
 use afa_volume::SubIo;
 
 use crate::slab::{Handle, HandleSlab};
@@ -326,7 +324,7 @@ impl RequestBook {
     pub fn outstanding(&self, id: u64) -> usize {
         self.open
             .get(Handle::from_raw(id))
-            .map_or(0, |o| o.subs.iter().filter(|s| !s.done).count())
+            .map_or(0, |o| o.remaining as usize)
     }
 
     /// Requests currently in flight.
@@ -359,15 +357,16 @@ impl RequestBook {
 /// percentile of observed sub-I/O settle times, once enough samples
 /// exist to trust it (Dean & Barroso's "tail at scale" hedged
 /// requests).
+///
+/// The settle times live in a [`PercentileCursor`]. Each
+/// [`delay`](Self::delay) resumes the bucket walk where the previous
+/// one stopped, so a query costs as many steps as the percentile moved
+/// since the last one, not a walk from bucket 0.
 #[derive(Clone, Debug)]
 pub struct HedgePolicy {
     percentile: f64,
     min_samples: u64,
-    hist: LatencyHistogram,
-    /// Memoized percentile scan, invalidated by `observe`. Re-arming
-    /// a hedge between observations costs a cache read instead of a
-    /// 6,400-bucket histogram walk.
-    cached_delay: Cell<Option<SimDuration>>,
+    settles: PercentileCursor,
 }
 
 impl HedgePolicy {
@@ -385,34 +384,29 @@ impl HedgePolicy {
         HedgePolicy {
             percentile,
             min_samples: 100,
-            hist: LatencyHistogram::new(),
-            cached_delay: Cell::new(None),
+            settles: PercentileCursor::new(),
         }
     }
 
     /// Feeds one observed sub-I/O settle time.
     pub fn observe(&mut self, settle: SimDuration) {
-        self.hist.record(settle.as_nanos());
-        self.cached_delay.set(None);
+        self.settles.record(settle.as_nanos());
     }
 
     /// The current hedge delay: the tracked percentile of observed
     /// settle times, or `None` while still warming up.
-    pub fn delay(&self) -> Option<SimDuration> {
-        if self.hist.count() < self.min_samples {
+    pub fn delay(&mut self) -> Option<SimDuration> {
+        if self.settles.count() < self.min_samples {
             return None;
         }
-        if let Some(cached) = self.cached_delay.get() {
-            return Some(cached);
-        }
-        let delay = SimDuration::nanos(self.hist.value_at_percentile(self.percentile));
-        self.cached_delay.set(Some(delay));
-        Some(delay)
+        Some(SimDuration::nanos(
+            self.settles.value_at_percentile(self.percentile),
+        ))
     }
 
     /// Observations seen so far.
     pub fn observations(&self) -> u64 {
-        self.hist.count()
+        self.settles.count()
     }
 }
 
@@ -462,15 +456,18 @@ mod tests {
     fn hedge_race_is_first_completion_wins() {
         let mut book = RequestBook::new();
         let id = book.begin(1, SimTime::ZERO, SimTime::ZERO, &subs(&[0, 1]));
+        assert_eq!(book.outstanding(id), 2);
         assert_eq!(
             book.complete_sub(id, 0, SimTime::from_nanos(2_000), false),
             SubCompletion::Pending
         );
+        assert_eq!(book.outstanding(id), 1);
         // One straggler left: hedge fires exactly once.
         let (idx, io) = book.hedge_straggler(id).expect("one straggler");
         assert_eq!(idx, 1);
         assert_eq!(io.member, 1);
         assert!(book.hedge_straggler(id).is_none(), "no double hedge");
+        assert_eq!(book.outstanding(id), 1, "a hedge completes nothing");
         // Duplicate wins the race...
         match book.complete_sub(id, 1, SimTime::from_nanos(5_000), true) {
             SubCompletion::Finished(fin) => {
@@ -480,6 +477,13 @@ mod tests {
             }
             other => panic!("expected Finished, got {other:?}"),
         }
+        assert_eq!(book.outstanding(id), 0);
+        // ...and the original, landing after the finish, is dropped.
+        assert_eq!(
+            book.complete_sub(id, 1, SimTime::from_nanos(6_000), false),
+            SubCompletion::Duplicate
+        );
+        assert_eq!(book.outstanding(id), 0);
     }
 
     #[test]
@@ -487,6 +491,7 @@ mod tests {
         let mut book = RequestBook::new();
         let id = book.begin(0, SimTime::ZERO, SimTime::ZERO, &subs(&[0]));
         let _ = book.hedge_straggler(id).expect("sole sub is the straggler");
+        assert_eq!(book.outstanding(id), 1);
         // Original wins; the duplicate's later completion is dropped.
         match book.complete_sub(id, 0, SimTime::from_nanos(3_000), false) {
             SubCompletion::Finished(fin) => {
@@ -495,14 +500,18 @@ mod tests {
             }
             other => panic!("expected Finished, got {other:?}"),
         }
+        assert_eq!(book.outstanding(id), 0);
         let id2 = book.begin(0, SimTime::ZERO, SimTime::ZERO, &subs(&[0, 1]));
         book.complete_sub(id2, 0, SimTime::from_nanos(1_000), false);
         book.hedge_straggler(id2).expect("straggler");
+        assert_eq!(book.outstanding(id2), 1);
         book.complete_sub(id2, 1, SimTime::from_nanos(2_000), false);
+        assert_eq!(book.outstanding(id2), 0);
         assert_eq!(
             book.complete_sub(id2, 1, SimTime::from_nanos(2_500), true),
             SubCompletion::Duplicate
         );
+        assert_eq!(book.outstanding(id2), 0);
     }
 
     #[test]
@@ -612,8 +621,8 @@ mod tests {
             (180..=200).contains(&delay_us),
             "p95 of 1..=200us was {delay_us}us"
         );
-        // Re-arms between observations hit the memoized value; a new
-        // observation invalidates it.
+        // Re-arms between observations resume at the same bucket; a
+        // new observation moves the percentile, and the delay with it.
         assert_eq!(p.delay(), Some(delay));
         p.observe(SimDuration::micros(500));
         assert!(p.delay().expect("still warm") >= delay);

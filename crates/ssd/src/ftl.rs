@@ -15,11 +15,42 @@
 //! the survivors and erases it.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+use afa_sim::rng::splitmix64;
 
 use crate::flash::{DieAddress, FlashGeometry};
 
 /// A physical 4 KiB slot: `flash_page_index * subs_per_page + sub`.
 type Slot = u64;
+
+/// The FTL maps' hasher: a fixed splitmix64 finalizer over each `u64`
+/// key, where the std default is a randomly keyed SipHash. The maps
+/// are only probed, never iterated, so a fixed hash moves no result,
+/// and their keys are the simulation's own page and slot numbers, so
+/// SipHash's resistance to crafted collisions buys nothing.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let mut state = self.0 ^ key;
+        self.0 = splitmix64(&mut state);
+    }
+}
+
+/// A map keyed by logical page or physical slot.
+type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
 
 /// FTL tuning knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,8 +169,8 @@ struct DieState {
 pub struct Ftl {
     geometry: FlashGeometry,
     config: FtlConfig,
-    map: HashMap<u64, Slot>,
-    reverse: HashMap<Slot, u64>,
+    map: KeyMap<Slot>,
+    reverse: KeyMap<u64>,
     blocks: Vec<BlockInfo>,
     /// Lifetime erase count per (global) block.
     erase_counts: Vec<u32>,
@@ -165,8 +196,8 @@ impl Ftl {
         let mut ftl = Ftl {
             geometry,
             config,
-            map: HashMap::new(),
-            reverse: HashMap::new(),
+            map: KeyMap::default(),
+            reverse: KeyMap::default(),
             blocks: Vec::new(),
             erase_counts: vec![0; total_blocks],
             dies: Vec::new(),

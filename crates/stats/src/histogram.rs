@@ -169,22 +169,34 @@ impl LatencyHistogram {
     /// Returns the exact maximum for `percentile == 100`, and 0 for an
     /// empty histogram.
     pub fn value_at_percentile(&self, percentile: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let p = percentile.clamp(0.0, 100.0);
-        if p >= 100.0 {
+        let Some(target) = self.rank_of(percentile) else {
             return self.max;
-        }
-        let target = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
+        };
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= target {
-                return Self::value_for(i).min(self.max).max(self.min());
+                return self.reported(i);
             }
         }
         self.max
+    }
+
+    /// The 1-based rank of the sample `percentile` asks for, or `None`
+    /// when no bucket walk is needed: an empty histogram (whose min and
+    /// max are both 0) or `percentile >= 100` (the exact max).
+    fn rank_of(&self, percentile: f64) -> Option<u64> {
+        let p = percentile.clamp(0.0, 100.0);
+        if self.total == 0 || p >= 100.0 {
+            return None;
+        }
+        Some(((p / 100.0) * self.total as f64).ceil().max(1.0) as u64)
+    }
+
+    /// The value reported for a percentile that lands in bucket
+    /// `index`: the bucket's upper edge, clamped to the exact min/max.
+    fn reported(&self, index: usize) -> u64 {
+        Self::value_for(index).min(self.max).max(self.min())
     }
 
     /// Fraction of samples at or below `value` (within relative error).
@@ -230,6 +242,84 @@ impl LatencyHistogram {
 impl Default for LatencyHistogram {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A [`LatencyHistogram`] read through a resumable bucket cursor.
+///
+/// The cursor rests on one bucket and counts the samples below it. A
+/// record below the cursor bumps that count, and a percentile query
+/// walks from the cursor to the bucket its rank lands in. So a
+/// percentile that moved a few buckets since the last query costs a
+/// few steps, where [`LatencyHistogram::value_at_percentile`] walks
+/// from bucket 0 every time. Every query returns exactly what that
+/// walk returns.
+///
+/// # Example
+///
+/// ```
+/// use afa_stats::{LatencyHistogram, PercentileCursor};
+///
+/// let mut settles = PercentileCursor::new();
+/// let mut walked = LatencyHistogram::new();
+/// for us in 1..=200u64 {
+///     settles.record(us * 1_000);
+///     walked.record(us * 1_000);
+/// }
+/// let p95 = settles.value_at_percentile(95.0);
+/// assert_eq!(p95, walked.value_at_percentile(95.0));
+/// // The next query resumes at p95's bucket.
+/// assert_eq!(settles.value_at_percentile(96.0), walked.value_at_percentile(96.0));
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct PercentileCursor {
+    hist: LatencyHistogram,
+    /// The bucket the cursor rests on.
+    index: usize,
+    /// Samples recorded in buckets below `index`.
+    below: u64,
+}
+
+impl PercentileCursor {
+    /// Creates an empty histogram with its cursor on bucket 0.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one sample.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        if LatencyHistogram::index_for(value) < self.index {
+            self.below += 1;
+        }
+        self.hist.record(value);
+    }
+
+    /// [`LatencyHistogram::value_at_percentile`], walking only the
+    /// buckets between the last query's answer and this one's.
+    pub fn value_at_percentile(&mut self, percentile: f64) -> u64 {
+        let Some(target) = self.hist.rank_of(percentile) else {
+            return self.hist.max;
+        };
+        let counts = &self.hist.counts;
+        // Back up while the rank lies below the cursor's bucket, then
+        // step forward until the cursor's bucket holds it. `target` is
+        // at least 1 and at most the sample count, so neither walk
+        // leaves the bucket range.
+        while self.below >= target {
+            self.index -= 1;
+            self.below -= counts[self.index];
+        }
+        while self.below + counts[self.index] < target {
+            self.below += counts[self.index];
+            self.index += 1;
+        }
+        self.hist.reported(self.index)
+    }
+
+    /// Number of recorded samples.
+    pub fn count(&self) -> u64 {
+        self.hist.count()
     }
 }
 
@@ -420,6 +510,55 @@ mod tests {
         }
         for v in [u64::MAX, u64::MAX / 2, 1 << 56, (1 << 56) - 1] {
             assert_eq!(LatencyHistogram::index_for(v), reference(v), "v={v}");
+        }
+    }
+
+    #[test]
+    fn cursor_matches_the_full_walk() {
+        const PERCENTILES: [f64; 9] = [0.0, 1.0, 50.0, 90.0, 95.0, 99.0, 99.9, 99.9999, 100.0];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..40u64 {
+            let mut cursor = PercentileCursor::new();
+            let mut walk = LatencyHistogram::new();
+            // Queries on an empty histogram move nothing.
+            for p in PERCENTILES {
+                assert_eq!(cursor.value_at_percentile(p), 0, "case {case} empty p{p}");
+            }
+            // Later cases query more often and drift between one fixed
+            // percentile (the hedge's use) and arbitrary ones.
+            let query_every = 1 + case % 8;
+            for step in 0..3_000u64 {
+                let r = next();
+                if step % query_every == 0 {
+                    let p = match r % 3 {
+                        0 if case % 2 == 0 => 95.0,
+                        0 | 1 => PERCENTILES[(r >> 8) as usize % PERCENTILES.len()],
+                        _ => (r >> 11) as f64 / (1u64 << 53) as f64 * 100.0,
+                    };
+                    assert_eq!(
+                        cursor.value_at_percentile(p),
+                        walk.value_at_percentile(p),
+                        "case {case} step {step} p{p}"
+                    );
+                } else {
+                    // 0 ..= 2^40, spread over every magnitude.
+                    let v = match r % 64 {
+                        0 => 0,
+                        1 => 1 << 40,
+                        _ => (r >> 24) >> ((r >> 8) % 41),
+                    };
+                    cursor.record(v);
+                    walk.record(v);
+                }
+            }
+            assert_eq!(cursor.count(), walk.count());
+            assert_eq!(cursor.value_at_percentile(100.0), walk.max());
         }
     }
 

@@ -8,6 +8,8 @@
 //!
 //! * [`LatencyHistogram`] — an HDR-style log-linear histogram with
 //!   bounded relative error, exact min/max/mean/std tracking and merge,
+//!   and [`PercentileCursor`], one whose percentile queries resume
+//!   where the last one stopped,
 //! * [`NinesPoint`] / [`LatencyProfile`] — the paper's fixed metric set
 //!   (average, 2-nines … 6-nines, max) extracted from a histogram,
 //! * [`QuantileSketch`] / [`TailStats`] — a fixed-size mergeable
@@ -47,7 +49,7 @@ pub mod series;
 mod sketch;
 mod summary;
 
-pub use histogram::LatencyHistogram;
+pub use histogram::{LatencyHistogram, PercentileCursor};
 pub use json::Json;
 pub use online::OnlineStats;
 pub use percentile::{LatencyProfile, NinesPoint};

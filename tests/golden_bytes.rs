@@ -1,15 +1,18 @@
-//! Golden artifacts in the default test suite: fifteen of the
+//! Golden artifacts in the default test suite: sixteen of the
 //! committed fixtures under `tests/golden/`, regenerated at their scale
 //! (0.25 s × 8 SSDs, seed 42) and byte-compared. They cover the paper
 //! figures fig06–fig12, the blktrace window read off the ledger log,
 //! interrupt coalescing (the only fixture whose interrupts serve
 //! batches of completions), and every world that runs as a one-LP
 //! simulation (serving, fleet, striped volume, multi-host).
+//! `fleet-replication` is the only fixture whose fleet cells hedge
+//! across arrays, rotate reads over the replicas, run at R = 3 and fan
+//! writes out to every replica.
 //! `scripts/ci.sh` compares every fixture through `afactl`; `fig13` and
 //! `ull-crossover` are left to it because they would more than double
 //! this test's time.
 //!
-//! The fifteen runs build concurrently, one thread each. Each
+//! The sixteen runs build concurrently, one thread each. Each
 //! manifest's `frontend`, `completion` and `fleet` keys and its latency
 //! `budget` come from its own run's counters and cause table, so a
 //! sibling run in the same process must not move a byte: a counter or
@@ -23,7 +26,7 @@ use afa::sim::SimDuration;
 #[test]
 fn golden_artifacts_are_byte_identical() {
     let scale = ExperimentScale::new(SimDuration::from_secs_f64(0.25), 8, 42);
-    // Spawn all fifteen runs, then join them: they overlap in time.
+    // Spawn all sixteen runs, then join them: they overlap in time.
     let artifacts = std::thread::scope(|s| {
         [
             "fig06",
@@ -37,6 +40,7 @@ fn golden_artifacts_are_byte_identical() {
             "ablate-coalescing",
             "tailscale-fanout",
             "fleet-failover",
+            "fleet-replication",
             "fleet-arrival",
             "tailscale-hedge",
             "tailscale",
