@@ -104,11 +104,13 @@ impl CpuTopology {
     }
 
     /// Total logical CPUs.
+    #[inline]
     pub fn logical_cpus(&self) -> u16 {
         self.sockets * self.cores_per_socket * self.threads_per_core
     }
 
     /// Total physical cores.
+    #[inline]
     pub fn physical_cores(&self) -> u16 {
         self.sockets * self.cores_per_socket
     }
@@ -118,6 +120,7 @@ impl CpuTopology {
     /// # Panics
     ///
     /// Panics if `cpu` is out of range.
+    #[inline]
     pub fn physical_core_of(&self, cpu: CpuId) -> u16 {
         assert!(cpu.0 < self.logical_cpus(), "cpu out of range");
         cpu.0 % self.physical_cores()
@@ -128,6 +131,7 @@ impl CpuTopology {
     /// # Panics
     ///
     /// Panics if `cpu` is out of range.
+    #[inline]
     pub fn socket_of(&self, cpu: CpuId) -> u16 {
         self.physical_core_of(cpu) / self.cores_per_socket
     }
@@ -137,6 +141,7 @@ impl CpuTopology {
     /// # Panics
     ///
     /// Panics if `cpu` is out of range or SMT is not 2-way.
+    #[inline]
     pub fn sibling_of(&self, cpu: CpuId) -> CpuId {
         assert_eq!(self.threads_per_core, 2, "sibling_of requires 2-way SMT");
         assert!(cpu.0 < self.logical_cpus(), "cpu out of range");
@@ -149,11 +154,13 @@ impl CpuTopology {
     }
 
     /// Whether two logical CPUs share a physical core.
+    #[inline]
     pub fn same_core(&self, a: CpuId, b: CpuId) -> bool {
         self.physical_core_of(a) == self.physical_core_of(b)
     }
 
     /// Whether two logical CPUs share a socket.
+    #[inline]
     pub fn same_socket(&self, a: CpuId, b: CpuId) -> bool {
         self.socket_of(a) == self.socket_of(b)
     }

@@ -43,37 +43,44 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant `nanos` nanoseconds after the origin.
+    #[inline]
     pub const fn from_nanos(nanos: u64) -> Self {
         SimTime(nanos)
     }
 
     /// Returns the instant as nanoseconds since the origin.
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Returns the instant as (fractional) microseconds since the origin.
+    #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// Returns the instant as (fractional) seconds since the origin.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
 
     /// Returns the span since `earlier`, saturating to zero if `earlier`
     /// is in the future.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Returns the later of two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// Returns the earlier of two instants.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
@@ -87,82 +94,109 @@ impl SimDuration {
     pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a span of `n` nanoseconds.
+    #[inline]
     pub const fn nanos(n: u64) -> Self {
         SimDuration(n)
     }
 
     /// Creates a span of `n` microseconds.
+    #[inline]
     pub const fn micros(n: u64) -> Self {
         SimDuration(n * 1_000)
     }
 
     /// Creates a span of `n` milliseconds.
+    #[inline]
     pub const fn millis(n: u64) -> Self {
         SimDuration(n * 1_000_000)
     }
 
     /// Creates a span of `n` seconds.
+    #[inline]
     pub const fn secs(n: u64) -> Self {
         SimDuration(n * 1_000_000_000)
     }
 
     /// Creates a span from fractional microseconds, rounding to the
     /// nearest nanosecond. Negative inputs clamp to zero.
+    #[inline]
     pub fn from_micros_f64(us: f64) -> Self {
-        SimDuration((us.max(0.0) * 1_000.0).round() as u64)
+        SimDuration(round_to_u64(us * 1_000.0))
     }
 
     /// Creates a span from fractional seconds, rounding to the nearest
     /// nanosecond. Negative inputs clamp to zero.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimDuration((secs.max(0.0) * 1_000_000_000.0).round() as u64)
+        SimDuration(round_to_u64(secs * 1_000_000_000.0))
     }
 
     /// Returns the span in nanoseconds.
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Returns the span as (fractional) microseconds.
+    #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// Returns the span as (fractional) seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
 
     /// Returns `true` if the span is zero.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Returns the larger of two spans.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
 
     /// Returns the smaller of two spans.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
 
     /// Subtracts `other`, saturating at zero.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 }
 
+/// `x.round() as u64` without `f64::round`, which is an out-of-line
+/// libm call on the baseline x86-64 target: truncate, then round up if
+/// the remainder is at least one half. Exact for every input: below
+/// 2^53 the remainder `x - trunc(x)` is exact, and from 2^53 up every
+/// double is an integer. Saturates at `u64::MAX` like `as u64`;
+/// negative inputs and NaN give 0.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add((x - whole as f64 >= 0.5) as u64)
+}
+
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -171,6 +205,7 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 - rhs.0)
     }
@@ -179,6 +214,7 @@ impl Sub<SimDuration> for SimTime {
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(self.0 - rhs.0)
     }
@@ -187,12 +223,14 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -201,12 +239,14 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 - rhs.0)
     }
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         self.0 -= rhs.0;
     }
@@ -215,6 +255,7 @@ impl SubAssign for SimDuration {
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 * rhs)
     }
@@ -223,6 +264,7 @@ impl Mul<u64> for SimDuration {
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }
@@ -247,6 +289,7 @@ impl fmt::Display for SimDuration {
 }
 
 impl From<SimDuration> for SimTime {
+    #[inline]
     fn from(d: SimDuration) -> SimTime {
         SimTime(d.0)
     }
@@ -293,6 +336,63 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
         let t = SimTime::from_nanos(1_500);
         assert!((t.as_micros_f64() - 1.5).abs() < 1e-12);
+    }
+
+    /// `round_to_u64` is `x.round() as u64` for every input: at the
+    /// halfway points, at the largest double below one half (where
+    /// `(x + 0.5) as u64` rounds up), across 2^52..2^53 (where `x + 0.5`
+    /// itself rounds), past `u64::MAX`, and at the non-finite and
+    /// negative values that clamp.
+    #[test]
+    fn rounding_matches_f64_round() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut points = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            1_234_567.5,
+            two(52) - 0.5,
+            two(52) + 1.0,
+            two(52) + 3.0,
+            two(53) - 1.0,
+            two(53),
+            two(53) + 2.0,
+            two(63),
+            two(64) - 2048.0,
+            two(64),
+            two(65),
+            f64::MAX,
+            f64::INFINITY,
+            -0.4,
+            -0.5,
+            -2.5,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for k in 0..1_000u64 {
+            points.push(k as f64 + 0.5);
+        }
+        // Random bit patterns: every exponent, sign and payload.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..100_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            points.push(f64::from_bits(state));
+            // Non-negative values with every share of fraction bits.
+            points.push((state >> 11) as f64 / two((state % 60) as i32));
+        }
+        for x in points {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+        assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
+        assert_eq!(
+            SimDuration::from_micros_f64(f64::INFINITY),
+            SimDuration::MAX
+        );
     }
 
     #[test]

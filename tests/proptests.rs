@@ -14,12 +14,12 @@
 //! cannot leak into each other's artifacts.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::process::Command;
 
 use afa::core::{check_jobs, AfaConfig, AfaSystem, FusionOverride, TuningStage};
 use afa::sim::check::{run_cases, Gen};
-use afa::sim::{EventQueue, ShardCtx, ShardWorld, ShardedSim, SimDuration, SimTime};
+use afa::sim::{EventQueue, MergeKey, ShardCtx, ShardWorld, ShardedSim, SimDuration, SimTime};
 use afa::stats::NinesPoint;
 use afa::workload::parse_jobfile;
 
@@ -202,6 +202,103 @@ fn overflow_heap_drains_in_time_seq_order() {
                 (got.0.as_nanos(), got.1),
                 (time, id),
                 "drain left (time, seq) order"
+            );
+        }
+        assert!(wheel.pop().is_none(), "wheel drained more than was pushed");
+    });
+}
+
+/// The keyed merge order survives the wheel's cascades: any
+/// interleaving of `push`, `push_keyed` and `pop` pops exactly the
+/// order of a sorted set over `(time, drain batch, keyed before plain,
+/// MergeKey or push seq)`. A drain batch is what one drain of an
+/// instant takes; a push at the instant being drained joins that
+/// instant's next batch.
+///
+/// Pushes cluster around a few far anchors, up to ~67 ms ahead and in
+/// random order, so several events share level-2+ buckets whose
+/// earliest event is not the first one filed there. Others reuse a
+/// recent push's instant (keyed/plain ties at one timestamp) or land
+/// at the instant being drained. Pushes never precede the last pop, as
+/// in the LP engine, so nothing reaches the past-overflow heap (which
+/// has no drain batches; `overflow_heap_drains_in_time_seq_order`
+/// covers it).
+#[test]
+fn keyed_wheel_pops_in_batch_merge_order() {
+    run_cases("keyed_wheel_pops_in_batch_merge_order", 32, |g| {
+        let mut wheel: EventQueue<u32> = EventQueue::new();
+        // (time, batch, plain, (src, dst, seq), push seq, id); plain
+        // entries share one dummy key, so push order breaks their ties.
+        type Entry = (u64, u64, bool, (u16, u16, u64), u64, u32);
+        let mut model: BTreeSet<Entry> = BTreeSet::new();
+        let mut draining: Option<(u64, u64)> = None;
+        let mut channel_seq = [[0u64; 3]; 3];
+        let mut anchors: Vec<u64> = Vec::new();
+        let mut recent: Vec<u64> = Vec::new();
+        let mut clock = g.u64_in(0, 1 << 30);
+        let mut pushes = 0u64;
+        for _ in 0..g.usize_in(50, 1_500) {
+            if g.u64_in(0, 100) < 45 && !model.is_empty() {
+                let got = wheel.pop().expect("model says non-empty");
+                let (time, batch, _, _, _, id) = model.pop_first().expect("non-empty");
+                assert_eq!(
+                    (got.0.as_nanos(), got.1),
+                    (time, id),
+                    "pop left merge order"
+                );
+                draining = Some((time, batch));
+                clock = time;
+                continue;
+            }
+            anchors.retain(|&a| a >= clock);
+            if anchors.is_empty() || g.u64_in(0, 8) == 0 {
+                anchors.push(clock + g.u64_in(1 << 12, 1 << 26));
+                if anchors.len() > 3 {
+                    anchors.remove(0);
+                }
+            }
+            let time = match g.u64_in(0, 10) {
+                // An empty queue re-anchors at the next push; pushing
+                // on the clock keeps later pushes off the past heap.
+                _ if model.is_empty() => clock,
+                0 | 1 => clock,
+                2 | 3 if !recent.is_empty() => recent[g.usize_in(0, recent.len())].max(clock),
+                4 => clock + g.u64_in(1, 1 << 12),
+                _ => anchors[g.usize_in(0, anchors.len())] + g.u64_in(0, 1 << 11),
+            };
+            recent.push(time);
+            if recent.len() > 8 {
+                recent.remove(0);
+            }
+            let batch = match draining {
+                Some((now, batch)) if now == time => batch + 1,
+                _ => 0,
+            };
+            let id = pushes as u32;
+            if g.u64_in(0, 3) == 0 {
+                wheel.push(SimTime::from_nanos(time), id);
+                model.insert((time, batch, true, (0, 0, 0), pushes, id));
+            } else {
+                let (src, dst) = (g.usize_in(0, 3), g.usize_in(0, 3));
+                let seq = channel_seq[src][dst];
+                channel_seq[src][dst] += 1;
+                let key = MergeKey {
+                    src: src as u16,
+                    dst: dst as u16,
+                    seq,
+                };
+                wheel.push_keyed(SimTime::from_nanos(time), key, id);
+                model.insert((time, batch, false, (key.src, key.dst, seq), pushes, id));
+            }
+            pushes += 1;
+            assert_eq!(wheel.len(), model.len());
+        }
+        while let Some((time, _, _, _, _, id)) = model.pop_first() {
+            let got = wheel.pop().expect("drain shorter than model");
+            assert_eq!(
+                (got.0.as_nanos(), got.1),
+                (time, id),
+                "drain left merge order"
             );
         }
         assert!(wheel.pop().is_none(), "wheel drained more than was pushed");
